@@ -73,10 +73,10 @@ benchMain()
     std::printf("(paper: 2.2x avg over the micro-benchmarks, 4.67x "
                 "memcached, 2.1x redis with\ninstrumentation; larger "
                 "without. Our instrumentation substrate is far cheaper\n"
-                "than Valgrind, so absolute factors compress; the "
-                "per-benchmark ordering —\nhashmap_tx worst, "
-                "tree/atomic workloads best — is the reproduced "
-                "shape.)\n");
+                "than Valgrind, so absolute factors compress. The "
+                "paper's worst case,\nhashmap_tx, is not ours: our "
+                "epoch ends skip its long-lived tree records\n(see "
+                "EXPERIMENTS.md).)\n");
     return 0;
 }
 

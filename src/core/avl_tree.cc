@@ -115,15 +115,34 @@ AvlTree::insertNode(Node *node, const LocationRecord &record)
 }
 
 void
+AvlTree::noteInserted(const LocationRecord &record)
+{
+    ++count_;
+    ++stats_.insertions;
+    if (record.state == FlushState::Flushed)
+        ++flushedCount_;
+    if (record.inEpoch)
+        ++epochCount_;
+}
+
+void
+AvlTree::noteRemoved(const LocationRecord &record)
+{
+    --count_;
+    ++stats_.removals;
+    if (record.state == FlushState::Flushed)
+        --flushedCount_;
+    if (record.inEpoch)
+        --epochCount_;
+}
+
+void
 AvlTree::insert(const LocationRecord &record)
 {
     if (record.range.empty())
         return;
     root_ = insertNode(root_, record);
-    ++count_;
-    ++stats_.insertions;
-    if (record.state == FlushState::Flushed)
-        ++flushedCount_;
+    noteInserted(record);
     if (policy_ == MergePolicy::Eager)
         eagerMergeAround(record);
 }
@@ -210,37 +229,26 @@ AvlTree::applyFlush(const AddrRange &range)
         root_ = removeNode(root_, rec.range.start, rec.storeSeq, removed);
         if (!removed)
             panic("AvlTree::applyFlush: lost a partially covered node");
-        --count_;
-        ++stats_.removals;
-        if (rec.state == FlushState::Flushed)
-            --flushedCount_;
+        noteRemoved(rec);
 
         const AddrRange covered = rec.range.intersect(range);
         LocationRecord flushed = rec;
         flushed.range = covered;
         flushed.state = FlushState::Flushed;
         root_ = insertNode(root_, flushed);
-        ++count_;
-        ++stats_.insertions;
-        ++flushedCount_;
+        noteInserted(flushed);
 
         if (rec.range.start < covered.start) {
             LocationRecord head = rec;
             head.range = AddrRange(rec.range.start, covered.start);
             root_ = insertNode(root_, head);
-            ++count_;
-            ++stats_.insertions;
-            if (head.state == FlushState::Flushed)
-                ++flushedCount_;
+            noteInserted(head);
         }
         if (covered.end < rec.range.end) {
             LocationRecord tail = rec;
             tail.range = AddrRange(covered.end, rec.range.end);
             root_ = insertNode(root_, tail);
-            ++count_;
-            ++stats_.insertions;
-            if (tail.state == FlushState::Flushed)
-                ++flushedCount_;
+            noteInserted(tail);
         }
     }
     return outcome;
@@ -301,9 +309,7 @@ AvlTree::removeFlushed(
         bool removed = false;
         root_ = removeNode(root_, rec.range.start, rec.storeSeq, removed);
         if (removed) {
-            --count_;
-            ++stats_.removals;
-            --flushedCount_;
+            noteRemoved(rec);
             if (on_durable)
                 on_durable(rec);
         }
@@ -381,32 +387,22 @@ AvlTree::eagerMergeAround(const LocationRecord &record)
         bool removed = false;
         root_ = removeNode(root_, current.range.start, current.storeSeq,
                            removed);
-        if (removed) {
-            --count_;
-            ++stats_.removals;
-            if (current.state == FlushState::Flushed)
-                --flushedCount_;
-        }
+        if (removed)
+            noteRemoved(current);
         for (const LocationRecord &rec : neighbours) {
             removed = false;
             root_ = removeNode(root_, rec.range.start, rec.storeSeq,
                                removed);
             if (!removed)
                 continue;
-            --count_;
-            ++stats_.removals;
-            if (rec.state == FlushState::Flushed)
-                --flushedCount_;
+            noteRemoved(rec);
             combined.range = combined.range.unionWith(rec.range);
             combined.storeSeq = std::max(combined.storeSeq, rec.storeSeq);
             ++stats_.merges;
             ++stats_.reorganizations;
         }
         root_ = insertNode(root_, combined);
-        ++count_;
-        ++stats_.insertions;
-        if (combined.state == FlushState::Flushed)
-            ++flushedCount_;
+        noteInserted(combined);
         current = combined;
     }
 }
@@ -453,15 +449,22 @@ AvlTree::rebuildFrom(std::vector<LocationRecord> &records)
     root_ = buildBalanced(records, 0, records.size());
     count_ = records.size();
     flushedCount_ = 0;
+    epochCount_ = 0;
     for (const LocationRecord &rec : records) {
         if (rec.state == FlushState::Flushed)
             ++flushedCount_;
+        if (rec.inEpoch)
+            ++epochCount_;
     }
 }
 
 void
 AvlTree::clearEpochFlags()
 {
+    // Records from before the epoch are never flagged: with no flagged
+    // node there is nothing to visit.
+    if (epochCount_ == 0)
+        return;
     struct Clearer
     {
         static void
@@ -475,6 +478,7 @@ AvlTree::clearEpochFlags()
         }
     };
     Clearer::visit(root_);
+    epochCount_ = 0;
 }
 
 void
@@ -484,6 +488,7 @@ AvlTree::clear()
     root_ = nullptr;
     count_ = 0;
     flushedCount_ = 0;
+    epochCount_ = 0;
     lastBarrenMergeCount_ = 0;
 }
 
@@ -499,7 +504,8 @@ AvlTree::checkInvariants() const
     struct Checker
     {
         static bool
-        visit(const Node *node, std::size_t &count)
+        visit(const Node *node, std::size_t &count, std::size_t &flushed,
+              std::size_t &in_epoch)
         {
             if (!node)
                 return true;
@@ -523,13 +529,21 @@ AvlTree::checkInvariants() const
             if (node->maxEnd != max_end)
                 return false;
             ++count;
-            return visit(node->left, count) && visit(node->right, count);
+            if (node->rec.state == FlushState::Flushed)
+                ++flushed;
+            if (node->rec.inEpoch)
+                ++in_epoch;
+            return visit(node->left, count, flushed, in_epoch) &&
+                   visit(node->right, count, flushed, in_epoch);
         }
     };
     std::size_t counted = 0;
-    if (!Checker::visit(root_, counted))
+    std::size_t flushed = 0;
+    std::size_t in_epoch = 0;
+    if (!Checker::visit(root_, counted, flushed, in_epoch))
         return false;
-    return counted == count_;
+    return counted == count_ && flushed == flushedCount_ &&
+           in_epoch == epochCount_;
 }
 
 } // namespace pmdb

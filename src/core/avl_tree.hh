@@ -81,6 +81,9 @@ class AvlTree
 
     bool empty() const { return count_ == 0; }
 
+    /** Number of live nodes flagged as written in the current epoch. */
+    std::size_t epochCount() const { return epochCount_; }
+
     /** Visit every node overlapping @p range (in key order). */
     void forEachOverlap(const AddrRange &range,
                         const std::function<void(const LocationRecord &)>
@@ -130,7 +133,10 @@ class AvlTree
     void forEach(
         const std::function<void(const LocationRecord &)> &visit) const;
 
-    /** Clear the epoch membership flag on every node (Section 5). */
+    /**
+     * Clear the epoch membership flag on every node (Section 5). O(1)
+     * when no node is flagged, the common case at a clean epoch end.
+     */
     void clearEpochFlags();
 
     /** Remove every node (no durability callbacks). */
@@ -141,7 +147,10 @@ class AvlTree
     /** Height of the tree (0 when empty); exposed for property tests. */
     int height() const;
 
-    /** Verify AVL and interval-augmentation invariants (for tests). */
+    /**
+     * Verify AVL and interval-augmentation invariants and the node,
+     * flushed and in-epoch counts (for tests).
+     */
     bool checkInvariants() const;
 
   private:
@@ -162,12 +171,18 @@ class AvlTree
                         std::size_t lo, std::size_t hi);
     void rebuildFrom(std::vector<LocationRecord> &records);
     void eagerMergeAround(const LocationRecord &record);
+    /** Keep the node counts exact as a record enters / leaves. */
+    void noteInserted(const LocationRecord &record);
+    void noteRemoved(const LocationRecord &record);
 
     Node *root_ = nullptr;
     std::size_t count_ = 0;
     /** Number of nodes currently in the Flushed state (fast path for
      * fence processing: nothing to remove when zero). */
     std::size_t flushedCount_ = 0;
+    /** Number of nodes flagged inEpoch (fast path for epoch end:
+     * nothing to report or clear when zero). */
+    std::size_t epochCount_ = 0;
     /** Node count at the last merge attempt that coalesced nothing;
      * re-attempting before the tree grows past it again is wasted. */
     std::size_t lastBarrenMergeCount_ = 0;

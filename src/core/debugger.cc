@@ -454,9 +454,22 @@ PmDebugger::forEachLiveOf(const Space &space, const LiveVisitor &visit)
 }
 
 void
-PmDebugger::forEachLiveInSpace(const LiveVisitor &visit) const
+PmDebugger::forEachLiveInEpoch(const LiveVisitor &visit) const
 {
-    forEachLiveOf(currentSpace(), visit);
+    // Epoch-end cost is O(array + in-epoch tree records): records from
+    // before the epoch sit in the tree unflagged, and the tree's epoch
+    // count lets a clean epoch end skip the tree entirely.
+    const Space &space = currentSpace();
+    space.array.forEachLive([&](const LocationRecord &rec, FlushState state) {
+        if (rec.inEpoch)
+            visit(rec, state);
+    });
+    if (space.tree.epochCount() == 0)
+        return;
+    space.tree.forEach([&](const LocationRecord &rec) {
+        if (rec.inEpoch)
+            visit(rec, rec.state);
+    });
 }
 
 void

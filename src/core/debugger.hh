@@ -61,17 +61,15 @@ class PmDebugger : public TraceSink, public DebugContext
     static constexpr std::uint64_t telemetrySampleShift = 10;
 
     /**
-     * TraceSink: process one instrumented event. Every 1024th event
-     * is timed into the per-rule-class eval histograms
+     * TraceSink: process one instrumented event. 1 event in 1024 is
+     * timed into the per-rule-class eval histograms
      * (detector.eval_ns{class=...}) — sampling keeps the clock reads
      * off the common path while the log2 buckets still converge to
      * the true latency distribution.
      */
     void handle(const Event &event) override
     {
-        constexpr std::uint64_t mask =
-            (std::uint64_t{1} << telemetrySampleShift) - 1;
-        if ((++telemetryTick_ & mask) == 0 && telemetry::enabled())
+        if (sampled(event) && telemetry::enabled())
             handleEventTimed(event);
         else
             handleEvent(event);
@@ -117,7 +115,7 @@ class PmDebugger : public TraceSink, public DebugContext
     BugCollector &bugs() override { return bugs_; }
     const DebuggerConfig &config() const override { return config_; }
     bool liveOverlaps(const AddrRange &range) const override;
-    void forEachLiveInSpace(const LiveVisitor &visit) const override;
+    void forEachLiveInEpoch(const LiveVisitor &visit) const override;
     void forEachLiveAll(const LiveVisitor &visit) const override;
     int epochFenceCount() const override { return epochFences_; }
     const OrderTracker &orders() const override { return orderTracker_; }
@@ -148,6 +146,27 @@ class PmDebugger : public TraceSink, public DebugContext
     Space &spaceFor(StrandId strand);
     const Space &currentSpace() const;
     void indexRule(Rule *rule);
+
+    /**
+     * Whether handle() times @p event. The pick is a Fibonacci hash of
+     * the sequence number: its top bits spread evenly over consecutive
+     * seqs, so the sample cannot alias with a periodic event pattern
+     * (say, a fence every 1024th event) the way a plain counter does.
+     * It takes the top bucket, not bucket 0: an outer sink that times
+     * bucket 0 of the same hash (the repository benchmark's TimedSink
+     * does) then never times this class's own clock reads, and the two
+     * samples can be cross-checked. Hand-built streams leave seq at 0;
+     * they fall back to the counter.
+     */
+    bool sampled(const Event &event)
+    {
+        constexpr std::uint64_t mask =
+            (std::uint64_t{1} << telemetrySampleShift) - 1;
+        if (event.seq == 0)
+            return (++telemetryTick_ & mask) == 0;
+        return ((event.seq * 0x9e3779b97f4a7c15ull) >>
+                (64 - telemetrySampleShift)) == mask;
+    }
 
     /** The event-kind dispatch switch behind handle(). */
     void handleEvent(const Event &event);
@@ -191,7 +210,8 @@ class PmDebugger : public TraceSink, public DebugContext
     bool strandsActive_ = false;
     bool finalized_ = false;
     SeqNum lastSeq_ = 0;
-    /** Event counter driving the 1-in-64 eval-timing sample. */
+    /** Event counter driving the 1-in-1024 eval-timing sample of
+     *  store runs and of events without a sequence number. */
     std::uint64_t telemetryTick_ = 0;
 };
 

@@ -259,11 +259,9 @@ LackDurabilityInEpochRule::onEpochEnd(DebugContext &ctx, const Event &event)
         return;
     // The epoch's closing barrier has already been processed (§5.2):
     // any record still alive and flagged in-epoch lacks durability.
-    ctx.forEachLiveInSpace(
+    ctx.forEachLiveInEpoch(
         [&](const LocationRecord &rec, FlushState state) {
             (void)state;
-            if (!rec.inEpoch)
-                return;
             BugReport report;
             report.type = BugType::LackDurabilityInEpoch;
             report.range = rec.range;

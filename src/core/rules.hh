@@ -109,8 +109,12 @@ class DebugContext
     /** Any live (not yet durable) record overlapping @p range? */
     virtual bool liveOverlaps(const AddrRange &range) const = 0;
 
-    /** Visit live records of the current event's space. */
-    virtual void forEachLiveInSpace(const LiveVisitor &visit) const = 0;
+    /**
+     * Visit the live records of the current event's space that were
+     * written inside the current epoch: array records first, then tree
+     * records in key order.
+     */
+    virtual void forEachLiveInEpoch(const LiveVisitor &visit) const = 0;
 
     /** Visit live records of every space (program finalize). */
     virtual void forEachLiveAll(const LiveVisitor &visit) const = 0;

@@ -743,7 +743,12 @@ PmRuntime::registerPmem(const std::string &name, Addr addr,
 {
     Event e;
     e.kind = EventKind::RegisterPmem;
-    e.nameId = names_.intern(name);
+    {
+        // Same lock as siteEnter(): worker threads may be interning
+        // site names concurrently.
+        std::lock_guard<std::mutex> lock(siteMutex_);
+        e.nameId = names_.intern(name);
+    }
     e.addr = addr;
     e.size = size;
     dispatch(e);

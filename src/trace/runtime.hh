@@ -369,8 +369,8 @@ class PmRuntime
      * the owning thread. Like threadBatches_, only the OS thread
      * driving a ThreadId touches its slot, so reads on the event path
      * are lock-free; overflow ThreadIds share a mutex-guarded map.
-     * NameTable interning is serialized by siteMutex_ because worker
-     * threads open sites concurrently.
+     * NameTable interning (siteEnter and registerPmem) is serialized
+     * by siteMutex_ because worker threads open sites concurrently.
      */
     std::array<std::unique_ptr<std::vector<std::uint32_t>>,
                maxTrackedThreads>

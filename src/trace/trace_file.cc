@@ -170,6 +170,23 @@ readTraceFile(const std::string &path, LoadedTrace *out,
     std::uint64_t event_count = 0;
     if (!readValue(file.get(), &event_count))
         return fail(error, "truncated trace: event count");
+    // The count comes from the file: bound it by the bytes that follow
+    // before reserving, so a corrupt header cannot demand an unbounded
+    // allocation.
+    const long here = std::ftell(file.get());
+    if (here < 0 || std::fseek(file.get(), 0, SEEK_END) != 0)
+        return fail(error, "cannot size trace " + path);
+    const long end = std::ftell(file.get());
+    if (end < here || std::fseek(file.get(), here, SEEK_SET) != 0)
+        return fail(error, "cannot size trace " + path);
+    const std::uint64_t room =
+        static_cast<std::uint64_t>(end - here) / sizeof(PackedEvent);
+    if (event_count > room) {
+        return fail(error, "truncated trace: header claims " +
+                               std::to_string(event_count) +
+                               " events, file holds at most " +
+                               std::to_string(room));
+    }
     out->events.clear();
     out->events.reserve(event_count);
     for (std::uint64_t i = 0; i < event_count; ++i) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -20,12 +21,20 @@ namespace
 
 LocationRecord
 rec(Addr start, Addr end, FlushState state = FlushState::NotFlushed,
-    SeqNum seq = 0)
+    SeqNum seq = 0, bool in_epoch = false)
 {
     static SeqNum next_seq = 1;
     if (seq == 0)
         seq = next_seq++;
-    return LocationRecord(AddrRange(start, end), state, false, seq);
+    return LocationRecord(AddrRange(start, end), state, in_epoch, seq);
+}
+
+std::size_t
+epochFlagged(const std::vector<LocationRecord> &records)
+{
+    return static_cast<std::size_t>(
+        std::count_if(records.begin(), records.end(),
+                      [](const LocationRecord &r) { return r.inEpoch; }));
 }
 
 TEST(AvlTreeTest, InsertAndSize)
@@ -180,9 +189,47 @@ TEST(AvlTreeTest, ClearEmptiesTree)
 {
     AvlTree tree;
     tree.insert(rec(0, 8));
+    tree.insert(rec(64, 72, FlushState::NotFlushed, 0, true));
     tree.clear();
     EXPECT_TRUE(tree.empty());
+    EXPECT_EQ(tree.epochCount(), 0u);
     EXPECT_FALSE(tree.overlapsAny(AddrRange(0, 8)));
+}
+
+TEST(AvlTreeTest, EpochCountFollowsSplitsRemovalsAndClears)
+{
+    AvlTree tree;
+    tree.insert(rec(0, 100, FlushState::NotFlushed, 0, true));
+    tree.insert(rec(200, 208));
+    EXPECT_EQ(tree.epochCount(), 1u);
+
+    // The split pieces of a flagged record stay flagged.
+    tree.applyFlush(AddrRange(40, 60));
+    EXPECT_EQ(tree.epochCount(), 3u);
+    EXPECT_TRUE(tree.checkInvariants());
+
+    // The fence removes the flushed middle piece.
+    tree.removeFlushed(nullptr);
+    EXPECT_EQ(tree.epochCount(), 2u);
+    EXPECT_TRUE(tree.checkInvariants());
+
+    tree.clearEpochFlags();
+    EXPECT_EQ(tree.epochCount(), 0u);
+    EXPECT_EQ(tree.size(), 3u);
+    EXPECT_TRUE(tree.checkInvariants());
+    tree.forEach([](const LocationRecord &r) { EXPECT_FALSE(r.inEpoch); });
+}
+
+TEST(AvlTreeTest, LazyMergeKeepsEpochRecordsApartAndCounted)
+{
+    AvlTree tree(MergePolicy::Lazy, /*merge_threshold=*/1);
+    tree.insert(rec(0, 8, FlushState::NotFlushed, 0, true));
+    tree.insert(rec(8, 16, FlushState::NotFlushed, 0, true));
+    tree.insert(rec(16, 24));
+    tree.maybeMerge();
+    EXPECT_EQ(tree.size(), 2u); // [0,16) in-epoch, [16,24) not
+    EXPECT_EQ(tree.epochCount(), 1u);
+    EXPECT_TRUE(tree.checkInvariants());
 }
 
 /**
@@ -201,12 +248,14 @@ TEST_P(AvlTreePropertyTest, MatchesReferenceModel)
     std::vector<LocationRecord> model;
 
     for (int step = 0; step < 2000; ++step) {
-        const int action = static_cast<int>(rng.nextBounded(10));
+        const int action = static_cast<int>(rng.nextBounded(11));
         if (action < 6) {
-            // Insert a small record at a random line-ish address.
+            // Insert a small record at a random line-ish address, half
+            // of them written inside an epoch.
             const Addr start = rng.nextBounded(1 << 12) * 8;
             const Addr end = start + 8 + rng.nextBounded(56);
-            const LocationRecord r = rec(start, end);
+            const LocationRecord r = rec(start, end, FlushState::NotFlushed,
+                                         0, rng.nextBounded(2) == 0);
             tree.insert(r);
             model.push_back(r);
         } else if (action < 8) {
@@ -244,31 +293,33 @@ TEST_P(AvlTreePropertyTest, MatchesReferenceModel)
                 }
             }
             model = std::move(next);
-        } else {
+        } else if (action < 10) {
             // Fence: drop flushed records.
             tree.removeFlushed(nullptr);
             std::erase_if(model, [](const LocationRecord &r) {
                 return r.state == FlushState::Flushed;
             });
+        } else {
+            // Epoch end: no record belongs to an epoch any more.
+            tree.clearEpochFlags();
+            for (LocationRecord &r : model)
+                r.inEpoch = false;
         }
 
         ASSERT_TRUE(tree.checkInvariants()) << "step " << step;
         ASSERT_EQ(tree.size(), model.size()) << "step " << step;
+        ASSERT_EQ(tree.epochCount(), epochFlagged(model)) << "step " << step;
 
         // Compare the full sorted record lists.
-        std::vector<std::pair<AddrRange, FlushState>> got, want;
+        using Key = std::tuple<Addr, Addr, FlushState, bool>;
+        std::vector<Key> got, want;
         tree.forEach([&](const LocationRecord &r) {
-            got.emplace_back(r.range, r.state);
+            got.emplace_back(r.range.start, r.range.end, r.state, r.inEpoch);
         });
         for (const LocationRecord &r : model)
-            want.emplace_back(r.range, r.state);
-        auto byRange = [](const auto &a, const auto &b) {
-            return a.first.start != b.first.start
-                       ? a.first.start < b.first.start
-                       : a.first.end < b.first.end;
-        };
-        std::sort(got.begin(), got.end(), byRange);
-        std::sort(want.begin(), want.end(), byRange);
+            want.emplace_back(r.range.start, r.range.end, r.state, r.inEpoch);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
         ASSERT_EQ(got, want) << "step " << step;
     }
 }
@@ -292,10 +343,15 @@ TEST_P(EagerMergePropertyTest, CoverageIsPreserved)
         const Addr start = rng.nextBounded(1 << 11);
         const std::size_t len = 1 + rng.nextBounded(64);
         const Addr end = std::min<Addr>(start + len, covered.size());
-        tree.insert(rec(start, end));
+        // Records of differing epoch membership never coalesce, so the
+        // merges must keep the in-epoch count exact.
+        tree.insert(rec(start, end, FlushState::NotFlushed, 0,
+                        rng.nextBounded(2) == 0));
+        if (rng.nextBounded(16) == 0)
+            tree.clearEpochFlags();
         for (Addr a = start; a < end; ++a)
             covered[a] = true;
-        ASSERT_TRUE(tree.checkInvariants());
+        ASSERT_TRUE(tree.checkInvariants()) << "step " << step;
     }
 
     std::vector<bool> tree_covered(covered.size(), false);

@@ -285,6 +285,50 @@ TEST(LackDurabilityInEpochRuleTest, PostEpochStoreNotAttributed)
     EXPECT_EQ(h.countOf(BugType::NoDurability), 1u); // 0x200
 }
 
+TEST(LackDurabilityInEpochRuleTest, ReportsInEpochTreeRecordsOnly)
+{
+    // A two-record array pushes epoch stores into the AVL tree by
+    // overflow and by the split pieces of a partially covered flush;
+    // unflushed records from before the epoch sit in the tree too.
+    DebuggerConfig config;
+    config.arrayCapacity = 2;
+    Harness h(std::move(config));
+    h.runtime.store(0x1000, 8);
+    h.runtime.store(0x1100, 8);
+    h.runtime.store(0x1200, 8); // overflows into the tree
+    h.runtime.fence();          // 0x1000 and 0x1100 move to the tree
+
+    h.runtime.epochBegin();
+    h.runtime.store(0x500, 32);
+    h.runtime.store(0x100, 8);
+    h.runtime.store(0x300, 8);  // overflows into the tree
+    h.runtime.flush(0x508, 8);  // head and tail of 0x500 go to the tree
+    h.runtime.flush(0x100, 64);
+    h.runtime.fence();
+    h.runtime.store(0x700, 8);  // still in the array at epoch end
+    h.runtime.epochEnd();
+
+    // The flags are cleared at epoch end: a clean second epoch adds
+    // nothing.
+    h.runtime.epochBegin();
+    h.runtime.store(0x800, 8);
+    h.runtime.flush(0x800, 64);
+    h.runtime.fence();
+    h.runtime.epochEnd();
+    h.runtime.programEnd();
+
+    std::vector<AddrRange> reported;
+    for (const BugReport &bug : h.debugger.bugs().bugs()) {
+        if (bug.type == BugType::LackDurabilityInEpoch)
+            reported.push_back(bug.range);
+    }
+    // Array records first, then tree records in key order.
+    const std::vector<AddrRange> expected = {
+        AddrRange(0x700, 0x708), AddrRange(0x300, 0x308),
+        AddrRange(0x500, 0x508), AddrRange(0x510, 0x520)};
+    EXPECT_EQ(reported, expected);
+}
+
 TEST(RedundantEpochFenceRuleTest, TwoFencesInEpochFlagged)
 {
     Harness h;

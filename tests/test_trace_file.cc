@@ -103,6 +103,30 @@ TEST(TraceFileTest, MissingFileFailsGracefully)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(TraceFileTest, RejectsEventCountBeyondFileSize)
+{
+    // A valid header whose event count (2^60) no file could hold: the
+    // reader must fail cleanly instead of reserving for it.
+    TempPath path("huge_count.trc");
+    std::FILE *file = std::fopen(path.str().c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::uint32_t name_count = 0;
+    const std::uint64_t event_count = std::uint64_t{1} << 60;
+    std::fwrite("PMDBTRC2", 1, 8, file);
+    std::fwrite(&name_count, sizeof(name_count), 1, file);
+    std::fwrite(&event_count, sizeof(event_count), 1, file);
+    std::fwrite("partial", 1, 7, file);
+    std::fclose(file);
+
+    LoadedTrace loaded;
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = readTraceFile(path.str(), &loaded, &error));
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("claims"), std::string::npos) << error;
+    EXPECT_TRUE(loaded.events.empty());
+}
+
 TEST(TraceFileTest, ReplayFindsSameBugsAsLiveRun)
 {
     // Record a buggy workload, then replay the saved trace through a
