@@ -75,9 +75,10 @@ hostMetaJson(unsigned parallelism = 1)
 
 /**
  * Dispatch mode used for detector runs, from PMDB_DISPATCH
- * ("perevent" | "batched" | "async"). Batched is the default: it is
- * the production configuration of the pipeline and results are
- * bit-identical to per-event dispatch (tests/test_dispatch.cc).
+ * ("per-event" | "batched"; any other value is fatal). Batched is the
+ * default: it is the production configuration of the pipeline and
+ * results are bit-identical to per-event dispatch
+ * (tests/test_dispatch.cc).
  */
 inline DispatchMode
 benchDispatchMode()
@@ -85,10 +86,8 @@ benchDispatchMode()
     static const DispatchMode mode = [] {
         if (const char *env = std::getenv("PMDB_DISPATCH")) {
             const std::string v(env);
-            if (v == "perevent" || v == "per-event")
+            if (v == "per-event")
                 return DispatchMode::PerEvent;
-            if (v == "async")
-                return DispatchMode::Async;
             if (v != "batched")
                 fatal("PMDB_DISPATCH: unknown mode " + v);
         }
@@ -151,8 +150,7 @@ runWorkload(const std::string &workload_name,
 
     Stopwatch watch;
     workload->run(runtime, options);
-    // Async runs are only done once every published batch has been
-    // consumed; the drain barrier is part of the measured time.
+    // Delivering the last partial batch is part of the measured time.
     runtime.drain();
     BenchRun run;
     run.seconds = watch.elapsedSeconds();

@@ -1,29 +1,22 @@
 /**
  * @file
  * Dispatch-pipeline benchmark: events/sec through PmRuntime with the
- * PMDebugger detector attached, under per-event, batched and async
- * dispatch, plus a Fig-8-style workload wall-clock comparison of
- * synchronous batched vs async mode.
+ * PMDebugger detector attached, under per-event and batched dispatch.
  *
- * The micro part attaches the registry's PMDebugger detector (DBI
- * cost model on) and measures dispatch + bookkeeping cost — the
- * overhead the batched pipeline attacks: per-event dispatch pays a
- * full clean-call charge and a virtual sink call per event, batched
- * dispatch pays an inline buffer-append per event and amortizes the
- * clean call, the sink virtual call and (in thread-safe mode, which
- * this runs in — Valgrind serializes guest threads, so production
- * dispatch is always serialized) the sink mutex over the whole batch.
- * The workload part also uses the registry detector so the async win
- * includes overlapping detection with application execution — note
- * that overlap needs a second core, so on single-CPU hosts the async
- * rows are informational only.
+ * It attaches the registry's PMDebugger detector (DBI cost model on)
+ * and measures dispatch + bookkeeping cost — the overhead the batched
+ * pipeline attacks: per-event dispatch pays a full clean-call charge
+ * and a virtual sink call per event, batched dispatch pays an inline
+ * buffer-append per event and amortizes the clean call, the sink
+ * virtual call and (in thread-safe mode, which this runs in —
+ * Valgrind serializes guest threads, so production dispatch is always
+ * serialized) the sink mutex over the whole batch.
  *
  * Emits a JSON row to BENCH_dispatch.json (and stdout) so the perf
  * trajectory across PRs can be tracked.
  */
 
 #include <cstdio>
-#include <thread>
 
 #include "bench/bench_util.hh"
 #include "core/debugger.hh"
@@ -110,21 +103,16 @@ medianMicro(DispatchMode mode, std::size_t fence_intervals, int reps = 3)
 int
 benchMain()
 {
-    std::printf("=== Dispatch pipeline: per-event vs batched vs async "
-                "===\n\n");
+    std::printf("=== Dispatch pipeline: per-event vs batched ===\n\n");
 
     const std::size_t intervals = scaled(40000);
 
     const MicroResult per = medianMicro(DispatchMode::PerEvent, intervals);
     const MicroResult bat = medianMicro(DispatchMode::Batched, intervals);
-    const MicroResult asy = medianMicro(DispatchMode::Async, intervals);
 
-    const bool micro_identical =
-        per.bugs == bat.bugs && per.bugs == asy.bugs &&
-        per.arrayFreed == bat.arrayFreed &&
-        per.arrayFreed == asy.arrayFreed &&
-        per.treeInsertions == bat.treeInsertions &&
-        per.treeInsertions == asy.treeInsertions;
+    const bool identical = per.bugs == bat.bugs &&
+                           per.arrayFreed == bat.arrayFreed &&
+                           per.treeInsertions == bat.treeInsertions;
 
     TextTable micro;
     micro.setHeader({"mode", "events", "seconds", "events/sec",
@@ -136,74 +124,25 @@ benchMain()
     };
     row("per-event", per);
     row("batched", bat);
-    row("async", asy);
     std::printf("--- micro: PMDebugger bookkeeping, store-dominated "
                 "stream ---\n%s\n",
                 micro.render().c_str());
-    std::printf("results identical across modes: %s\n\n",
-                micro_identical ? "yes" : "NO — BUG");
+    std::printf("results identical across modes: %s\n",
+                identical ? "yes" : "NO — BUG");
 
-    // Fig-8-style: a real workload under the registry's DBI-based
-    // PMDebugger detector; async overlaps detection (bookkeeping +
-    // per-event DBI tax) with workload execution.
-    const std::size_t ops = scaled(60000);
-    const BenchRun sync_run = runMedian("b_tree", "pmdebugger", ops, 1, 3,
-                                        DispatchMode::Batched);
-    const BenchRun async_run = runMedian("b_tree", "pmdebugger", ops, 1, 3,
-                                         DispatchMode::Async);
-    // Equivalence must compare runs of the same stream: the timing
-    // medians above may come from different-seed repetitions, so do a
-    // dedicated fixed-seed pass per mode.
-    const BenchRun sync_chk = runWorkload("b_tree", "pmdebugger", ops, 1,
-                                          42, DispatchMode::Batched);
-    const BenchRun async_chk = runWorkload("b_tree", "pmdebugger", ops, 1,
-                                           42, DispatchMode::Async);
-    const bool wl_identical =
-        sync_chk.bugSites == async_chk.bugSites &&
-        sync_chk.stats.array.recordsCollectivelyFreed ==
-            async_chk.stats.array.recordsCollectivelyFreed &&
-        sync_chk.stats.tree.insertions == async_chk.stats.tree.insertions;
-
-    TextTable wl;
-    wl.setHeader({"mode", "seconds", "speedup"});
-    wl.addRow({"batched (sync)", fmtDouble(sync_run.seconds, 4),
-               fmtFactor(1.0, 2)});
-    wl.addRow({"async", fmtDouble(async_run.seconds, 4),
-               fmtFactor(sync_run.seconds / async_run.seconds, 2)});
-    std::printf("--- fig8-style: b_tree x %zu inserts under pmdebugger "
-                "(DBI) ---\n%s\n",
-                ops, wl.render().c_str());
-    std::printf("results identical sync vs async: %s\n",
-                wl_identical ? "yes" : "NO — BUG");
-
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    if (cores < 2) {
-        std::printf("note: single-CPU host — async overlap needs a "
-                    "second core, so the async rows only measure "
-                    "pipeline overhead here\n");
-    }
-
-    const double batched_speedup = bat.eventsPerSec / per.eventsPerSec;
-    const double async_speedup = sync_run.seconds / async_run.seconds;
-
-    char json[1024];
+    char json[512];
     std::snprintf(
         json, sizeof(json),
         "{\"bench\": \"dispatch\", %s, \"events\": %llu, "
         "\"events_per_sec_perevent\": %.0f, "
         "\"events_per_sec_batched\": %.0f, "
-        "\"events_per_sec_async\": %.0f, "
         "\"batched_speedup\": %.3f, "
-        "\"fig8_b_tree_sync_s\": %.4f, \"fig8_b_tree_async_s\": %.4f, "
-        "\"async_speedup\": %.3f, "
         "\"results_identical\": %s}",
-        hostMetaJson(2).c_str(),
+        hostMetaJson().c_str(),
         static_cast<unsigned long long>(per.events),
-        per.eventsPerSec, bat.eventsPerSec, asy.eventsPerSec,
-        batched_speedup, sync_run.seconds, async_run.seconds,
-        async_speedup,
-        micro_identical && wl_identical ? "true" : "false");
+        per.eventsPerSec, bat.eventsPerSec,
+        bat.eventsPerSec / per.eventsPerSec,
+        identical ? "true" : "false");
 
     std::printf("\n%s\n", json);
     if (std::FILE *f = std::fopen("BENCH_dispatch.json", "w")) {
@@ -211,7 +150,7 @@ benchMain()
         std::fclose(f);
     }
 
-    return micro_identical && wl_identical ? 0 : 1;
+    return identical ? 0 : 1;
 }
 
 } // namespace

@@ -38,7 +38,7 @@ namespace pmdb
  * current at every program point — deferred dispatch would let a
  * checker run before the ops it asserts about were delivered. The
  * runtime honours requiresSynchronousDelivery() and feeds it per event
- * even in Batched/Async mode.
+ * even in Batched mode.
  */
 class PmTestDetector : public Detector
 {

@@ -124,9 +124,9 @@ PmemPool::root(std::size_t size)
 }
 
 Addr
-PmemPool::alloc(std::size_t size)
+PmemPool::alloc(std::size_t size, ThreadId thread)
 {
-    return allocInternal(size, true, true, nullptr);
+    return allocInternal(size, true, true, nullptr, thread);
 }
 
 Addr
@@ -141,7 +141,8 @@ PmemPool::allocNoFence(std::size_t size, std::size_t *block_out)
 
 Addr
 PmemPool::allocInternal(std::size_t size, bool fence_after,
-                        bool flush_data, std::size_t *block_out)
+                        bool flush_data, std::size_t *block_out,
+                        ThreadId thread)
 {
     std::lock_guard<std::mutex> guard(allocMutex_);
     if (heapBase_ == 0) {
@@ -178,8 +179,8 @@ PmemPool::allocInternal(std::size_t size, bool fence_after,
     // and fenced.
     BlockHeader header{block, 1, 0};
     const Addr hdr_addr = data - headerSize_;
-    writeBytes(hdr_addr, &header, sizeof(header));
-    flush(hdr_addr, sizeof(header));
+    writeBytes(hdr_addr, &header, sizeof(header), thread);
+    flush(hdr_addr, sizeof(header), FlushKind::Clwb, thread);
 
     // Zero the user data so the freshly allocated object has a defined
     // durable state. Like pmem_memset_persist, the zeroing loop flushes
@@ -194,14 +195,14 @@ PmemPool::allocInternal(std::size_t size, bool fence_after,
     for (std::size_t off = 0; off < block; off += cacheLineSize) {
         const std::size_t chunk =
             std::min<std::size_t>(cacheLineSize, block - off);
-        writeBytes(data + off, zeros.data(), chunk);
+        writeBytes(data + off, zeros.data(), chunk, thread);
         if (flush_data) {
-            flush(data + off, chunk);
+            flush(data + off, chunk, FlushKind::Clwb, thread);
             // Large ranges drain periodically (pmem_memset_persist
             // does the same) so no single fence interval accumulates
             // an unbounded number of CLF intervals.
             if (++lines_since_drain >= 64) {
-                fence();
+                fence(thread);
                 lines_since_drain = 0;
             }
         }
@@ -210,7 +211,7 @@ PmemPool::allocInternal(std::size_t size, bool fence_after,
     // Atomic allocations fence immediately; transactional allocations
     // ride the commit barrier instead (pmemobj_tx_alloc semantics).
     if (fence_after)
-        fence();
+        fence(thread);
 
     heapUsed_ += block;
     if (block_out)
@@ -288,9 +289,10 @@ PmemPool::persist(Addr addr, std::size_t size, ThreadId thread)
 
 void
 PmemPool::registerVariable(const std::string &name, Addr addr,
-                           std::size_t size)
+                           std::size_t size, ThreadId thread)
 {
-    runtime_.registerPmem(name, addr, static_cast<std::uint32_t>(size));
+    runtime_.registerPmem(name, addr, static_cast<std::uint32_t>(size),
+                          thread);
 }
 
 } // namespace pmdb

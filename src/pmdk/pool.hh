@@ -107,9 +107,11 @@ class PmemPool
     /**
      * Allocate @p size bytes of zeroed persistent memory. The block
      * header update is persisted (store + CLWB + SFENCE), as PMDK's
-     * atomic allocations are.
+     * atomic allocations are. The allocator's events carry @p thread,
+     * so a worker thread allocating for itself never emits on another
+     * thread's ThreadId.
      */
-    Addr alloc(std::size_t size);
+    Addr alloc(std::size_t size, ThreadId thread = 0);
 
     template <typename T>
     Pptr<T>
@@ -200,14 +202,15 @@ class PmemPool
 
     /** Register a named variable with the debugger (order specs). */
     void registerVariable(const std::string &name, Addr addr,
-                          std::size_t size);
+                          std::size_t size, ThreadId thread = 0);
 
   private:
     friend class Transaction;
     friend class TxRecovery;
 
     Addr allocInternal(std::size_t size, bool fence_after,
-                       bool flush_data, std::size_t *block_out = nullptr);
+                       bool flush_data, std::size_t *block_out = nullptr,
+                       ThreadId thread = 0);
 
     struct BlockHeader
     {

@@ -621,7 +621,13 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
           }
           case MsgType::ReportBug: {
             WireReader in(payload);
-            session.external.push_back(getBugReport(in));
+            BugReport bug = getBugReport(in);
+            if (in.ok())
+                session.external.push_back(std::move(bug));
+            else
+                warn("pmdbd/poller", "malformed ReportBug dropped in "
+                                     "session " +
+                                         std::to_string(session.id));
             break;
           }
           case MsgType::Bye:

@@ -49,9 +49,8 @@ HelloBody::deserialize(const std::vector<std::uint8_t> &payload,
 {
     WireReader in(payload);
     out->version = in.get<std::uint32_t>();
-    out->model = static_cast<PersistencyModel>(in.get<std::uint32_t>());
-    out->policy =
-        static_cast<SlowConsumerPolicy>(in.get<std::uint32_t>());
+    out->model = in.getEnum<std::uint32_t>(PersistencyModel::Strand);
+    out->policy = in.getEnum<std::uint32_t>(SlowConsumerPolicy::Spill);
     out->orderSpecText = in.getString();
     out->ringPath = in.getString();
     out->spillPath = in.getString();
@@ -95,8 +94,8 @@ BugReport
 getBugReport(WireReader &in)
 {
     BugReport bug;
-    bug.type = static_cast<BugType>(in.get<std::uint8_t>());
-    bug.cause = static_cast<DurabilityCause>(in.get<std::uint8_t>());
+    bug.type = in.getEnum<std::uint8_t>(BugType::CrossFailureSemantic);
+    bug.cause = in.getEnum<std::uint8_t>(DurabilityCause::MissingFence);
     bug.range.start = in.get<Addr>();
     bug.range.end = in.get<Addr>();
     bug.seq = in.get<SeqNum>();

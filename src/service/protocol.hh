@@ -158,6 +158,23 @@ class WireReader
         return text;
     }
 
+    /**
+     * Read an enum sent as a @p Wire integer. Peers are untrusted, so
+     * a value past @p last (the enum's highest enumerator) fails the
+     * reader instead of producing an out-of-range enum.
+     */
+    template <typename Wire, typename E>
+    E
+    getEnum(E last)
+    {
+        const auto raw = get<Wire>();
+        if (raw > static_cast<Wire>(last)) {
+            ok_ = false;
+            return E{};
+        }
+        return static_cast<E>(raw);
+    }
+
     bool ok() const { return ok_; }
 
   private:
@@ -227,7 +244,7 @@ struct ReportBody
 /** Serialize one BugReport into @p out (shared by ReportBug/Report). */
 void putBugReport(WireWriter &out, const BugReport &bug);
 
-/** Inverse of putBugReport. */
+/** Inverse of putBugReport; a malformed report fails @p in. */
 BugReport getBugReport(WireReader &in);
 
 } // namespace pmdb

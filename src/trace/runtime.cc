@@ -1,8 +1,6 @@
 #include "trace/runtime.hh"
 
 #include <algorithm>
-#include <condition_variable>
-#include <thread>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -115,7 +113,6 @@ toString(DispatchMode mode)
     switch (mode) {
       case DispatchMode::PerEvent: return "per-event";
       case DispatchMode::Batched:  return "batched";
-      case DispatchMode::Async:    return "async";
     }
     return "unknown";
 }
@@ -140,96 +137,6 @@ NameTable::name(std::uint32_t id) const
     return names_[id];
 }
 
-/**
- * Bounded single-producer/single-consumer pipe of event batches plus
- * the consumer thread that drains them into the sinks. The producer is
- * the dispatching thread (already serialized by the runtime mutex in
- * thread-safe mode); publish() blocks while all slots are in flight,
- * which bounds the detection lag behind the application.
- */
-struct PmRuntime::AsyncPipe
-{
-    explicit AsyncPipe(PmRuntime &runtime)
-        : owner(runtime), consumer([this] { run(); })
-    {
-    }
-
-    ~AsyncPipe()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            stop = true;
-        }
-        cvWork.notify_all();
-        consumer.join();
-    }
-
-    /** Producer side: copy the batch into a free slot (may block). */
-    void
-    publish(const EventBatch &batch)
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cvSpace.wait(lock, [&] { return count < slots; });
-        pending[head].assign(batch.data(), batch.data() + batch.size());
-        head = (head + 1) % slots;
-        ++count;
-        cvWork.notify_one();
-    }
-
-    /** Block until every published batch has been delivered. */
-    void
-    awaitEmpty()
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cvSpace.wait(lock, [&] { return count == 0 && !busy; });
-    }
-
-    void
-    run()
-    {
-        std::vector<Event> work;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(m);
-                cvWork.wait(lock, [&] { return count > 0 || stop; });
-                if (count == 0) {
-                    if (stop)
-                        return;
-                    continue;
-                }
-                work.swap(pending[tail]);
-                tail = (tail + 1) % slots;
-                --count;
-                busy = true;
-            }
-            cvSpace.notify_all();
-            owner.deliver(work.data(), work.size());
-            work.clear();
-            {
-                std::lock_guard<std::mutex> lock(m);
-                busy = false;
-            }
-            cvSpace.notify_all();
-        }
-    }
-
-    static constexpr std::size_t slots = 8;
-
-    PmRuntime &owner;
-    std::array<std::vector<Event>, slots> pending;
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    std::size_t count = 0;
-    /** True while the consumer is delivering a popped batch. */
-    bool busy = false;
-    bool stop = false;
-    std::mutex m;
-    std::condition_variable cvWork;
-    std::condition_variable cvSpace;
-    /** Last member: starts consuming as soon as the pipe exists. */
-    std::thread consumer;
-};
-
 PmRuntime::PmRuntime()
 {
     for (auto &strand : strandByThread_)
@@ -238,10 +145,8 @@ PmRuntime::PmRuntime()
 
 PmRuntime::~PmRuntime()
 {
-    // Deliver anything still buffered so no mode loses events; the
-    // pipe destructor joins the consumer thread.
+    // Deliver anything still buffered so no mode loses events.
     drain();
-    pipe_.reset();
 }
 
 void
@@ -250,10 +155,7 @@ PmRuntime::setDispatchMode(DispatchMode mode)
     if (mode == mode_)
         return;
     drain();
-    pipe_.reset();
     mode_ = mode;
-    if (mode_ == DispatchMode::Async)
-        pipe_ = std::make_unique<AsyncPipe>(*this);
 }
 
 void
@@ -278,16 +180,9 @@ PmRuntime::drain()
     // interleaving.
     for (auto &slot : threadBatches_) {
         if (slot)
-            flushThreadBatch(*slot);
+            flushBatch(*slot);
     }
-    if (threadSafe_) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        flushLocked();
-    } else {
-        flushLocked();
-    }
-    if (pipe_)
-        pipe_->awaitEmpty();
+    flushBatch(batch_);
     // Publish this thread's accumulated batch-fill samples so registry
     // totals are exact at every drain barrier (other threads spill at
     // thread exit).
@@ -381,8 +276,7 @@ PmRuntime::deliver(const Event *events, std::size_t count)
         return;
     // Buffered-instrumentation cost model: batched dispatch pays one
     // clean-call charge per drained buffer (the per-event append tax
-    // was already charged at enqueue). In Async mode this runs on the
-    // consumer thread, off the application's critical path.
+    // was already charged at enqueue).
     if (dbiBatchSinks_ > 0)
         dbiSpin(dbiEventCost_);
     if (telemetry::enabled())
@@ -392,17 +286,19 @@ PmRuntime::deliver(const Event *events, std::size_t count)
 }
 
 void
-PmRuntime::flushLocked()
+PmRuntime::deliverAndClear(EventBatch &batch)
 {
-    if (batch_.empty())
+    deliver(batch.data(), batch.size());
+    batch.clear();
+}
+
+void
+PmRuntime::flushBatch(EventBatch &batch)
+{
+    if (batch.empty())
         return;
-    if (pipe_) {
-        pipe_->publish(batch_);
-        batch_.clear();
-        return;
-    }
-    deliver(batch_.data(), batch_.size());
-    batch_.clear();
+    std::lock_guard<std::mutex> lock(mutex_);
+    deliverAndClear(batch);
 }
 
 void
@@ -444,11 +340,9 @@ PmRuntime::enqueueLocked(Event &event)
     batch_.push(event);
     // Ordering boundaries flush so sink state is coherent with the
     // application at every synchronization point; a full batch flushes
-    // to cap buffering between boundaries. Async mode skips boundary
-    // flushes: its sinks are only coherent at drain() barriers anyway,
-    // and full batches keep the pipe's per-publish cost amortized.
-    if (batch_.full() || (!pipe_ && isBoundary(event.kind)))
-        flushLocked();
+    // to cap buffering between boundaries.
+    if (batch_.full() || isBoundary(event.kind))
+        deliverAndClear(batch_);
 }
 
 void
@@ -478,8 +372,8 @@ PmRuntime::dispatchBatchedThreadSafe(Event &event)
     if (dbiBatchSinks_ > 0)
         dbiSpin(dbiAppendCost_);
     batch->push(event);
-    if (batch->full() || (!pipe_ && isBoundary(event.kind)))
-        flushThreadBatch(*batch);
+    if (batch->full() || isBoundary(event.kind))
+        flushBatch(*batch);
 }
 
 void
@@ -509,7 +403,7 @@ PmRuntime::dispatch(Event event)
         enqueueLocked(event);
         return;
     }
-    // Thread-safe batched/async: append to the calling thread's own
+    // Thread-safe batched: append to the calling thread's own
     // batch without a lock; the sink mutex is taken once per flushed
     // batch instead of once per event.
     dispatchBatchedThreadSafe(event);
@@ -524,21 +418,6 @@ PmRuntime::threadBatchFor(ThreadId thread)
     if (!slot)
         slot = std::make_unique<EventBatch>(batchCapacity_);
     return slot.get();
-}
-
-void
-PmRuntime::flushThreadBatch(EventBatch &batch)
-{
-    if (batch.empty())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pipe_) {
-        pipe_->publish(batch);
-        batch.clear();
-        return;
-    }
-    deliver(batch.data(), batch.size());
-    batch.clear();
 }
 
 StrandId
@@ -739,10 +618,11 @@ PmRuntime::txLog(Addr addr, std::uint32_t size, ThreadId thread)
 
 void
 PmRuntime::registerPmem(const std::string &name, Addr addr,
-                        std::uint32_t size)
+                        std::uint32_t size, ThreadId thread)
 {
     Event e;
     e.kind = EventKind::RegisterPmem;
+    e.thread = thread;
     {
         // Same lock as siteEnter(): worker threads may be interning
         // site names concurrently.
@@ -760,9 +640,8 @@ PmRuntime::programEnd()
     Event e;
     e.kind = EventKind::ProgramEnd;
     dispatch(e);
-    // The blocking barrier of the async pipeline: finalize rules read
-    // detector state, so everything must be delivered before callers
-    // inspect the sinks.
+    // Finalize rules read detector state, so everything must be
+    // delivered before callers inspect the sinks.
     drain();
 }
 

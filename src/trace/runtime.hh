@@ -11,7 +11,7 @@
  * (the paper's "Nulgrind" baseline); attaching a detector measures that
  * detector's debugging overhead.
  *
- * Dispatch runs in one of three modes (setDispatchMode):
+ * Dispatch runs in one of two modes (setDispatchMode):
  *
  *  - PerEvent (default): every event is delivered to every sink
  *    immediately — the seed behavior, required by sinks whose state is
@@ -29,19 +29,16 @@
  *    is taken once per batch flush instead of once per event (each
  *    ThreadId must be driven by at most one OS thread, which is how
  *    every workload in this repository uses the API).
- *  - Async: batches are published to a fixed-size ring and drained by a
- *    consumer thread, overlapping detection with workload execution.
- *    Async batches flush only at capacity and at drain() — sink state
- *    is coherent only at drain points anyway, so per-boundary publishes
- *    would buy nothing but condition-variable traffic. drain() (called
- *    by programEnd()) is the blocking barrier.
  *
- * Because batches are flushed in stream order and each sink receives
- * events in exactly per-event order, detector results for any
- * single-threaded event stream are bit-identical across the three
- * modes (tests/test_dispatch.cc asserts this). Multi-threaded streams
- * keep per-thread event order but deliver cross-thread interleavings
- * at batch rather than event granularity.
+ * Delivery is always synchronous, on the thread that issued the event
+ * (or called drain()); overlapping detection with the application is
+ * pmdbd's job, not the runtime's. Because batches are flushed in
+ * stream order and each sink receives events in exactly per-event
+ * order, detector results for any single-threaded event stream are
+ * bit-identical across the two modes (tests/test_dispatch.cc asserts
+ * this). Multi-threaded streams keep per-thread event order but
+ * deliver cross-thread interleavings at batch rather than event
+ * granularity.
  */
 
 #ifndef PMDB_TRACE_RUNTIME_HH
@@ -70,8 +67,6 @@ enum class DispatchMode
     PerEvent,
     /** Accumulate into an EventBatch; flush at capacity/boundaries. */
     Batched,
-    /** Batched, with delivery on a consumer thread (SPSC ring). */
-    Async,
 };
 
 const char *toString(DispatchMode mode);
@@ -116,26 +111,15 @@ class PmRuntime
                            : DispatchMode::PerEvent);
     }
 
-    /**
-     * Toggle the async pipeline: batches drain on a consumer thread so
-     * detection overlaps workload execution. Turning async off falls
-     * back to synchronous Batched mode.
-     */
-    void setAsync(bool on)
-    {
-        setDispatchMode(on ? DispatchMode::Async : DispatchMode::Batched);
-    }
-
-    /** Batch capacity for Batched/Async modes (drains, then resizes). */
+    /** Batch capacity for Batched mode (drains, then resizes). */
     void setBatchCapacity(std::size_t capacity);
 
     DispatchMode dispatchMode() const { return mode_; }
 
     /**
-     * Flush the pending batch and, in Async mode, block until the
-     * consumer thread has delivered everything published so far. After
-     * drain() returns, every sink has observed every event issued
-     * before the call. No-op in PerEvent mode.
+     * Flush every pending batch. After drain() returns, every sink has
+     * observed every event issued before the call. No-op in PerEvent
+     * mode.
      */
     void drain();
 
@@ -155,7 +139,7 @@ class PmRuntime
      *
      * @p per_event is the clean-call charge: the register save/restore
      * and callout that unbuffered instrumentation pays on *every*
-     * event, and that buffered (Batched/Async) dispatch pays once per
+     * event, and that buffered (Batched) dispatch pays once per
      * drained buffer. @p per_append is the short inline buffer-append
      * stub that buffered instrumentation pays per event instead — the
      * few translated instructions that spill an event record into the
@@ -216,7 +200,7 @@ class PmRuntime
      * configuration refer to program symbols.
      */
     void registerPmem(const std::string &name, Addr addr,
-                      std::uint32_t size);
+                      std::uint32_t size, ThreadId thread = 0);
 
     /** Signal end of program; drains, and sinks run finalize rules. */
     void programEnd();
@@ -299,18 +283,16 @@ class PmRuntime
     StrandId strandOf(ThreadId thread) const;
 
   private:
-    /** Bounded SPSC pipe + consumer thread for Async mode. */
-    struct AsyncPipe;
-
     /** Threads whose strand state lives in the lock-free array. */
     static constexpr ThreadId maxTrackedThreads = 256;
 
     void dispatch(Event event);
     void enqueueLocked(Event &event);
     void dispatchBatchedThreadSafe(Event &event);
-    void flushLocked();
-    /** Deliver a per-thread batch: sink mutex once for the whole batch. */
-    void flushThreadBatch(EventBatch &batch);
+    /** Deliver and empty @p batch; caller holds mutex_ if thread-safe. */
+    void deliverAndClear(EventBatch &batch);
+    /** Deliver a pending batch, taking the sink mutex once for it. */
+    void flushBatch(EventBatch &batch);
     /** Lock-free per-thread batch; null for overflow ThreadIds. */
     EventBatch *threadBatchFor(ThreadId thread);
     void deliver(const Event *events, std::size_t count);
@@ -323,7 +305,7 @@ class PmRuntime
     std::vector<TraceSink *> sinks_;
     /**
      * sinks_ partitioned by delivery policy: batchSinks_ receive
-     * handleBatch() in Batched/Async mode; syncSinks_
+     * handleBatch() in Batched mode; syncSinks_
      * (requiresSynchronousDelivery) always receive handle() inline at
      * dispatch, interleaved with the application.
      */
@@ -335,7 +317,7 @@ class PmRuntime
     int dbiSyncSinks_ = 0;
     std::uint32_t dbiEventCost_ = 25;
     std::uint32_t dbiOpCost_ = 400;
-    /** Inline buffer-append charge per event in Batched/Async modes. */
+    /** Inline buffer-append charge per event in Batched mode. */
     std::uint32_t dbiAppendCost_ = 4;
     NameTable names_;
     SeqNum seq_ = 0;
@@ -344,7 +326,7 @@ class PmRuntime
     EventBatch batch_;
     std::size_t batchCapacity_ = defaultBatchCapacity;
     /**
-     * Per-thread accumulation batches for thread-safe Batched/Async
+     * Per-thread accumulation batches for thread-safe Batched
      * dispatch, created lazily by the owning thread. Only the thread
      * driving that ThreadId touches its slot while events flow; drain()
      * walks all slots and assumes producers are quiescent (workloads
@@ -352,7 +334,6 @@ class PmRuntime
      */
     std::array<std::unique_ptr<EventBatch>, maxTrackedThreads>
         threadBatches_;
-    std::unique_ptr<AsyncPipe> pipe_;
 
     /**
      * Strand id of the currently open strand per thread; noStrand if

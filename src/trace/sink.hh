@@ -56,7 +56,7 @@ class TraceSink
 
     /**
      * Deliver a batch of events in stream order. The runtime uses this
-     * for batched/async dispatch; the default implementation preserves
+     * for batched dispatch; the default implementation preserves
      * per-event semantics, so sinks only override it when they can
      * process a run of events cheaper than event-by-event.
      */
@@ -86,7 +86,7 @@ class TraceSink
      * in lockstep), PMTest (annotation checkers run mid-stream) and
      * XFDetector (cross-failure verifiers read the device crash image
      * during handling). The runtime delivers to such sinks per event
-     * even in Batched/Async mode; only batching-tolerant sinks are fed
+     * even in Batched mode; only batching-tolerant sinks are fed
      * through handleBatch().
      */
     virtual bool requiresSynchronousDelivery() const { return false; }

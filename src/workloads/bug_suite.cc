@@ -81,8 +81,8 @@ CaseEnv::checkCrossFailure(const PmemDevice &device,
                            const CrossFailureChecker::Verifier &verify)
 {
     // The crash image must reflect every event issued so far; under
-    // batched/async dispatch the device sink may still have events in
-    // flight, so force delivery before simulating the crash.
+    // batched dispatch the detector may still have events buffered,
+    // so force delivery before simulating the crash.
     runtime.drain();
     if (pmdebugger) {
         CrossFailureChecker::check(*pmdebugger, device, verify,

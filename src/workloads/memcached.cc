@@ -83,11 +83,11 @@ void
 MiniMemcached::setNew(Shard &shard, std::uint64_t key,
                       std::uint64_t payload, ThreadId thread)
 {
-    const Addr item = pool_.alloc(sizeof(Item));
+    const Addr item = pool_.alloc(sizeof(Item), thread);
     const bool watched = &shard == shards_[0].get();
     if (watched) {
         pool_.registerVariable("memcached.pending_item", item,
-                               sizeof(Item));
+                               sizeof(Item), thread);
     }
 
     ShardStats stats = pool_.load<ShardStats>(shard.stats);

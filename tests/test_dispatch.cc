@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the batched event-dispatch pipeline: dispatch-mode
- * equivalence (per-event vs batched vs async must produce bit-identical
- * detector results), batch flush points, the async drain barrier,
- * per-thread strand tracking and the O(1) NameTable.
+ * equivalence (per-event vs batched must produce bit-identical
+ * detector results), batch flush points, the drain barrier under
+ * multiple producer threads, per-thread strand tracking and the O(1)
+ * NameTable.
  */
 
 #include <algorithm>
@@ -104,7 +105,7 @@ runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
 
 /**
  * Every case of the 78-case suite (buggy and correct variant) must
- * report exactly the same bugs and bookkeeping counters in all three
+ * report exactly the same bugs and bookkeeping counters in both
  * dispatch modes.
  */
 TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
@@ -115,20 +116,26 @@ TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
                 runCaseInMode(bug_case, DispatchMode::PerEvent, buggy);
             const RunSignature bat =
                 runCaseInMode(bug_case, DispatchMode::Batched, buggy);
-            const RunSignature asy =
-                runCaseInMode(bug_case, DispatchMode::Async, buggy);
             EXPECT_TRUE(per == bat)
                 << "case " << bug_case.id << " (" << bug_case.name
                 << "), buggy=" << buggy << ": batched != per-event";
-            EXPECT_TRUE(per == asy)
-                << "case " << bug_case.id << " (" << bug_case.name
-                << "), buggy=" << buggy << ": async != per-event";
         }
     }
 }
 
+/** The small fixed-seed input of the single-threaded comparisons. */
+WorkloadOptions
+fixedInput()
+{
+    WorkloadOptions options;
+    options.operations = 3000;
+    options.seed = 42;
+    return options;
+}
+
 RunSignature
-runWorkloadInMode(const std::string &name, DispatchMode mode)
+runWorkloadInMode(const std::string &name, DispatchMode mode,
+                  const WorkloadOptions &options = fixedInput())
 {
     auto workload = makeWorkload(name);
     PmRuntime runtime;
@@ -142,9 +149,6 @@ runWorkloadInMode(const std::string &name, DispatchMode mode)
     runtime.attach(&tool);
     runtime.setDispatchMode(mode);
 
-    WorkloadOptions options;
-    options.operations = 3000;
-    options.seed = 42;
     workload->run(runtime, options);
     runtime.drain();
     tool.finalize();
@@ -154,7 +158,7 @@ runWorkloadInMode(const std::string &name, DispatchMode mode)
 
 /**
  * A real data-structure workload (fence intervals, CLF patterns,
- * array/tree migration) reports identical stats in all three modes —
+ * array/tree migration) reports identical stats in both modes —
  * including every ArrayStats counter, which proves the batched store
  * fast path performs exactly the per-event bookkeeping.
  */
@@ -164,8 +168,6 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
         runWorkloadInMode("b_tree", DispatchMode::PerEvent);
     const RunSignature bat =
         runWorkloadInMode("b_tree", DispatchMode::Batched);
-    const RunSignature asy =
-        runWorkloadInMode("b_tree", DispatchMode::Async);
 
     EXPECT_GT(per.stores, 0u);
     EXPECT_EQ(per.array.recordsCollectivelyFreed,
@@ -173,7 +175,30 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
     EXPECT_EQ(per.array.maxUsage, bat.array.maxUsage);
     EXPECT_EQ(per.tree.insertions, bat.tree.insertions);
     EXPECT_TRUE(per == bat);
-    EXPECT_TRUE(per == asy);
+}
+
+/**
+ * Multi-threaded memcached under thread-safe batched dispatch: every
+ * worker's allocator and RegisterPmem events must carry the worker's
+ * own ThreadId. Were they all emitted as ThreadId 0, workers would
+ * push concurrently into ThreadId 0's lock-free batch, and the
+ * corrupted stream would show up as spurious bug reports.
+ */
+TEST(DispatchEquivalence, MultiThreadedMemcachedBatchedIsClean)
+{
+    WorkloadOptions options;
+    options.operations = 100000;
+    options.threads = 3;
+    options.setRatio = 0.5;
+    options.trackPersistence = false;
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        options.seed = seed;
+        const RunSignature sig =
+            runWorkloadInMode("memcached", DispatchMode::Batched, options);
+        EXPECT_GT(sig.stores, 0u);
+        EXPECT_TRUE(sig.bugs.empty())
+            << "seed " << seed << ": " << sig.bugs.size() << " bugs";
+    }
 }
 
 TEST(DispatchPipeline, BatchedFlushesAtBoundary)
@@ -182,6 +207,7 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setBatched(true);
+    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     runtime.store(0x108, 8);
@@ -197,6 +223,12 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     // Events keep their per-event sequence numbers.
     EXPECT_EQ(recorder.events()[0].seq, 1u);
     EXPECT_EQ(recorder.events()[3].seq, 4u);
+
+    runtime.setBatched(false);
+    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::PerEvent);
+    runtime.store(0x110, 8);
+    EXPECT_EQ(recorder.events().size(), 5u)
+        << "per-event dispatch delivers at once";
 }
 
 TEST(DispatchPipeline, BatchedFlushesAtCapacity)
@@ -233,38 +265,49 @@ TEST(DispatchPipeline, DetachAndDrainFlushPendingEvents)
         << "detach drains so no event is lost";
 }
 
-TEST(DispatchPipeline, AsyncProgramEndIsADeliveryBarrier)
+/**
+ * programEnd() is a delivery barrier: once it returns, every event
+ * issued before it has reached the sinks, including a partial batch
+ * another (joined) producer thread left behind.
+ */
+TEST(DispatchPipeline, BatchedProgramEndIsADeliveryBarrier)
 {
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setAsync(true);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Async);
+    runtime.setThreadSafe(true);
+    runtime.setBatched(true);
 
+    constexpr int workerStores = 100; // below capacity: one partial batch
+    std::thread worker([&runtime] {
+        for (int i = 0; i < workerStores; ++i)
+            runtime.store(0x8000 + 8 * i, 8, /*thread=*/1);
+    });
+    worker.join();
+    EXPECT_TRUE(recorder.events().empty())
+        << "the worker's stores wait in its batch";
     for (int i = 0; i < 1000; ++i) {
         runtime.store(0x100 + 8 * (i % 64), 8);
         if (i % 64 == 63)
             runtime.fence();
     }
     runtime.programEnd();
-    // After the programEnd() barrier every event, including ProgramEnd
-    // itself, has been delivered on the consumer thread.
-    const auto &events = recorder.events();
-    ASSERT_EQ(events.size(), 1000u + 15u + 1u);
-    EXPECT_EQ(events.back().kind, EventKind::ProgramEnd);
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].seq, i + 1);
-}
 
-TEST(DispatchPipeline, AsyncOffFallsBackToBatched)
-{
-    PmRuntime runtime;
-    runtime.setAsync(true);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Async);
-    runtime.setAsync(false);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Batched);
-    runtime.setBatched(false);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::PerEvent);
+    const auto &events = recorder.events();
+    ASSERT_EQ(events.size(), workerStores + 1000u + 15u + 1u);
+    std::vector<SeqNum> seqs;
+    for (const Event &event : events)
+        seqs.push_back(event.seq);
+    std::sort(seqs.begin(), seqs.end());
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+        ASSERT_EQ(seqs[i], i + 1) << "duplicate or missing seq";
+    const auto end = std::find_if(events.begin(), events.end(),
+                                  [](const Event &event) {
+                                      return event.kind ==
+                                             EventKind::ProgramEnd;
+                                  });
+    ASSERT_NE(end, events.end());
+    EXPECT_EQ(end->seq, events.size()) << "ProgramEnd is issued last";
 }
 
 TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
@@ -328,20 +371,19 @@ TEST(DispatchPipeline, OverflowThreadIdsUseTheSharedPath)
 }
 
 /**
- * PR 1 asserted the drain() barrier only for a single producer. Here
- * four producer threads feed the async pipeline through their
+ * Four producer threads feed thread-safe batched dispatch through their
  * per-thread lock-free batches, across several produce/join/drain
- * rounds: every drain must deliver everything produced so far (partial
- * per-thread batches included), sequence numbers must be unique and
- * gap-free, and per-thread order must survive the consumer thread.
+ * rounds: every round ends with stores after the last fence, so every
+ * drain must deliver partial per-thread batches; sequence numbers must
+ * be unique and gap-free, and per-thread order must survive.
  */
-TEST(DispatchPipeline, AsyncDrainUnderMultipleProducerThreads)
+TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
 {
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setAsync(true);
+    runtime.setBatched(true);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 1500; // not a batch multiple
@@ -354,18 +396,20 @@ TEST(DispatchPipeline, AsyncDrainUnderMultipleProducerThreads)
                 for (int i = 0; i < storesPerThread; ++i) {
                     runtime.store(0x1000 * (t + 1) + 8 * (i % 64), 8,
                                   static_cast<ThreadId>(t));
-                    if (i % 100 == 99)
+                    if (i % 100 == 49)
                         runtime.fence(static_cast<ThreadId>(t));
                 }
             });
         }
         for (auto &worker : workers)
             worker.join();
-        runtime.drain();
-
         const auto expected =
             static_cast<std::size_t>(round + 1) * threads *
             (storesPerThread + storesPerThread / 100);
+        ASSERT_LT(recorder.events().size(), expected)
+            << "each thread's trailing stores wait in its batch";
+        runtime.drain();
+
         ASSERT_EQ(recorder.events().size(), expected)
             << "drain after round " << round
             << " must deliver every event produced so far";

@@ -120,6 +120,26 @@ TEST_F(PoolTest, WriteBytesEmitsStoreEvent)
     runtime.detach(&recorder);
 }
 
+TEST_F(PoolTest, AllocAndRegisterEmitOnTheCallersThread)
+{
+    TraceRecorder recorder;
+    runtime.attach(&recorder);
+    // 4 KiB zeroes 64 lines, so the allocator's periodic drain fence
+    // is emitted too.
+    const Addr a = pool.alloc(4096, 3);
+    pool.registerVariable("test.var", a, 8, 3);
+    const auto &events = recorder.events();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().kind, EventKind::RegisterPmem);
+    int fences = 0;
+    for (const Event &event : events) {
+        EXPECT_EQ(event.thread, 3) << toString(event.kind);
+        fences += event.kind == EventKind::Fence;
+    }
+    EXPECT_GE(fences, 2) << "drain fence plus the closing fence";
+    runtime.detach(&recorder);
+}
+
 TEST_F(PoolTest, HeaderLineNeverAliasesDataLines)
 {
     // The allocator keeps the block header on its own cache line so

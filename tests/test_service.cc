@@ -277,6 +277,60 @@ TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
     EXPECT_FALSE(ReportBody::deserialize(cut, &parsed));
 }
 
+TEST(ProtocolTest, HelloRejectsOutOfRangeEnums)
+{
+    HelloBody hello;
+    hello.ringPath = "/tmp/ring";
+    const std::vector<std::uint8_t> wire = hello.serialize();
+    HelloBody parsed;
+    ASSERT_TRUE(HelloBody::deserialize(wire, &parsed));
+
+    // Layout: u32 version, u32 model, u32 policy, then strings.
+    constexpr std::size_t modelAt = 4;
+    constexpr std::size_t policyAt = 8;
+    for (const std::size_t at : {modelAt, policyAt}) {
+        std::vector<std::uint8_t> bad = wire;
+        bad[at] = 3; // one past Strand / Spill
+        EXPECT_FALSE(HelloBody::deserialize(bad, &parsed)) << at;
+        bad[at] = 0;
+        bad[at + 3] = 0x80; // high byte set: huge value
+        EXPECT_FALSE(HelloBody::deserialize(bad, &parsed)) << at;
+    }
+}
+
+TEST(ProtocolTest, ReportRejectsOutOfRangeEnums)
+{
+    BugReport bug;
+    bug.type = BugType::CrossFailureSemantic;
+    bug.cause = DurabilityCause::MissingFence;
+    ReportBody report;
+    report.bugs.push_back(bug);
+    const std::vector<std::uint8_t> wire = report.serialize();
+    ReportBody parsed;
+    ASSERT_TRUE(ReportBody::deserialize(wire, &parsed));
+
+    // Layout: u32 bug count, then per bug u8 type, u8 cause, ...
+    constexpr std::size_t typeAt = 4;
+    constexpr std::size_t causeAt = 5;
+    for (const std::size_t at : {typeAt, causeAt}) {
+        std::vector<std::uint8_t> bad = wire;
+        ++bad[at]; // one past the highest enumerator
+        EXPECT_FALSE(ReportBody::deserialize(bad, &parsed)) << at;
+    }
+
+    // The same check guards a single ReportBug message.
+    WireWriter out;
+    putBugReport(out, bug);
+    std::vector<std::uint8_t> single = out.bytes();
+    WireReader good(single);
+    EXPECT_EQ(getBugReport(good).type, BugType::CrossFailureSemantic);
+    EXPECT_TRUE(good.ok());
+    single[0] = 0xff;
+    WireReader in(single);
+    getBugReport(in);
+    EXPECT_FALSE(in.ok());
+}
+
 TEST(ProtocolTest, PolicyNames)
 {
     SlowConsumerPolicy policy;
