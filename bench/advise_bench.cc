@@ -148,40 +148,30 @@ benchMain()
                 conf_full + conf_high + conf_low, conf_full, conf_high,
                 conf_low);
 
-    std::string json =
-        "{\"bench\": \"advise\", " + hostMetaJson() +
-        ", \"cases\": " + std::to_string(rows.size()) +
-        ", \"confidence_full\": " + std::to_string(conf_full) +
-        ", \"confidence_high\": " + std::to_string(conf_high) +
-        ", \"confidence_low\": " + std::to_string(conf_low) +
-        ", \"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const CaseRow &row = rows[i];
-        char buf[512];
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s{\"case\": \"%s\", \"corpus\": %zu, "
-            "\"reproduced\": %zu, \"verified\": %zu, "
-            "\"advisories\": %zu, \"top_site\": \"%s\", "
-            "\"top_confidence\": %.4f, \"saved_flushes\": %llu, "
-            "\"saved_fences\": %llu, \"replays\": %llu, "
-            "\"site_ok\": %s}",
-            i ? ", " : "", row.name.c_str(), row.corpus, row.reproduced,
-            row.verified, row.advisories, row.topSite.c_str(),
-            row.topConfidence,
-            static_cast<unsigned long long>(row.savedFlushes),
-            static_cast<unsigned long long>(row.savedFences),
-            static_cast<unsigned long long>(row.replays),
-            row.siteOk ? "true" : "false");
-        json += buf;
-    }
-    json += "]}";
-
-    std::printf("\n%s\n", json.c_str());
-    if (std::FILE *f = std::fopen("BENCH_advise.json", "w")) {
-        std::fprintf(f, "%s\n", json.c_str());
-        std::fclose(f);
-    }
+    writeBenchRow("advise", 1, [&](JsonWriter &json) {
+        json.field("cases", rows.size())
+            .field("confidence_full", conf_full)
+            .field("confidence_high", conf_high)
+            .field("confidence_low", conf_low)
+            .key("rows")
+            .beginArray();
+        for (const CaseRow &row : rows) {
+            json.beginObject()
+                .field("case", row.name)
+                .field("corpus", row.corpus)
+                .field("reproduced", row.reproduced)
+                .field("verified", row.verified)
+                .field("advisories", row.advisories)
+                .field("top_site", row.topSite)
+                .field("top_confidence", row.topConfidence, 4)
+                .field("saved_flushes", row.savedFlushes)
+                .field("saved_fences", row.savedFences)
+                .field("replays", row.replays)
+                .field("site_ok", row.siteOk)
+                .endObject();
+        }
+        json.endArray();
+    });
 
     if (!all_ok)
         std::printf("WARNING: advisory acceptance failed (see table)\n");

@@ -13,12 +13,15 @@
 #define PMDB_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stopwatch.hh"
 #include "common/table.hh"
@@ -57,20 +60,28 @@ benchCores()
 }
 
 /**
- * Host-metadata fragment for BENCH_*.json rows: the visible core
- * count plus a core_limited flag set when the host has fewer cores
- * than the benchmark's widest parallel phase (@p parallelism).
- * Numbers measured core-limited reflect time-slicing, not capacity —
- * downstream consumers filter on the flag. Splice right after the
- * opening "bench" field so every emitter carries the same keys.
+ * Write one BENCH_<bench>.json row (echoed to stdout): the bench name,
+ * core count and core_limited flag (fewer cores than the bench's widest
+ * parallel phase, @p parallelism: such numbers measure time-slicing,
+ * not capacity), then the fields @p fill adds.
  */
-inline std::string
-hostMetaJson(unsigned parallelism = 1)
+inline void
+writeBenchRow(const char *bench, unsigned parallelism,
+              const std::function<void(JsonWriter &)> &fill)
 {
-    const unsigned cores = benchCores();
-    return "\"cores\": " + std::to_string(cores) +
-           ", \"core_limited\": " +
-           (cores < parallelism ? "true" : "false");
+    JsonWriter row;
+    row.beginObject()
+        .field("bench", bench)
+        .field("cores", benchCores())
+        .field("core_limited", benchCores() < parallelism);
+    fill(row);
+    const std::string &json = row.endObject().str();
+    std::printf("\n%s\n", json.c_str());
+    const std::string path = std::string("BENCH_") + bench + ".json";
+    if (std::FILE *f = std::fopen(path.c_str(), "w")) {
+        std::fprintf(f, "%s\n", json.c_str());
+        std::fclose(f);
+    }
 }
 
 /**

@@ -225,38 +225,25 @@ benchMain()
                     capture_speedup);
     }
 
-    char json[1024];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"crashsim\", %s, "
-        "\"capture_points\": %llu, "
-        "\"capture_points_per_sec_delta\": %.0f, "
-        "\"capture_points_per_sec_naive\": %.0f, "
-        "\"capture_speedup\": %.2f, "
-        "\"explore_points\": %llu, "
-        "\"explore_points_per_sec\": %.0f, "
-        "\"images_enumerated\": %llu, \"images_deduped\": %llu, "
-        "\"images_verified\": %llu, \"bugs_found\": %zu, "
-        "\"parallel_speedup_4w\": %.2f, "
-        "\"results_identical\": %s}",
-        hostMetaJson(4).c_str(),
-        static_cast<unsigned long long>(delta.points),
-        delta.pointsPerSec(), naive.pointsPerSec(), capture_speedup,
-        static_cast<unsigned long long>(one.stats.points),
-        one.exploreSeconds > 0.0
-            ? static_cast<double>(one.stats.points) / one.exploreSeconds
-            : 0.0,
-        static_cast<unsigned long long>(one.stats.imagesEnumerated),
-        static_cast<unsigned long long>(one.stats.imagesDeduped),
-        static_cast<unsigned long long>(one.stats.imagesVerified),
-        one.findings.size(), parallel_speedup,
-        identical ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_crashsim.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    writeBenchRow("crashsim", 4, [&](JsonWriter &row) {
+        row.field("capture_points", delta.points)
+            .field("capture_points_per_sec_delta", delta.pointsPerSec(), 0)
+            .field("capture_points_per_sec_naive", naive.pointsPerSec(), 0)
+            .field("capture_speedup", capture_speedup, 2)
+            .field("explore_points", one.stats.points)
+            .field("explore_points_per_sec",
+                   one.exploreSeconds > 0.0
+                       ? static_cast<double>(one.stats.points) /
+                             one.exploreSeconds
+                       : 0.0,
+                   0)
+            .field("images_enumerated", one.stats.imagesEnumerated)
+            .field("images_deduped", one.stats.imagesDeduped)
+            .field("images_verified", one.stats.imagesVerified)
+            .field("bugs_found", one.findings.size())
+            .field("parallel_speedup_4w", parallel_speedup, 2)
+            .field("results_identical", identical);
+    });
 
     return identical && capture_ok ? 0 : 1;
 }

@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -189,28 +188,19 @@ benchMain()
                     "(want %zu)\n", cleanOff.crossBugs,
                     cleanOn.crossBugs, seededOn.crossBugs, ops);
 
-    std::ostringstream json;
-    json << "{\"bench\": \"crossproc\", "
-         << hostMetaJson(static_cast<unsigned>(shards))
-         << ", \"ops\": " << ops
-         << ", \"shards\": " << shards
-         << ", \"events_per_sec_independent\": "
-         << fmtDouble(rate(cleanOff), 0)
-         << ", \"events_per_sec_cross_clean\": "
-         << fmtDouble(rate(cleanOn), 0)
-         << ", \"events_per_sec_cross_seeded\": "
-         << fmtDouble(rate(seededOn), 0)
-         << ", \"merged_events_clean\": " << cleanOn.mergedEvents
-         << ", \"cross_overhead\": " << fmtDouble(overhead, 4)
-         << ", \"seeded_fault\": \"" << fault << "\""
-         << ", \"seeded_cross_bugs\": " << seededOn.crossBugs
-         << ", \"verdict_ok\": " << (verdictOk ? "true" : "false")
-         << "}";
-    std::printf("\n%s\n", json.str().c_str());
-    if (std::FILE *f = std::fopen("BENCH_crossproc.json", "w")) {
-        std::fprintf(f, "%s\n", json.str().c_str());
-        std::fclose(f);
-    }
+    writeBenchRow("crossproc", static_cast<unsigned>(shards),
+                  [&](JsonWriter &row) {
+        row.field("ops", ops)
+            .field("shards", shards)
+            .field("events_per_sec_independent", rate(cleanOff), 0)
+            .field("events_per_sec_cross_clean", rate(cleanOn), 0)
+            .field("events_per_sec_cross_seeded", rate(seededOn), 0)
+            .field("merged_events_clean", cleanOn.mergedEvents)
+            .field("cross_overhead", overhead, 4)
+            .field("seeded_fault", fault)
+            .field("seeded_cross_bugs", seededOn.crossBugs)
+            .field("verdict_ok", verdictOk);
+    });
     return verdictOk ? 0 : 1;
 }
 

@@ -130,25 +130,14 @@ benchMain()
     std::printf("results identical across modes: %s\n",
                 identical ? "yes" : "NO — BUG");
 
-    char json[512];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"dispatch\", %s, \"events\": %llu, "
-        "\"events_per_sec_perevent\": %.0f, "
-        "\"events_per_sec_batched\": %.0f, "
-        "\"batched_speedup\": %.3f, "
-        "\"results_identical\": %s}",
-        hostMetaJson().c_str(),
-        static_cast<unsigned long long>(per.events),
-        per.eventsPerSec, bat.eventsPerSec,
-        bat.eventsPerSec / per.eventsPerSec,
-        identical ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_dispatch.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    writeBenchRow("dispatch", 1, [&](JsonWriter &row) {
+        row.field("events", per.events)
+            .field("events_per_sec_perevent", per.eventsPerSec, 0)
+            .field("events_per_sec_batched", bat.eventsPerSec, 0)
+            .field("batched_speedup", bat.eventsPerSec / per.eventsPerSec,
+                   3)
+            .field("results_identical", identical);
+    });
 
     return identical ? 0 : 1;
 }

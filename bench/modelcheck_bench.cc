@@ -163,35 +163,23 @@ benchMain()
                     coverage_ratio);
     }
 
-    char json[1024];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"modelcheck\", %s, "
-        "\"workload\": \"hashmap_atomic\", \"ops\": %zu, "
-        "\"depth\": 3, "
-        "\"distinct_states\": %llu, \"executions\": %llu, "
-        "\"pruned_candidates\": %llu, \"pruning_ratio\": %.3f, "
-        "\"states_per_sec\": %.0f, \"seconds\": %.4f, "
-        "\"crashsim_distinct_states\": %llu, "
-        "\"crashsim_seconds\": %.4f, "
-        "\"crashsim_budget\": %zu, "
-        "\"coverage_ratio\": %.2f, "
-        "\"workers_identical\": %s, "
-        "\"seeded_bug_found\": %s}",
-        hostMetaJson(4).c_str(), ops,
-        static_cast<unsigned long long>(mc.stats.distinctStates),
-        static_cast<unsigned long long>(mc.stats.executions),
-        static_cast<unsigned long long>(mc.stats.prunedCandidates),
-        pruning_ratio, states_per_sec, mc.seconds,
-        static_cast<unsigned long long>(cs_distinct), cs_seconds,
-        budget, coverage_ratio, identical ? "true" : "false",
-        bug_found ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_modelcheck.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    writeBenchRow("modelcheck", 4, [&](JsonWriter &row) {
+        row.field("workload", "hashmap_atomic")
+            .field("ops", ops)
+            .field("depth", 3)
+            .field("distinct_states", mc.stats.distinctStates)
+            .field("executions", mc.stats.executions)
+            .field("pruned_candidates", mc.stats.prunedCandidates)
+            .field("pruning_ratio", pruning_ratio, 3)
+            .field("states_per_sec", states_per_sec, 0)
+            .field("seconds", mc.seconds, 4)
+            .field("crashsim_distinct_states", cs_distinct)
+            .field("crashsim_seconds", cs_seconds, 4)
+            .field("crashsim_budget", budget)
+            .field("coverage_ratio", coverage_ratio, 2)
+            .field("workers_identical", identical)
+            .field("seeded_bug_found", bug_found);
+    });
 
     return identical && bug_found && coverage_ok ? 0 : 1;
 }

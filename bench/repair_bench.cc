@@ -130,37 +130,29 @@ benchMain()
         }
     }
 
-    std::string json =
-        "{\"bench\": \"repair\", " + hostMetaJson(4) +
-        ", \"cases\": " + std::to_string(rows.size()) +
-        ", \"shrink_5x_cases\": " + std::to_string(shrink5x) +
-        ", \"verified_patches\": " + std::to_string(verified_count) +
-        ", \"minimize_replays\": " + std::to_string(total_min_replays) +
-        ", \"repair_replays\": " + std::to_string(total_rep_replays) +
-        ", \"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const CaseRow &row = rows[i];
-        char buf[512];
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s{\"case\": \"%s\", \"target\": \"%s\", "
-            "\"events\": %zu, \"minimized\": %zu, \"shrink\": %.1f, "
-            "\"minimize_replays\": %llu, \"repair_replays\": %llu, "
-            "\"edits\": %zu, \"verified\": %s}",
-            i ? ", " : "", row.name.c_str(), row.target.c_str(),
-            row.originalEvents, row.minimizedEvents, row.shrink,
-            static_cast<unsigned long long>(row.minimizeReplays),
-            static_cast<unsigned long long>(row.repairReplays),
-            row.edits, row.verified ? "true" : "false");
-        json += buf;
-    }
-    json += "]}";
-
-    std::printf("\n%s\n", json.c_str());
-    if (std::FILE *f = std::fopen("BENCH_repair.json", "w")) {
-        std::fprintf(f, "%s\n", json.c_str());
-        std::fclose(f);
-    }
+    writeBenchRow("repair", 4, [&](JsonWriter &json) {
+        json.field("cases", rows.size())
+            .field("shrink_5x_cases", shrink5x)
+            .field("verified_patches", verified_count)
+            .field("minimize_replays", total_min_replays)
+            .field("repair_replays", total_rep_replays)
+            .key("rows")
+            .beginArray();
+        for (const CaseRow &row : rows) {
+            json.beginObject()
+                .field("case", row.name)
+                .field("target", row.target)
+                .field("events", row.originalEvents)
+                .field("minimized", row.minimizedEvents)
+                .field("shrink", row.shrink, 1)
+                .field("minimize_replays", row.minimizeReplays)
+                .field("repair_replays", row.repairReplays)
+                .field("edits", row.edits)
+                .field("verified", row.verified)
+                .endObject();
+        }
+        json.endArray();
+    });
 
     return shrink_ok && repair_ok ? 0 : 1;
 }

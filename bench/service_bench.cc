@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -393,51 +392,36 @@ benchMain()
     // ingestion capacity — flag them for downstream consumers.
     constexpr unsigned maxClients = 8;
 
-    std::ostringstream json;
-    json << "{\"bench\": \"service\", " << hostMetaJson(maxClients)
-         << ", \"shard_stream_events\": " << stream.size()
-         << ", \"events_per_sec_shard1\": "
-         << fmtDouble(s1.eventsPerSec, 0)
-         << ", \"events_per_sec_shard2\": "
-         << fmtDouble(s2.eventsPerSec, 0)
-         << ", \"events_per_sec_shard4\": "
-         << fmtDouble(s4.eventsPerSec, 0)
-         << ", \"shard_speedup_4x1\": "
-         << fmtDouble(shard_speedup, 3)
-         << ", \"shard_speedup_2x1\": "
-         << fmtDouble(s1.seconds / s2.seconds, 3)
-         << ", \"ingest_stores_per_client\": " << stores
-         << ", \"ingest\": [";
-    bool first = true;
-    for (const SweepPoint &point : sweep) {
-        if (!first)
-            json << ", ";
-        first = false;
-        json << "{\"shards\": " << point.shards
-             << ", \"clients\": " << point.clients
-             << ", \"events\": " << point.run.events
-             << ", \"seconds\": " << fmtDouble(point.run.seconds, 3)
-             << ", \"events_per_sec\": "
-             << fmtDouble(point.run.eventsPerSec, 0)
-             << ", \"vs_1_client\": "
-             << fmtDouble(ratioAt(point.shards, point.clients), 3)
-             << ", \"client_min_events_per_sec\": "
-             << fmtDouble(point.run.minClientRate, 0)
-             << ", \"client_max_events_per_sec\": "
-             << fmtDouble(point.run.maxClientRate, 0) << "}";
-    }
-    json << "], \"ingest_ratio_4v1_shard1\": "
-         << fmtDouble(ratioAt(1, 4), 3)
-         << ", \"ingest_ratio_4v1_shard4\": "
-         << fmtDouble(ratioAt(4, 4), 3)
-         << ", \"results_identical\": "
-         << (identical ? "true" : "false") << "}";
-
-    std::printf("\n%s\n", json.str().c_str());
-    if (std::FILE *f = std::fopen("BENCH_service.json", "w")) {
-        std::fprintf(f, "%s\n", json.str().c_str());
-        std::fclose(f);
-    }
+    writeBenchRow("service", maxClients, [&](JsonWriter &row) {
+        row.field("shard_stream_events", stream.size())
+            .field("events_per_sec_shard1", s1.eventsPerSec, 0)
+            .field("events_per_sec_shard2", s2.eventsPerSec, 0)
+            .field("events_per_sec_shard4", s4.eventsPerSec, 0)
+            .field("shard_speedup_4x1", shard_speedup, 3)
+            .field("shard_speedup_2x1", s1.seconds / s2.seconds, 3)
+            .field("ingest_stores_per_client", stores)
+            .key("ingest")
+            .beginArray();
+        for (const SweepPoint &point : sweep) {
+            row.beginObject()
+                .field("shards", point.shards)
+                .field("clients", point.clients)
+                .field("events", point.run.events)
+                .field("seconds", point.run.seconds, 3)
+                .field("events_per_sec", point.run.eventsPerSec, 0)
+                .field("vs_1_client", ratioAt(point.shards, point.clients),
+                       3)
+                .field("client_min_events_per_sec",
+                       point.run.minClientRate, 0)
+                .field("client_max_events_per_sec",
+                       point.run.maxClientRate, 0)
+                .endObject();
+        }
+        row.endArray()
+            .field("ingest_ratio_4v1_shard1", ratioAt(1, 4), 3)
+            .field("ingest_ratio_4v1_shard4", ratioAt(4, 4), 3)
+            .field("results_identical", identical);
+    });
 
     return identical ? 0 : 1;
 }

@@ -223,24 +223,17 @@ benchMain()
                     benchScale());
     }
 
-    char json[512];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\": \"telemetry\", %s, \"events\": %llu, "
-        "\"events_per_sec_off\": %.0f, \"events_per_sec_on\": %.0f, "
-        "\"overhead_pct\": %.2f, \"counter_add_ns\": %.2f, "
-        "\"histogram_record_ns\": %.2f, \"enabled_gate_ns\": %.2f, "
-        "\"results_identical\": %s, \"overhead_ok\": %s}",
-        hostMetaJson().c_str(),
-        static_cast<unsigned long long>(on.events), off.eventsPerSec,
-        on.eventsPerSec, overheadPct, counterNs, histNs, gateNs,
-        identical ? "true" : "false", overheadOk ? "true" : "false");
-
-    std::printf("\n%s\n", json);
-    if (std::FILE *f = std::fopen("BENCH_telemetry.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    }
+    writeBenchRow("telemetry", 1, [&](JsonWriter &row) {
+        row.field("events", on.events)
+            .field("events_per_sec_off", off.eventsPerSec, 0)
+            .field("events_per_sec_on", on.eventsPerSec, 0)
+            .field("overhead_pct", overheadPct, 2)
+            .field("counter_add_ns", counterNs, 2)
+            .field("histogram_record_ns", histNs, 2)
+            .field("enabled_gate_ns", gateNs, 2)
+            .field("results_identical", identical)
+            .field("overhead_ok", overheadOk);
+    });
 
     return identical && (overheadOk || !gated) ? 0 : 1;
 }

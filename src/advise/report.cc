@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/report.hh"
+#include "common/json.hh"
 
 namespace pmdb
 {
@@ -25,57 +25,48 @@ fixed4(double value)
 std::string
 adviseReportToJson(const AdviseReport &report)
 {
-    std::ostringstream out;
-    out << "{\n"
-        << "  \"version\": \"" << jsonEscape(report.version) << "\",\n"
-        << "  \"case\": \"" << jsonEscape(report.caseName) << "\",\n"
-        << "  \"rule\": \"" << jsonEscape(report.rule) << "\",\n"
-        << "  \"optimize\": " << (report.optimize ? "true" : "false")
-        << ",\n"
-        << "  \"min_confidence\": " << fixed4(report.minConfidence)
-        << ",\n";
-
-    out << "  \"traces\": [";
-    for (std::size_t i = 0; i < report.traces.size(); ++i) {
-        const TraceOutcome &trace = report.traces[i];
-        out << (i ? ",\n" : "\n")
-            << "    {\"label\": \"" << jsonEscape(trace.label)
-            << "\", \"events\": " << trace.traceEvents
-            << ", \"minimized_events\": " << trace.minimizedEvents
-            << ", \"target_present\": "
-            << (trace.targetPresent ? "true" : "false")
-            << ", \"verified\": "
-            << (trace.verified ? "true" : "false")
-            << ", \"edits\": " << trace.edits.size()
-            << ", \"replays\": " << trace.replays << "}";
+    JsonWriter json;
+    json.beginObject()
+        .field("version", report.version)
+        .field("case", report.caseName)
+        .field("rule", report.rule)
+        .field("optimize", report.optimize)
+        .field("min_confidence", report.minConfidence, 4)
+        .key("traces")
+        .beginArray();
+    for (const TraceOutcome &trace : report.traces) {
+        json.beginObject()
+            .field("label", trace.label)
+            .field("events", trace.traceEvents)
+            .field("minimized_events", trace.minimizedEvents)
+            .field("target_present", trace.targetPresent)
+            .field("verified", trace.verified)
+            .field("edits", trace.edits.size())
+            .field("replays", trace.replays)
+            .endObject();
     }
-    out << (report.traces.empty() ? "]" : "\n  ]") << ",\n";
-
-    out << "  \"advisories\": [";
+    json.endArray().key("advisories").beginArray();
     for (std::size_t i = 0; i < report.advisories.size(); ++i) {
         const FixAdvisory &advisory = report.advisories[i];
-        out << (i ? ",\n" : "\n")
-            << "    {\"rank\": " << i + 1
-            << ", \"site\": \"" << jsonEscape(advisory.site)
-            << "\", \"op\": \"" << toString(advisory.op)
-            << "\", \"rule\": \"" << toString(advisory.rule)
-            << "\", \"confidence\": " << fixed4(advisory.confidence)
-            << ", \"confirmations\": " << advisory.confirmations
-            << ", \"opportunities\": " << advisory.opportunities
-            << ", \"counter_no_patch\": " << advisory.counterNoPatch
-            << ", \"counter_unverified\": " << advisory.counterUnverified
-            << ", \"edit_count\": " << advisory.editCount
-            << ", \"saved_flushes\": " << advisory.savedFlushes
-            << ", \"saved_fences\": " << advisory.savedFences
-            << ", \"saved_logs\": " << advisory.savedLogs
-            << ", \"headline\": \"" << jsonEscape(advisory.headline())
-            << "\", \"example\": \"" << jsonEscape(advisory.example)
-            << "\"}";
+        json.beginObject()
+            .field("rank", i + 1)
+            .field("site", advisory.site)
+            .field("op", toString(advisory.op))
+            .field("rule", toString(advisory.rule))
+            .field("confidence", advisory.confidence, 4)
+            .field("confirmations", advisory.confirmations)
+            .field("opportunities", advisory.opportunities)
+            .field("counter_no_patch", advisory.counterNoPatch)
+            .field("counter_unverified", advisory.counterUnverified)
+            .field("edit_count", advisory.editCount)
+            .field("saved_flushes", advisory.savedFlushes)
+            .field("saved_fences", advisory.savedFences)
+            .field("saved_logs", advisory.savedLogs)
+            .field("headline", advisory.headline())
+            .field("example", advisory.example)
+            .endObject();
     }
-    out << (report.advisories.empty() ? "]" : "\n  ]") << "\n";
-
-    out << "}\n";
-    return out.str();
+    return json.endArray().endObject().str() + "\n";
 }
 
 std::string

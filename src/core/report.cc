@@ -1,83 +1,43 @@
 #include "core/report.hh"
 
-#include <sstream>
+#include "common/json.hh"
 
 namespace pmdb
 {
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 namespace
 {
 
 void
-appendBugs(std::ostringstream &out, const BugCollector &bugs)
+writeBugs(JsonWriter &json, const BugCollector &bugs)
 {
-    out << "\"total_sites\": " << bugs.total()
-        << ", \"occurrences\": " << bugs.occurrences()
-        << ", \"by_type\": {";
-    bool first = true;
+    json.field("total_sites", bugs.total())
+        .field("occurrences", bugs.occurrences())
+        .key("by_type")
+        .beginObject();
     for (int t = 0; t < bugTypeCount; ++t) {
         const auto type = static_cast<BugType>(t);
-        const std::size_t n = bugs.countOf(type);
-        if (!n)
-            continue;
-        if (!first)
-            out << ", ";
-        first = false;
-        out << '"' << toString(type) << "\": " << n;
+        if (const std::size_t n = bugs.countOf(type))
+            json.field(toString(type), n);
     }
-    out << "}, \"bugs\": [";
-    first = true;
+    json.endObject().key("bugs").beginArray();
     for (const BugReport &bug : bugs.bugs()) {
-        if (!first)
-            out << ", ";
-        first = false;
-        out << "{\"type\": \"" << toString(bug.type) << "\", "
-            << "\"fingerprint\": \""
-            << fingerprintOf(bug).toString() << "\", "
-            << "\"start\": " << bug.range.start << ", "
-            << "\"end\": " << bug.range.end << ", "
-            << "\"seq\": " << bug.seq << ", "
-            << "\"cause\": \""
-            << (bug.cause == DurabilityCause::MissingFlush
-                    ? "missing-flush"
-                    : bug.cause == DurabilityCause::MissingFence
-                          ? "missing-fence"
-                          : "n/a")
-            << "\", \"detail\": \"" << jsonEscape(bug.detail) << "\"}";
+        json.beginObject()
+            .field("type", toString(bug.type))
+            .field("fingerprint", fingerprintOf(bug).toString())
+            .field("start", bug.range.start)
+            .field("end", bug.range.end)
+            .field("seq", bug.seq)
+            .field("cause",
+                   bug.cause == DurabilityCause::MissingFlush
+                       ? "missing-flush"
+                       : bug.cause == DurabilityCause::MissingFence
+                             ? "missing-fence"
+                             : "n/a")
+            .field("detail", bug.detail)
+            .endObject();
     }
-    out << "]";
+    json.endArray();
 }
 
 } // namespace
@@ -85,32 +45,32 @@ appendBugs(std::ostringstream &out, const BugCollector &bugs)
 std::string
 reportToJson(const BugCollector &bugs)
 {
-    std::ostringstream out;
-    out << "{";
-    appendBugs(out, bugs);
-    out << "}";
-    return out.str();
+    JsonWriter json;
+    json.beginObject();
+    writeBugs(json, bugs);
+    return json.endObject().str();
 }
 
 std::string
 reportToJson(const BugCollector &bugs, const DebuggerStats &stats)
 {
-    std::ostringstream out;
-    out << "{";
-    appendBugs(out, bugs);
-    out << ", \"stats\": {"
-        << "\"stores\": " << stats.stores
-        << ", \"flushes\": " << stats.flushes
-        << ", \"fences\": " << stats.fences
-        << ", \"epochs\": " << stats.epochs
-        << ", \"avg_tree_nodes_per_fence_interval\": "
-        << stats.avgTreeNodesPerFenceInterval()
-        << ", \"tree_reorganizations\": " << stats.tree.reorganizations
-        << ", \"collective_invalidations\": "
-        << stats.array.collectiveInvalidations
-        << ", \"records_moved_to_tree\": "
-        << stats.array.recordsMovedToTree << "}}";
-    return out.str();
+    JsonWriter json;
+    json.beginObject();
+    writeBugs(json, bugs);
+    json.key("stats")
+        .beginObject()
+        .field("stores", stats.stores)
+        .field("flushes", stats.flushes)
+        .field("fences", stats.fences)
+        .field("epochs", stats.epochs)
+        .field("avg_tree_nodes_per_fence_interval",
+               stats.avgTreeNodesPerFenceInterval())
+        .field("tree_reorganizations", stats.tree.reorganizations)
+        .field("collective_invalidations",
+               stats.array.collectiveInvalidations)
+        .field("records_moved_to_tree", stats.array.recordsMovedToTree)
+        .endObject();
+    return json.endObject().str();
 }
 
 } // namespace pmdb

@@ -22,9 +22,6 @@ std::string reportToJson(const BugCollector &bugs);
 std::string reportToJson(const BugCollector &bugs,
                          const DebuggerStats &stats);
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &text);
-
 } // namespace pmdb
 
 #endif // PMDB_CORE_REPORT_HH

@@ -1,47 +1,31 @@
 #include "crossproc/engine.hh"
 
 #include <algorithm>
-#include <sstream>
 
+#include "common/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
 {
 
-namespace
-{
-
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 CrossGroupResult::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"pool\": \"" << escapeJson(pool) << "\", \"writers\": [";
-    for (std::size_t i = 0; i < writers.size(); ++i)
-        out << (i ? ", " : "") << writers[i];
-    out << "], \"events_replayed\": " << eventsReplayed
-        << ", \"cross_bugs\": [";
-    for (std::size_t i = 0; i < bugs.size(); ++i) {
-        out << (i ? ", " : "") << "{\"rule\": \""
-            << toString(bugs[i].type) << "\", \"detail\": \""
-            << escapeJson(bugs[i].toString()) << "\"}";
+    JsonWriter json;
+    json.beginObject().field("pool", pool).key("writers").beginArray();
+    for (const std::uint32_t writer : writers)
+        json.value(writer);
+    json.endArray()
+        .field("events_replayed", eventsReplayed)
+        .key("cross_bugs")
+        .beginArray();
+    for (const CrossBug &bug : bugs) {
+        json.beginObject()
+            .field("rule", toString(bug.type))
+            .field("detail", bug.toString())
+            .endObject();
     }
-    out << "]}";
-    return out.str();
+    return json.endArray().endObject().str();
 }
 
 CrossprocEngine::CrossprocEngine(std::size_t shards, Addr stripeBytes)
@@ -159,13 +143,11 @@ CrossprocEngine::results() const
 std::string
 CrossprocEngine::resultsJson() const
 {
-    const std::vector<CrossGroupResult> all = results();
-    std::ostringstream out;
-    out << "[";
-    for (std::size_t i = 0; i < all.size(); ++i)
-        out << (i ? ", " : "") << all[i].toJson();
-    out << "]";
-    return out.str();
+    JsonWriter json;
+    json.beginArray();
+    for (const CrossGroupResult &group : results())
+        json.raw(group.toJson());
+    return json.endArray().str();
 }
 
 } // namespace pmdb

@@ -10,6 +10,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/report.hh"
 #include "service/cpu_pin.hh"
@@ -390,32 +391,29 @@ ServiceDaemon::aggregatedJson() const
 {
     const std::vector<SessionSummary> sessions = summaries();
     const IngestStats ingest = ingestStats();
-    std::ostringstream out;
-    out << "{\"schema\": 2, \"shards\": " << pool_.shardCount()
-        << ", \"stripe_bytes\": " << pool_.stripeBytes()
-        << ", \"straddles\": " << pool_.straddleCount()
-        << ", \"pollers\": " << config_.pollers
-        << ", \"polls\": " << ingest.polls
-        << ", \"idle_polls\": " << ingest.idlePolls
-        << ", \"idle_poll_ratio\": " << ingest.idleRatio()
-        << ", \"steals\": " << pool_.stealCount()
-        << ", \"shard_stats\": [";
-    bool first = true;
+    JsonWriter json;
+    json.beginObject()
+        .field("schema", 2)
+        .field("shards", pool_.shardCount())
+        .field("stripe_bytes", pool_.stripeBytes())
+        .field("straddles", pool_.straddleCount())
+        .field("pollers", config_.pollers)
+        .field("polls", ingest.polls)
+        .field("idle_polls", ingest.idlePolls)
+        .field("idle_poll_ratio", ingest.idleRatio())
+        .field("steals", pool_.stealCount())
+        .key("shard_stats")
+        .beginArray();
     for (const ShardStats &shard : pool_.shardStats()) {
-        if (!first)
-            out << ", ";
-        first = false;
-        out << "{\"batches\": " << shard.batches
-            << ", \"events\": " << shard.events
-            << ", \"steals\": " << shard.steals
-            << ", \"queue_depth\": " << shard.queueDepth << "}";
+        json.beginObject()
+            .field("batches", shard.batches)
+            .field("events", shard.events)
+            .field("steals", shard.steals)
+            .field("queue_depth", shard.queueDepth)
+            .endObject();
     }
-    out << "], \"sessions\": [";
-    first = true;
+    json.endArray().key("sessions").beginArray();
     for (const SessionSummary &session : sessions) {
-        if (!first)
-            out << ", ";
-        first = false;
         BugCollector bugs;
         for (const BugReport &bug : session.verdict.bugs)
             bugs.report(bug);
@@ -424,22 +422,28 @@ ServiceDaemon::aggregatedJson() const
                 ? static_cast<double>(session.eventsProcessed) /
                       session.seconds
                 : 0.0;
-        out << "{\"id\": " << session.id
-            << ", \"events\": " << session.eventsProcessed
-            << ", \"dropped\": " << session.eventsDropped
-            << ", \"spill_replayed\": " << session.spillReplayed
-            << ", \"batches_drained\": " << session.batchesDrained
-            << ", \"queue_full_stalls\": " << session.queueFullStalls
-            << ", \"seconds\": " << session.seconds
-            << ", \"events_per_sec\": " << rate << ", \"aborted\": "
-            << (session.aborted ? "true" : "false") << ", \"report\": "
-            << reportToJson(bugs, session.verdict.stats) << "}";
+        json.beginObject()
+            .field("id", session.id)
+            .field("events", session.eventsProcessed)
+            .field("dropped", session.eventsDropped)
+            .field("spill_replayed", session.spillReplayed)
+            .field("batches_drained", session.batchesDrained)
+            .field("queue_full_stalls", session.queueFullStalls)
+            .field("seconds", session.seconds)
+            .field("events_per_sec", rate)
+            .field("aborted", session.aborted)
+            .key("report")
+            .raw(reportToJson(bugs, session.verdict.stats))
+            .endObject();
     }
     // The same snapshot the metrics endpoint serves, embedded whole:
     // the two outputs render one structure and cannot drift.
-    out << "], \"crossproc\": " << crossproc_.resultsJson()
-        << ", \"metrics\": " << metricsSnapshot().toJson() << "}";
-    return out.str();
+    json.endArray()
+        .key("crossproc")
+        .raw(crossproc_.resultsJson())
+        .key("metrics")
+        .raw(metricsSnapshot().toJson());
+    return json.endObject().str();
 }
 
 void

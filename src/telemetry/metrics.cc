@@ -7,6 +7,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace pmdb
 {
 namespace telemetry
@@ -167,31 +169,6 @@ MetricsSnapshot::find(const std::string &name) const
 namespace
 {
 
-void
-appendJsonString(std::ostringstream &out, const std::string &s)
-{
-    out << '"';
-    for (char c : s)
-    {
-        switch (c)
-        {
-        case '"':
-            out << "\\\"";
-            break;
-        case '\\':
-            out << "\\\\";
-            break;
-        case '\n':
-            out << "\\n";
-            break;
-        default:
-            out << c;
-            break;
-        }
-    }
-    out << '"';
-}
-
 const char *
 kindName(MetricSample::Kind kind)
 {
@@ -250,37 +227,33 @@ promName(const std::string &bare)
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"schema\": " << schemaVersion << ", \"metrics\": [";
-    bool firstSample = true;
+    JsonWriter json;
+    json.beginObject()
+        .field("schema", schemaVersion)
+        .key("metrics")
+        .beginArray();
     for (const MetricSample &sample : samples)
     {
-        if (!firstSample)
-            out << ", ";
-        firstSample = false;
-        out << "{\"name\": ";
-        appendJsonString(out, sample.name);
-        out << ", \"type\": \"" << kindName(sample.kind) << "\"";
+        json.beginObject()
+            .field("name", sample.name)
+            .field("type", kindName(sample.kind));
         if (sample.kind == MetricSample::Kind::Histogram)
         {
-            out << ", \"count\": " << sample.hist.count
-                << ", \"sum\": " << sample.hist.sum << ", \"buckets\": [";
-            for (std::size_t b = 0; b < histogramBuckets; ++b)
-            {
-                if (b)
-                    out << ", ";
-                out << sample.hist.buckets[b];
-            }
-            out << "]";
+            json.field("count", sample.hist.count)
+                .field("sum", sample.hist.sum)
+                .key("buckets")
+                .beginArray();
+            for (const std::uint64_t bucket : sample.hist.buckets)
+                json.value(bucket);
+            json.endArray();
         }
         else
         {
-            out << ", \"value\": " << sample.value;
+            json.field("value", sample.value);
         }
-        out << "}";
+        json.endObject();
     }
-    out << "]}";
-    return out.str();
+    return json.endArray().endObject().str();
 }
 
 std::string
@@ -414,6 +387,21 @@ struct JsonCursor
                 case 'n':
                     out->push_back('\n');
                     break;
+                case 't':
+                    out->push_back('\t');
+                    break;
+                case 'u':
+                {
+                    // JsonWriter writes \u00XX, only for control bytes.
+                    if (end - p < 5 || p[1] != '0' || p[2] != '0' ||
+                        !std::isxdigit(static_cast<unsigned char>(p[3])) ||
+                        !std::isxdigit(static_cast<unsigned char>(p[4])))
+                        return fail("bad \\u escape");
+                    out->push_back(static_cast<char>(
+                        std::stoi(std::string(p + 3, 2), nullptr, 16)));
+                    p += 4;
+                    break;
+                }
                 default:
                     out->push_back(*p);
                     break;

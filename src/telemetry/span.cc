@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
-#include <sstream>
+
+#include "common/json.hh"
 
 namespace pmdb
 {
@@ -80,55 +81,34 @@ SpanBuffer::setCapacity(std::size_t capacity)
     }
 }
 
-namespace
-{
-
-void
-appendEscaped(std::ostringstream &out, const std::string &s)
-{
-    for (char c : s)
-    {
-        if (c == '"' || c == '\\')
-            out << '\\';
-        out << c;
-    }
-}
-
-} // namespace
-
 std::string
 SpanBuffer::toChromeTrace()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::ostringstream out;
-    out << "{\"traceEvents\": [";
-    bool first = true;
+    JsonWriter json;
+    json.beginObject().key("traceEvents").beginArray();
     for (const Span &span : spans_)
     {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "{\"name\": \"";
-        appendEscaped(out, span.name);
-        out << "\", \"cat\": \"";
-        appendEscaped(out, span.category);
-        out << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << span.track
-            << ", \"ts\": " << span.startNs / 1000 << "."
-            << span.startNs % 1000 / 100
-            << ", \"dur\": " << span.durNs / 1000 << "."
-            << span.durNs % 1000 / 100;
+        json.beginObject()
+            .field("name", span.name)
+            .field("cat", span.category)
+            .field("ph", "X")
+            .field("pid", 1)
+            .field("tid", span.track)
+            .field("ts", static_cast<double>(span.startNs) / 1e3, 1)
+            .field("dur", static_cast<double>(span.durNs) / 1e3, 1);
         if (!span.arg.empty())
-        {
-            out << ", \"args\": {\"detail\": \"";
-            appendEscaped(out, span.arg);
-            out << "\"}";
-        }
-        out << "}";
+            json.key("args").beginObject().field("detail", span.arg)
+                .endObject();
+        json.endObject();
     }
-    out << "],\n\"displayTimeUnit\": \"ms\", \"otherData\": "
-           "{\"dropped_spans\": "
-        << dropped_ << "}}";
-    return out.str();
+    json.endArray()
+        .field("displayTimeUnit", "ms")
+        .key("otherData")
+        .beginObject()
+        .field("dropped_spans", dropped_)
+        .endObject();
+    return json.endObject().str();
 }
 
 bool

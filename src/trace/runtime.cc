@@ -637,11 +637,13 @@ PmRuntime::registerPmem(const std::string &name, Addr addr,
 void
 PmRuntime::programEnd()
 {
+    // ProgramEnd runs the detector's finalize rules: other threads'
+    // partial batches must reach the sinks first, and ProgramEnd itself
+    // must be delivered before callers inspect them.
+    drain();
     Event e;
     e.kind = EventKind::ProgramEnd;
     dispatch(e);
-    // Finalize rules read detector state, so everything must be
-    // delivered before callers inspect the sinks.
     drain();
 }
 

@@ -1,0 +1,145 @@
+/**
+ * @file
+ * Command-line contract of every tool, driven through the built
+ * binaries: `--help` exits 0 and lists the tool's whole flag table, and
+ * every malformed command line (unknown flag, missing value, a numeric
+ * value that is not a whole in-range unsigned number) exits 2 before any
+ * work starts — nothing reaches stdout.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <sys/wait.h>
+
+namespace
+{
+
+/** Exit code and stdout of one tool run (stderr discarded). */
+struct RunResult
+{
+    int exit = -1;
+    std::string out;
+};
+
+RunResult
+runTool(const std::string &tool, const std::string &args)
+{
+    const std::string command = std::string(PMDB_TOOLS_DIR) + "/" + tool +
+                                " " + args + " 2>/dev/null";
+    RunResult result;
+    std::FILE *pipe = ::popen(command.c_str(), "r");
+    if (!pipe)
+        return result;
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        result.out.append(buf, n);
+    const int status = ::pclose(pipe);
+    if (WIFEXITED(status))
+        result.exit = WEXITSTATUS(status);
+    return result;
+}
+
+struct ToolContract
+{
+    const char *tool;
+    /** Every flag the tool accepts (its whole table). */
+    std::vector<const char *> flags;
+    /** A valid command line, to which a numeric flag is appended. */
+    const char *base;
+    /** A flag taking an unsigned number. */
+    const char *numericFlag;
+};
+
+const std::vector<ToolContract> &
+contracts()
+{
+    static const std::vector<ToolContract> all = {
+        {"pmdb_run",
+         {"--threads", "--fault", "--set-ratio", "--seed", "--trace-out",
+          "--json", "--connect", "--policy", "--ring-slots",
+          "--shared-pool", "--writer", "--list"},
+         "pmdebugger 10 b_tree", "--threads"},
+        {"pmdbd",
+         {"--socket", "--shards", "--stripe-bytes", "--array-capacity",
+          "--pollers", "--pin-cores", "--once", "--json", "--metrics-sock",
+          "--stats-interval", "--trace-out"},
+         "--socket /nonexistent/pmdbd.sock", "--shards"},
+        {"pmdb_stat",
+         {"--socket", "--once", "--interval", "--json", "--prom"},
+         "--socket /nonexistent/pmdb.metrics --once", "--interval"},
+        {"pmdb_crashsim",
+         {"--workers", "--max-pending", "--max-images", "--seed",
+          "--flush-points", "--no-epoch-atomic", "--ops", "--fault",
+          "--json"},
+         "run b_tree", "--workers"},
+        {"pmdb_modelcheck",
+         {"--ops", "--recovery-ops", "--depth", "--max-states", "--workers",
+          "--seed", "--fault", "--no-prune", "--cache", "--connect",
+          "--scratch", "--max-pending", "--max-images", "--flush-points",
+          "--no-epoch-atomic", "--max-findings", "--json"},
+         "run b_tree", "--max-states"},
+        {"pmdb_tracetool",
+         {"--fault", "--correct", "--seed", "--threads", "--ycsb-mix",
+          "--ops", "--sites", "--json", "--fingerprints", "--case",
+          "--flush-points", "--max-pending", "--max-images",
+          "--no-epoch-atomic", "--max-replays"},
+         "crashsim /nonexistent.trc", "--max-pending"},
+        {"pmdb_advise",
+         {"--seeds", "--threads", "--mixes", "--ops", "--workers",
+          "--min-confidence", "--optimize", "--json", "--out",
+          "--no-minimize", "--max-replays"},
+         "case:hashmap_atomic_entry_not_flushed", "--ops"},
+        {"pmdb_crossproc",
+         {"--ops", "--fault", "--case", "--shards", "--seed", "--dir",
+          "--json", "--list-cases", "--create-pool"},
+         "--dir /nonexistent", "--ops"},
+    };
+    return all;
+}
+
+TEST(CliContract, HelpExitsZeroAndListsEveryFlag)
+{
+    for (const ToolContract &c : contracts()) {
+        SCOPED_TRACE(c.tool);
+        const RunResult help = runTool(c.tool, "--help");
+        EXPECT_EQ(help.exit, 0);
+        EXPECT_EQ(help.out.rfind("usage: ", 0), 0u) << help.out;
+        for (const char *flag : c.flags) {
+            EXPECT_NE(help.out.find(std::string(flag) + " "),
+                      std::string::npos)
+                << flag << " missing from:\n"
+                << help.out;
+        }
+    }
+}
+
+TEST(CliContract, MalformedCommandLinesExitTwoBeforeAnyWork)
+{
+    for (const ToolContract &c : contracts()) {
+        const std::string base = c.base;
+        const std::string numeric = base + " " + c.numericFlag + " ";
+        for (const std::string &args :
+             {base + " --no-such-flag", base + " " + c.numericFlag,
+              numeric + "abc", numeric + "-3", numeric + "12x",
+              numeric + "99999999999999999999"}) {
+            SCOPED_TRACE(std::string(c.tool) + " " + args);
+            const RunResult run = runTool(c.tool, args);
+            EXPECT_EQ(run.exit, 2);
+            EXPECT_EQ(run.out, "");
+        }
+    }
+}
+
+TEST(CliContract, NonNumericInputSizeIsAUsageError)
+{
+    const RunResult run = runTool("pmdb_run", "pmdebugger xyz b_tree");
+    EXPECT_EQ(run.exit, 2);
+    EXPECT_EQ(run.out, "");
+}
+
+} // namespace

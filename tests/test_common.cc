@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the common utilities: address-range arithmetic,
- * deterministic RNG, zipfian generators and table rendering.
+ * deterministic RNG, zipfian generators, table rendering, the shared
+ * command-line parser and the JSON writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -213,6 +217,200 @@ TEST(Mix64Test, IsDeterministicAndSpreads)
     for (std::uint64_t i = 0; i < 1000; ++i)
         outputs.insert(mix64(i));
     EXPECT_EQ(outputs.size(), 1000u);
+}
+
+/** Parse @p args (without argv[0]) against @p parser. */
+bool
+parseArgs(cli::Parser &parser, std::vector<const char *> args,
+          std::string *error)
+{
+    args.insert(args.begin(), "tool");
+    return parser.parse(static_cast<int>(args.size()), args.data(), error);
+}
+
+TEST(CliParserTest, AppliesFlagsAndCollectsPositionals)
+{
+    bool json = false;
+    std::uint32_t slots = 7;
+    double ratio = 0.0;
+    std::string path;
+    std::vector<std::string> faults;
+    cli::Parser parser(
+        "tool", "<a> <b>",
+        {cli::flag("--json", &json, "json"),
+         cli::flag("--slots", "N", &slots, "slots", 1, 64),
+         cli::flag("--ratio", "R", &ratio, "ratio"),
+         cli::flag("--out", "FILE", &path, "out"),
+         cli::flag("--fault", "NAME",
+                   [&](const std::string &name) {
+                       faults.push_back(name);
+                       return true;
+                   },
+                   "fault")},
+        2, 2);
+    std::string error;
+    ASSERT_TRUE(parseArgs(parser,
+                          {"x", "--slots", "64", "--fault", "f1", "y",
+                           "--ratio", "0.25", "--json", "--fault", "f2",
+                           "--out", "o.json"},
+                          &error))
+        << error;
+    EXPECT_TRUE(json);
+    EXPECT_EQ(slots, 64u);
+    EXPECT_DOUBLE_EQ(ratio, 0.25);
+    EXPECT_EQ(path, "o.json");
+    EXPECT_EQ(faults, (std::vector<std::string>{"f1", "f2"}));
+    EXPECT_EQ(parser.args(), (std::vector<std::string>{"x", "y"}));
+    EXPECT_TRUE(parser.given("--ratio"));
+    EXPECT_FALSE(parser.given("--help"));
+    EXPECT_FALSE(parser.help());
+}
+
+TEST(CliParserTest, RejectsMalformedInput)
+{
+    std::size_t ops = 0;
+    int threads = 0;
+    std::uint32_t slots = 0;
+    double ratio = 0.0;
+    const auto reject = [&](std::vector<const char *> args) {
+        cli::Parser parser("tool", "<a>",
+                           {cli::flag("--ops", "N", &ops, "ops"),
+                            cli::flag("--threads", "N", &threads, "t"),
+                            cli::flag("--slots", "N", &slots, "s", 1, 64),
+                            cli::flag("--ratio", "R", &ratio, "r")},
+                           1, 1);
+        std::string error;
+        const bool ok = parseArgs(parser, std::move(args), &error);
+        EXPECT_FALSE(error.empty());
+        return !ok;
+    };
+    for (const char *bad : {"abc", "-3", "12x", "99999999999999999999",
+                            "", " 5", "+5", "0x10"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_TRUE(reject({"a", "--ops", bad}));
+    }
+    EXPECT_TRUE(reject({"a", "--threads", "2147483648"})) << "int overflow";
+    EXPECT_TRUE(reject({"a", "--slots", "0"})) << "below the table bound";
+    EXPECT_TRUE(reject({"a", "--slots", "65"})) << "above the table bound";
+    EXPECT_TRUE(reject({"a", "--ratio", "1.5x"}));
+    EXPECT_TRUE(reject({"a", "--ratio", "nan"}));
+    EXPECT_TRUE(reject({"a", "--bogus"})) << "unknown flag";
+    EXPECT_TRUE(reject({"a", "--ops"})) << "missing value";
+    EXPECT_TRUE(reject({})) << "too few positionals";
+    EXPECT_TRUE(reject({"a", "b"})) << "too many positionals";
+    EXPECT_TRUE(reject({"-x"})) << "single-dash token is a flag";
+}
+
+TEST(CliParserTest, HelpStopsParsingAndListsEveryFlag)
+{
+    std::size_t ops = 0;
+    bool json = false;
+    cli::Parser parser("tool", "<a>",
+                       {cli::flag("--ops", "N", &ops, "operation count"),
+                        cli::flag("--json", &json, "print JSON")},
+                       1, 1);
+    std::string error;
+    ASSERT_TRUE(parseArgs(parser, {"--help", "--bogus"}, &error));
+    EXPECT_TRUE(parser.help());
+    const std::string usage = parser.usage();
+    EXPECT_EQ(usage.rfind("usage: tool <a>\n", 0), 0u) << usage;
+    EXPECT_NE(usage.find("--ops N"), std::string::npos);
+    EXPECT_NE(usage.find("operation count"), std::string::npos);
+    EXPECT_NE(usage.find("--json"), std::string::npos);
+    EXPECT_NE(usage.find("--help"), std::string::npos);
+}
+
+TEST(CliParserTest, SubcommandsScopeTheirFlags)
+{
+    bool shared = false;
+    bool sites = false;
+    std::string out;
+    cli::Parser parser("tool", "", {cli::flag("--shared", &shared, "s")});
+    parser.command("info", "<file>",
+                   {cli::flag("--sites", &sites, "sites")}, 1, 1);
+    parser.command("dump", "[<out>]",
+                   {cli::flag("--out", "FILE", &out, "out")}, 0, 1);
+
+    std::string error;
+    ASSERT_TRUE(parseArgs(parser, {"--shared", "info", "f.trc", "--sites"},
+                          &error))
+        << error;
+    EXPECT_EQ(parser.subcommand(), "info");
+    EXPECT_EQ(parser.args(), std::vector<std::string>{"f.trc"});
+    EXPECT_TRUE(shared && sites);
+
+    cli::Parser other = parser;
+    EXPECT_FALSE(parseArgs(other, {"dump", "--sites"}, &error))
+        << "--sites belongs to info only";
+    cli::Parser missing = parser;
+    EXPECT_FALSE(parseArgs(missing, {}, &error));
+    cli::Parser unknown = parser;
+    EXPECT_FALSE(parseArgs(unknown, {"bogus"}, &error));
+
+    const std::string usage = parser.usage();
+    EXPECT_NE(usage.find("usage: tool info <file>\n"), std::string::npos);
+    EXPECT_NE(usage.find("       tool dump [<out>]\n"), std::string::npos);
+    EXPECT_NE(usage.find("info options:"), std::string::npos);
+    EXPECT_NE(usage.find("--out FILE"), std::string::npos);
+}
+
+/** The writer's rendering of one string, without its quotes. */
+std::string
+escaped(std::string_view text)
+{
+    const std::string json = JsonWriter().value(text).str();
+    return json.substr(1, json.size() - 2);
+}
+
+/** The single escaper leaves no raw control byte, quote or backslash. */
+TEST(JsonWriterTest, EscapesEveryControlByte)
+{
+    for (int byte = 0; byte < 0x20; ++byte) {
+        SCOPED_TRACE(byte);
+        const std::string out =
+            escaped(std::string(1, static_cast<char>(byte)));
+        char expected[8];
+        std::snprintf(expected, sizeof(expected), "\\u%04x", byte);
+        if (byte == '\n')
+            EXPECT_EQ(out, "\\n");
+        else if (byte == '\t')
+            EXPECT_EQ(out, "\\t");
+        else
+            EXPECT_EQ(out, expected);
+    }
+    EXPECT_EQ(escaped("\""), "\\\"");
+    EXPECT_EQ(escaped("\\"), "\\\\");
+    EXPECT_EQ(escaped("a\x01" "b\"c"), "a\\u0001b\\\"c");
+    EXPECT_EQ(escaped("plain \x7f\xc3\xa9"), "plain \x7f\xc3\xa9");
+}
+
+TEST(JsonWriterTest, RendersTheHouseLayout)
+{
+    JsonWriter json;
+    json.beginObject()
+        .field("name", "a\"b")
+        .field("count", std::uint64_t{18446744073709551615ull})
+        .field("delta", -3)
+        .field("ok", true)
+        .field("ratio", 0.5)
+        .field("fixed", 2.0 / 3.0, 4)
+        .field("inf", std::numeric_limits<double>::infinity())
+        .key("list")
+        .beginArray()
+        .value(1)
+        .beginObject()
+        .endObject()
+        .raw("[]")
+        .endArray()
+        .key("empty")
+        .beginArray()
+        .endArray()
+        .endObject();
+    EXPECT_EQ(json.str(),
+              "{\"name\": \"a\\\"b\", \"count\": 18446744073709551615, "
+              "\"delta\": -3, \"ok\": true, \"ratio\": 0.5, "
+              "\"fixed\": 0.6667, \"inf\": null, \"list\": [1, {}, []], "
+              "\"empty\": []}");
 }
 
 } // namespace

@@ -55,6 +55,26 @@ mk(EventKind kind, Addr addr, std::uint32_t size, SeqNum global)
     return event;
 }
 
+/**
+ * A client's Hello::sharedPoolPath reaches pmdbd's --json aggregate
+ * through CrossGroupResult::toJson: control bytes in it must come out
+ * escaped, or the aggregate is not valid JSON.
+ */
+TEST(CrossGroupResultTest, ToJsonEscapesControlBytes)
+{
+    CrossGroupResult group;
+    group.pool = "a\nb\x01\"c\\";
+    group.writers = {1, 2};
+    const std::string json = group.toJson();
+    for (const char c : json) {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+            << "raw control byte in " << json;
+    }
+    EXPECT_EQ(json, "{\"pool\": \"a\\nb\\u0001\\\"c\\\\\", "
+                    "\"writers\": [1, 2], \"events_replayed\": 0, "
+                    "\"cross_bugs\": []}");
+}
+
 // --- CrossRuleEngine unit tests ------------------------------------
 
 TEST(CrossRuleEngineTest, ReadOfOtherWritersDirtyLineIsABug)

@@ -310,6 +310,34 @@ TEST(DispatchPipeline, BatchedProgramEndIsADeliveryBarrier)
     EXPECT_EQ(end->seq, events.size()) << "ProgramEnd is issued last";
 }
 
+/**
+ * programEnd() runs the detector's finalize rules, so it must first
+ * deliver the partial batch a joined worker left behind: a worker's
+ * never-flushed store is a bug under either dispatch mode.
+ */
+TEST(DispatchPipeline, ProgramEndFinalizesAfterOtherThreadsBatches)
+{
+    const auto bugsUnder = [](DispatchMode mode) {
+        PmRuntime runtime;
+        PmDebuggerDetector tool{DebuggerConfig{}};
+        runtime.attach(&tool);
+        runtime.setThreadSafe(true);
+        runtime.setDispatchMode(mode);
+        std::thread worker([&runtime] {
+            runtime.store(0x8000, 8, /*thread=*/1);
+        });
+        worker.join();
+        runtime.store(0x100, 8);
+        runtime.flush(0x100, 8);
+        runtime.fence();
+        runtime.programEnd();
+        return tool.bugs().total();
+    };
+    const std::size_t per = bugsUnder(DispatchMode::PerEvent);
+    EXPECT_EQ(per, 1u);
+    EXPECT_EQ(bugsUnder(DispatchMode::Batched), per);
+}
+
 TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
 {
     PmRuntime runtime;

@@ -162,6 +162,29 @@ TEST(TelemetrySnapshot, JsonRoundTripIsIdentity)
     EXPECT_EQ(parsed.toJson(), json);
 }
 
+/** Names go through the shared escaper; the reader must undo it. */
+TEST(TelemetrySnapshot, JsonRoundTripsEscapedNames)
+{
+    std::string name = "odd{label=\"a\\b\"}";
+    for (char c = 1; c < 0x20; ++c)
+        name += c;
+    MetricsSnapshot snap;
+    snap.addCounter(name, 5);
+    const std::string json = snap.toJson();
+    for (const char c : json)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+
+    MetricsSnapshot parsed;
+    std::string error;
+    ASSERT_TRUE(MetricsSnapshot::fromJson(json, &parsed, &error))
+        << error;
+    EXPECT_EQ(parsed, snap);
+    EXPECT_FALSE(MetricsSnapshot::fromJson(
+        "{\"schema\": 1, \"metrics\": [{\"name\": \"\\u00zz\", "
+        "\"type\": \"counter\", \"value\": 1}]}",
+        &parsed, &error));
+}
+
 TEST(TelemetrySnapshot, JsonRejectsGarbage)
 {
     MetricsSnapshot parsed;

@@ -12,6 +12,7 @@
 #include <string>
 #include <system_error>
 
+#include "common/json.hh"
 #include "core/report.hh"
 #include "detectors/persistence_inspector.hh"
 #include "detectors/registry.hh"
@@ -354,7 +355,8 @@ TEST(PersistenceInspectorTest, RegistryBuildsIt)
 
 TEST(JsonReportTest, EscapesAndStructures)
 {
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(JsonWriter().value("a\"b\\c\nd").str(),
+              "\"a\\\"b\\\\c\\nd\"");
 
     BugCollector bugs;
     BugReport report;

@@ -8,58 +8,34 @@
  * ranked per-site advisories ("insert CLWB after store at
  * hashmap_atomic.cc:insert.fill_entry, confirmed in 6/6 traces").
  *
- * Usage:
- *   pmdb_advise case:<name> [--seeds A,B,..] [--threads N,M]
- *               [--mixes a,b,..] [--ops N] [--workers N]
- *               [--min-confidence F] [--optimize] [--json] [--out FILE]
- *               [--no-minimize] [--max-replays N]
- *
+ * Usage: `pmdb_advise case:<name> [options]`; `--help` lists the flags.
  * --workers parallelizes the per-trace repairs; the report is
  * bit-identical for any worker count (single-threaded corpora).
  * --optimize renders the Bentō-style view: deletion (performance)
  * advisories only, ranked by estimated saved flushes/fences.
  *
- * Exit codes match the pmdb_tracetool family: 0 success, 2 usage
- * error, 3 unknown case name (4 bad trace / 5 truncated trace are
- * reserved by pmdb_tracetool; this tool records in-process), 6 target
- * bug not reproduced anywhere in the corpus, 7 corpus ran but no
- * advisory at or above --min-confidence survived the requested view.
+ * Exit codes (ToolExit): 3 unknown case name, 6 target bug not
+ * reproduced anywhere in the corpus, 7 corpus ran but no advisory at
+ * or above --min-confidence survived the requested view.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "advise/corpus.hh"
 #include "advise/report.hh"
+#include "common/cli.hh"
 #include "repair/case_repair.hh"
 
 namespace
 {
 
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitNoRepair = 6;
-/** Corpus ran, but every advisory fell below the confidence bar. */
-constexpr int exitNoAdvisory = 7;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case:<name> [--seeds A,B,..] [--threads N,M]\n"
-        "       [--mixes a,b,..] [--ops N] [--workers N]\n"
-        "       [--min-confidence F] [--optimize] [--json] [--out FILE]\n"
-        "       [--no-minimize] [--max-replays N]\n",
-        argv0);
-    return exitUsage;
-}
-
-/** Parse "9,11,13" into integers; false on any non-numeric field. */
+/** Parse "9,11,13" into integers; false on an empty or bad field. */
+template <typename T>
 bool
-parseList(const std::string &text, std::vector<std::uint64_t> *out)
+parseList(const std::string &text, std::vector<T> *out)
 {
     out->clear();
     std::size_t at = 0;
@@ -67,18 +43,15 @@ parseList(const std::string &text, std::vector<std::uint64_t> *out)
         std::size_t end = text.find(',', at);
         if (end == std::string::npos)
             end = text.size();
-        const std::string field = text.substr(at, end - at);
-        if (field.empty())
+        std::uint64_t value = 0;
+        if (!pmdb::cli::parseUnsigned(text.substr(at, end - at).c_str(), 0,
+                                      std::numeric_limits<T>::max(),
+                                      &value))
             return false;
-        char *tail = nullptr;
-        const std::uint64_t value =
-            std::strtoull(field.c_str(), &tail, 10);
-        if (!tail || *tail)
-            return false;
-        out->push_back(value);
+        out->push_back(static_cast<T>(value));
         at = end + 1;
     }
-    return !out->empty();
+    return true;
 }
 
 } // namespace
@@ -87,69 +60,58 @@ int
 main(int argc, char **argv)
 {
     using namespace pmdb;
-    if (argc < 2)
-        return usage(argv[0]);
-    const std::string source = argv[1];
-    if (source.rfind("case:", 0) != 0)
-        return usage(argv[0]);
-
     CorpusSpec spec;
     bool optimize = false;
     bool json = false;
     double min_confidence = 0.0;
     std::string out_path;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seeds" && i + 1 < argc) {
-            if (!parseList(argv[++i], &spec.seeds)) {
-                std::fprintf(stderr, "bad --seeds list '%s'\n", argv[i]);
-                return usage(argv[0]);
-            }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            std::vector<std::uint64_t> counts;
-            if (!parseList(argv[++i], &counts)) {
-                std::fprintf(stderr, "bad --threads list '%s'\n",
-                             argv[i]);
-                return usage(argv[0]);
-            }
-            spec.threads.clear();
-            for (const std::uint64_t count : counts)
-                spec.threads.push_back(static_cast<int>(count));
-        } else if (arg == "--mixes" && i + 1 < argc) {
-            spec.mixes.clear();
-            for (const char *c = argv[++i]; *c; ++c) {
-                if (*c == ',')
-                    continue;
-                if (*c < 'a' || *c > 'f') {
-                    std::fprintf(stderr, "bad YCSB mix '%c'\n", *c);
-                    return usage(argv[0]);
-                }
-                spec.mixes.push_back(*c);
-            }
-            if (spec.mixes.empty())
-                return usage(argv[0]);
-        } else if (arg == "--ops" && i + 1 < argc) {
-            spec.operations = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            spec.workers = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--min-confidence" && i + 1 < argc) {
-            min_confidence = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--max-replays" && i + 1 < argc) {
-            spec.minimize.maxReplays =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--no-minimize") {
-            spec.minimizeFirst = false;
-        } else if (arg == "--optimize") {
-            optimize = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
+    cli::Parser cli(
+        "pmdb_advise", "case:<name> [options]",
+        {
+            cli::flag("--seeds", "A,B,..",
+                      [&](const std::string &list) {
+                          return parseList(list, &spec.seeds);
+                      },
+                      "corpus seeds"),
+            cli::flag("--threads", "N,M",
+                      [&](const std::string &list) {
+                          return parseList(list, &spec.threads);
+                      },
+                      "corpus driver thread counts"),
+            cli::flag("--mixes", "a,b,..",
+                      [&](const std::string &list) {
+                          spec.mixes.clear();
+                          for (const char c : list) {
+                              if (c == ',')
+                                  continue;
+                              if (c < 'a' || c > 'f')
+                                  return false;
+                              spec.mixes.push_back(c);
+                          }
+                          return !spec.mixes.empty();
+                      },
+                      "corpus YCSB mixes"),
+            cli::flag("--ops", "N", &spec.operations,
+                      "operations per corpus trace"),
+            cli::flag("--workers", "N", &spec.workers,
+                      "parallel per-trace repairs (report identical)"),
+            cli::flag("--min-confidence", "F", &min_confidence,
+                      "drop advisories below this confidence"),
+            cli::flag("--optimize", &optimize,
+                      "deletion (performance) advisories only"),
+            cli::flag("--json", &json, "print the report as JSON"),
+            cli::flag("--out", "FILE", &out_path,
+                      "write the report to FILE"),
+            cli::flag("--no-minimize", &spec.minimizeFirst,
+                      "repair the full trace, not the witness", false),
+            cli::flag("--max-replays", "N", &spec.minimize.maxReplays,
+                      "minimizer replay budget"),
+        },
+        1, 1);
+    cli.parseOrExit(argc, argv);
+    const std::string &source = cli.args()[0];
+    if (source.rfind("case:", 0) != 0)
+        cli.fail("expected case:<name>, got '" + source + "'");
 
     const BugCase *bug_case = findBugCase(source.substr(5));
     if (!bug_case) {

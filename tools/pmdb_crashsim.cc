@@ -2,7 +2,7 @@
  * @file
  * pmdb_crashsim — drive the crash-state exploration engine.
  *
- * Usage:
+ * Usage (`--help` lists the flags):
  *   pmdb_crashsim case <name|all> [options]
  *       Run one (or every) cross-failure bug-suite case plus the
  *       crashsim-only seeded cases, buggy and correct variants, and
@@ -12,52 +12,25 @@
  *       Run an evaluation workload (b_tree, hashmap_atomic) with its
  *       recovery verifier adopted and explore every crash point.
  *
- * Common options:
- *   --workers N        verification worker threads (default 1)
- *   --max-pending K    pending-line cap per crash point (default 12)
- *   --max-images N     candidate-image cap per crash point (default 256)
- *   --seed S           exploration schedule seed (default 1)
- *   --flush-points     also capture a crash point at every CLF
- *   --no-epoch-atomic  Jaaru-style sweep inside transactions too
- *   --json             machine-readable result (run mode)
- *
- * Exit codes: 0 success (run mode: also when findings exist — the
- * report is the product), 1 a case behaved unexpectedly (missed bug or
- * false positive), 2 usage error, 3 unknown case/workload name,
- * 5 (run mode) the image budget truncated enumeration at one or more
- * crash points — the explored set is a sample, not the full reachable
- * crash-state space; rerun with a larger --max-images/--max-pending
- * for exhaustive coverage.
+ * Exit codes (ToolExit): 0 success (run mode: also when findings exist
+ * — the report is the product), 1 a case behaved unexpectedly (missed
+ * bug or false positive), 3 unknown case/workload name, 5 (run mode)
+ * the image budget truncated enumeration at one or more crash points —
+ * the explored set is a sample, not the full reachable crash-state
+ * space; rerun with a larger --max-images/--max-pending for exhaustive
+ * coverage.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "workloads/crashsim_runner.hh"
 
 namespace
 {
-
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-/** Run-mode: the bounds cut enumeration short (coverage incomplete). */
-constexpr int exitTruncatedEnumeration = 5;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case <name|all> [options]\n"
-        "       %s run <workload> [--ops N] [--fault NAME] [options]\n"
-        "options: --workers N --max-pending K --max-images N --seed S\n"
-        "         --flush-points --no-epoch-atomic --json\n",
-        argv0, argv0);
-    return exitUsage;
-}
 
 /** Cases the engine covers: suite xf cases + crashsim-only cases. */
 std::vector<const pmdb::BugCase *>
@@ -160,50 +133,42 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc < 3)
-        return usage(argv[0]);
-    const std::string command = argv[1];
-    const std::string target = argv[2];
-
     CrashsimOptions options;
     WorkloadOptions wl_options;
     wl_options.operations = 20;
     bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--workers")
-            options.workers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-pending")
-            options.maxPendingLines =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-images")
-            options.maxImagesPerPoint =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            options.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--flush-points")
-            options.captureAtFlush = true;
-        else if (arg == "--no-epoch-atomic")
-            options.epochAtomic = false;
-        else if (arg == "--ops")
-            wl_options.operations =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            wl_options.faults.enable(next());
-        else if (arg == "--json")
-            json = true;
-        else
-            return usage(argv[0]);
-    }
+    cli::Parser cli(
+        "pmdb_crashsim", "",
+        {
+            cli::flag("--workers", "N", &options.workers,
+                      "verification worker threads (default 1)"),
+            cli::flag("--max-pending", "K", &options.maxPendingLines,
+                      "pending-line cap per crash point (default 12)"),
+            cli::flag("--max-images", "N", &options.maxImagesPerPoint,
+                      "candidate-image cap per crash point (default 256)"),
+            cli::flag("--seed", "S", &options.seed,
+                      "exploration schedule seed (default 1)"),
+            cli::flag("--flush-points", &options.captureAtFlush,
+                      "also capture a crash point at every CLF"),
+            cli::flag("--no-epoch-atomic", &options.epochAtomic,
+                      "Jaaru-style sweep inside transactions too", false),
+            cli::flag("--ops", "N", &wl_options.operations,
+                      "workload operations (run mode, default 20)"),
+            cli::flag("--fault", "NAME",
+                      [&](const std::string &name) {
+                          wl_options.faults.enable(name);
+                          return true;
+                      },
+                      "enable a fault injection (run mode, repeatable)"),
+            cli::flag("--json", &json,
+                      "machine-readable result (run mode)"),
+        });
+    cli.command("case", "<name|all> [options]", {}, 1, 1);
+    cli.command("run", "<workload> [options]", {}, 1, 1);
+    cli.parseOrExit(argc, argv);
+    const std::string &target = cli.args()[0];
 
-    if (command == "case") {
+    if (cli.subcommand() == "case") {
         int failures = 0;
         bool matched = false;
         for (const BugCase *bug_case : engineCases()) {
@@ -220,60 +185,40 @@ main(int argc, char **argv)
             std::fprintf(stderr, "\n");
             return exitUnknownName;
         }
-        return failures == 0 ? 0 : 1;
+        return failures == 0 ? exitOk : exitFailure;
     }
 
-    if (command == "run") {
-        if (!makeWorkload(target)) {
-            std::fprintf(stderr, "unknown workload '%s'\n",
-                         target.c_str());
-            return exitUnknownName;
-        }
-        const CrashsimResult result =
-            runCrashsimWorkload(target, wl_options, options);
-        if (json) {
-            std::printf(
-                "{\"workload\": \"%s\", \"ops\": %zu, "
-                "\"seed\": %llu, "
-                "\"crash_points\": %llu, "
-                "\"epoch_coalesced_points\": %llu, "
-                "\"truncated_points\": %llu, "
-                "\"pending_lines\": %llu, "
-                "\"images_enumerated\": %llu, "
-                "\"images_deduped\": %llu, "
-                "\"images_verified\": %llu, "
-                "\"findings\": %zu, "
-                "\"explore_seconds\": %.6f}\n",
-                target.c_str(), wl_options.operations,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<unsigned long long>(result.stats.points),
-                static_cast<unsigned long long>(
-                    result.stats.epochCoalescedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.truncatedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.pendingLines),
-                static_cast<unsigned long long>(
-                    result.stats.imagesEnumerated),
-                static_cast<unsigned long long>(
-                    result.stats.imagesDeduped),
-                static_cast<unsigned long long>(
-                    result.stats.imagesVerified),
-                result.findings.size(), result.exploreSeconds);
-        } else {
-            // Echo the schedule seed so a truncated (sampled) run's
-            // exact exploration can be reproduced from the report.
-            std::printf("%s (%zu ops, seed %llu): %zu finding(s)\n",
-                        target.c_str(), wl_options.operations,
-                        static_cast<unsigned long long>(options.seed),
-                        result.findings.size());
-            printFindings(result, "  ");
-            printStats(result.stats, result.exploreSeconds, "  ");
-        }
-        return result.stats.truncatedPoints > 0
-                   ? exitTruncatedEnumeration
-                   : 0;
+    if (!makeWorkload(target)) {
+        std::fprintf(stderr, "unknown workload '%s'\n", target.c_str());
+        return exitUnknownName;
     }
-
-    return usage(argv[0]);
+    const CrashsimResult result =
+        runCrashsimWorkload(target, wl_options, options);
+    if (json) {
+        JsonWriter out;
+        out.beginObject()
+            .field("workload", target)
+            .field("ops", wl_options.operations)
+            .field("seed", options.seed)
+            .field("crash_points", result.stats.points)
+            .field("epoch_coalesced_points", result.stats.epochCoalescedPoints)
+            .field("truncated_points", result.stats.truncatedPoints)
+            .field("pending_lines", result.stats.pendingLines)
+            .field("images_enumerated", result.stats.imagesEnumerated)
+            .field("images_deduped", result.stats.imagesDeduped)
+            .field("images_verified", result.stats.imagesVerified)
+            .field("findings", result.findings.size())
+            .field("explore_seconds", result.exploreSeconds, 6);
+        std::printf("%s\n", out.endObject().str().c_str());
+    } else {
+        // Echo the schedule seed so a truncated (sampled) run's
+        // exact exploration can be reproduced from the report.
+        std::printf("%s (%zu ops, seed %llu): %zu finding(s)\n",
+                    target.c_str(), wl_options.operations,
+                    static_cast<unsigned long long>(options.seed),
+                    result.findings.size());
+        printFindings(result, "  ");
+        printStats(result.stats, result.exploreSeconds, "  ");
+    }
+    return result.stats.truncatedPoints > 0 ? exitTruncated : exitOk;
 }

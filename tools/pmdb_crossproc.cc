@@ -8,26 +8,12 @@
  * cross-session verdict: the bugs only the merged two-writer event
  * stream can expose.
  *
- * Usage:
- *   pmdb_crossproc [--ops N] [--fault NAME | --case NAME] [--shards N]
- *                  [--seed S] [--dir PATH] [--json]
- *   pmdb_crossproc --list-cases
- *   pmdb_crossproc --create-pool PATH [--ops N]
+ * `--create-pool` only lays out a pool file, for driving the writers
+ * by hand via `pmdb_run --shared-pool`; `--help` lists the flags.
  *
- *   --fault NAME   enable one shared_queue fault on both writers
- *   --case NAME    shorthand for a seeded case from crossprocCases()
- *   --dir PATH     directory for the pool/ring/socket files (default
- *                  /tmp)
- *   --create-pool  just lay out a shared_queue pool file sized for
- *                  --ops operations (for driving the writers by hand
- *                  via pmdb_run --shared-pool) and exit
- *
- * Exit codes (shared tool family, see README):
- *   0  run complete, no cross-session bugs
- *   1  infrastructure failure (daemon, client, or pool setup)
- *   2  usage error
- *   3  unknown fault/case name
- *   8  cross-session bugs detected (the seeded-case success code)
+ * Exit codes (ToolExit): 0 no cross-session bugs, 1 infrastructure
+ * failure (daemon, client, or pool setup), 3 unknown fault/case name,
+ * 8 cross-session bugs detected (the seeded-case success code).
  */
 
 #include <cerrno>
@@ -43,6 +29,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "pmem/shared_device.hh"
 #include "service/daemon.hh"
 #include "service/remote_sink.hh"
@@ -50,22 +38,6 @@
 
 namespace
 {
-
-constexpr int exitInfra = 1;
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitCrossBugs = 8;
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--ops N] [--fault NAME | --case NAME]\n"
-                 "          [--shards N] [--seed S] [--dir PATH] "
-                 "[--json]\n"
-                 "       %s --list-cases\n",
-                 argv0, argv0);
-}
 
 /**
  * One forked writer: connect to the daemon (retrying while it boots),
@@ -136,54 +108,48 @@ main(int argc, char **argv)
     std::uint64_t seed = 42;
     std::size_t shards = 4;
     std::string fault;
+    std::string case_name;
     std::string dir = "/tmp";
     std::string create_pool;
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list-cases") {
-            for (const CrossprocCase &c : crossprocCases()) {
-                std::printf("%s  (fault %s -> %s)\n", c.name.c_str(),
-                            c.fault.c_str(), c.rule.c_str());
-            }
-            return 0;
+    bool list_cases = false;
+    cli::Parser cli(
+        "pmdb_crossproc", "[--fault NAME | --case NAME] [options]",
+        {
+            cli::flag("--ops", "N", &ops, "shared_queue operations"),
+            cli::flag("--fault", "NAME", &fault,
+                      "enable one shared_queue fault on both writers"),
+            cli::flag("--case", "NAME", &case_name,
+                      "shorthand for a seeded case's fault"),
+            cli::flag("--shards", "N", &shards, "daemon detector shards"),
+            cli::flag("--seed", "S", &seed, "workload seed"),
+            cli::flag("--dir", "PATH", &dir,
+                      "directory for the pool/ring/socket files"),
+            cli::flag("--json", &json, "print the verdict as JSON"),
+            cli::flag("--list-cases", &list_cases,
+                      "list the seeded cases and exit"),
+            cli::flag("--create-pool", "PATH", &create_pool,
+                      "only lay out a shared_queue pool file sized for "
+                      "--ops, then exit"),
+        });
+    cli.parseOrExit(argc, argv);
+    if (list_cases) {
+        for (const CrossprocCase &c : crossprocCases()) {
+            std::printf("%s  (fault %s -> %s)\n", c.name.c_str(),
+                        c.fault.c_str(), c.rule.c_str());
         }
-        if (arg == "--ops")
-            ops = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--shards")
-            shards = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            fault = next();
-        else if (arg == "--case") {
-            const std::string name = next();
-            fault.clear();
-            for (const CrossprocCase &c : crossprocCases()) {
-                if (c.name == name)
-                    fault = c.fault;
-            }
-            if (fault.empty()) {
-                std::fprintf(stderr, "unknown case '%s' "
-                             "(--list-cases)\n", name.c_str());
-                return exitUnknownName;
-            }
-        } else if (arg == "--dir")
-            dir = next();
-        else if (arg == "--create-pool")
-            create_pool = next();
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return exitUsage;
+        return exitOk;
+    }
+    if (!case_name.empty()) {
+        fault.clear();
+        for (const CrossprocCase &c : crossprocCases()) {
+            if (c.name == case_name)
+                fault = c.fault;
+        }
+        if (fault.empty()) {
+            std::fprintf(stderr, "unknown case '%s' (--list-cases)\n",
+                         case_name.c_str());
+            return exitUnknownName;
         }
     }
     if (!fault.empty()) {
@@ -204,7 +170,7 @@ main(int argc, char **argv)
                 &err)) {
             std::fprintf(stderr, "pool create failed: %s\n",
                          err.c_str());
-            return exitInfra;
+            return exitFailure;
         }
         std::printf("created %s (%zu ops)\n", create_pool.c_str(), ops);
         return 0;
@@ -219,7 +185,7 @@ main(int argc, char **argv)
     if (!SharedPmemPool::createPoolFile(
             pool_path, SharedQueueWorkload::poolBytesFor(ops), &error)) {
         std::fprintf(stderr, "pool create failed: %s\n", error.c_str());
-        return exitInfra;
+        return exitFailure;
     }
 
     // Fork both writers *before* the daemon's threads exist, so the
@@ -233,7 +199,7 @@ main(int argc, char **argv)
         if (pid < 0) {
             std::fprintf(stderr, "fork failed: %s\n",
                          std::strerror(errno));
-            return exitInfra;
+            return exitFailure;
         }
         if (pid == 0) {
             std::_Exit(childMain(socket_path, pool_path, writer, ops,
@@ -250,7 +216,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "daemon start failed: %s\n", error.c_str());
         for (const pid_t pid : children)
             ::kill(pid, SIGKILL);
-        return exitInfra;
+        return exitFailure;
     }
 
     bool childFailed = false;
@@ -270,23 +236,24 @@ main(int argc, char **argv)
     ::unlink(pool_path.c_str());
     if (childFailed) {
         std::fprintf(stderr, "a writer process failed\n");
-        return exitInfra;
+        return exitFailure;
     }
 
     std::size_t crossBugs = 0;
     if (json) {
-        std::string out = "[";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += results[i].toJson();
-            crossBugs += results[i].bugs.size();
+        JsonWriter out;
+        out.beginObject()
+            .field("tool", "crossproc")
+            .field("ops", ops)
+            .field("shards", shards)
+            .field("fault", fault)
+            .key("groups")
+            .beginArray();
+        for (const CrossGroupResult &group : results) {
+            out.raw(group.toJson());
+            crossBugs += group.bugs.size();
         }
-        out += "]";
-        std::printf("{\"tool\": \"crossproc\", \"ops\": %zu, "
-                    "\"shards\": %zu, \"fault\": \"%s\", "
-                    "\"groups\": %s}\n",
-                    ops, shards, fault.c_str(), out.c_str());
+        std::printf("%s\n", out.endArray().endObject().str().c_str());
     } else {
         std::printf("shared_queue: %zu ops, 2 writers, %zu shard(s)%s%s\n",
                     ops, shards,

@@ -2,7 +2,7 @@
  * @file
  * pmdb_modelcheck — systematic crash-state model checking.
  *
- * Usage:
+ * Usage (`--help` lists the flags):
  *   pmdb_modelcheck case <name|all> [options]
  *       Run the modelcheck-only seeded recovery bugs (mc_*): the buggy
  *       variant must be caught at its case depth, must stay invisible
@@ -15,61 +15,23 @@
  *       instrumented execution whose own crash points seed the next
  *       round, up to --depth crashes per trajectory.
  *
- * Options:
- *   --ops N            initial-execution operations (default 6)
- *   --recovery-ops N   continuation operations per recovery (default 1)
- *   --depth D          max crashes per trajectory (default 2)
- *   --max-states N     distinct-state budget (default 4096)
- *   --workers N        round workers; results identical for any value
- *   --seed S           workload key-stream seed (default 42)
- *   --fault NAME       enable a fault injection (evaluation workloads)
- *   --no-prune         disable read-set pruning (A/B measurement)
- *   --cache PATH       persist the visited-state cache (resumable)
- *   --connect SOCK     dispatch every execution to a pmdbd daemon
- *   --scratch DIR      where --connect ring files go (default /tmp)
- *   --max-pending K / --max-images N / --flush-points /
- *   --no-epoch-atomic  crashsim enumeration bounds per crash point
- *   --max-findings N   cap on reported findings (default 64)
- *   --json             machine-readable result (run mode)
- *
- * Exit codes: 0 success, 1 a case behaved unexpectedly, 2 usage
- * error, 3 unknown case/workload name, 5 (run mode) the
+ * Exit codes (ToolExit): 1 a case behaved unexpectedly, 3 unknown
+ * case/workload name, 5 (run mode) the
  * --max-states budget stopped the search before the frontier emptied
  * (coverage incomplete; raise the budget or resume via --cache).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "modelcheck/engine.hh"
 #include "workloads/modelcheck_workloads.hh"
 
 namespace
 {
-
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-/** Run-mode: the state budget cut the search short. */
-constexpr int exitBudgetExhausted = 5;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s case <name|all> [options]\n"
-        "       %s run <workload> [options]\n"
-        "options: --ops N --recovery-ops N --depth D --max-states N\n"
-        "         --workers N --seed S --fault NAME --no-prune\n"
-        "         --cache PATH --connect SOCK --scratch DIR\n"
-        "         --max-pending K --max-images N --flush-points\n"
-        "         --no-epoch-atomic --max-findings N --json\n",
-        argv0, argv0);
-    return exitUsage;
-}
 
 void
 printFindings(const pmdb::ModelCheckResult &result, const char *indent)
@@ -196,65 +158,60 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc < 3)
-        return usage(argv[0]);
-    const std::string command = argv[1];
-    const std::string target = argv[2];
-
     ModelCheckOptions options;
     options.run.operations = 6;
     bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(exitUsage);
-            }
-            return argv[++i];
-        };
-        if (arg == "--ops")
-            options.run.operations = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--recovery-ops")
-            options.run.recoveryOperations =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--depth")
-            options.maxDepth = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-states")
-            options.maxStates = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--workers")
-            options.workers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--seed")
-            options.run.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--fault")
-            options.run.faults.enable(next());
-        else if (arg == "--no-prune")
-            options.prune = false;
-        else if (arg == "--cache")
-            options.cachePath = next();
-        else if (arg == "--connect")
-            options.connectSocket = next();
-        else if (arg == "--scratch")
-            options.scratchDir = next();
-        else if (arg == "--max-pending")
-            options.run.sim.maxPendingLines =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--max-images")
-            options.run.sim.maxImagesPerPoint =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--flush-points")
-            options.run.sim.captureAtFlush = true;
-        else if (arg == "--no-epoch-atomic")
-            options.run.sim.epochAtomic = false;
-        else if (arg == "--max-findings")
-            options.maxFindings = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--json")
-            json = true;
-        else
-            return usage(argv[0]);
-    }
+    cli::Parser cli(
+        "pmdb_modelcheck", "",
+        {
+            cli::flag("--ops", "N", &options.run.operations,
+                      "initial-execution operations (default 6)"),
+            cli::flag("--recovery-ops", "N",
+                      &options.run.recoveryOperations,
+                      "continuation operations per recovery (default 1)"),
+            cli::flag("--depth", "D", &options.maxDepth,
+                      "max crashes per trajectory (default 2)"),
+            cli::flag("--max-states", "N", &options.maxStates,
+                      "distinct-state budget (default 4096)"),
+            cli::flag("--workers", "N", &options.workers,
+                      "round workers; results identical for any value"),
+            cli::flag("--seed", "S", &options.run.seed,
+                      "workload key-stream seed (default 42)"),
+            cli::flag("--fault", "NAME",
+                      [&](const std::string &name) {
+                          options.run.faults.enable(name);
+                          return true;
+                      },
+                      "enable a fault injection (repeatable)"),
+            cli::flag("--no-prune", &options.prune,
+                      "disable read-set pruning (A/B measurement)", false),
+            cli::flag("--cache", "PATH", &options.cachePath,
+                      "persist the visited-state cache (resumable)"),
+            cli::flag("--connect", "SOCK", &options.connectSocket,
+                      "dispatch every execution to a pmdbd daemon"),
+            cli::flag("--scratch", "DIR", &options.scratchDir,
+                      "where --connect ring files go (default /tmp)"),
+            cli::flag("--max-pending", "K",
+                      &options.run.sim.maxPendingLines,
+                      "pending-line cap per crash point"),
+            cli::flag("--max-images", "N",
+                      &options.run.sim.maxImagesPerPoint,
+                      "candidate-image cap per crash point"),
+            cli::flag("--flush-points", &options.run.sim.captureAtFlush,
+                      "also capture a crash point at every CLF"),
+            cli::flag("--no-epoch-atomic", &options.run.sim.epochAtomic,
+                      "sweep inside transactions too", false),
+            cli::flag("--max-findings", "N", &options.maxFindings,
+                      "cap on reported findings (default 64)"),
+            cli::flag("--json", &json,
+                      "machine-readable result (run mode)"),
+        });
+    cli.command("case", "<name|all> [options]", {}, 1, 1);
+    cli.command("run", "<workload> [options]", {}, 1, 1);
+    cli.parseOrExit(argc, argv);
+    const std::string &target = cli.args()[0];
 
-    if (command == "case") {
+    if (cli.subcommand() == "case") {
         int failures = 0;
         bool matched = false;
         for (const ModelCheckCase &mc_case : modelcheckOnlyCases()) {
@@ -271,85 +228,67 @@ main(int argc, char **argv)
             std::fprintf(stderr, "\n");
             return exitUnknownName;
         }
-        return failures == 0 ? 0 : 1;
+        return failures == 0 ? exitOk : exitFailure;
     }
 
-    if (command == "run") {
-        if (!knownWorkload(target)) {
-            std::fprintf(stderr, "unknown workload '%s'; known:",
-                         target.c_str());
-            for (const std::string &known : modelWorkloadNames())
-                std::fprintf(stderr, " %s", known.c_str());
-            std::fprintf(stderr, "\n");
-            return exitUnknownName;
-        }
-        // `run` drives the buggy variant only through --fault; mc_*
-        // workloads run their correct recovery here (use `case` for
-        // the seeded-bug protocol).
-        const ModelCheckResult result =
-            runSearch(target, false, options);
-        if (json) {
-            std::printf(
-                "{\"workload\": \"%s\", \"ops\": %zu, "
-                "\"recovery_ops\": %zu, \"depth\": %zu, "
-                "\"workers\": %zu, \"seed\": %llu, \"prune\": %s, "
-                "\"distinct_states\": %llu, \"executions\": %llu, "
-                "\"crash_points\": %llu, \"candidates\": %llu, "
-                "\"pruned_candidates\": %llu, "
-                "\"deduped_states\": %llu, \"truncated_points\": %llu, "
-                "\"refinements\": %llu, \"rounds\": %llu, "
-                "\"cache_states\": %zu, \"budget_exhausted\": %s, "
-                "\"findings\": %zu, "
-                "\"frontier_hash\": \"%016llx\", "
-                "\"seconds\": %.6f, \"states_per_sec\": %.1f, "
-                "\"connect_sessions\": %llu, "
-                "\"connect_errors\": %llu}\n",
-                target.c_str(), options.run.operations,
-                options.run.recoveryOperations, options.maxDepth,
-                options.workers,
-                static_cast<unsigned long long>(options.run.seed),
-                options.prune ? "true" : "false",
-                static_cast<unsigned long long>(
-                    result.stats.distinctStates),
-                static_cast<unsigned long long>(
-                    result.stats.executions),
-                static_cast<unsigned long long>(
-                    result.stats.crashPoints),
-                static_cast<unsigned long long>(
-                    result.stats.candidates),
-                static_cast<unsigned long long>(
-                    result.stats.prunedCandidates),
-                static_cast<unsigned long long>(
-                    result.stats.dedupedStates),
-                static_cast<unsigned long long>(
-                    result.stats.truncatedPoints),
-                static_cast<unsigned long long>(
-                    result.stats.refinements),
-                static_cast<unsigned long long>(result.stats.rounds),
-                result.cacheStates,
-                result.stats.budgetExhausted ? "true" : "false",
-                result.findings.size(),
-                static_cast<unsigned long long>(result.frontierHash),
-                result.seconds,
-                result.seconds > 0
-                    ? static_cast<double>(result.stats.distinctStates) /
-                          result.seconds
-                    : 0.0,
-                static_cast<unsigned long long>(result.connectSessions),
-                static_cast<unsigned long long>(result.connectErrors));
-        } else {
-            std::printf("%s (%zu ops, depth %zu, seed %llu): "
-                        "%zu finding(s)\n",
-                        target.c_str(), options.run.operations,
-                        options.maxDepth,
-                        static_cast<unsigned long long>(
-                            options.run.seed),
-                        result.findings.size());
-            printFindings(result, "  ");
-            printStats(result, "  ");
-        }
-        return result.stats.budgetExhausted ? exitBudgetExhausted : 0;
+    if (!knownWorkload(target)) {
+        std::fprintf(stderr, "unknown workload '%s'; known:",
+                     target.c_str());
+        for (const std::string &known : modelWorkloadNames())
+            std::fprintf(stderr, " %s", known.c_str());
+        std::fprintf(stderr, "\n");
+        return exitUnknownName;
     }
-
-    return usage(argv[0]);
+    // `run` drives the buggy variant only through --fault; mc_*
+    // workloads run their correct recovery here (use `case` for
+    // the seeded-bug protocol).
+    const ModelCheckResult result = runSearch(target, false, options);
+    if (json) {
+        char hash[17];
+        std::snprintf(hash, sizeof(hash), "%016llx",
+                      static_cast<unsigned long long>(result.frontierHash));
+        JsonWriter out;
+        out.beginObject()
+            .field("workload", target)
+            .field("ops", options.run.operations)
+            .field("recovery_ops", options.run.recoveryOperations)
+            .field("depth", options.maxDepth)
+            .field("workers", options.workers)
+            .field("seed", options.run.seed)
+            .field("prune", options.prune)
+            .field("distinct_states", result.stats.distinctStates)
+            .field("executions", result.stats.executions)
+            .field("crash_points", result.stats.crashPoints)
+            .field("candidates", result.stats.candidates)
+            .field("pruned_candidates", result.stats.prunedCandidates)
+            .field("deduped_states", result.stats.dedupedStates)
+            .field("truncated_points", result.stats.truncatedPoints)
+            .field("refinements", result.stats.refinements)
+            .field("rounds", result.stats.rounds)
+            .field("cache_states", result.cacheStates)
+            .field("budget_exhausted", result.stats.budgetExhausted)
+            .field("findings", result.findings.size())
+            .field("frontier_hash", hash)
+            .field("seconds", result.seconds, 6)
+            .field("states_per_sec",
+                   result.seconds > 0
+                       ? static_cast<double>(result.stats.distinctStates) /
+                             result.seconds
+                       : 0.0,
+                   1)
+            .field("connect_sessions", result.connectSessions)
+            .field("connect_errors", result.connectErrors);
+        std::printf("%s\n", out.endObject().str().c_str());
+    } else {
+        std::printf("%s (%zu ops, depth %zu, seed %llu): "
+                    "%zu finding(s)\n",
+                    target.c_str(), options.run.operations,
+                    options.maxDepth,
+                    static_cast<unsigned long long>(
+                        options.run.seed),
+                    result.findings.size());
+        printFindings(result, "  ");
+        printStats(result, "  ");
+    }
+    return result.stats.budgetExhausted ? exitTruncated : exitOk;
 }

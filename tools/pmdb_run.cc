@@ -5,14 +5,8 @@
  * under one detector and print the bug report and bookkeeping
  * statistics (optionally as JSON).
  *
- * Usage:
- *   pmdb_run <checker> <inputsize> <workload>
- *            [--threads N] [--fault NAME]... [--set-ratio R]
- *            [--trace-out FILE] [--json] [--seed S]
- *            [--connect SOCKET] [--policy block|drop|spill]
- *            [--ring-slots N]
- *            [--shared-pool FILE --writer N]
- *   pmdb_run --list
+ * Usage: `pmdb_run <checker> <inputsize> <workload> [options]`;
+ * `--help` lists the flags, `--list` the checkers and workloads.
  *
  * With --connect, detection runs out-of-process: the event stream is
  * shipped to a pmdbd daemon at SOCKET and the daemon's report is
@@ -24,23 +18,16 @@
  * combined with --connect, the daemon additionally merges all
  * sessions on the same pool and runs the cross-session rules
  * (pmdb_crossproc drives this two-writer setup end to end).
- *
- *   checker: pmdebugger | pmemcheck | pmtest | xfdetector |
- *            persistence_inspector | nulgrind | none
- *   workload: b_tree, c_tree, r_tree, rb_tree, hashmap_tx,
- *             hashmap_atomic, synth_strand, memcached, redis,
- *             shared_queue, ycsb_a..ycsb_f
  */
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/stopwatch.hh"
 #include "core/report.hh"
 #include "detectors/pmtest.hh"
@@ -52,24 +39,6 @@
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s <checker> <inputsize> <workload>\n"
-                 "          [--threads N] [--fault NAME]... "
-                 "[--set-ratio R]\n"
-                 "          [--trace-out FILE] [--json] [--seed S]\n"
-                 "checkers:",
-                 argv0);
-    for (const std::string &name : pmdb::detectorNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, " none\nworkloads:");
-    for (const std::string &name : pmdb::workloadNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-}
 
 /**
  * Print the registered checker and workload names, one per line,
@@ -95,86 +64,68 @@ main(int argc, char **argv)
 {
     using namespace pmdb;
 
-    if (argc >= 2 && std::strcmp(argv[1], "--list") == 0) {
-        listRegistries();
-        return 0;
-    }
-    if (argc < 4) {
-        usage(argv[0]);
-        return 2;
-    }
-    const std::string checker = argv[1];
-    const std::size_t ops = std::strtoull(argv[2], nullptr, 10);
-    const std::string workload_name = argv[3];
-
     WorkloadOptions options;
-    options.operations = ops;
     std::string trace_out;
     std::string connect_socket;
     SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
     std::uint32_t ring_slots = 4096;
     bool json = false;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--threads")
-            options.threads = std::atoi(next());
-        else if (arg == "--fault")
-            options.faults.enable(next());
-        else if (arg == "--set-ratio")
-            options.setRatio = std::atof(next());
-        else if (arg == "--seed")
-            options.seed = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--trace-out")
-            trace_out = next();
-        else if (arg == "--connect")
-            connect_socket = next();
-        else if (arg == "--policy") {
-            if (!parseSlowConsumerPolicy(next(), &policy)) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--ring-slots") {
-            // atoi would turn "-1" into 4 billion slots and a
-            // multi-hundred-GB ring mapping; validate instead.
-            const char *text = next();
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long value = std::strtoul(text, &end, 10);
-            constexpr unsigned long maxRingSlots = 1ul << 22;
-            if (errno != 0 || end == text || *end != '\0' ||
-                value == 0 || value > maxRingSlots) {
-                std::fprintf(stderr,
-                             "--ring-slots must be 1..%lu, got '%s'\n",
-                             maxRingSlots, text);
-                return 2;
-            }
-            ring_slots = static_cast<std::uint32_t>(value);
-        } else if (arg == "--shared-pool")
-            options.sharedPoolPath = next();
-        else if (arg == "--writer")
-            options.sharedWriter =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr,
-                                                        10));
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return 2;
-        }
+    bool list = false;
+    cli::Parser cli(
+        "pmdb_run", "<checker> <inputsize> <workload> [options]",
+        {
+            cli::flag("--threads", "N", &options.threads,
+                      "workload threads"),
+            cli::flag("--fault", "NAME",
+                      [&](const std::string &name) {
+                          options.faults.enable(name);
+                          return true;
+                      },
+                      "enable a fault injection (repeatable)"),
+            cli::flag("--set-ratio", "R", &options.setRatio,
+                      "memcached/redis set fraction"),
+            cli::flag("--seed", "S", &options.seed, "workload seed"),
+            cli::flag("--trace-out", "FILE", &trace_out,
+                      "record the event trace to FILE"),
+            cli::flag("--json", &json, "print the report as JSON"),
+            cli::flag("--connect", "SOCKET", &connect_socket,
+                      "detect out-of-process in the pmdbd at SOCKET"),
+            cli::flag("--policy", "P",
+                      [&](const std::string &text) {
+                          return parseSlowConsumerPolicy(text, &policy);
+                      },
+                      "slow-consumer policy: block|drop|spill"),
+            // An unchecked value would turn "-1" into 4 billion slots
+            // and a multi-hundred-GB ring mapping.
+            cli::flag("--ring-slots", "N", &ring_slots,
+                      "client ring slots, 1..4194304", 1, 1u << 22),
+            cli::flag("--shared-pool", "FILE", &options.sharedPoolPath,
+                      "map the multi-writer pool FILE"),
+            cli::flag("--writer", "N", &options.sharedWriter,
+                      "writer id within the shared pool"),
+            cli::flag("--list", &list,
+                      "list checkers and workloads, then exit"),
+        },
+        0, 3);
+    cli.parseOrExit(argc, argv);
+    if (list) {
+        listRegistries();
+        return 0;
     }
+    if (cli.args().size() != 3)
+        cli.fail("expected <checker> <inputsize> <workload>");
+    const std::string &checker = cli.args()[0];
+    const std::string &workload_name = cli.args()[2];
+    std::uint64_t ops = 0;
+    if (!cli::parseUnsigned(cli.args()[1].c_str(), 0, UINT64_MAX, &ops))
+        cli.fail("bad <inputsize> '" + cli.args()[1] + "'");
+    options.operations = ops;
 
     auto workload = makeWorkload(workload_name);
     if (!workload) {
         std::fprintf(stderr, "unknown workload '%s'\n",
                      workload_name.c_str());
-        return 2;
+        return exitUsage;
     }
 
     PmRuntime runtime;
@@ -184,7 +135,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "--connect runs the daemon's pmdebugger; "
                          "pass 'pmdebugger' as the checker\n");
-            return 2;
+            return exitUsage;
         }
         const std::string base =
             "/tmp/pmdb_client." + std::to_string(::getpid());
@@ -205,7 +156,7 @@ main(int argc, char **argv)
         if (!sink.connect(ropts, &error)) {
             std::fprintf(stderr, "pmdbd connect failed: %s\n",
                          error.c_str());
-            return 1;
+            return exitFailure;
         }
         runtime.attach(&sink);
 
@@ -217,13 +168,14 @@ main(int argc, char **argv)
         if (!sink.finish(&report, &error)) {
             std::fprintf(stderr, "pmdbd session failed: %s\n",
                          error.c_str());
-            return 1;
+            return exitFailure;
         }
         if (json) {
             std::printf("%s\n", report.json.c_str());
         } else {
             std::printf("%s via pmdbd: %zu ops in %.4fs\n",
-                        workload_name.c_str(), ops, seconds);
+                        workload_name.c_str(), options.operations,
+                        seconds);
             std::printf("events: %llu processed, %llu dropped\n",
                         static_cast<unsigned long long>(
                             report.eventsProcessed),
@@ -248,7 +200,7 @@ main(int argc, char **argv)
         if (!detector) {
             std::fprintf(stderr, "unknown checker '%s'\n",
                          checker.c_str());
-            return 2;
+            return exitUsage;
         }
         runtime.attach(detector.get());
         if (checker == "pmtest") {
@@ -273,7 +225,7 @@ main(int argc, char **argv)
                             runtime.names(), &error)) {
             std::fprintf(stderr, "trace write failed: %s\n",
                          error.c_str());
-            return 1;
+            return exitFailure;
         }
         std::fprintf(stderr, "trace: %zu events -> %s\n",
                      recorder.events().size(), trace_out.c_str());
@@ -281,7 +233,7 @@ main(int argc, char **argv)
 
     if (!detector) {
         std::printf("%s: %zu ops in %.4fs (no checker)\n",
-                    workload_name.c_str(), ops, seconds);
+                    workload_name.c_str(), options.operations, seconds);
         return 0;
     }
 
@@ -291,8 +243,8 @@ main(int argc, char **argv)
                         .c_str());
     } else {
         std::printf("%s under %s: %zu ops in %.4fs\n",
-                    workload_name.c_str(), checker.c_str(), ops,
-                    seconds);
+                    workload_name.c_str(), checker.c_str(),
+                    options.operations, seconds);
         std::printf("%s", detector->bugs().summary().c_str());
         std::printf("%s\n", detector->stats().toString().c_str());
     }

@@ -6,18 +6,8 @@
  * the snapshot: top-line ingest counters, per-session event rates,
  * per-shard utilization (batches, steals, queue depth), and per-rule-
  * class evaluation-latency histograms (p50/p95/p99).
- *
- * Usage:
- *   pmdb_stat --socket PATH [--once] [--interval SEC]
- *             [--json | --prom]
- *
- *   --socket PATH   the daemon's metrics socket (--metrics-sock).
- *   --once          print one snapshot and exit (default: watch mode,
- *                   refreshing every --interval seconds with rates
- *                   computed from successive snapshots).
- *   --interval SEC  watch-mode refresh period (default 2).
- *   --json          dump the raw JSON snapshot verbatim and exit.
- *   --prom          dump the Prometheus text exposition and exit.
+ * Watch mode refreshes every --interval seconds with rates computed
+ * from successive snapshots; `--help` lists the flags.
  */
 
 #include <algorithm>
@@ -32,6 +22,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/cli.hh"
 #include "service/transport.hh"
 #include "telemetry/metrics.hh"
 
@@ -44,15 +35,6 @@ void
 onSignal(int)
 {
     interrupted.store(true);
-}
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH [--once] [--interval SEC] "
-                 "[--json | --prom]\n",
-                 argv0);
 }
 
 /**
@@ -265,35 +247,23 @@ main(int argc, char **argv)
     bool rawJson = false;
     bool rawProm = false;
     unsigned intervalSec = 2;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket")
-            socketPath = next();
-        else if (arg == "--once")
-            once = true;
-        else if (arg == "--interval")
-            intervalSec = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        else if (arg == "--json")
-            rawJson = true;
-        else if (arg == "--prom")
-            rawProm = true;
-        else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (socketPath.empty() || (rawJson && rawProm)) {
-        usage(argv[0]);
-        return 2;
-    }
+    using namespace pmdb;
+    cli::Parser cli(
+        "pmdb_stat", "--socket PATH [options]",
+        {
+            cli::flag("--socket", "PATH", &socketPath,
+                      "the daemon's metrics socket (--metrics-sock)"),
+            cli::flag("--once", &once, "print one snapshot and exit"),
+            cli::flag("--interval", "SEC", &intervalSec,
+                      "watch-mode refresh period (default 2)"),
+            cli::flag("--json", &rawJson, "dump the JSON snapshot, exit"),
+            cli::flag("--prom", &rawProm, "dump Prometheus text, exit"),
+        });
+    cli.parseOrExit(argc, argv);
+    if (socketPath.empty())
+        cli.fail("--socket is required");
+    if (rawJson && rawProm)
+        cli.fail("--json and --prom are exclusive");
     if (intervalSec == 0)
         intervalSec = 1;
 
@@ -306,7 +276,7 @@ main(int argc, char **argv)
             fetch(socketPath, rawProm ? "prom" : "json", &error);
         if (reply.empty()) {
             std::fprintf(stderr, "pmdb_stat: %s\n", error.c_str());
-            return 1;
+            return pmdb::exitFailure;
         }
         std::fwrite(reply.data(), 1, reply.size(), stdout);
         return 0;
@@ -319,7 +289,7 @@ main(int argc, char **argv)
         const std::string reply = fetch(socketPath, "json", &error);
         if (reply.empty()) {
             std::fprintf(stderr, "pmdb_stat: %s\n", error.c_str());
-            return 1;
+            return pmdb::exitFailure;
         }
         pmdb::telemetry::MetricsSnapshot snap;
         if (!pmdb::telemetry::MetricsSnapshot::fromJson(reply, &snap,
@@ -327,7 +297,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "pmdb_stat: malformed snapshot: %s\n",
                          error.c_str());
-            return 1;
+            return pmdb::exitFailure;
         }
         const auto now = std::chrono::steady_clock::now();
         const double dt =

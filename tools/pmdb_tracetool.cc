@@ -1,41 +1,29 @@
 /**
  * @file
- * pmdb_trace — record, inspect, characterize, replay, minimize and
+ * pmdb_tracetool — record, inspect, characterize, replay, minimize and
  * repair instrumented PM traces (the record-once / analyze-many
  * workflow).
  *
- * Usage:
- *   pmdb_trace record <workload> <ops> <out.trc> [--fault NAME]
- *   pmdb_trace record case:<name> <out.trc> [--correct] [--seed N]
- *                     [--threads N] [--ycsb-mix a..f] [--ops N]
- *   pmdb_trace info <file.trc> [--sites]
- *   pmdb_trace charz <file.trc>          # Section 3 characterization
- *   pmdb_trace replay <file.trc> <checker> [--json] [--fingerprints]
- *                     [--case <name>]
- *   pmdb_trace crashsim <file.trc> [--flush-points] [--max-pending K]
- *                       [--max-images N] [--no-epoch-atomic]
- *   pmdb_trace minimize (case:<name> | <in.trc>) <out.trc>
- *                       [--case <name>] [--max-replays N]
- *   pmdb_trace repair   (case:<name> | <in.trc>) <out.trc>
- *                       [--case <name>] [--json]
- *   pmdb_trace gen-fingerprints [<out.inc>]
+ * Subcommands: record, info, charz (Section 3 characterization),
+ * replay, crashsim, minimize, repair, gen-fingerprints; `--help` lists
+ * each one's arguments and flags.
  *
- * Exit codes: 0 success, 2 usage error, 3 unknown workload/checker/case
- * name, 4 unreadable or corrupt trace file, 5 trace loaded but its
- * stream tail was truncated (info only; the longest valid prefix was
- * recovered), 6 no verified repair / target bug not reproduced. The
- * failing file or name is printed to stderr. (pmdb_advise extends the
- * family with 7: corpus ran but no advisory cleared the confidence
- * threshold.)
+ * Exit codes (ToolExit): 3 unknown workload/checker/case name, 4
+ * unreadable or corrupt trace file, 5 trace loaded but its stream tail
+ * was truncated (info only; the longest valid prefix was recovered), 6
+ * no verified repair / target bug not reproduced. The failing file or
+ * name is printed to stderr.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "advise/advise.hh"
 #include "charz/characterize.hh"
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "core/report.hh"
 #include "crashsim/crash_points.hh"
 #include "detectors/registry.hh"
@@ -50,39 +38,19 @@
 namespace
 {
 
-// Exit codes: distinct failures get distinct codes so scripts (and the
-// CI smoke steps) can tell a typo'd name from a damaged trace file from
-// a torn stream tail from a failed repair.
-constexpr int exitUsage = 2;
-constexpr int exitUnknownName = 3;
-constexpr int exitBadTrace = 4;
-constexpr int exitTruncatedTrace = 5;
-constexpr int exitNoRepair = 6;
-
-int
-usage(const char *argv0)
+/** Every subcommand's flag values; each command reads its own. */
+struct ToolOptions
 {
-    std::fprintf(
-        stderr,
-        "usage: %s record <workload> <ops> <out.trc> [--fault NAME]\n"
-        "       %s record case:<name> <out.trc> [--correct] [--seed N]\n"
-        "                [--threads N] [--ycsb-mix a..f] [--ops N]\n"
-        "       %s info <file.trc> [--sites]\n"
-        "       %s charz <file.trc>\n"
-        "       %s replay <file.trc> <checker> [--json] "
-        "[--fingerprints] [--case <name>]\n"
-        "       %s crashsim <file.trc> [--flush-points] "
-        "[--max-pending K]\n"
-        "                [--max-images N] [--no-epoch-atomic]\n"
-        "       %s minimize (case:<name> | <in.trc>) <out.trc> "
-        "[--case <name>]\n"
-        "                [--max-replays N]\n"
-        "       %s repair (case:<name> | <in.trc>) <out.trc> "
-        "[--case <name>] [--json]\n"
-        "       %s gen-fingerprints [<out.inc>]\n",
-        argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-    return exitUsage;
-}
+    pmdb::FaultSet faults;
+    bool correct = false;
+    pmdb::CaseParams params;
+    bool sites = false;
+    bool json = false;
+    bool fingerprints = false;
+    std::string caseName;
+    pmdb::CrashsimOptions crash;
+    pmdb::MinimizeOptions minimize;
+};
 
 /**
  * Load a trace of either format or fail with exitBadTrace, naming the
@@ -118,7 +86,7 @@ loadTrace(const char *path, pmdb::LoadedTrace *trace,
  * Returns 0 on success, else the exit code.
  */
 int
-resolveSource(const char *argv0, const std::string &source,
+resolveSource(const pmdb::cli::Parser &cli, const std::string &source,
               const std::string &case_name, pmdb::LoadedTrace *trace,
               const pmdb::BugCase **bug_case)
 {
@@ -135,10 +103,8 @@ resolveSource(const char *argv0, const std::string &source,
         return 0;
     }
     if (case_name.empty()) {
-        std::fprintf(stderr,
-                     "a trace-file source needs --case <name> for the "
-                     "detector configuration\n");
-        return usage(argv0);
+        cli.fail("a trace-file source needs --case <name> for the "
+                 "detector configuration");
     }
     *bug_case = findBugCase(case_name);
     if (!*bug_case) {
@@ -152,74 +118,56 @@ resolveSource(const char *argv0, const std::string &source,
 }
 
 int
-cmdRecord(int argc, char **argv)
+cmdRecord(const pmdb::cli::Parser &cli, const ToolOptions &opt)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
+    const std::vector<std::string> &args = cli.args();
+    const std::string &source = args[0];
+    const bool case_form = source.rfind("case:", 0) == 0;
+    if (args.size() != (case_form ? 2u : 3u))
+        cli.fail("record takes <workload> <ops> <out.trc> or "
+                 "case:<name> <out.trc>");
+    for (const char *flag :
+         {"--correct", "--seed", "--threads", "--ycsb-mix", "--ops"}) {
+        if (!case_form && cli.given(flag))
+            cli.fail(std::string(flag) + " applies to case:<name> only");
+    }
+    if (case_form && cli.given("--fault"))
+        cli.fail("--fault applies to <workload> recording only");
 
-    const std::string source = argv[2];
-    if (source.rfind("case:", 0) == 0) {
+    const char *out_path = args.back().c_str();
+    if (case_form) {
         const BugCase *bug_case = findBugCase(source.substr(5));
         if (!bug_case) {
             std::fprintf(stderr, "unknown bug-suite case '%s'\n",
                          source.substr(5).c_str());
             return exitUnknownName;
         }
-        bool buggy = true;
-        CaseParams params;
-        for (int i = 4; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--correct") {
-                buggy = false;
-            } else if (arg == "--seed" && i + 1 < argc) {
-                params.seed = std::strtoull(argv[++i], nullptr, 10);
-            } else if (arg == "--threads" && i + 1 < argc) {
-                params.threads =
-                    static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-            } else if (arg == "--ops" && i + 1 < argc) {
-                params.operations =
-                    std::strtoull(argv[++i], nullptr, 10);
-            } else if (arg == "--ycsb-mix" && i + 1 < argc) {
-                const char *mix = argv[++i];
-                if (mix[0] < 'a' || mix[0] > 'f' || mix[1]) {
-                    std::fprintf(stderr, "bad YCSB mix '%s'\n", mix);
-                    return usage(argv[0]);
-                }
-                params.ycsbMix = mix[0];
-            } else {
-                std::fprintf(stderr, "unknown option '%s'\n",
-                             arg.c_str());
-                return usage(argv[0]);
-            }
-        }
         const LoadedTrace trace =
-            recordCaseTrace(*bug_case, buggy, &params);
+            recordCaseTrace(*bug_case, !opt.correct, &opt.params);
         std::string error;
-        if (!writeTraceFile(argv[3], trace.events, trace.names, &error)) {
-            std::fprintf(stderr, "%s: %s\n", argv[3], error.c_str());
+        if (!writeTraceFile(out_path, trace.events, trace.names, &error)) {
+            std::fprintf(stderr, "%s: %s\n", out_path, error.c_str());
             return exitBadTrace;
         }
         std::printf("recorded %zu events from case %s (%s, %s) -> %s\n",
                     trace.events.size(), bug_case->name.c_str(),
-                    buggy ? "buggy" : "correct",
-                    params.label().c_str(), argv[3]);
+                    opt.correct ? "correct" : "buggy",
+                    opt.params.label().c_str(), out_path);
         return 0;
     }
 
-    if (argc < 5)
-        return usage(argv[0]);
-    auto workload = makeWorkload(argv[2]);
+    auto workload = makeWorkload(source);
     if (!workload) {
-        std::fprintf(stderr, "unknown workload '%s'\n", argv[2]);
+        std::fprintf(stderr, "unknown workload '%s'\n", source.c_str());
         return exitUnknownName;
     }
     WorkloadOptions options;
-    options.operations = std::strtoull(argv[3], nullptr, 10);
-    for (int i = 5; i + 1 < argc; i += 2) {
-        if (std::string(argv[i]) == "--fault")
-            options.faults.enable(argv[i + 1]);
-    }
+    std::uint64_t ops = 0;
+    if (!cli::parseUnsigned(args[1].c_str(), 0, UINT64_MAX, &ops))
+        cli.fail("bad <ops> '" + args[1] + "'");
+    options.operations = ops;
+    options.faults = opt.faults;
 
     PmRuntime runtime;
     TraceRecorder recorder;
@@ -227,39 +175,28 @@ cmdRecord(int argc, char **argv)
     workload->run(runtime, options);
 
     std::string error;
-    if (!writeTraceFile(argv[4], recorder.events(), runtime.names(),
+    if (!writeTraceFile(out_path, recorder.events(), runtime.names(),
                         &error)) {
-        std::fprintf(stderr, "%s: %s\n", argv[4], error.c_str());
+        std::fprintf(stderr, "%s: %s\n", out_path, error.c_str());
         return exitBadTrace;
     }
     std::printf("recorded %zu events from %s -> %s\n",
-                recorder.events().size(), argv[2], argv[4]);
+                recorder.events().size(), source.c_str(), out_path);
     return 0;
 }
 
 int
-cmdInfo(int argc, char **argv)
+cmdInfo(const char *path, bool sites)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
-    bool sites = false;
-    for (int i = 3; i < argc; ++i) {
-        if (std::string(argv[i]) == "--sites") {
-            sites = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            return usage(argv[0]);
-        }
-    }
     LoadedTrace trace;
     bool truncated = false;
-    if (!loadTrace(argv[2], &trace, &truncated))
+    if (!loadTrace(path, &trace, &truncated))
         return exitBadTrace;
     std::uint64_t counts[16] = {};
     for (const Event &event : trace.events)
         ++counts[static_cast<int>(event.kind)];
-    std::printf("%s: %zu events, %zu interned names\n", argv[2],
+    std::printf("%s: %zu events, %zu interned names\n", path,
                 trace.events.size(), trace.names.size());
     for (int k = 0; k < 16; ++k) {
         if (counts[k]) {
@@ -302,20 +239,18 @@ cmdInfo(int argc, char **argv)
         std::fprintf(stderr,
                      "%s: stream trace truncated mid-record; the "
                      "counts above cover the recovered prefix\n",
-                     argv[2]);
-        return exitTruncatedTrace;
+                     path);
+        return exitTruncated;
     }
     return 0;
 }
 
 int
-cmdCharz(int argc, char **argv)
+cmdCharz(const char *path)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
     LoadedTrace trace;
-    if (!loadTrace(argv[2], &trace))
+    if (!loadTrace(path, &trace))
         return exitBadTrace;
     const CharacterizationResult result = characterize(trace.events);
     std::printf("%s\n", result.toString().c_str());
@@ -323,42 +258,31 @@ cmdCharz(int argc, char **argv)
 }
 
 int
-cmdReplay(int argc, char **argv)
+cmdReplay(const pmdb::cli::Parser &cli, const ToolOptions &opt)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
     LoadedTrace trace;
-    if (!loadTrace(argv[2], &trace))
+    if (!loadTrace(cli.args()[0].c_str(), &trace))
         return exitBadTrace;
 
-    bool json = false;
-    bool fingerprints = false;
+    // Replay under the detector configuration the suite would drive
+    // --case with (model + order spec) — required for the ordering
+    // rules to see anything.
     DebuggerConfig config;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--fingerprints") {
-            fingerprints = true;
-        } else if (arg == "--case" && i + 1 < argc) {
-            // Replay under the detector configuration the suite would
-            // drive this case with (model + order spec) — required for
-            // the ordering rules to see anything.
-            const BugCase *bug_case = findBugCase(argv[++i]);
-            if (!bug_case) {
-                std::fprintf(stderr, "unknown case '%s'\n", argv[i]);
-                return exitUnknownName;
-            }
-            config = debuggerConfigFor(*bug_case);
-        } else {
-            return usage(argv[0]);
+    if (cli.given("--case")) {
+        const BugCase *bug_case = findBugCase(opt.caseName);
+        if (!bug_case) {
+            std::fprintf(stderr, "unknown case '%s'\n",
+                         opt.caseName.c_str());
+            return exitUnknownName;
         }
+        config = debuggerConfigFor(*bug_case);
     }
 
-    auto detector = makeDetector(argv[3], config);
+    const std::string &checker = cli.args()[1];
+    auto detector = makeDetector(checker, config);
     if (!detector) {
-        std::fprintf(stderr, "unknown checker '%s'\n", argv[3]);
+        std::fprintf(stderr, "unknown checker '%s'\n", checker.c_str());
         return exitUnknownName;
     }
     detector->attached(trace.names);
@@ -366,10 +290,10 @@ cmdReplay(int argc, char **argv)
     replayer.replay(*detector);
     detector->finalize();
 
-    if (fingerprints) {
+    if (opt.fingerprints) {
         for (const BugFingerprint &fp : detector->bugs().fingerprints())
             std::printf("%s\n", fp.toString().c_str());
-    } else if (json) {
+    } else if (opt.json) {
         std::printf("%s\n", reportToJson(detector->bugs()).c_str());
     } else {
         std::printf("%s", detector->bugs().summary().c_str());
@@ -378,37 +302,16 @@ cmdReplay(int argc, char **argv)
 }
 
 int
-cmdCrashsim(int argc, char **argv)
+cmdCrashsim(const char *path, const pmdb::CrashsimOptions &options)
 {
     using namespace pmdb;
-    if (argc < 3)
-        return usage(argv[0]);
     LoadedTrace trace;
-    if (!loadTrace(argv[2], &trace))
+    if (!loadTrace(path, &trace))
         return exitBadTrace;
-
-    CrashsimOptions options;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--flush-points") {
-            options.captureAtFlush = true;
-        } else if (arg == "--no-epoch-atomic") {
-            options.epochAtomic = false;
-        } else if (arg == "--max-pending" && i + 1 < argc) {
-            options.maxPendingLines =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--max-images" && i + 1 < argc) {
-            options.maxImagesPerPoint =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
 
     const CrashScanSummary summary =
         scanCrashPoints(trace.events, options);
-    std::printf("%s: %s\n", argv[2], summary.toString().c_str());
+    std::printf("%s: %s\n", path, summary.toString().c_str());
     std::printf("(structural scan: traces carry no store payloads; "
                 "full exploration with recovery\n verifiers needs a "
                 "live capture — see pmdb_crashsim)\n");
@@ -416,31 +319,16 @@ cmdCrashsim(int argc, char **argv)
 }
 
 int
-cmdMinimize(int argc, char **argv)
+cmdMinimize(const pmdb::cli::Parser &cli, const ToolOptions &opt)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
-    std::string case_name;
-    MinimizeOptions options;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--case" && i + 1 < argc) {
-            case_name = argv[++i];
-        } else if (arg == "--max-replays" && i + 1 < argc) {
-            options.maxReplays = std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-
     LoadedTrace trace;
     const BugCase *bug_case = nullptr;
-    if (const int rc = resolveSource(argv[0], argv[2], case_name, &trace,
-                                     &bug_case)) {
+    if (const int rc = resolveSource(cli, cli.args()[0], opt.caseName,
+                                     &trace, &bug_case)) {
         return rc;
     }
+    const char *out_path = cli.args()[1].c_str();
 
     BugFingerprint target;
     if (!caseTarget(*bug_case, trace, &target)) {
@@ -452,7 +340,7 @@ cmdMinimize(int argc, char **argv)
     }
 
     const MinimizeResult result = minimizeWitness(
-        trace, target, debuggerConfigFor(*bug_case), options);
+        trace, target, debuggerConfigFor(*bug_case), opt.minimize);
     if (!result.reproduced) {
         std::fprintf(stderr, "target %s not reproduced on full trace\n",
                      target.toString().c_str());
@@ -460,8 +348,8 @@ cmdMinimize(int argc, char **argv)
     }
 
     std::string error;
-    if (!writeTraceFile(argv[3], result.events, trace.names, &error)) {
-        std::fprintf(stderr, "%s: %s\n", argv[3], error.c_str());
+    if (!writeTraceFile(out_path, result.events, trace.names, &error)) {
+        std::fprintf(stderr, "%s: %s\n", out_path, error.c_str());
         return exitBadTrace;
     }
     std::printf("target     %s\n", target.toString().c_str());
@@ -472,36 +360,21 @@ cmdMinimize(int argc, char **argv)
                 result.stats.shrinkFactor(),
                 static_cast<unsigned long long>(result.stats.replays),
                 static_cast<unsigned long long>(result.stats.cacheHits),
-                argv[3]);
+                out_path);
     return 0;
 }
 
 int
-cmdRepair(int argc, char **argv)
+cmdRepair(const pmdb::cli::Parser &cli, const ToolOptions &opt)
 {
     using namespace pmdb;
-    if (argc < 4)
-        return usage(argv[0]);
-    std::string case_name;
-    bool json = false;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--case" && i + 1 < argc) {
-            case_name = argv[++i];
-        } else if (arg == "--json") {
-            json = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-
     LoadedTrace trace;
     const BugCase *bug_case = nullptr;
-    if (const int rc = resolveSource(argv[0], argv[2], case_name, &trace,
-                                     &bug_case)) {
+    if (const int rc = resolveSource(cli, cli.args()[0], opt.caseName,
+                                     &trace, &bug_case)) {
         return rc;
     }
+    const char *out_path = cli.args()[1].c_str();
 
     BugFingerprint target;
     if (!caseTarget(*bug_case, trace, &target)) {
@@ -514,18 +387,22 @@ cmdRepair(int argc, char **argv)
 
     const RepairResult result =
         repairTrace(trace, target, debuggerConfigFor(*bug_case));
-    if (!json)
+    // Machine-readable patch: one record per edit with the same
+    // program-site attribution the advisory engine clusters on.
+    JsonWriter json;
+    json.beginObject()
+        .field("case", bug_case->name)
+        .field("target", target.toString())
+        .field("verified", result.verified);
+    if (result.verified)
+        json.field("strategy", result.patch.strategy);
+    json.field("candidates", result.candidatesTried)
+        .field("replays", result.replays);
+    if (!opt.json)
         std::printf("target     %s\n", target.toString().c_str());
     if (!result.verified) {
-        if (json) {
-            std::printf("{\"case\": \"%s\", \"target\": \"%s\", "
-                        "\"verified\": false, \"candidates\": %zu, "
-                        "\"replays\": %llu}\n",
-                        jsonEscape(bug_case->name).c_str(),
-                        jsonEscape(target.toString()).c_str(),
-                        result.candidatesTried,
-                        static_cast<unsigned long long>(result.replays));
-        }
+        if (opt.json)
+            std::printf("%s\n", json.endObject().str().c_str());
         std::fprintf(stderr,
                      "no verified repair for %s (%zu candidates, %llu "
                      "replays)\n",
@@ -535,40 +412,28 @@ cmdRepair(int argc, char **argv)
     }
 
     std::string error;
-    if (!writeTraceFile(argv[3], result.patchedEvents, trace.names,
+    if (!writeTraceFile(out_path, result.patchedEvents, trace.names,
                         &error)) {
-        std::fprintf(stderr, "%s: %s\n", argv[3], error.c_str());
+        std::fprintf(stderr, "%s: %s\n", out_path, error.c_str());
         return exitBadTrace;
     }
-    if (json) {
-        // Machine-readable patch: one record per edit with the same
-        // program-site attribution the advisory engine clusters on.
-        std::printf("{\n  \"case\": \"%s\",\n  \"target\": \"%s\",\n"
-                    "  \"verified\": true,\n  \"strategy\": \"%s\",\n"
-                    "  \"candidates\": %zu,\n  \"replays\": %llu,\n"
-                    "  \"edits\": [",
-                    jsonEscape(bug_case->name).c_str(),
-                    jsonEscape(target.toString()).c_str(),
-                    jsonEscape(result.patch.strategy).c_str(),
-                    result.candidatesTried,
-                    static_cast<unsigned long long>(result.replays));
-        for (std::size_t i = 0; i < result.patch.edits.size(); ++i) {
-            const TraceEdit &edit = result.patch.edits[i];
-            const bool insert = edit.op == TraceEdit::Op::Insert;
-            std::string site = "";
+    if (opt.json) {
+        json.key("edits").beginArray();
+        for (const TraceEdit &edit : result.patch.edits) {
+            std::string site;
             if (edit.siteId != noName && edit.siteId < trace.names.size())
                 site = trace.names.name(edit.siteId);
-            std::printf("%s\n    {\"op\": \"%s\", \"event\": \"%s\", "
-                        "\"rule\": \"%s\", \"site\": \"%s\", "
-                        "\"anchor_seq\": %llu, \"note\": \"%s\"}",
-                        i ? "," : "", insert ? "insert" : "delete",
-                        toString(edit.event.kind),
-                        toString(edit.rule), jsonEscape(site).c_str(),
-                        static_cast<unsigned long long>(edit.anchorSeq),
-                        jsonEscape(edit.note).c_str());
+            json.beginObject()
+                .field("op", edit.op == TraceEdit::Op::Insert ? "insert"
+                                                              : "delete")
+                .field("event", toString(edit.event.kind))
+                .field("rule", toString(edit.rule))
+                .field("site", site)
+                .field("anchor_seq", edit.anchorSeq)
+                .field("note", edit.note)
+                .endObject();
         }
-        std::printf("%s\n}\n",
-                    result.patch.edits.empty() ? "]" : "\n  ]");
+        std::printf("%s\n", json.endArray().endObject().str().c_str());
     } else {
         for (const std::string &line : result.advisory)
             std::printf("advisory   %s\n", line.c_str());
@@ -576,21 +441,21 @@ cmdRepair(int argc, char **argv)
                     "%llu replays -> %s\n",
                     result.patch.edits.size(), result.candidatesTried,
                     static_cast<unsigned long long>(result.replays),
-                    argv[3]);
+                    out_path);
     }
     return 0;
 }
 
 int
-cmdGenFingerprints(int argc, char **argv)
+cmdGenFingerprints(const std::vector<std::string> &args)
 {
     using namespace pmdb;
     std::FILE *out = stdout;
-    if (argc > 2) {
-        out = std::fopen(argv[2], "w");
+    if (!args.empty()) {
+        out = std::fopen(args[0].c_str(), "w");
         if (!out) {
             std::fprintf(stderr, "cannot open %s for writing\n",
-                         argv[2]);
+                         args[0].c_str());
             return exitBadTrace;
         }
     }
@@ -615,24 +480,87 @@ cmdGenFingerprints(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
-    const std::string command = argv[1];
+    using namespace pmdb;
+    ToolOptions opt;
+    const auto case_name = cli::flag(
+        "--case", "NAME", &opt.caseName,
+        "bug-suite case: detector configuration and target");
+    const auto json = cli::flag("--json", &opt.json, "print JSON");
+
+    cli::Parser cli("pmdb_tracetool", "", {});
+    cli.command(
+        "record", "(<workload> <ops> | case:<name>) <out.trc> [options]",
+        {
+            cli::flag("--fault", "NAME",
+                      [&](const std::string &name) {
+                          opt.faults.enable(name);
+                          return true;
+                      },
+                      "enable a fault injection (repeatable)"),
+            cli::flag("--correct", &opt.correct,
+                      "record the correct variant of the case"),
+            cli::flag("--seed", "N", &opt.params.seed, "case seed"),
+            cli::flag("--threads", "N", &opt.params.threads,
+                      "case driver threads"),
+            cli::flag("--ycsb-mix", "a..f",
+                      [&](const std::string &mix) {
+                          opt.params.ycsbMix = mix[0];
+                          return mix.size() == 1 && mix[0] >= 'a' &&
+                                 mix[0] <= 'f';
+                      },
+                      "case YCSB mix"),
+            cli::flag("--ops", "N", &opt.params.operations,
+                      "case operation count"),
+        },
+        2, 3);
+    cli.command("info", "<file.trc> [--sites]",
+                {cli::flag("--sites", &opt.sites,
+                           "list program sites with event counts")},
+                1, 1);
+    cli.command("charz", "<file.trc>", {}, 1, 1);
+    cli.command("replay", "<file.trc> <checker> [options]",
+                {json,
+                 cli::flag("--fingerprints", &opt.fingerprints,
+                           "print one bug fingerprint per line"),
+                 case_name},
+                2, 2);
+    cli.command(
+        "crashsim", "<file.trc> [options]",
+        {
+            cli::flag("--flush-points", &opt.crash.captureAtFlush,
+                      "also capture a crash point at every CLF"),
+            cli::flag("--max-pending", "K", &opt.crash.maxPendingLines,
+                      "pending-line cap per crash point"),
+            cli::flag("--max-images", "N", &opt.crash.maxImagesPerPoint,
+                      "candidate-image cap per crash point"),
+            cli::flag("--no-epoch-atomic", &opt.crash.epochAtomic,
+                      "sweep inside transactions too", false),
+        },
+        1, 1);
+    cli.command("minimize", "(case:<name> | <in.trc>) <out.trc> [options]",
+                {case_name,
+                 cli::flag("--max-replays", "N", &opt.minimize.maxReplays,
+                           "oracle replay budget")},
+                2, 2);
+    cli.command("repair", "(case:<name> | <in.trc>) <out.trc> [options]",
+                {case_name, json}, 2, 2);
+    cli.command("gen-fingerprints", "[<out.inc>]", {}, 0, 1);
+    cli.parseOrExit(argc, argv);
+
+    const std::string &command = cli.subcommand();
     if (command == "record")
-        return cmdRecord(argc, argv);
+        return cmdRecord(cli, opt);
     if (command == "info")
-        return cmdInfo(argc, argv);
+        return cmdInfo(cli.args()[0].c_str(), opt.sites);
     if (command == "charz")
-        return cmdCharz(argc, argv);
+        return cmdCharz(cli.args()[0].c_str());
     if (command == "replay")
-        return cmdReplay(argc, argv);
+        return cmdReplay(cli, opt);
     if (command == "crashsim")
-        return cmdCrashsim(argc, argv);
+        return cmdCrashsim(cli.args()[0].c_str(), opt.crash);
     if (command == "minimize")
-        return cmdMinimize(argc, argv);
+        return cmdMinimize(cli, opt);
     if (command == "repair")
-        return cmdRepair(argc, argv);
-    if (command == "gen-fingerprints")
-        return cmdGenFingerprints(argc, argv);
-    return usage(argv[0]);
+        return cmdRepair(cli, opt);
+    return cmdGenFingerprints(cli.args());
 }

@@ -6,37 +6,21 @@
  * src/service/), runs each through the sharded detector pool, and
  * replies to every client with its merged bug report.
  *
- * Usage:
- *   pmdbd --socket PATH [--shards N] [--stripe-bytes B]
- *         [--array-capacity N] [--pollers N] [--pin-cores]
- *         [--once N] [--json] [--metrics-sock PATH]
- *         [--stats-interval SEC] [--trace-out FILE]
- *
- *   --pollers N         ring-poller threads multiplexing client rings.
- *   --pin-cores         pin pollers + shard workers to distinct cores.
- *   --once N            exit after N sessions complete (CI smoke
- *                       tests); without it, run until SIGINT/SIGTERM.
- *   --json              print the aggregated per-session report on
- *                       exit, including ingest counters (batches
- *                       drained, events/s, steals, queue-full stalls,
- *                       idle-poll ratio) and the live metrics snapshot.
- *   --metrics-sock PATH serve live metrics snapshots on a second Unix
- *                       socket; clients send "json" or "prom" and get
- *                       one snapshot back (see tools/pmdb_stat).
- *   --stats-interval S  log a one-line ingest summary every S seconds.
- *   --trace-out FILE    enable pipeline span tracing and write a
- *                       Chrome/Perfetto trace-event JSON on exit.
+ * `--help` lists the flags. The --json aggregate carries ingest
+ * counters (batches drained, events/s, steals, queue-full stalls,
+ * idle-poll ratio) and the live metrics snapshot; --metrics-sock
+ * clients send "json" or "prom" and get one snapshot back (see
+ * tools/pmdb_stat).
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/cli.hh"
 #include "service/daemon.hh"
 
 namespace
@@ -50,19 +34,6 @@ onSignal(int)
     interrupted.store(true);
 }
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH [--shards N] "
-                 "[--stripe-bytes B]\n"
-                 "          [--array-capacity N] [--pollers N] "
-                 "[--pin-cores] [--once N] [--json]\n"
-                 "          [--metrics-sock PATH] "
-                 "[--stats-interval SEC] [--trace-out FILE]\n",
-                 argv0);
-}
-
 } // namespace
 
 int
@@ -71,52 +42,39 @@ main(int argc, char **argv)
     using namespace pmdb;
 
     ServiceConfig config;
-    long once = -1;
+    std::size_t once = 0;
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--socket")
-            config.socketPath = next();
-        else if (arg == "--shards")
-            config.pool.shards =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--stripe-bytes")
-            config.pool.stripeBytes =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--array-capacity")
-            config.pool.arrayCapacity =
-                std::strtoull(next(), nullptr, 10);
-        else if (arg == "--pollers")
-            config.pollers = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--pin-cores")
-            config.pinCores = true;
-        else if (arg == "--metrics-sock")
-            config.metricsSocketPath = next();
-        else if (arg == "--stats-interval")
-            config.statsIntervalSec = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        else if (arg == "--trace-out")
-            config.traceOutPath = next();
-        else if (arg == "--once")
-            once = std::strtol(next(), nullptr, 10);
-        else if (arg == "--json")
-            json = true;
-        else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (config.socketPath.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
+    cli::Parser cli(
+        "pmdbd", "--socket PATH [options]",
+        {
+            cli::flag("--socket", "PATH", &config.socketPath,
+                      "listen on this Unix-domain socket (required)"),
+            cli::flag("--shards", "N", &config.pool.shards,
+                      "detector shards"),
+            cli::flag("--stripe-bytes", "B", &config.pool.stripeBytes,
+                      "address-stripe width per shard"),
+            cli::flag("--array-capacity", "N",
+                      &config.pool.arrayCapacity,
+                      "per-shard store-array capacity"),
+            cli::flag("--pollers", "N", &config.pollers,
+                      "ring-poller threads multiplexing client rings"),
+            cli::flag("--pin-cores", &config.pinCores,
+                      "pin pollers + shard workers to distinct cores"),
+            cli::flag("--once", "N", &once,
+                      "exit after N sessions complete (default: run "
+                      "until SIGINT/SIGTERM)"),
+            cli::flag("--json", &json,
+                      "print the aggregated per-session report on exit"),
+            cli::flag("--metrics-sock", "PATH", &config.metricsSocketPath,
+                      "serve live metrics snapshots on PATH"),
+            cli::flag("--stats-interval", "SEC", &config.statsIntervalSec,
+                      "log a one-line ingest summary every SEC seconds"),
+            cli::flag("--trace-out", "FILE", &config.traceOutPath,
+                      "write a Chrome/Perfetto span trace on exit"),
+        });
+    cli.parseOrExit(argc, argv);
+    if (config.socketPath.empty())
+        cli.fail("--socket is required");
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
@@ -125,7 +83,7 @@ main(int argc, char **argv)
     std::string error;
     if (!daemon.start(&error)) {
         std::fprintf(stderr, "pmdbd: %s\n", error.c_str());
-        return 1;
+        return exitFailure;
     }
     std::fprintf(stderr,
                  "pmdbd: listening on %s (%zu shards, %zu pollers%s)\n",
@@ -133,10 +91,8 @@ main(int argc, char **argv)
                  config.pollers ? config.pollers : 1,
                  config.pinCores ? ", pinned" : "");
 
-    if (once >= 0) {
-        while (!interrupted.load() &&
-               !daemon.waitForSessions(static_cast<std::size_t>(once),
-                                       200)) {
+    if (cli.given("--once")) {
+        while (!interrupted.load() && !daemon.waitForSessions(once, 200)) {
         }
     } else {
         while (!interrupted.load()) {
