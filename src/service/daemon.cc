@@ -717,8 +717,8 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
             LoadedTrace spill;
             bool truncated = false;
             std::string error;
-            if (readTraceStream(session.hello.spillPath, &spill,
-                                &truncated, &error)) {
+            if (readTraceFile(session.hello.spillPath, &spill,
+                              &truncated, &error)) {
                 if (truncated) {
                     warn("pmdbd/poller", "spill trace " +
                          session.hello.spillPath +

@@ -78,7 +78,7 @@ enum class SlowConsumerPolicy : std::uint32_t
     /** Discard the event and count it in the ring's drop counter. */
     Drop = 1,
     /**
-     * Divert to an append-only stream trace file. Once the first event
+     * Divert to an append-only trace file. Once the first event
      * spills, *all* subsequent events spill too, so the daemon can
      * replay the file after the ring drains and still observe every
      * event in program order.

@@ -134,6 +134,22 @@ RemoteSink::ensureNamesSent(std::uint32_t name_id)
     return true;
 }
 
+/** Append @p count events to the spill trace, preceded by every name
+ *  already sent to the daemon that the file lacks: batched events only
+ *  reference those, so the spill file loads on its own. */
+void
+RemoteSink::spill(const Event *events, std::size_t count)
+{
+    for (std::uint32_t id = spill_.namesWritten(); id < namesSent_; ++id) {
+        if (!spill_.appendName(id, names_->name(id)))
+            break;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        if (spill_.append(events[i]))
+            ++spilled_;
+    }
+}
+
 /** Publish the accumulated batch as ring frames, applying the
  *  slow-consumer policy to whatever does not fit. */
 void
@@ -148,10 +164,7 @@ RemoteSink::flushBatch()
         telemetryOn ? telemetry::nowNs() : 0;
     const std::size_t batchTotal = remaining;
     if (spilling_) {
-        for (std::size_t i = 0; i < remaining; ++i) {
-            if (spill_.append(events[i]))
-                ++spilled_;
-        }
+        spill(events, remaining);
         if (telemetryOn)
             SinkMetrics::get().spilled.add(remaining);
         batch_.clear();
@@ -222,10 +235,7 @@ RemoteSink::flushBatch()
           case SlowConsumerPolicy::Spill:
             spilling_ = true;
             spill_.flush();
-            for (std::size_t i = 0; i < remaining; ++i) {
-                if (spill_.append(events[i]))
-                    ++spilled_;
-            }
+            spill(events, remaining);
             if (telemetryOn)
                 SinkMetrics::get().spilled.add(batchTotal - accepted);
             break;

@@ -117,6 +117,7 @@ class RemoteSink : public TraceSink
   private:
     bool ensureNamesSent(std::uint32_t name_id);
     void append(const Event &event);
+    void spill(const Event *events, std::size_t count);
     void flushBatch();
     void disconnect();
 

@@ -38,7 +38,7 @@
  * producer's credits. tryPushBatch publishes the largest prefix that
  * fits (whole batch in the common case) and reports how many events
  * it accepted; the producer applies its SlowConsumerPolicy (block,
- * drop + count, or spill to a stream trace file) to the remainder —
+ * drop + count, or spill to a trace file) to the remainder —
  * the ring itself never blocks.
  *
  * Memory ordering: the producer's release store of head publishes the

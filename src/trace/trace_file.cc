@@ -12,15 +12,13 @@ namespace
 {
 
 // Version 2: EventKind gained Load (renumbering the packed kind byte)
-// and PackedEvent gained the shared-pool global clock field. Version-1
-// files are rejected by magic rather than silently misdecoded.
+// and PackedEvent gained the shared-pool global clock field. Older
+// files, of either the retired count-headed batch layout or version 1,
+// are rejected by magic rather than silently misdecoded.
 constexpr char traceMagic[8] = {'P', 'M', 'D', 'B',
-                                'T', 'R', 'C', '2'};
+                                'T', 'R', 'S', '2'};
 
-constexpr char streamMagic[8] = {'P', 'M', 'D', 'B',
-                                 'T', 'R', 'S', '2'};
-
-/** Stream record tags. */
+/** Record tags. */
 constexpr char nameTag = 'N';
 constexpr char eventTag = 'E';
 
@@ -76,6 +74,7 @@ PackedEvent
 pack(const Event &event)
 {
     PackedEvent packed;
+    std::memset(&packed, 0, sizeof(packed)); // no stack bytes on disk
     packed.kind = static_cast<std::uint8_t>(event.kind);
     packed.flushKind = static_cast<std::uint8_t>(event.flushKind);
     packed.thread = event.thread;
@@ -104,97 +103,34 @@ unpack(const PackedEvent &packed)
     return event;
 }
 
+/** The field of @p packed no writer could have produced, or nullptr
+ *  when the event is valid after @p names name records. */
+const char *
+invalidField(const PackedEvent &packed, std::size_t names)
+{
+    if (packed.kind > static_cast<std::uint8_t>(EventKind::ProgramEnd))
+        return "kind";
+    if (packed.flushKind > static_cast<std::uint8_t>(FlushKind::Clflushopt))
+        return "flush kind";
+    if (packed.nameId != noName && packed.nameId >= names)
+        return "name id";
+    return nullptr;
+}
+
 } // namespace
 
 bool
 writeTraceFile(const std::string &path, const std::vector<Event> &events,
                const NameTable &names, std::string *error)
 {
-    FileHandle file(std::fopen(path.c_str(), "wb"));
-    if (!file)
-        return fail(error, "cannot open " + path + " for writing");
-
-    if (std::fwrite(traceMagic, sizeof(traceMagic), 1, file.get()) != 1)
-        return fail(error, "write failed: magic");
-
-    const auto name_count = static_cast<std::uint32_t>(names.size());
-    if (!writeValue(file.get(), name_count))
-        return fail(error, "write failed: name count");
-    for (std::uint32_t i = 0; i < name_count; ++i) {
-        const std::string &name = names.name(i);
-        const auto len = static_cast<std::uint32_t>(name.size());
-        if (!writeValue(file.get(), len) ||
-            (len && std::fwrite(name.data(), 1, len, file.get()) != len)) {
-            return fail(error, "write failed: name table");
-        }
-    }
-
-    const auto event_count = static_cast<std::uint64_t>(events.size());
-    if (!writeValue(file.get(), event_count))
-        return fail(error, "write failed: event count");
-    for (const Event &event : events) {
-        const PackedEvent packed = pack(event);
-        if (!writeValue(file.get(), packed))
-            return fail(error, "write failed: event record");
-    }
-    return true;
-}
-
-bool
-readTraceFile(const std::string &path, LoadedTrace *out,
-              std::string *error)
-{
-    FileHandle file(std::fopen(path.c_str(), "rb"));
-    if (!file)
-        return fail(error, "cannot open " + path);
-
-    char magic[sizeof(traceMagic)];
-    if (std::fread(magic, sizeof(magic), 1, file.get()) != 1 ||
-        std::memcmp(magic, traceMagic, sizeof(magic)) != 0) {
-        return fail(error, path + " is not a PMDB trace (bad magic)");
-    }
-
-    std::uint32_t name_count = 0;
-    if (!readValue(file.get(), &name_count))
-        return fail(error, "truncated trace: name count");
-    for (std::uint32_t i = 0; i < name_count; ++i) {
-        std::uint32_t len = 0;
-        if (!readValue(file.get(), &len) || len > (1u << 20))
-            return fail(error, "truncated trace: name length");
-        std::string name(len, '\0');
-        if (len && std::fread(name.data(), 1, len, file.get()) != len)
-            return fail(error, "truncated trace: name bytes");
-        out->names.intern(name);
-    }
-
-    std::uint64_t event_count = 0;
-    if (!readValue(file.get(), &event_count))
-        return fail(error, "truncated trace: event count");
-    // The count comes from the file: bound it by the bytes that follow
-    // before reserving, so a corrupt header cannot demand an unbounded
-    // allocation.
-    const long here = std::ftell(file.get());
-    if (here < 0 || std::fseek(file.get(), 0, SEEK_END) != 0)
-        return fail(error, "cannot size trace " + path);
-    const long end = std::ftell(file.get());
-    if (end < here || std::fseek(file.get(), here, SEEK_SET) != 0)
-        return fail(error, "cannot size trace " + path);
-    const std::uint64_t room =
-        static_cast<std::uint64_t>(end - here) / sizeof(PackedEvent);
-    if (event_count > room) {
-        return fail(error, "truncated trace: header claims " +
-                               std::to_string(event_count) +
-                               " events, file holds at most " +
-                               std::to_string(room));
-    }
-    out->events.clear();
-    out->events.reserve(event_count);
-    for (std::uint64_t i = 0; i < event_count; ++i) {
-        PackedEvent packed;
-        if (!readValue(file.get(), &packed))
-            return fail(error, "truncated trace: event records");
-        out->events.push_back(unpack(packed));
-    }
+    TraceStreamWriter writer;
+    if (!writer.open(path, error))
+        return false;
+    bool ok = writer.syncNames(names);
+    for (std::size_t i = 0; ok && i < events.size(); ++i)
+        ok = writer.append(events[i]);
+    if (!writer.close() || !ok)
+        return fail(error, "write failed: " + path);
     return true;
 }
 
@@ -212,9 +148,9 @@ TraceStreamWriter::open(const std::string &path, std::string *error)
         return fail(error, "cannot open " + path + " for writing");
     events_ = 0;
     names_ = 0;
-    if (std::fwrite(streamMagic, sizeof(streamMagic), 1, file_) != 1) {
+    if (std::fwrite(traceMagic, sizeof(traceMagic), 1, file_) != 1) {
         close();
-        return fail(error, "write failed: stream magic");
+        return fail(error, "write failed: magic");
     }
     return true;
 }
@@ -269,33 +205,37 @@ TraceStreamWriter::close()
 {
     if (!file_)
         return true;
-    const bool ok = std::fflush(file_) == 0;
-    std::fclose(file_);
+    const bool flushed = std::fflush(file_) == 0;
+    const bool closed = std::fclose(file_) == 0;
     file_ = nullptr;
-    return ok;
+    return flushed && closed;
 }
 
 bool
-readTraceStream(const std::string &path, LoadedTrace *out,
-                bool *truncated, std::string *error)
+readTraceFile(const std::string &path, LoadedTrace *out, bool *truncated,
+              std::string *error)
 {
+    *out = LoadedTrace();
     if (truncated)
         *truncated = false;
     FileHandle file(std::fopen(path.c_str(), "rb"));
     if (!file)
         return fail(error, "cannot open " + path);
 
-    char magic[sizeof(streamMagic)];
+    char magic[sizeof(traceMagic)];
     if (std::fread(magic, sizeof(magic), 1, file.get()) != 1 ||
-        std::memcmp(magic, streamMagic, sizeof(magic)) != 0) {
-        return fail(error,
-                    path + " is not a PMDB stream trace (bad magic)");
+        std::memcmp(magic, traceMagic, sizeof(magic)) != 0) {
+        return fail(error, path + " is not a PMDB trace (bad magic; "
+                                  "traces of older formats must be "
+                                  "re-recorded)");
     }
 
-    out->events.clear();
+    // The file ends mid-record: the writer was cut off.
     const auto tail = [&] {
-        if (truncated)
-            *truncated = true;
+        if (!truncated)
+            return fail(error, "truncated trace: " + path +
+                                   " ends mid-record");
+        *truncated = true;
         return true;
     };
     for (;;) {
@@ -310,45 +250,32 @@ readTraceStream(const std::string &path, LoadedTrace *out,
                 return tail();
             }
             if (len > (1u << 20))
-                return fail(error, "corrupt stream: name length");
+                return fail(error, "corrupt trace: name length");
             std::string name(len, '\0');
             if (len &&
                 std::fread(name.data(), 1, len, file.get()) != len) {
                 return tail();
             }
-            if (id != out->names.size())
-                return fail(error, "corrupt stream: name id order");
-            out->names.intern(name);
+            // intern() returns an older id for a repeated name.
+            if (id != out->names.size() || out->names.intern(name) != id)
+                return fail(error, "corrupt trace: name record " +
+                                       std::to_string(id) +
+                                       " out of order");
         } else if (tag == eventTag) {
             PackedEvent packed;
             if (!readValue(file.get(), &packed))
                 return tail();
+            if (const char *field =
+                    invalidField(packed, out->names.size())) {
+                return fail(error, "corrupt trace: event " +
+                                       std::to_string(out->events.size()) +
+                                       " has an invalid " + field);
+            }
             out->events.push_back(unpack(packed));
         } else {
-            return fail(error, "corrupt stream: unknown record tag");
+            return fail(error, "corrupt trace: unknown record tag");
         }
     }
-}
-
-bool
-readAnyTrace(const std::string &path, LoadedTrace *out, bool *truncated,
-             std::string *error)
-{
-    if (truncated)
-        *truncated = false;
-    char magic[sizeof(traceMagic)] = {};
-    {
-        FileHandle file(std::fopen(path.c_str(), "rb"));
-        if (!file)
-            return fail(error, "cannot open " + path);
-        if (std::fread(magic, sizeof(magic), 1, file.get()) != 1)
-            return fail(error, path + " is not a PMDB trace (too short)");
-    }
-    if (std::memcmp(magic, traceMagic, sizeof(magic)) == 0)
-        return readTraceFile(path, out, error);
-    if (std::memcmp(magic, streamMagic, sizeof(magic)) == 0)
-        return readTraceStream(path, out, truncated, error);
-    return fail(error, path + " is not a PMDB trace (bad magic)");
 }
 
 } // namespace pmdb

@@ -7,19 +7,16 @@
  * Persistence Inspector) use, offline characterization, and detector
  * regression testing against frozen traces.
  *
- * Format (little-endian, version 1):
- *   magic   "PMDBTRC1"                      (8 bytes)
- *   u32     name count                       + each: u32 len, bytes
- *   u64     event count                      + each: packed EventRecord
- *
- * The batch format above needs the full event vector up front. The
- * *stream* format ("PMDBTRS1") is an append-only sibling for writers
- * that cannot know the final event count — live spill-to-disk under
- * backpressure, long-running recorders: a magic header followed by
- * tagged records ('N' interned name, 'E' packed event), flushable at
- * any record boundary. Because a crash can truncate the file
- * mid-record, readTraceStream recovers the longest valid prefix
- * instead of failing.
+ * Every trace file has one format (little-endian, version 2): the
+ * magic "PMDBTRS2" followed by tagged records in write order,
+ *   'N'  u32 id, u32 length, name bytes    an interned name
+ *   'E'  packed event (48 bytes)
+ * Name ids run 0, 1, 2, ... and a name record precedes every event
+ * that references it. There is no count to write up front, so one
+ * writer serves whole recordings and the live spill of the detection
+ * service alike, and a file is complete at any record boundary. A
+ * crash can cut the file mid-record (a torn tail); readTraceFile
+ * recovers the longest valid prefix when its caller accepts that.
  */
 
 #ifndef PMDB_TRACE_TRACE_FILE_HH
@@ -43,8 +40,9 @@ struct LoadedTrace
 };
 
 /**
- * Write @p events (and @p names, which their nameIds index) to
- * @p path. Returns false and fills @p error on I/O failure.
+ * Write @p names (which the events' nameIds index), then @p events, to
+ * @p path. Returns false and fills @p error on I/O failure, including
+ * a failure of the final flush.
  */
 bool writeTraceFile(const std::string &path,
                     const std::vector<Event> &events,
@@ -52,19 +50,12 @@ bool writeTraceFile(const std::string &path,
                     std::string *error = nullptr);
 
 /**
- * Load a trace written by writeTraceFile. Returns false and fills
- * @p error on I/O failure or format mismatch.
- */
-bool readTraceFile(const std::string &path, LoadedTrace *out,
-                   std::string *error = nullptr);
-
-/**
- * Incremental writer for the stream trace format: events (and the
- * names they reference) are appended one record at a time, and flush()
- * makes everything written so far durable enough for a concurrent or
- * post-crash reader to recover it. This is the degradation path of the
- * detection service (a slow consumer spills the live stream to disk)
- * and works standalone for record-as-you-go tracing.
+ * Incremental trace writer: events (and the names they reference) are
+ * appended one record at a time, and flush() makes everything written
+ * so far durable enough for a concurrent or post-crash reader to
+ * recover it. This is the degradation path of the detection service (a
+ * slow consumer spills the live stream to disk), record-as-you-go
+ * tracing, and the body of writeTraceFile.
  */
 class TraceStreamWriter
 {
@@ -75,7 +66,7 @@ class TraceStreamWriter
     TraceStreamWriter(const TraceStreamWriter &) = delete;
     TraceStreamWriter &operator=(const TraceStreamWriter &) = delete;
 
-    /** Create/truncate @p path and write the stream header. */
+    /** Create/truncate @p path and write the magic. */
     bool open(const std::string &path, std::string *error = nullptr);
 
     bool isOpen() const { return file_ != nullptr; }
@@ -99,7 +90,10 @@ class TraceStreamWriter
     /** Flush buffered records to the OS (record-boundary durability). */
     bool flush();
 
-    /** Flush and close; open() may be called again afterwards. */
+    /**
+     * Flush and close; false if any buffered record failed to reach
+     * the OS. open() may be called again afterwards.
+     */
     bool close();
 
     std::uint64_t eventsWritten() const { return events_; }
@@ -112,26 +106,20 @@ class TraceStreamWriter
 };
 
 /**
- * Load a stream trace written by TraceStreamWriter. A truncated tail —
- * the writer crashed or was killed mid-record — is not an error: the
- * longest valid record prefix is returned and @p truncated (when
- * non-null) is set. Returns false only for I/O failures, a bad header,
- * or structural corruption (an unknown record tag).
+ * Load the trace at @p path into @p out, which is reset first. Every
+ * event is validated as it is decoded: a kind or flush kind outside
+ * its enum, or a nameId that is neither noName nor the id of a name
+ * read before it, fails the load with a "corrupt trace" error, as do
+ * an unknown record tag and an out-of-order name record.
+ *
+ * A torn tail (the file ends mid-record) is accepted only when
+ * @p truncated is non-null: the longest valid record prefix is
+ * returned and *truncated is set. With a null @p truncated it is an
+ * error, so a plain load sees the whole file or nothing.
  */
-bool readTraceStream(const std::string &path, LoadedTrace *out,
-                     bool *truncated = nullptr,
-                     std::string *error = nullptr);
-
-/**
- * Load a trace of either format, dispatching on the file's magic:
- * "PMDBTRC1" (batch) or "PMDBTRS1" (stream). For stream traces a
- * truncated tail sets @p truncated exactly as readTraceStream does;
- * batch traces never set it (a short batch file is a hard error, since
- * its header promised a count it cannot deliver).
- */
-bool readAnyTrace(const std::string &path, LoadedTrace *out,
-                  bool *truncated = nullptr,
-                  std::string *error = nullptr);
+bool readTraceFile(const std::string &path, LoadedTrace *out,
+                   bool *truncated = nullptr,
+                   std::string *error = nullptr);
 
 } // namespace pmdb
 

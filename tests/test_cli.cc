@@ -4,12 +4,15 @@
  * binaries: `--help` exits 0 and lists the tool's whole flag table, and
  * every malformed command line (unknown flag, missing value, a numeric
  * value that is not a whole in-range unsigned number) exits 2 before any
- * work starts — nothing reaches stdout.
+ * work starts — nothing reaches stdout. A corrupt trace file is refused
+ * with exit 4.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -140,6 +143,78 @@ TEST(CliContract, NonNumericInputSizeIsAUsageError)
     const RunResult run = runTool("pmdb_run", "pmdebugger xyz b_tree");
     EXPECT_EQ(run.exit, 2);
     EXPECT_EQ(run.out, "");
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::string bytes;
+    if (std::FILE *file = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        std::size_t n = 0;
+        while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
+            bytes.append(buf, n);
+        std::fclose(file);
+    }
+    return bytes;
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), file);
+    std::fclose(file);
+}
+
+TEST(CliContract, CorruptTraceFilesExitFour)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string good = dir + "cli_good.trc";
+    ASSERT_EQ(runTool("pmdb_tracetool", "record b_tree 50 " + good).exit,
+              0);
+    const std::string bytes = readFile(good);
+    ASSERT_EQ(runTool("pmdb_tracetool", "info " + good).exit, 0);
+
+    // Skip the magic and the name records ('N', u32 id, u32 length,
+    // name) to the first event record ('E', packed event).
+    std::size_t at = 8;
+    while (at < bytes.size() && bytes[at] == 'N') {
+        std::uint32_t len = 0;
+        std::memcpy(&len, bytes.data() + at + 5, sizeof(len));
+        at += 9 + len;
+    }
+    ASSERT_LT(at + 17, bytes.size());
+    ASSERT_EQ(bytes[at], 'E');
+    const std::size_t event = at + 1;
+
+    std::string bad_kind = bytes;
+    bad_kind[event] = static_cast<char>(200);
+    std::string bad_flush = bytes;
+    bad_flush[event + 1] = 77;
+    std::string bad_name = bytes;
+    const std::uint32_t name_id = 999;
+    std::memcpy(&bad_name[event + 12], &name_id, sizeof(name_id));
+    // The retired count-headed batch format.
+    const std::string batch("PMDBTRC2\0\0\0\0\0\0\0\0\0\0\0\0", 20);
+
+    for (const auto &[name, content] :
+         {std::pair<const char *, const std::string &>{"kind", bad_kind},
+          {"flush", bad_flush},
+          {"name", bad_name},
+          {"batch", batch}}) {
+        const std::string path = dir + "cli_bad_" + name + ".trc";
+        writeFile(path, content);
+        SCOPED_TRACE(path);
+        EXPECT_EQ(runTool("pmdb_tracetool", "info " + path).exit, 4);
+        EXPECT_EQ(
+            runTool("pmdb_tracetool", "replay " + path + " pmdebugger")
+                .exit,
+            4);
+        std::remove(path.c_str());
+    }
+    std::remove(good.c_str());
 }
 
 } // namespace

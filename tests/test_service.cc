@@ -22,7 +22,9 @@
 #include "service/protocol.hh"
 #include "service/remote_sink.hh"
 #include "service/spsc_ring.hh"
+#include "trace/trace_file.hh"
 #include "workloads/bug_suite.hh"
+#include "workloads/workload.hh"
 
 namespace pmdb
 {
@@ -458,6 +460,54 @@ TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
         ++checked;
     }
     EXPECT_GT(checked, 2);
+    daemon.stop();
+}
+
+TEST(ServiceTest, SpillFileLoadsOnItsOwnWithItsNames)
+{
+    ServiceConfig config;
+    config.socketPath = scratchPath("sock");
+    ServiceDaemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    // hashmap_atomic labels its events with program sites, so spilled
+    // events reference names the daemon learnt over the control
+    // socket; the spill file must carry those names too.
+    PmRuntime runtime;
+    RemoteSink sink;
+    RemoteSink::Options options;
+    options.socketPath = config.socketPath;
+    options.ringPath = scratchPath("ring");
+    options.ringSlots = 16;
+    options.policy = SlowConsumerPolicy::Spill;
+    options.spillPath = scratchPath("spill");
+    ASSERT_TRUE(sink.connect(options, &error)) << error;
+    runtime.attach(&sink);
+    WorkloadOptions workload;
+    workload.operations = 2000;
+    makeWorkload("hashmap_atomic")->run(runtime, workload);
+    ASSERT_GT(sink.spillEvents(), 0u);
+
+    // The writer is still live: load what it has flushed so far, a
+    // prefix that may end mid-record.
+    LoadedTrace spilled;
+    bool truncated = false;
+    ASSERT_TRUE(readTraceFile(options.spillPath, &spilled, &truncated,
+                              &error))
+        << error;
+    std::size_t named = 0;
+    for (const Event &event : spilled.events)
+        named += event.nameId != noName;
+    EXPECT_GT(named, 0u);
+    EXPECT_GT(spilled.names.size(), 0u);
+
+    runtime.programEnd();
+    ReportBody report;
+    ASSERT_TRUE(sink.finish(&report, &error)) << error;
+    // The daemon replayed the whole spill file after the ring.
+    EXPECT_EQ(report.eventsProcessed,
+              sink.ringEvents() + sink.spillEvents());
     daemon.stop();
 }
 

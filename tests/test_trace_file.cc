@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <system_error>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "core/report.hh"
 #include "detectors/persistence_inspector.hh"
 #include "detectors/registry.hh"
@@ -62,8 +64,12 @@ TEST(TraceFileTest, RoundTripPreservesEverything)
                                runtime.names(), &error))
         << error;
 
+    // Leftovers of an earlier load must not survive the next one.
     LoadedTrace loaded;
-    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &error)) << error;
+    loaded.names.intern("stale");
+    loaded.events.resize(3);
+    ASSERT_TRUE(readTraceFile(path.str(), &loaded, nullptr, &error))
+        << error;
     ASSERT_EQ(loaded.events.size(), recorder.events().size());
     for (std::size_t i = 0; i < loaded.events.size(); ++i) {
         const Event &a = recorder.events()[i];
@@ -91,7 +97,7 @@ TEST(TraceFileTest, RejectsBadMagic)
 
     LoadedTrace loaded;
     std::string error;
-    EXPECT_FALSE(readTraceFile(path.str(), &loaded, &error));
+    EXPECT_FALSE(readTraceFile(path.str(), &loaded, nullptr, &error));
     EXPECT_NE(error.find("magic"), std::string::npos);
 }
 
@@ -100,32 +106,116 @@ TEST(TraceFileTest, MissingFileFailsGracefully)
     LoadedTrace loaded;
     std::string error;
     EXPECT_FALSE(readTraceFile("/nonexistent/dir/x.trc", &loaded,
-                               &error));
+                               nullptr, &error));
     EXPECT_FALSE(error.empty());
 }
 
-TEST(TraceFileTest, RejectsEventCountBeyondFileSize)
+TEST(TraceFileTest, FailedFinalFlushFailsTheWrite)
 {
-    // A valid header whose event count (2^60) no file could hold: the
-    // reader must fail cleanly instead of reserving for it.
-    TempPath path("huge_count.trc");
-    std::FILE *file = std::fopen(path.str().c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    const std::uint32_t name_count = 0;
-    const std::uint64_t event_count = std::uint64_t{1} << 60;
-    std::fwrite("PMDBTRC2", 1, 8, file);
-    std::fwrite(&name_count, sizeof(name_count), 1, file);
-    std::fwrite(&event_count, sizeof(event_count), 1, file);
-    std::fwrite("partial", 1, 7, file);
-    std::fclose(file);
-
-    LoadedTrace loaded;
+    // Three events fit in the stdio buffer, so every append succeeds
+    // and only the flush at close can hit the full device.
+    std::vector<Event> events(3);
     std::string error;
-    bool ok = true;
-    EXPECT_NO_THROW(ok = readTraceFile(path.str(), &loaded, &error));
-    EXPECT_FALSE(ok);
-    EXPECT_NE(error.find("claims"), std::string::npos) << error;
-    EXPECT_TRUE(loaded.events.empty());
+    EXPECT_FALSE(writeTraceFile("/dev/full", events, NameTable(), &error));
+    EXPECT_FALSE(error.empty());
+
+    TraceStreamWriter writer;
+    ASSERT_TRUE(writer.open("/dev/full", &error)) << error;
+    for (const Event &event : events)
+        ASSERT_TRUE(writer.append(event));
+    EXPECT_FALSE(writer.close());
+}
+
+/**
+ * Write a trace holding the name "var" (when @p named), a valid store,
+ * @p bad and another valid store, then load it strictly.
+ */
+::testing::AssertionResult
+loadsWith(const Event &bad, bool named, std::string *error)
+{
+    TempPath path("fields.trc");
+    TraceStreamWriter writer;
+    if (!writer.open(path.str(), error))
+        return ::testing::AssertionFailure() << *error;
+    if (named)
+        writer.appendName(0, "var");
+    Event store;
+    store.size = 8;
+    writer.append(store);
+    writer.append(bad);
+    writer.append(store);
+    if (!writer.close())
+        return ::testing::AssertionFailure() << "write failed";
+    LoadedTrace loaded;
+    if (!readTraceFile(path.str(), &loaded, nullptr, error))
+        return ::testing::AssertionFailure() << *error;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(TraceFileTest, RejectsInvalidEventFields)
+{
+    std::string error;
+    Event event;
+    event.nameId = 0;
+    EXPECT_TRUE(loadsWith(event, /*named=*/true, &error)) << error;
+
+    const auto rejects = [&](const Event &bad, bool named,
+                             const std::string &field) {
+        error.clear();
+        EXPECT_FALSE(loadsWith(bad, named, &error)) << field;
+        EXPECT_NE(error.find("corrupt trace: event 1 has an invalid " +
+                             field),
+                  std::string::npos)
+            << error;
+    };
+    Event bad_kind;
+    bad_kind.kind = static_cast<EventKind>(200);
+    rejects(bad_kind, true, "kind");
+    bad_kind.kind = static_cast<EventKind>(
+        static_cast<int>(EventKind::ProgramEnd) + 1);
+    rejects(bad_kind, true, "kind");
+
+    Event bad_flush;
+    bad_flush.kind = EventKind::Flush;
+    bad_flush.flushKind = static_cast<FlushKind>(77);
+    rejects(bad_flush, true, "flush kind");
+
+    Event bad_name;
+    bad_name.nameId = 999;
+    rejects(bad_name, true, "name id");
+    // A name must be written before the first event that uses it.
+    bad_name.nameId = 0;
+    rejects(bad_name, /*named=*/false, "name id");
+}
+
+TEST(TraceFileTest, RejectsRepeatedOrSkippedNameIds)
+{
+    TempPath path("names.trc");
+    std::string error;
+    for (const auto &[id, name] :
+         {std::pair<std::uint32_t, const char *>{2, "b"}, {1, "a"}}) {
+        std::FILE *file = std::fopen(path.str().c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        // Name 0 "a", then name `id` — skipping ahead, or repeating
+        // "a" under a new id.
+        const std::uint32_t len = 1;
+        std::fwrite("PMDBTRS2", 1, 8, file);
+        for (const auto &[i, n] :
+             {std::pair<std::uint32_t, const char *>{0, "a"}, {id, name}}) {
+            std::fputc('N', file);
+            std::fwrite(&i, sizeof(i), 1, file);
+            std::fwrite(&len, sizeof(len), 1, file);
+            std::fwrite(n, 1, len, file);
+        }
+        std::fclose(file);
+        LoadedTrace loaded;
+        error.clear();
+        EXPECT_FALSE(readTraceFile(path.str(), &loaded, nullptr, &error))
+            << name;
+        EXPECT_NE(error.find("corrupt trace: name record"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(TraceFileTest, ReplayFindsSameBugsAsLiveRun)
@@ -151,7 +241,8 @@ TEST(TraceFileTest, ReplayFindsSameBugsAsLiveRun)
                                runtime.names(), &error))
         << error;
     LoadedTrace loaded;
-    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &error)) << error;
+    ASSERT_TRUE(readTraceFile(path.str(), &loaded, nullptr, &error))
+        << error;
 
     auto replayed = makeDetector("pmemcheck");
     replayed->attached(loaded.names);
@@ -193,7 +284,7 @@ TEST(TraceStreamTest, RoundTripWithInterleavedNames)
 
     LoadedTrace loaded;
     bool truncated = true;
-    ASSERT_TRUE(readTraceStream(path.str(), &loaded, &truncated, &error))
+    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &truncated, &error))
         << error;
     EXPECT_FALSE(truncated);
     ASSERT_EQ(loaded.events.size(), recorder.events().size());
@@ -238,86 +329,146 @@ TEST(TraceStreamTest, RecoversTruncatedTail)
 
     LoadedTrace loaded;
     bool truncated = false;
-    ASSERT_TRUE(readTraceStream(path.str(), &loaded, &truncated, &error))
+    ASSERT_TRUE(readTraceFile(path.str(), &loaded, &truncated, &error))
         << error;
     EXPECT_TRUE(truncated);
     // The partial final record is dropped; everything before survives.
     EXPECT_EQ(loaded.events.size(), 9u);
     EXPECT_EQ(loaded.events.back().seq, 9u);
     EXPECT_EQ(loaded.names.size(), 1u);
+
+    // A caller that cannot take a prefix gets an error instead.
+    LoadedTrace strict;
+    error.clear();
+    EXPECT_FALSE(readTraceFile(path.str(), &strict, nullptr, &error));
+    EXPECT_NE(error.find("truncated trace"), std::string::npos) << error;
 }
 
 TEST(TraceStreamTest, RejectsBatchFormatMagic)
 {
-    // A batch-format trace is not a stream trace; the reader must say
-    // so instead of misparsing it.
-    PmRuntime runtime;
-    TraceRecorder recorder;
-    runtime.attach(&recorder);
-    runtime.store(0x100, 8);
+    // The retired batch format (a count-headed PMDBTRC2 file) must be
+    // refused by its magic, not misparsed.
     TempPath path("batch.trc");
-    std::string error;
-    ASSERT_TRUE(writeTraceFile(path.str(), recorder.events(),
-                               runtime.names(), &error));
+    std::FILE *file = std::fopen(path.str().c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::uint32_t name_count = 0;
+    const std::uint64_t event_count = 0;
+    std::fwrite("PMDBTRC2", 1, 8, file);
+    std::fwrite(&name_count, sizeof(name_count), 1, file);
+    std::fwrite(&event_count, sizeof(event_count), 1, file);
+    std::fclose(file);
+
     LoadedTrace loaded;
-    EXPECT_FALSE(readTraceStream(path.str(), &loaded, nullptr, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos);
+    bool truncated = false;
+    std::string error;
+    EXPECT_FALSE(readTraceFile(path.str(), &loaded, &truncated, &error));
+    EXPECT_NE(error.find("magic"), std::string::npos) << error;
 }
 
-TEST(TraceAnyTest, DispatchesOnMagicAndReportsTruncation)
+/** Whether @p trace holds only events a writer could have produced. */
+::testing::AssertionResult
+allEventsValid(const LoadedTrace &trace)
 {
-    // Batch trace through the magic-dispatching entry point.
+    for (std::size_t i = 0; i < trace.events.size(); ++i) {
+        const Event &event = trace.events[i];
+        if (event.kind > EventKind::ProgramEnd ||
+            event.flushKind > FlushKind::Clflushopt ||
+            (event.nameId != noName &&
+             event.nameId >= trace.names.size())) {
+            return ::testing::AssertionFailure()
+                   << "event " << i << " loaded with an invalid field";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(TraceFuzzTest, SeededMutantsLoadValidOrFailCleanly)
+{
+    // A small recorded trace with site names, mutated many ways under a
+    // fixed seed: every mutant must load only valid events, or fail
+    // with an error.
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.store(0x100, 8);
-    runtime.programEnd();
-    TempPath batch("any_batch.trc");
+    WorkloadOptions options;
+    options.operations = 10;
+    makeWorkload("hashmap_atomic")->run(runtime, options);
+    ASSERT_GT(runtime.names().size(), 0u);
+
+    TempPath seed_path("fuzz_seed.trc");
     std::string error;
-    ASSERT_TRUE(writeTraceFile(batch.str(), recorder.events(),
-                               runtime.names(), &error));
-    LoadedTrace loaded;
-    bool truncated = true;
-    ASSERT_TRUE(readAnyTrace(batch.str(), &loaded, &truncated, &error))
+    ASSERT_TRUE(writeTraceFile(seed_path.str(), recorder.events(),
+                               runtime.names(), &error))
         << error;
-    EXPECT_FALSE(truncated);
-    EXPECT_EQ(loaded.events.size(), 2u);
-
-    // Stream trace chopped mid-record: same entry point, truncation
-    // surfaced through the flag.
-    TempPath stream("any_truncated.trs");
-    TraceStreamWriter writer;
-    ASSERT_TRUE(writer.open(stream.str(), &error)) << error;
-    for (int i = 0; i < 5; ++i) {
-        Event event;
-        event.kind = EventKind::Store;
-        event.addr = 0x200 + 8u * static_cast<unsigned>(i);
-        event.size = 8;
-        event.seq = static_cast<SeqNum>(i + 1);
-        ASSERT_TRUE(writer.append(event));
+    std::string seed;
+    {
+        std::FILE *file = std::fopen(seed_path.str().c_str(), "rb");
+        ASSERT_NE(file, nullptr);
+        char buf[4096];
+        std::size_t n = 0;
+        while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
+            seed.append(buf, n);
+        std::fclose(file);
     }
-    ASSERT_TRUE(writer.close());
-    const auto full = std::filesystem::file_size(stream.str());
-    std::error_code ec;
-    std::filesystem::resize_file(stream.str(), full - 3, ec);
-    ASSERT_FALSE(ec) << ec.message();
+    // Offsets of every record tag, walked from the known layout.
+    std::vector<std::size_t> tags;
+    for (std::size_t at = 8; at < seed.size();) {
+        tags.push_back(at);
+        if (seed[at] == 'N') {
+            std::uint32_t len = 0;
+            std::memcpy(&len, seed.data() + at + 5, sizeof(len));
+            at += 9 + len;
+        } else {
+            ASSERT_EQ(seed[at], 'E');
+            at += 49;
+        }
+    }
+    ASSERT_EQ(tags.size(),
+              runtime.names().size() + recorder.events().size());
 
-    LoadedTrace recovered;
-    truncated = false;
-    ASSERT_TRUE(
-        readAnyTrace(stream.str(), &recovered, &truncated, &error))
-        << error;
-    EXPECT_TRUE(truncated);
-    EXPECT_EQ(recovered.events.size(), 4u);
+    Rng rng(0x7e57f11e);
+    TempPath mutant_path("fuzz_mutant.trc");
+    int loaded_count = 0;
+    int rejected = 0;
+    for (int round = 0; round < 1500; ++round) {
+        std::string mutant = seed;
+        switch (rng.nextBounded(3)) {
+          case 0: // overwrite a few bytes anywhere, the magic included
+            for (int k = 1 + static_cast<int>(rng.nextBounded(4)); k > 0;
+                 --k) {
+                mutant[rng.nextBounded(mutant.size())] =
+                    static_cast<char>(rng.nextBounded(256));
+            }
+            break;
+          case 1: // cut the file short
+            mutant.resize(rng.nextBounded(mutant.size()));
+            break;
+          default: // retag a record
+            mutant[tags[rng.nextBounded(tags.size())]] =
+                "NE\0x"[rng.nextBounded(4)];
+            break;
+        }
+        std::FILE *file = std::fopen(mutant_path.str().c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        std::fwrite(mutant.data(), 1, mutant.size(), file);
+        std::fclose(file);
 
-    // Garbage is rejected, not misparsed.
-    TempPath junk("any_junk.bin");
-    std::FILE *file = std::fopen(junk.str().c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fputs("notatrace!", file);
-    std::fclose(file);
-    EXPECT_FALSE(readAnyTrace(junk.str(), &loaded, nullptr, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos);
+        LoadedTrace loaded;
+        bool truncated = false;
+        error.clear();
+        const bool accept_tail = round % 2 == 0;
+        if (readTraceFile(mutant_path.str(), &loaded,
+                          accept_tail ? &truncated : nullptr, &error)) {
+            EXPECT_TRUE(allEventsValid(loaded)) << "round " << round;
+            ++loaded_count;
+        } else {
+            EXPECT_FALSE(error.empty()) << "round " << round;
+            ++rejected;
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the magic.
+    EXPECT_GT(loaded_count, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(PersistenceInspectorTest, PostMortemFindsDurabilityBugs)

@@ -9,8 +9,8 @@
  * each one's arguments and flags.
  *
  * Exit codes (ToolExit): 3 unknown workload/checker/case name, 4
- * unreadable or corrupt trace file, 5 trace loaded but its stream tail
- * was truncated (info only; the longest valid prefix was recovered), 6
+ * unreadable or corrupt trace file, 5 trace loaded but its tail was
+ * truncated (info only; the longest valid prefix was recovered), 6
  * no verified repair / target bug not reproduced. The failing file or
  * name is printed to stderr.
  */
@@ -53,10 +53,9 @@ struct ToolOptions
 };
 
 /**
- * Load a trace of either format or fail with exitBadTrace, naming the
- * file. A recovered-but-truncated stream is usable (the longest valid
- * prefix), so it loads with a warning; `info` surfaces the flag and its
- * own exit code.
+ * Load a trace or fail with exitBadTrace, naming the file. A trace with
+ * a torn tail is usable (the longest valid prefix), so it loads with a
+ * warning; `info` surfaces the flag and its own exit code.
  */
 bool
 loadTrace(const char *path, pmdb::LoadedTrace *trace,
@@ -64,13 +63,13 @@ loadTrace(const char *path, pmdb::LoadedTrace *trace,
 {
     std::string error;
     bool torn = false;
-    if (!pmdb::readAnyTrace(path, trace, &torn, &error)) {
+    if (!pmdb::readTraceFile(path, trace, &torn, &error)) {
         std::fprintf(stderr, "%s: %s\n", path, error.c_str());
         return false;
     }
     if (torn && !truncated) {
         std::fprintf(stderr,
-                     "%s: warning: stream trace truncated mid-record; "
+                     "%s: warning: trace truncated mid-record; "
                      "using the recovered prefix (%zu events)\n",
                      path, trace->events.size());
     }
@@ -237,7 +236,7 @@ cmdInfo(const char *path, bool sites)
     std::printf("  truncated      %s\n", truncated ? "yes" : "no");
     if (truncated) {
         std::fprintf(stderr,
-                     "%s: stream trace truncated mid-record; the "
+                     "%s: trace truncated mid-record; the "
                      "counts above cover the recovered prefix\n",
                      path);
         return exitTruncated;
