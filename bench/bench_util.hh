@@ -84,40 +84,6 @@ writeBenchRow(const char *bench, unsigned parallelism,
     }
 }
 
-/**
- * Dispatch mode used for detector runs, from PMDB_DISPATCH
- * ("per-event" | "batched"; any other value is fatal). Batched is the
- * default: it is the production configuration of the pipeline and
- * results are bit-identical to per-event dispatch
- * (tests/test_dispatch.cc).
- */
-inline DispatchMode
-benchDispatchMode()
-{
-    static const DispatchMode mode = [] {
-        if (const char *env = std::getenv("PMDB_DISPATCH")) {
-            const std::string v(env);
-            if (v == "per-event")
-                return DispatchMode::PerEvent;
-            if (v != "batched")
-                fatal("PMDB_DISPATCH: unknown mode " + v);
-        }
-        return DispatchMode::Batched;
-    }();
-    return mode;
-}
-
-/**
- * PMTest's annotation checkers and XFDetector's cross-failure
- * verifiers query sink/device state synchronously between events, so
- * those tools must stay on per-event dispatch (see their headers).
- */
-inline bool
-detectorSupportsBatching(const std::string &detector_name)
-{
-    return detector_name != "pmtest" && detector_name != "xfdetector";
-}
-
 /** One timed run of @p workload under @p detector ("" = native). */
 struct BenchRun
 {
@@ -129,8 +95,7 @@ struct BenchRun
 inline BenchRun
 runWorkload(const std::string &workload_name,
             const std::string &detector_name, std::size_t ops,
-            int threads = 1, std::uint64_t seed = 42,
-            DispatchMode mode = benchDispatchMode())
+            int threads = 1, std::uint64_t seed = 42)
 {
     auto workload = makeWorkload(workload_name);
     if (!workload)
@@ -149,8 +114,6 @@ runWorkload(const std::string &workload_name,
         if (!detector)
             fatal("bench: unknown detector " + detector_name);
         runtime.attach(detector.get());
-        if (detectorSupportsBatching(detector_name))
-            runtime.setDispatchMode(mode);
     }
 
     WorkloadOptions options;
@@ -177,17 +140,16 @@ runWorkload(const std::string &workload_name,
 inline BenchRun
 runMedian(const std::string &workload_name,
           const std::string &detector_name, std::size_t ops,
-          int threads = 1, int reps = 3,
-          DispatchMode mode = benchDispatchMode())
+          int threads = 1, int reps = 3)
 {
     // One unmeasured warm-up run (page faults, allocator growth), then
     // the median of the measured repetitions.
     runWorkload(workload_name, detector_name,
-                std::max<std::size_t>(64, ops / 4), threads, 41, mode);
+                std::max<std::size_t>(64, ops / 4), threads, 41);
     std::vector<BenchRun> runs;
     for (int r = 0; r < reps; ++r) {
         runs.push_back(runWorkload(workload_name, detector_name, ops,
-                                   threads, 42 + r, mode));
+                                   threads, 42 + r));
     }
     std::sort(runs.begin(), runs.end(),
               [](const BenchRun &a, const BenchRun &b) {

@@ -1,16 +1,16 @@
 /**
  * @file
  * Dispatch-pipeline benchmark: events/sec through PmRuntime with the
- * PMDebugger detector attached, under per-event and batched dispatch.
+ * PMDebugger detector attached, at batch capacity 1 (per-event
+ * delivery) and at the default capacity.
  *
  * It attaches the registry's PMDebugger detector (DBI cost model on)
- * and measures dispatch + bookkeeping cost — the overhead the batched
- * pipeline attacks: per-event dispatch pays a full clean-call charge
- * and a virtual sink call per event, batched dispatch pays an inline
- * buffer-append per event and amortizes the clean call, the sink
- * virtual call and (in thread-safe mode, which this runs in —
- * Valgrind serializes guest threads, so production dispatch is always
- * serialized) the sink mutex over the whole batch.
+ * and measures dispatch + bookkeeping cost — the overhead batching
+ * attacks: at capacity 1 every event pays a full clean-call charge and
+ * a virtual sink call, at the default capacity events pay an inline
+ * buffer-append and the batch amortizes the clean call, the sink
+ * virtual call and (in thread-safe mode, which this runs in) the sink
+ * mutex.
  *
  * Emits a JSON row to BENCH_dispatch.json (and stdout) so the perf
  * trajectory across PRs can be tracked.
@@ -47,7 +47,7 @@ struct MicroResult
  * cost the batched pipeline amortizes.
  */
 MicroResult
-runMicro(DispatchMode mode, std::size_t fence_intervals)
+runMicro(std::size_t capacity, std::size_t fence_intervals)
 {
     constexpr std::size_t storesPerInterval = 64;
     constexpr std::size_t bytesPerStore = 8;
@@ -57,7 +57,7 @@ runMicro(DispatchMode mode, std::size_t fence_intervals)
     const auto debugger = makeDetector("pmdebugger", DebuggerConfig{});
     runtime.attach(debugger.get());
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(mode);
+    runtime.setBatchCapacity(capacity);
 
     Stopwatch watch;
     Addr base = 0;
@@ -87,12 +87,13 @@ runMicro(DispatchMode mode, std::size_t fence_intervals)
 }
 
 MicroResult
-medianMicro(DispatchMode mode, std::size_t fence_intervals, int reps = 3)
+medianMicro(std::size_t capacity, std::size_t fence_intervals,
+            int reps = 3)
 {
-    runMicro(mode, std::max<std::size_t>(64, fence_intervals / 4));
+    runMicro(capacity, std::max<std::size_t>(64, fence_intervals / 4));
     std::vector<MicroResult> runs;
     for (int r = 0; r < reps; ++r)
-        runs.push_back(runMicro(mode, fence_intervals));
+        runs.push_back(runMicro(capacity, fence_intervals));
     std::sort(runs.begin(), runs.end(),
               [](const MicroResult &a, const MicroResult &b) {
                   return a.seconds < b.seconds;
@@ -103,31 +104,32 @@ medianMicro(DispatchMode mode, std::size_t fence_intervals, int reps = 3)
 int
 benchMain()
 {
-    std::printf("=== Dispatch pipeline: per-event vs batched ===\n\n");
+    std::printf("=== Dispatch pipeline: batch capacity 1 vs %zu ===\n\n",
+                defaultBatchCapacity);
 
     const std::size_t intervals = scaled(40000);
 
-    const MicroResult per = medianMicro(DispatchMode::PerEvent, intervals);
-    const MicroResult bat = medianMicro(DispatchMode::Batched, intervals);
+    const MicroResult per = medianMicro(1, intervals);
+    const MicroResult bat = medianMicro(defaultBatchCapacity, intervals);
 
     const bool identical = per.bugs == bat.bugs &&
                            per.arrayFreed == bat.arrayFreed &&
                            per.treeInsertions == bat.treeInsertions;
 
     TextTable micro;
-    micro.setHeader({"mode", "events", "seconds", "events/sec",
-                     "vs per-event"});
+    micro.setHeader({"capacity", "events", "seconds", "events/sec",
+                     "vs capacity 1"});
     const auto row = [&](const char *name, const MicroResult &r) {
         micro.addRow({name, fmtCount(r.events), fmtDouble(r.seconds, 4),
                       fmtCount(static_cast<std::size_t>(r.eventsPerSec)),
                       fmtFactor(r.eventsPerSec / per.eventsPerSec, 2)});
     };
-    row("per-event", per);
-    row("batched", bat);
+    row("1", per);
+    row(std::to_string(defaultBatchCapacity).c_str(), bat);
     std::printf("--- micro: PMDebugger bookkeeping, store-dominated "
                 "stream ---\n%s\n",
                 micro.render().c_str());
-    std::printf("results identical across modes: %s\n",
+    std::printf("results identical across capacities: %s\n",
                 identical ? "yes" : "NO — BUG");
 
     writeBenchRow("dispatch", 1, [&](JsonWriter &row) {

@@ -45,6 +45,7 @@ runPattern(const PatternParams &params, const std::string &detector_name,
             generator.operation();
         }
         generator.drain();
+        runtime.drain();
         times.push_back(watch.elapsedSeconds());
         if (detector)
             detector->finalize();

@@ -6,8 +6,8 @@
  * Part 1 measures the primitives in isolation (striped counter add,
  * histogram record, the enabled() gate) in ns/op. Part 2 runs the
  * dispatch micro-stream (same shape as dispatch_bench: fence
- * intervals of 64 stores + collective flush + fence, batched mode —
- * the production pipeline) with telemetry enabled and disabled in
+ * intervals of 64 stores + collective flush + fence, default batch
+ * capacity) with telemetry enabled and disabled in
  * drift-cancelling OFF-ON-OFF / ON-OFF-ON triplets, and reports the
  * median relative overhead across triplets. The gate: enabled
  * dispatch must stay within 2% of disabled at full scale (scaled
@@ -51,7 +51,6 @@ runMicro(std::size_t fence_intervals)
     const auto debugger = makeDetector("pmdebugger", DebuggerConfig{});
     runtime.attach(debugger.get());
     runtime.setThreadSafe(true);
-    runtime.setDispatchMode(DispatchMode::Batched);
 
     Stopwatch watch;
     Addr base = 0;

@@ -8,7 +8,7 @@
  * incrementally from the device's onLineQueued()/onBoundary()
  * callbacks — O(1) per CLF-touched line, never O(pool size). Because
  * the device is a synchronous sink, the captured log is bit-identical
- * under PerEvent and Batched dispatch.
+ * at every batch capacity.
  *
  * The log is self-contained: exploration (explore.hh) runs after the
  * pool, device and runtime are destroyed. Verifiers registered here

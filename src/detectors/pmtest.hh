@@ -37,8 +37,8 @@ namespace pmdb
  * from the instrumented program between events, so the op log must be
  * current at every program point — deferred dispatch would let a
  * checker run before the ops it asserts about were delivered. The
- * runtime honours requiresSynchronousDelivery() and feeds it per event
- * even in Batched mode.
+ * runtime honours requiresSynchronousDelivery() and feeds it per event,
+ * outside the batch the other sinks share.
  */
 class PmTestDetector : public Detector
 {

@@ -12,26 +12,18 @@ namespace
 {
 
 /**
- * Dispatch-path metrics, resolved once. Only per-batch work touches
+ * Dispatch-path metric, resolved once. Only per-batch work touches
  * the histogram (never per event), and it carries the whole story:
- * client.batch_fill's sum is the events dispatched and its count the
- * batches flushed. The events counter backs the per-event dispatch
- * mode only, where each event already pays a full clean-call charge.
+ * client.batch_fill's sum is the events delivered to batch sinks and
+ * its count the batches flushed.
  */
-struct DispatchMetrics
+telemetry::Histogram &
+batchFillHistogram()
 {
-    telemetry::Counter &events =
-        telemetry::Registry::global().counter("client.events_dispatched");
-    telemetry::Histogram &batchFill =
+    static telemetry::Histogram &histogram =
         telemetry::Registry::global().histogram("client.batch_fill");
-
-    static DispatchMetrics &
-    get()
-    {
-        static DispatchMetrics instance;
-        return instance;
-    }
-};
+    return histogram;
+}
 
 /**
  * Thread-local batch-fill accumulator. Synchronous sinks flush at
@@ -60,7 +52,7 @@ struct BatchFillLocal
     {
         if (delta.count == 0)
             return;
-        DispatchMetrics::get().batchFill.recordBulk(delta);
+        batchFillHistogram().recordBulk(delta);
         delta = telemetry::HistogramSnapshot{};
     }
 
@@ -107,19 +99,28 @@ toString(FlushKind kind)
     return "unknown";
 }
 
-const char *
-toString(DispatchMode mode)
+NameTable::NameTable(const NameTable &other)
 {
-    switch (mode) {
-      case DispatchMode::PerEvent: return "per-event";
-      case DispatchMode::Batched:  return "batched";
+    std::lock_guard<std::mutex> lock(other.mutex_);
+    names_ = other.names_;
+    index_ = other.index_;
+}
+
+NameTable &
+NameTable::operator=(const NameTable &other)
+{
+    if (this != &other) {
+        std::scoped_lock lock(mutex_, other.mutex_);
+        names_ = other.names_;
+        index_ = other.index_;
     }
-    return "unknown";
+    return *this;
 }
 
 std::uint32_t
 NameTable::intern(const std::string &name)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(name);
     if (it != index_.end())
         return it->second;
@@ -132,9 +133,18 @@ NameTable::intern(const std::string &name)
 const std::string &
 NameTable::name(std::uint32_t id) const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (id >= names_.size())
         panic("NameTable::name: id out of range");
+    // Deque elements never move, so the reference outlives the lock.
     return names_[id];
+}
+
+std::size_t
+NameTable::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return names_.size();
 }
 
 PmRuntime::PmRuntime()
@@ -143,19 +153,13 @@ PmRuntime::PmRuntime()
         strand.store(noStrand, std::memory_order_relaxed);
 }
 
-PmRuntime::~PmRuntime()
-{
-    // Deliver anything still buffered so no mode loses events.
-    drain();
-}
-
 void
-PmRuntime::setDispatchMode(DispatchMode mode)
+PmRuntime::setThreadSafe(bool on)
 {
-    if (mode == mode_)
+    if (on == threadSafe_)
         return;
     drain();
-    mode_ = mode;
+    threadSafe_ = on;
 }
 
 void
@@ -173,8 +177,6 @@ PmRuntime::setBatchCapacity(std::size_t capacity)
 void
 PmRuntime::drain()
 {
-    if (mode_ == DispatchMode::PerEvent)
-        return;
     // Producers must be quiescent (threads joined) at drain points;
     // flush order across threads is arbitrary, like any cross-thread
     // interleaving.
@@ -301,78 +303,80 @@ PmRuntime::flushBatch(EventBatch &batch)
     deliverAndClear(batch);
 }
 
-void
-PmRuntime::enqueueLocked(Event &event)
+SeqNum
+PmRuntime::nextSeq()
 {
-    if (threadSafe_) {
-        // Threads on the per-thread batch path bump seq_ atomically, so
-        // every writer must (mixing plain and atomic access races).
-        std::atomic_ref<SeqNum> seq(seq_);
-        event.seq = seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    } else {
-        event.seq = ++seq_;
-    }
-    if (mode_ == DispatchMode::PerEvent) {
-        // Unbuffered instrumentation: every event is a full clean call
-        // out of translated code.
-        if (dbiSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        if (telemetry::enabled())
-            DispatchMetrics::get().events.add(1);
-        for (TraceSink *sink : sinks_)
-            sink->handle(event);
-        return;
-    }
+    if (!threadSafe_)
+        return ++seq_;
+    // Threads on the per-thread batch path bump seq_ atomically, so
+    // every writer must (mixing plain and atomic access races).
+    std::atomic_ref<SeqNum> seq(seq_);
+    return seq.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+void
+PmRuntime::deliverSync(const Event &event)
+{
     // Sinks coupled synchronously to the application (the device
-    // model, annotation checkers, cross-failure verifiers) always see
-    // events inline, in dispatch order — deferring them would let
-    // program-side state run ahead of their view of the stream.
-    if (!syncSinks_.empty()) {
-        if (dbiSyncSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        for (TraceSink *sink : syncSinks_)
-            sink->handle(event);
-    }
+    // model, annotation checkers, cross-failure verifiers) see events
+    // inline, in dispatch order, each a full clean call out of
+    // translated code — deferring them would let program-side state
+    // run ahead of their view of the stream.
+    if (dbiSyncSinks_ > 0)
+        dbiSpin(dbiEventCost_);
+    for (TraceSink *sink : syncSinks_)
+        sink->handle(event);
+}
+
+bool
+PmRuntime::buffer(EventBatch &batch, const Event &event)
+{
     // Buffered instrumentation: the translated code only pays a short
     // inline buffer-append stub per event.
     if (dbiBatchSinks_ > 0)
         dbiSpin(dbiAppendCost_);
-    batch_.push(event);
+    batch.push(event);
     // Ordering boundaries flush so sink state is coherent with the
     // application at every synchronization point; a full batch flushes
     // to cap buffering between boundaries.
-    if (batch_.full() || isBoundary(event.kind))
+    return batch.full() || isBoundary(event.kind);
+}
+
+void
+PmRuntime::enqueueLocked(Event &event)
+{
+    event.seq = nextSeq();
+    if (!syncSinks_.empty())
+        deliverSync(event);
+    if (!batchSinks_.empty() && buffer(batch_, event))
         deliverAndClear(batch_);
 }
 
 void
-PmRuntime::dispatchBatchedThreadSafe(Event &event)
+PmRuntime::dispatchThreadSafe(Event &event)
 {
-    EventBatch *batch = threadBatchFor(event.thread);
-    if (!batch) {
+    if (event.thread < 0 || event.thread >= maxTrackedThreads) {
         // Overflow ThreadIds (beyond the lock-free array) share batch_
         // under the mutex — correct, just not the fast path.
         std::lock_guard<std::mutex> lock(mutex_);
         enqueueLocked(event);
         return;
     }
-    std::atomic_ref<SeqNum> seq(seq_);
-    event.seq = seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Synchronously-coupled sinks still get per-event delivery under
-    // the mutex; only the batching-tolerant sinks ride the lock-free
-    // per-thread batch. None of the perf-path configurations attach a
-    // sync sink, so the fast path stays lock-free where it matters.
+    event.seq = nextSeq();
+    // Synchronous sinks take the mutex per event; only the
+    // batching-tolerant sinks ride the lock-free per-thread batch.
+    // None of the perf-path configurations attach a sync sink, so the
+    // fast path stays lock-free where it matters.
     if (!syncSinks_.empty()) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (dbiSyncSinks_ > 0)
-            dbiSpin(dbiEventCost_);
-        for (TraceSink *sink : syncSinks_)
-            sink->handle(event);
+        deliverSync(event);
     }
-    if (dbiBatchSinks_ > 0)
-        dbiSpin(dbiAppendCost_);
-    batch->push(event);
-    if (batch->full() || isBoundary(event.kind))
+    if (batchSinks_.empty())
+        return;
+    auto &batch = threadBatches_[static_cast<std::size_t>(event.thread)];
+    if (!batch)
+        batch = std::make_unique<EventBatch>(batchCapacity_);
+    if (buffer(*batch, event))
         flushBatch(*batch);
 }
 
@@ -394,30 +398,13 @@ PmRuntime::dispatch(Event event)
         seq.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    if (!threadSafe_) {
+    // Thread-safe: append to the calling thread's own batch without a
+    // lock; the sink mutex is taken once per flushed batch instead of
+    // once per event.
+    if (threadSafe_)
+        dispatchThreadSafe(event);
+    else
         enqueueLocked(event);
-        return;
-    }
-    if (mode_ == DispatchMode::PerEvent) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        enqueueLocked(event);
-        return;
-    }
-    // Thread-safe batched: append to the calling thread's own
-    // batch without a lock; the sink mutex is taken once per flushed
-    // batch instead of once per event.
-    dispatchBatchedThreadSafe(event);
-}
-
-EventBatch *
-PmRuntime::threadBatchFor(ThreadId thread)
-{
-    if (thread < 0 || thread >= maxTrackedThreads)
-        return nullptr;
-    auto &slot = threadBatches_[static_cast<std::size_t>(thread)];
-    if (!slot)
-        slot = std::make_unique<EventBatch>(batchCapacity_);
-    return slot.get();
 }
 
 StrandId
@@ -446,13 +433,7 @@ PmRuntime::setStrand(ThreadId thread, StrandId strand)
 void
 PmRuntime::siteEnter(const std::string &name, ThreadId thread)
 {
-    std::uint32_t id;
-    {
-        // Worker threads open sites concurrently; interning mutates the
-        // shared NameTable and must be serialized.
-        std::lock_guard<std::mutex> lock(siteMutex_);
-        id = names_.intern(name);
-    }
+    const std::uint32_t id = names_.intern(name);
     if (thread >= 0 && thread < maxTrackedThreads) {
         auto &slot = siteStacks_[static_cast<std::size_t>(thread)];
         if (!slot)
@@ -623,12 +604,7 @@ PmRuntime::registerPmem(const std::string &name, Addr addr,
     Event e;
     e.kind = EventKind::RegisterPmem;
     e.thread = thread;
-    {
-        // Same lock as siteEnter(): worker threads may be interning
-        // site names concurrently.
-        std::lock_guard<std::mutex> lock(siteMutex_);
-        e.nameId = names_.intern(name);
-    }
+    e.nameId = names_.intern(name);
     e.addr = addr;
     e.size = size;
     dispatch(e);

@@ -11,34 +11,29 @@
  * (the paper's "Nulgrind" baseline); attaching a detector measures that
  * detector's debugging overhead.
  *
- * Dispatch runs in one of two modes (setDispatchMode):
- *
- *  - PerEvent (default): every event is delivered to every sink
- *    immediately — the seed behavior, required by sinks whose state is
- *    queried synchronously between events (PMTest annotations,
- *    XFDetector cross-failure verifiers reading the device image).
- *  - Batched: events accumulate in a fixed-capacity EventBatch and are
- *    flushed to sinks when the batch fills, at every ordering boundary
- *    (fence / epoch / strand / join / register / program-end), and at
- *    attach()/detach()/drain(). One virtual handleBatch() per sink per
- *    batch replaces one virtual handle() per sink per event, and the
- *    DBI cost model charges its per-event clean call once per batch
- *    (buffered instrumentation: events pay only a short inline
- *    buffer-append stub). In thread-safe mode each
- *    thread accumulates into its own lock-free batch and the sink mutex
- *    is taken once per batch flush instead of once per event (each
- *    ThreadId must be driven by at most one OS thread, which is how
- *    every workload in this repository uses the API).
+ * Delivery is batched: events accumulate in a fixed-capacity
+ * EventBatch, flushed when it fills, at every ordering boundary
+ * (fence / epoch / strand / join / register / program-end) and at
+ * attach()/detach()/drain(). One virtual handleBatch() per sink per
+ * batch replaces one handle() per sink per event, and the DBI cost
+ * model charges its clean call once per batch (buffered
+ * instrumentation: events pay only a short buffer-append stub).
+ * setBatchCapacity(1) is per-event delivery. Sinks that
+ * requiresSynchronousDelivery() bypass the batch and get every event
+ * inline through handle(); with no other sink attached, no event is
+ * copied into a batch. In thread-safe mode each thread fills its own
+ * lock-free batch and the sink mutex is taken once per flush (each
+ * ThreadId must be driven by at most one OS thread, as every workload
+ * here does).
  *
  * Delivery is always synchronous, on the thread that issued the event
  * (or called drain()); overlapping detection with the application is
- * pmdbd's job, not the runtime's. Because batches are flushed in
- * stream order and each sink receives events in exactly per-event
- * order, detector results for any single-threaded event stream are
- * bit-identical across the two modes (tests/test_dispatch.cc asserts
- * this). Multi-threaded streams keep per-thread event order but
- * deliver cross-thread interleavings at batch rather than event
- * granularity.
+ * pmdbd's job. Batches flush in stream order, so detector results for
+ * a single-threaded stream are bit-identical at every capacity
+ * (tests/test_dispatch.cc). Multi-threaded streams keep exact
+ * per-thread order; cross-thread interleaving is at batch granularity,
+ * which is no less deterministic than the scheduler-chosen order of a
+ * per-event mutex.
  */
 
 #ifndef PMDB_TRACE_RUNTIME_HH
@@ -60,31 +55,20 @@
 namespace pmdb
 {
 
-/** How PmRuntime delivers events to its sinks. */
-enum class DispatchMode
-{
-    /** Deliver each event immediately (seed semantics). */
-    PerEvent,
-    /** Accumulate into an EventBatch; flush at capacity/boundaries. */
-    Batched,
-};
-
-const char *toString(DispatchMode mode);
-
 /**
  * Dispatches instrumented PM operations to attached sinks.
  *
- * Sinks are non-owning observers; the caller keeps them alive for the
- * lifetime of the runtime. By default the runtime is single-threaded;
- * setThreadSafe(true) serializes dispatch with a mutex, mirroring how
- * Valgrind serializes guest threads (used by the Fig 10 scalability
- * experiment).
+ * Sinks are non-owning observers; the caller keeps them alive while
+ * attached. Events still buffered when the runtime is destroyed are
+ * discarded (sinks declared after it are gone by then): read a sink's
+ * results after drain() or programEnd(). By default the runtime is
+ * single-threaded; setThreadSafe(true) is for the Fig 10 scalability
+ * experiment.
  */
 class PmRuntime
 {
   public:
     PmRuntime();
-    ~PmRuntime();
 
     PmRuntime(const PmRuntime &) = delete;
     PmRuntime &operator=(const PmRuntime &) = delete;
@@ -95,31 +79,27 @@ class PmRuntime
     /** Detach a previously attached consumer (drains first). */
     void detach(TraceSink *sink);
 
-    /** Serialize event dispatch across threads. */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
+    /** Allow dispatch from several threads; switching drains first. */
+    void setThreadSafe(bool on);
 
     /** @name Dispatch pipeline configuration. */
     /** @{ */
 
-    /** Select the dispatch mode; switching drains pending events. */
-    void setDispatchMode(DispatchMode mode);
-
-    /** Convenience: toggle Batched mode (off returns to PerEvent). */
-    void setBatched(bool on)
-    {
-        setDispatchMode(on ? DispatchMode::Batched
-                           : DispatchMode::PerEvent);
-    }
-
-    /** Batch capacity for Batched mode (drains, then resizes). */
+    /** Batch capacity (drains, then resizes); 1 is per-event. */
     void setBatchCapacity(std::size_t capacity);
 
-    DispatchMode dispatchMode() const { return mode_; }
+    /**
+     * Alias kept only for the repository benchmark's batched-dispatch
+     * probe; delete it together with that probe.
+     */
+    void setBatched(bool on)
+    {
+        setBatchCapacity(on ? defaultBatchCapacity : 1);
+    }
 
     /**
      * Flush every pending batch. After drain() returns, every sink has
-     * observed every event issued before the call. No-op in PerEvent
-     * mode.
+     * observed every event issued before the call.
      */
     void drain();
 
@@ -139,8 +119,8 @@ class PmRuntime
      *
      * @p per_event is the clean-call charge: the register save/restore
      * and callout that unbuffered instrumentation pays on *every*
-     * event, and that buffered (Batched) dispatch pays once per
-     * drained buffer. @p per_append is the short inline buffer-append
+     * event (and synchronous sinks still do), and that buffered
+     * dispatch pays once per drained buffer. @p per_append is the short inline buffer-append
      * stub that buffered instrumentation pays per event instead — the
      * few translated instructions that spill an event record into the
      * trace buffer (cf. trace-buffer designs such as drcachesim's).
@@ -287,14 +267,19 @@ class PmRuntime
     static constexpr ThreadId maxTrackedThreads = 256;
 
     void dispatch(Event event);
+    /** Dispatch through batch_; caller holds mutex_ if thread-safe. */
     void enqueueLocked(Event &event);
-    void dispatchBatchedThreadSafe(Event &event);
+    /** Dispatch through the calling thread's lock-free batch. */
+    void dispatchThreadSafe(Event &event);
+    SeqNum nextSeq();
+    /** handle() @p event on every synchronous sink. */
+    void deliverSync(const Event &event);
+    /** Append @p event to @p batch; true when the batch must flush. */
+    bool buffer(EventBatch &batch, const Event &event);
     /** Deliver and empty @p batch; caller holds mutex_ if thread-safe. */
     void deliverAndClear(EventBatch &batch);
     /** Deliver a pending batch, taking the sink mutex once for it. */
     void flushBatch(EventBatch &batch);
-    /** Lock-free per-thread batch; null for overflow ThreadIds. */
-    EventBatch *threadBatchFor(ThreadId thread);
     void deliver(const Event *events, std::size_t count);
     /** Recompute batchSinks_/syncSinks_ after attach/detach. */
     void rebuildPartition();
@@ -305,7 +290,7 @@ class PmRuntime
     std::vector<TraceSink *> sinks_;
     /**
      * sinks_ partitioned by delivery policy: batchSinks_ receive
-     * handleBatch() in Batched mode; syncSinks_
+     * handleBatch(); syncSinks_
      * (requiresSynchronousDelivery) always receive handle() inline at
      * dispatch, interleaved with the application.
      */
@@ -317,17 +302,17 @@ class PmRuntime
     int dbiSyncSinks_ = 0;
     std::uint32_t dbiEventCost_ = 25;
     std::uint32_t dbiOpCost_ = 400;
-    /** Inline buffer-append charge per event in Batched mode. */
+    /** Inline buffer-append charge per buffered event. */
     std::uint32_t dbiAppendCost_ = 4;
     NameTable names_;
     SeqNum seq_ = 0;
 
-    DispatchMode mode_ = DispatchMode::PerEvent;
+    /** Batch of single-threaded mode and of overflow ThreadIds. */
     EventBatch batch_;
     std::size_t batchCapacity_ = defaultBatchCapacity;
     /**
-     * Per-thread accumulation batches for thread-safe Batched
-     * dispatch, created lazily by the owning thread. Only the thread
+     * Per-thread accumulation batches for thread-safe dispatch,
+     * created lazily by the owning thread. Only the thread
      * driving that ThreadId touches its slot while events flow; drain()
      * walks all slots and assumes producers are quiescent (workloads
      * join their threads before programEnd()).
@@ -349,9 +334,8 @@ class PmRuntime
      * Per-thread open-site stacks (innermost last), created lazily by
      * the owning thread. Like threadBatches_, only the OS thread
      * driving a ThreadId touches its slot, so reads on the event path
-     * are lock-free; overflow ThreadIds share a mutex-guarded map.
-     * NameTable interning (siteEnter and registerPmem) is serialized
-     * by siteMutex_ because worker threads open sites concurrently.
+     * are lock-free; overflow ThreadIds share a map guarded by
+     * siteMutex_. (NameTable interning synchronizes itself.)
      */
     std::array<std::unique_ptr<std::vector<std::uint32_t>>,
                maxTrackedThreads>

@@ -8,9 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "trace/event.hh"
 
@@ -18,22 +19,31 @@ namespace pmdb
 {
 
 /**
- * Interned string table for event names (registered PM variables).
- * Owned by the runtime; sinks receive a reference when attached.
+ * Interned string table for event names (registered PM variables and
+ * program sites). Owned by the runtime; sinks receive a reference when
+ * attached. Safe for concurrent intern() and name(): worker threads
+ * intern site names while a sink resolves RegisterPmem names on
+ * another thread, so one internal mutex guards the table and the
+ * storage never moves an element (name() references stay valid).
  */
 class NameTable
 {
   public:
+    NameTable() = default;
+    NameTable(const NameTable &other);
+    NameTable &operator=(const NameTable &other);
+
     /** Intern @p name, returning its stable id. */
     std::uint32_t intern(const std::string &name);
 
     /** Look up a previously interned name. */
     const std::string &name(std::uint32_t id) const;
 
-    std::size_t size() const { return names_.size(); }
+    std::size_t size() const;
 
   private:
-    std::vector<std::string> names_;
+    mutable std::mutex mutex_;
+    std::deque<std::string> names_;
     /** name → id index so intern() is O(1) amortized, not O(n). */
     std::unordered_map<std::string, std::uint32_t> index_;
 };
@@ -55,8 +65,8 @@ class TraceSink
     virtual void handle(const Event &event) = 0;
 
     /**
-     * Deliver a batch of events in stream order. The runtime uses this
-     * for batched dispatch; the default implementation preserves
+     * Deliver a batch of events in stream order. The runtime feeds
+     * every batching-tolerant sink this way; the default preserves
      * per-event semantics, so sinks only override it when they can
      * process a run of events cheaper than event-by-event.
      */
@@ -85,9 +95,9 @@ class TraceSink
      * writes its image directly, so dirty/pending tracking must advance
      * in lockstep), PMTest (annotation checkers run mid-stream) and
      * XFDetector (cross-failure verifiers read the device crash image
-     * during handling). The runtime delivers to such sinks per event
-     * even in Batched mode; only batching-tolerant sinks are fed
-     * through handleBatch().
+     * during handling). The runtime delivers to such sinks per event,
+     * inline; only batching-tolerant sinks are fed through
+     * handleBatch().
      */
     virtual bool requiresSynchronousDelivery() const { return false; }
 };

@@ -80,9 +80,9 @@ void
 CaseEnv::checkCrossFailure(const PmemDevice &device,
                            const CrossFailureChecker::Verifier &verify)
 {
-    // The crash image must reflect every event issued so far; under
-    // batched dispatch the detector may still have events buffered,
-    // so force delivery before simulating the crash.
+    // The crash image must reflect every event issued so far; the
+    // detector may still have events buffered, so force delivery
+    // before simulating the crash.
     runtime.drain();
     if (pmdebugger) {
         CrossFailureChecker::check(*pmdebugger, device, verify,

@@ -15,11 +15,11 @@ namespace
 /** One variant run: scenario under a capture session, then explore. */
 CrashsimResult
 runCaseVariant(const BugCase &bug_case, bool buggy,
-               const CrashsimOptions &options, DispatchMode mode,
+               const CrashsimOptions &options, std::size_t batch_capacity,
                bool *single_image_found)
 {
     PmRuntime runtime;
-    runtime.setDispatchMode(mode);
+    runtime.setBatchCapacity(batch_capacity);
 
     DebuggerConfig config;
     config.model = bug_case.model;
@@ -50,14 +50,15 @@ runCaseVariant(const BugCase &bug_case, bool buggy,
 
 CrashsimCaseOutcome
 runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options,
-                DispatchMode mode)
+                std::size_t batch_capacity)
 {
     CrashsimCaseOutcome outcome;
-    outcome.buggy = runCaseVariant(bug_case, true, options, mode,
+    outcome.buggy = runCaseVariant(bug_case, true, options,
+                                   batch_capacity,
                                    &outcome.singleImageFound);
     outcome.engineFound = !outcome.buggy.findings.empty();
-    outcome.clean =
-        runCaseVariant(bug_case, false, options, mode, nullptr);
+    outcome.clean = runCaseVariant(bug_case, false, options,
+                                   batch_capacity, nullptr);
     return outcome;
 }
 
@@ -236,15 +237,13 @@ crashsimOnlyCases()
 
 CrashsimResult
 runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
-                    const CrashsimOptions &options, DispatchMode mode,
-                    PmDebugger *debugger)
+                    const CrashsimOptions &options, PmDebugger *debugger)
 {
     auto workload = makeWorkload(name);
     if (!workload)
         fatal("crashsim: unknown workload " + name);
 
     PmRuntime runtime;
-    runtime.setDispatchMode(mode);
     CrashsimSession session(options);
     wl_options.crashsim = &session;
     workload->run(runtime, wl_options);

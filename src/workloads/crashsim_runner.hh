@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "crashsim/capture.hh"
+#include "trace/batch.hh"
 #include "workloads/bug_suite.hh"
 #include "workloads/workload.hh"
 
@@ -50,12 +51,12 @@ struct CrashsimCaseOutcome
 
 /**
  * Run @p bug_case twice (buggy, correct) with a CrashsimSession using
- * @p options adopted when the scenario arms its verifier, under
- * dispatch mode @p mode.
+ * @p options adopted when the scenario arms its verifier, dispatching
+ * in batches of @p batch_capacity events.
  */
 CrashsimCaseOutcome
 runCrashsimCase(const BugCase &bug_case, const CrashsimOptions &options,
-                DispatchMode mode = DispatchMode::PerEvent);
+                std::size_t batch_capacity = defaultBatchCapacity);
 
 /**
  * Seeded crash-consistency bugs only reachable through crash-state
@@ -85,7 +86,6 @@ const std::vector<BugCase> &crashsimOnlyCases();
 CrashsimResult
 runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
                     const CrashsimOptions &options,
-                    DispatchMode mode = DispatchMode::PerEvent,
                     PmDebugger *debugger = nullptr);
 
 } // namespace pmdb

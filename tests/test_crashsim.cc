@@ -320,14 +320,14 @@ TEST(CrashsimDeterminismTest, SeededRandomEnumerationIsDeterministic)
     EXPECT_LE(a.stats.imagesEnumerated, 65u);
 }
 
-TEST(CrashsimDispatchTest, ResultsIdenticalAcrossDispatchModes)
+TEST(CrashsimDispatchTest, ResultsIdenticalAcrossBatchCapacities)
 {
     const BugCase &bug_case = suiteCase("xf_counter_pair");
     const CrashsimOptions options = kAllOptions();
     const CrashsimCaseOutcome per_event =
-        runCrashsimCase(bug_case, options, DispatchMode::PerEvent);
+        runCrashsimCase(bug_case, options, 1);
     const CrashsimCaseOutcome batched =
-        runCrashsimCase(bug_case, options, DispatchMode::Batched);
+        runCrashsimCase(bug_case, options, defaultBatchCapacity);
 
     EXPECT_TRUE(per_event.buggy.identicalTo(batched.buggy));
     EXPECT_TRUE(per_event.clean.identicalTo(batched.clean));

@@ -80,6 +80,7 @@ TEST(DebuggerTest, ArrayOverflowFallsBackToTree)
     runtime.attach(&debugger);
     for (int i = 0; i < 10; ++i)
         runtime.store(i * 64, 8);
+    runtime.drain();
     const DebuggerStats stats = debugger.stats();
     EXPECT_EQ(stats.array.overflowStores, 6u);
     EXPECT_EQ(debugger.treeNodeCount(), 6u);

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the batched event-dispatch pipeline: dispatch-mode
- * equivalence (per-event vs batched must produce bit-identical
- * detector results), batch flush points, the drain barrier under
- * multiple producer threads, per-thread strand tracking and the O(1)
- * NameTable.
+ * Tests for the batched event-dispatch pipeline: batch-capacity
+ * equivalence (capacity 1, i.e. per-event delivery, and the default
+ * capacity must produce bit-identical detector results), batch flush
+ * points, the drain barrier under multiple producer threads,
+ * per-thread strand tracking and the O(1), thread-safe NameTable.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "detectors/pmdebugger_detector.hh"
+#include "pmem/device.hh"
+#include "telemetry/metrics.hh"
 #include "trace/recorder.hh"
 #include "trace/runtime.hh"
 #include "workloads/bug_suite.hh"
@@ -79,9 +82,10 @@ signatureOf(const Detector &detector)
     return sig;
 }
 
-/** Run one bug-suite case under PMDebugger in the given mode. */
+/** Run one bug-suite case under PMDebugger at the given capacity. */
 RunSignature
-runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
+runCaseAtCapacity(const BugCase &bug_case, std::size_t capacity,
+                  bool buggy)
 {
     PmRuntime runtime;
     CaseEnv env{runtime};
@@ -95,7 +99,7 @@ runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
     env.pmdebugger = &tool.debugger();
 
     runtime.attach(&tool);
-    runtime.setDispatchMode(mode);
+    runtime.setBatchCapacity(capacity);
     bug_case.scenario(env);
     runtime.programEnd();
     tool.finalize();
@@ -105,20 +109,20 @@ runCaseInMode(const BugCase &bug_case, DispatchMode mode, bool buggy)
 
 /**
  * Every case of the 78-case suite (buggy and correct variant) must
- * report exactly the same bugs and bookkeeping counters in both
- * dispatch modes.
+ * report exactly the same bugs and bookkeeping counters at batch
+ * capacity 1 and at the default capacity.
  */
 TEST(DispatchEquivalence, BugSuiteIdenticalAcrossModes)
 {
     for (const BugCase &bug_case : bugSuite()) {
         for (const bool buggy : {true, false}) {
-            const RunSignature per =
-                runCaseInMode(bug_case, DispatchMode::PerEvent, buggy);
+            const RunSignature per = runCaseAtCapacity(bug_case, 1, buggy);
             const RunSignature bat =
-                runCaseInMode(bug_case, DispatchMode::Batched, buggy);
+                runCaseAtCapacity(bug_case, defaultBatchCapacity, buggy);
             EXPECT_TRUE(per == bat)
                 << "case " << bug_case.id << " (" << bug_case.name
-                << "), buggy=" << buggy << ": batched != per-event";
+                << "), buggy=" << buggy
+                << ": default capacity != capacity 1";
         }
     }
 }
@@ -134,8 +138,8 @@ fixedInput()
 }
 
 RunSignature
-runWorkloadInMode(const std::string &name, DispatchMode mode,
-                  const WorkloadOptions &options = fixedInput())
+runWorkloadAtCapacity(const std::string &name, std::size_t capacity,
+                      const WorkloadOptions &options = fixedInput())
 {
     auto workload = makeWorkload(name);
     PmRuntime runtime;
@@ -147,7 +151,7 @@ runWorkloadInMode(const std::string &name, DispatchMode mode,
         return config;
     }()};
     runtime.attach(&tool);
-    runtime.setDispatchMode(mode);
+    runtime.setBatchCapacity(capacity);
 
     workload->run(runtime, options);
     runtime.drain();
@@ -158,16 +162,15 @@ runWorkloadInMode(const std::string &name, DispatchMode mode,
 
 /**
  * A real data-structure workload (fence intervals, CLF patterns,
- * array/tree migration) reports identical stats in both modes —
+ * array/tree migration) reports identical stats at both capacities —
  * including every ArrayStats counter, which proves the batched store
  * fast path performs exactly the per-event bookkeeping.
  */
 TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
 {
-    const RunSignature per =
-        runWorkloadInMode("b_tree", DispatchMode::PerEvent);
+    const RunSignature per = runWorkloadAtCapacity("b_tree", 1);
     const RunSignature bat =
-        runWorkloadInMode("b_tree", DispatchMode::Batched);
+        runWorkloadAtCapacity("b_tree", defaultBatchCapacity);
 
     EXPECT_GT(per.stores, 0u);
     EXPECT_EQ(per.array.recordsCollectivelyFreed,
@@ -178,7 +181,8 @@ TEST(DispatchEquivalence, BTreeWorkloadIdenticalAcrossModes)
 }
 
 /**
- * Multi-threaded memcached under thread-safe batched dispatch: every
+ * Multi-threaded memcached under thread-safe dispatch, at the default
+ * capacity and at capacity 1: every
  * worker's allocator and RegisterPmem events must carry the worker's
  * own ThreadId. Were they all emitted as ThreadId 0, workers would
  * push concurrently into ThreadId 0's lock-free batch, and the
@@ -191,13 +195,17 @@ TEST(DispatchEquivalence, MultiThreadedMemcachedBatchedIsClean)
     options.threads = 3;
     options.setRatio = 0.5;
     options.trackPersistence = false;
-    for (const std::uint64_t seed : {1, 2, 3}) {
-        options.seed = seed;
-        const RunSignature sig =
-            runWorkloadInMode("memcached", DispatchMode::Batched, options);
-        EXPECT_GT(sig.stores, 0u);
-        EXPECT_TRUE(sig.bugs.empty())
-            << "seed " << seed << ": " << sig.bugs.size() << " bugs";
+    for (const std::size_t capacity : {defaultBatchCapacity,
+                                       std::size_t{1}}) {
+        for (const std::uint64_t seed : {1, 2, 3}) {
+            options.seed = seed;
+            const RunSignature sig =
+                runWorkloadAtCapacity("memcached", capacity, options);
+            EXPECT_GT(sig.stores, 0u);
+            EXPECT_TRUE(sig.bugs.empty())
+                << "capacity " << capacity << ", seed " << seed << ": "
+                << sig.bugs.size() << " bugs";
+        }
     }
 }
 
@@ -206,8 +214,6 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::Batched);
 
     runtime.store(0x100, 8);
     runtime.store(0x108, 8);
@@ -224,11 +230,10 @@ TEST(DispatchPipeline, BatchedFlushesAtBoundary)
     EXPECT_EQ(recorder.events()[0].seq, 1u);
     EXPECT_EQ(recorder.events()[3].seq, 4u);
 
-    runtime.setBatched(false);
-    EXPECT_EQ(runtime.dispatchMode(), DispatchMode::PerEvent);
+    runtime.setBatchCapacity(1);
     runtime.store(0x110, 8);
     EXPECT_EQ(recorder.events().size(), 5u)
-        << "per-event dispatch delivers at once";
+        << "capacity 1 delivers at once";
 }
 
 TEST(DispatchPipeline, BatchedFlushesAtCapacity)
@@ -236,7 +241,6 @@ TEST(DispatchPipeline, BatchedFlushesAtCapacity)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
     runtime.setBatchCapacity(4);
 
     for (int i = 0; i < 3; ++i)
@@ -252,7 +256,6 @@ TEST(DispatchPipeline, DetachAndDrainFlushPendingEvents)
     PmRuntime runtime;
     TraceRecorder recorder;
     runtime.attach(&recorder);
-    runtime.setBatched(true);
 
     runtime.store(0x100, 8);
     EXPECT_EQ(recorder.events().size(), 0u);
@@ -276,7 +279,6 @@ TEST(DispatchPipeline, BatchedProgramEndIsADeliveryBarrier)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
 
     constexpr int workerStores = 100; // below capacity: one partial batch
     std::thread worker([&runtime] {
@@ -313,16 +315,16 @@ TEST(DispatchPipeline, BatchedProgramEndIsADeliveryBarrier)
 /**
  * programEnd() runs the detector's finalize rules, so it must first
  * deliver the partial batch a joined worker left behind: a worker's
- * never-flushed store is a bug under either dispatch mode.
+ * never-flushed store is a bug at any batch capacity.
  */
 TEST(DispatchPipeline, ProgramEndFinalizesAfterOtherThreadsBatches)
 {
-    const auto bugsUnder = [](DispatchMode mode) {
+    const auto bugsAt = [](std::size_t capacity) {
         PmRuntime runtime;
         PmDebuggerDetector tool{DebuggerConfig{}};
         runtime.attach(&tool);
         runtime.setThreadSafe(true);
-        runtime.setDispatchMode(mode);
+        runtime.setBatchCapacity(capacity);
         std::thread worker([&runtime] {
             runtime.store(0x8000, 8, /*thread=*/1);
         });
@@ -333,9 +335,9 @@ TEST(DispatchPipeline, ProgramEndFinalizesAfterOtherThreadsBatches)
         runtime.programEnd();
         return tool.bugs().total();
     };
-    const std::size_t per = bugsUnder(DispatchMode::PerEvent);
+    const std::size_t per = bugsAt(1);
     EXPECT_EQ(per, 1u);
-    EXPECT_EQ(bugsUnder(DispatchMode::Batched), per);
+    EXPECT_EQ(bugsAt(defaultBatchCapacity), per);
 }
 
 TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
@@ -344,7 +346,6 @@ TEST(DispatchPipeline, ThreadSafeBatchedKeepsPerThreadOrder)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 500;
@@ -386,7 +387,6 @@ TEST(DispatchPipeline, OverflowThreadIdsUseTheSharedPath)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
 
     // ThreadIds beyond the lock-free per-thread array still dispatch
     // correctly (shared batch under the mutex).
@@ -411,7 +411,6 @@ TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
     TraceRecorder recorder;
     runtime.attach(&recorder);
     runtime.setThreadSafe(true);
-    runtime.setBatched(true);
 
     constexpr int threads = 4;
     constexpr int storesPerThread = 1500; // not a batch multiple
@@ -463,6 +462,85 @@ TEST(DispatchPipeline, BatchedDrainUnderMultipleProducerThreads)
     }
 }
 
+/** Counts handleBatch() calls and the events they carry. */
+class BatchCounter : public TraceSink
+{
+  public:
+    void handle(const Event &) override { ++events; }
+
+    void
+    handleBatch(const Event *, std::size_t count) override
+    {
+        ++calls;
+        events += count;
+        largest = std::max(largest, count);
+    }
+
+    std::size_t calls = 0;
+    std::size_t events = 0;
+    std::size_t largest = 0;
+};
+
+/**
+ * Batching is the default: a runtime nobody configured feeds a batch
+ * sink whole runs of events per handleBatch() call.
+ */
+TEST(DispatchPipeline, DefaultRuntimeDeliversMultiEventBatches)
+{
+    PmRuntime runtime;
+    BatchCounter counter;
+    runtime.attach(&counter);
+    for (int i = 0; i < 64; ++i)
+        runtime.store(0x100 + 8 * i, 8);
+    runtime.flush(0x100, 512);
+    runtime.fence();
+    runtime.programEnd();
+
+    EXPECT_EQ(counter.events, 64u + 2u + 1u);
+    EXPECT_GT(counter.largest, 1u);
+    EXPECT_LT(counter.calls, counter.events);
+}
+
+std::uint64_t
+batchesDelivered()
+{
+    return telemetry::Registry::global()
+        .histogram("client.batch_fill")
+        .snapshot()
+        .count;
+}
+
+/**
+ * With only synchronous sinks attached (pmdbd clients, device-only
+ * runs), events go to handle() inline and never into a batch: no batch
+ * is ever delivered, single-threaded or thread-safe.
+ */
+TEST(DispatchPipeline, SyncOnlyRuntimeNeverFillsItsBatch)
+{
+    telemetry::setEnabled(true);
+    const std::uint64_t before = batchesDelivered();
+
+    PmRuntime runtime;
+    PmemDevice device(1 << 16);
+    runtime.attach(&device);
+    for (int i = 0; i < 600; ++i) // more than one batch's worth
+        runtime.store(0x100 + 8 * (i % 64), 8);
+    runtime.fence();
+    runtime.setThreadSafe(true);
+    std::thread worker([&runtime] {
+        for (int i = 0; i < 600; ++i)
+            runtime.store(0x1000 + 8 * (i % 64), 8, /*thread=*/1);
+        runtime.fence(/*thread=*/1);
+    });
+    worker.join();
+    runtime.setThreadSafe(false);
+    runtime.programEnd();
+
+    EXPECT_EQ(runtime.eventCount(), 600u + 1u + 600u + 1u + 1u);
+    EXPECT_EQ(batchesDelivered(), before)
+        << "a batch nothing reads must stay empty";
+}
+
 TEST(StrandTracking, PerThreadStrandsDoNotInterfere)
 {
     PmRuntime runtime;
@@ -476,6 +554,7 @@ TEST(StrandTracking, PerThreadStrandsDoNotInterfere)
     runtime.store(0x208, 8, /*thread=*/2);
     runtime.strandEnd(7, /*thread=*/1);
     runtime.store(0x108, 8, /*thread=*/1); // strand closed again
+    runtime.drain();
 
     const auto &events = recorder.events();
     ASSERT_EQ(events.size(), 7u);
@@ -497,11 +576,52 @@ TEST(StrandTracking, OverflowThreadIdsTrackStrandsToo)
 
     runtime.strandBegin(3, /*thread=*/5000);
     runtime.store(0x100, 8, /*thread=*/5000);
+    runtime.drain();
     ASSERT_EQ(recorder.events().size(), 2u);
     EXPECT_EQ(recorder.events()[1].strand, 3);
     EXPECT_EQ(runtime.strandOf(5000), 3);
     runtime.strandEnd(3, /*thread=*/5000);
     EXPECT_EQ(runtime.strandOf(5000), noStrand);
+}
+
+/**
+ * Worker threads intern fresh site names while another thread resolves
+ * ids (as a sink does for RegisterPmem): every lookup must return the
+ * name the id was interned for, and references handed out earlier must
+ * stay valid while the table grows.
+ */
+TEST(NameTableTest, ConcurrentInternAndLookup)
+{
+    NameTable names;
+    const std::uint32_t first = names.intern("first");
+    const std::string &pinned = names.name(first);
+
+    constexpr int writers = 4;
+    constexpr int namesPerWriter = 2000;
+    std::atomic<int> done{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < writers; ++t) {
+        threads.emplace_back([&names, &done, t] {
+            for (int i = 0; i < namesPerWriter; ++i) {
+                const std::string name =
+                    std::to_string(t) + ".w" + std::to_string(i);
+                const std::uint32_t id = names.intern(name);
+                EXPECT_EQ(names.name(id), name);
+            }
+            done.fetch_add(1);
+        });
+    }
+    do {
+        const std::size_t size = names.size();
+        for (std::uint32_t id = 0; id < size; id += 7)
+            EXPECT_FALSE(names.name(id).empty());
+    } while (done.load() < writers);
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(pinned, "first");
+    EXPECT_EQ(names.name(names.intern("3.w1999")), "3.w1999");
+    EXPECT_EQ(names.size(), 1u + writers * namesPerWriter);
 }
 
 TEST(NameTableTest, InternIsStableAndDeduplicates)

@@ -93,6 +93,7 @@ TEST_F(PoolTest, FlushEmitsOneEventPerCoveredLine)
     const Addr a = pool.alloc(256);
     recorder.clear();
     pool.flush(a, 130); // covers 3 lines
+    runtime.drain();
     int flushes = 0;
     for (const Event &event : recorder.events()) {
         if (event.kind == EventKind::Flush) {
@@ -113,6 +114,7 @@ TEST_F(PoolTest, WriteBytesEmitsStoreEvent)
     recorder.clear();
     const std::uint32_t v = 42;
     pool.writeBytes(a, &v, sizeof(v));
+    runtime.drain();
     ASSERT_EQ(recorder.events().size(), 1u);
     EXPECT_EQ(recorder.events()[0].kind, EventKind::Store);
     EXPECT_EQ(recorder.events()[0].addr, a);

@@ -60,6 +60,8 @@ TEST(RuntimeTest, SequenceNumbersAreMonotonic)
     runtime.attach(&recorder);
     for (int i = 0; i < 10; ++i)
         runtime.store(i * 8, 8);
+    runtime.drain();
+    ASSERT_EQ(recorder.events().size(), 10u);
     SeqNum last = 0;
     for (const Event &event : recorder.events()) {
         EXPECT_GT(event.seq, last);
@@ -78,6 +80,7 @@ TEST(RuntimeTest, StrandIdsFlowIntoEvents)
     runtime.store(8, 8);            // inside strand 3
     runtime.strandEnd(3);
     runtime.store(16, 8);           // outside again
+    runtime.drain();
 
     const auto &events = recorder.events();
     ASSERT_EQ(events.size(), 5u);

@@ -37,9 +37,11 @@ class TxTest : public ::testing::Test
         return n;
     }
 
+    // Declared first so it outlives the runtime: the pool's destructor
+    // detaches the device, which drains pending events to the recorder.
+    TraceRecorder recorder;
     PmRuntime runtime;
     PmemPool pool;
-    TraceRecorder recorder;
 };
 
 TEST_F(TxTest, CommitMakesLoggedStoresDurable)
@@ -92,6 +94,7 @@ TEST_F(TxTest, AddRangeEmitsTxLogWithObjectAddress)
     Transaction tx(pool);
     tx.begin();
     EXPECT_TRUE(tx.addRange(a, 16));
+    runtime.drain();
     bool saw = false;
     for (const Event &event : recorder.events()) {
         if (event.kind == EventKind::TxLog) {

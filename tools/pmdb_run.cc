@@ -215,6 +215,7 @@ main(int argc, char **argv)
 
     Stopwatch watch;
     workload->run(runtime, options);
+    runtime.drain();
     const double seconds = watch.elapsedSeconds();
     if (detector)
         detector->finalize();
