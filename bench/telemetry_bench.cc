@@ -5,9 +5,9 @@
  *
  * Part 1 measures the primitives in isolation (striped counter add,
  * histogram record, the enabled() gate) in ns/op. Part 2 runs the
- * dispatch micro-stream (same shape as dispatch_bench: fence
- * intervals of 64 stores + collective flush + fence, default batch
- * capacity) with telemetry enabled and disabled in
+ * dispatch micro-stream (fence intervals of 64 stores + collective
+ * flush + fence, default batch capacity) with telemetry enabled and
+ * disabled in
  * drift-cancelling OFF-ON-OFF / ON-OFF-ON triplets, and reports the
  * median relative overhead across triplets. The gate: enabled
  * dispatch must stay within 2% of disabled at full scale (scaled
@@ -39,7 +39,7 @@ struct MicroResult
     std::size_t bugs = 0;
 };
 
-/** Same stream as dispatch_bench's micro part: dispatch-dominated. */
+/** A store-dominated stream, so dispatch dominates the cost. */
 MicroResult
 runMicro(std::size_t fence_intervals)
 {

@@ -4,6 +4,7 @@
 
 #include "common/rng.hh"
 #include "crashsim/capture.hh"
+#include "workloads/recovery_memory.hh"
 
 namespace pmdb
 {
@@ -215,10 +216,11 @@ PersistentBTree::count() const
 namespace
 {
 
-/** Walk state for the image-level structural check. */
-struct BTreeImageWalk
+/** Walk state for the structural check. */
+template <typename Memory>
+struct BTreeWalk
 {
-    const std::vector<std::uint8_t> &image;
+    const Memory &memory;
     std::uint64_t reachable = 0;
     std::uint64_t visited = 0;
     std::string error;
@@ -229,7 +231,7 @@ struct BTreeImageWalk
         if (!error.empty())
             return;
         if (addr == 0 || addr % 8 != 0 ||
-            addr + sizeof(Node) > image.size()) {
+            addr + sizeof(Node) > memory.size()) {
             error = "b_tree recovery: node pointer out of bounds";
             return;
         }
@@ -237,8 +239,7 @@ struct BTreeImageWalk
             error = "b_tree recovery: tree walk diverges (cycle?)";
             return;
         }
-        Node n;
-        std::memcpy(&n, image.data() + addr, sizeof(n));
+        const Node n = memory.template load<Node>(addr);
         if (n.nKeys > PersistentBTree::maxKeys) {
             error = "b_tree recovery: node key count corrupt";
             return;
@@ -257,17 +258,17 @@ struct BTreeImageWalk
     }
 };
 
+template <typename Memory>
 std::string
-verifyBTreeImage(Addr meta_addr, const std::vector<std::uint8_t> &image)
+verifyBTree(const Memory &memory, Addr meta_addr)
 {
     using Meta = PersistentBTree::Meta;
-    if (meta_addr + sizeof(Meta) > image.size())
+    if (meta_addr + sizeof(Meta) > memory.size())
         return "b_tree recovery: metadata out of bounds";
-    Meta meta;
-    std::memcpy(&meta, image.data() + meta_addr, sizeof(meta));
+    const Meta meta = memory.template load<Meta>(meta_addr);
     if (meta.rootNode == 0)
         return "b_tree recovery: root pointer lost";
-    BTreeImageWalk walk{image, 0, 0, {}};
+    BTreeWalk<Memory> walk{memory, 0, 0, {}};
     walk.node(meta.rootNode, 0);
     if (!walk.error.empty())
         return walk.error;
@@ -294,15 +295,21 @@ btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region)
                         sizeof(log_bytes));
         }
         if (log_bytes == 0)
-            return verifyBTreeImage(meta_addr, image);
+            return verifyBTree(ImageMemory{image}, meta_addr);
         // A crash mid-transaction: run undo-log recovery first, on a
         // private copy (the exploration shares the image across
         // candidates).
         std::vector<std::uint8_t> recovered = image;
         TxRecovery::rollbackImage(log_region.base, log_region.size,
                                   recovered);
-        return verifyBTreeImage(meta_addr, recovered);
+        return verifyBTree(ImageMemory{recovered}, meta_addr);
     };
+}
+
+std::string
+btreeRecoveryVerdict(const PmemPool &pool, Addr meta_addr)
+{
+    return verifyBTree(PoolMemory{pool}, meta_addr);
 }
 
 void

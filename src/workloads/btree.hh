@@ -105,6 +105,13 @@ class BTreeWorkload : public Workload
 CrossFailureChecker::Verifier
 btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region);
 
+/**
+ * The tree walk alone over a live pool whose undo log has already been
+ * rolled back, for the model checker: every byte it reads lands in
+ * the execution's read set. Returns the verdict ("" when consistent).
+ */
+std::string btreeRecoveryVerdict(const PmemPool &pool, Addr meta_addr);
+
 } // namespace pmdb
 
 #endif // PMDB_WORKLOADS_BTREE_HH

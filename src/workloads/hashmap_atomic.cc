@@ -1,9 +1,8 @@
 #include "workloads/hashmap_atomic.hh"
 
-#include <cstring>
-
 #include "common/rng.hh"
 #include "crashsim/capture.hh"
+#include "workloads/recovery_memory.hh"
 
 namespace pmdb
 {
@@ -17,49 +16,61 @@ hashmapAtomicTaggedValue(std::uint64_t key)
     return mix64(key ^ 0x686d61746f6d6963ULL) | 1;
 }
 
-CrossFailureChecker::Verifier
-hashmapAtomicRecoveryVerifier(Addr meta_addr)
+namespace
+{
+
+template <typename Memory>
+std::string
+verifyHashmapAtomic(const Memory &memory, Addr meta_addr)
 {
     using Meta = PersistentHashmapAtomic::Meta;
     using Entry = PersistentHashmapAtomic::Entry;
-    return [meta_addr](const std::vector<std::uint8_t> &image)
-               -> std::string {
-        if (meta_addr + sizeof(Meta) > image.size())
-            return "hashmap_atomic recovery: metadata out of bounds";
-        Meta meta;
-        std::memcpy(&meta, image.data() + meta_addr, sizeof(meta));
-        if (meta.buckets == 0 || meta.nBuckets == 0 ||
-            meta.buckets + meta.nBuckets * sizeof(Addr) > image.size())
-            return "hashmap_atomic recovery: bucket table corrupt";
+    const std::size_t size = memory.size();
+    if (meta_addr + sizeof(Meta) > size)
+        return "hashmap_atomic recovery: metadata out of bounds";
+    const Meta meta = memory.template load<Meta>(meta_addr);
+    if (meta.buckets == 0 || meta.nBuckets == 0 ||
+        meta.buckets + meta.nBuckets * sizeof(Addr) > size)
+        return "hashmap_atomic recovery: bucket table corrupt";
 
-        std::uint64_t steps = 0;
-        for (std::uint64_t b = 0; b < meta.nBuckets; ++b) {
-            Addr cursor = 0;
-            std::memcpy(&cursor,
-                        image.data() + meta.buckets + b * sizeof(Addr),
-                        sizeof(cursor));
-            while (cursor != 0) {
-                if (cursor % 8 != 0 ||
-                    cursor + sizeof(Entry) > image.size())
-                    return "hashmap_atomic recovery: bucket head "
-                           "dangles out of bounds";
-                if (++steps > (1u << 22))
-                    return "hashmap_atomic recovery: chain walk "
-                           "diverges (cycle?)";
-                Entry entry;
-                std::memcpy(&entry, image.data() + cursor,
-                            sizeof(entry));
-                if (entry.value != hashmapAtomicTaggedValue(entry.key)) {
-                    return "hashmap_atomic recovery: reachable entry "
-                           "for key " +
-                           std::to_string(entry.key) +
-                           " is torn or never persisted";
-                }
-                cursor = entry.next;
+    std::uint64_t steps = 0;
+    for (std::uint64_t b = 0; b < meta.nBuckets; ++b) {
+        Addr cursor =
+            memory.template load<Addr>(meta.buckets + b * sizeof(Addr));
+        while (cursor != 0) {
+            if (cursor % 8 != 0 || cursor + sizeof(Entry) > size)
+                return "hashmap_atomic recovery: bucket head dangles "
+                       "out of bounds";
+            if (++steps > (1u << 22))
+                return "hashmap_atomic recovery: chain walk diverges "
+                       "(cycle?)";
+            const Entry entry = memory.template load<Entry>(cursor);
+            if (entry.value != hashmapAtomicTaggedValue(entry.key)) {
+                return "hashmap_atomic recovery: reachable entry for "
+                       "key " +
+                       std::to_string(entry.key) +
+                       " is torn or never persisted";
             }
+            cursor = entry.next;
         }
-        return "";
+    }
+    return "";
+}
+
+} // namespace
+
+CrossFailureChecker::Verifier
+hashmapAtomicRecoveryVerifier(Addr meta_addr)
+{
+    return [meta_addr](const std::vector<std::uint8_t> &image) {
+        return verifyHashmapAtomic(ImageMemory{image}, meta_addr);
     };
+}
+
+std::string
+hashmapAtomicRecoveryVerdict(const PmemPool &pool, Addr meta_addr)
+{
+    return verifyHashmapAtomic(PoolMemory{pool}, meta_addr);
 }
 
 PersistentHashmapAtomic::PersistentHashmapAtomic(PmemPool &pool,

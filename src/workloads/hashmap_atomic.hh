@@ -130,6 +130,14 @@ std::uint64_t hashmapAtomicTaggedValue(std::uint64_t key);
 CrossFailureChecker::Verifier
 hashmapAtomicRecoveryVerifier(Addr meta_addr);
 
+/**
+ * The same walk over a live pool, for the model checker: every byte
+ * it reads lands in the execution's read set. Returns the verifier's
+ * verdict ("" when consistent).
+ */
+std::string hashmapAtomicRecoveryVerdict(const PmemPool &pool,
+                                         Addr meta_addr);
+
 } // namespace pmdb
 
 #endif // PMDB_WORKLOADS_HASHMAP_ATOMIC_HH

@@ -105,50 +105,6 @@ stampAudit(PmemPool &pool, Addr root, std::uint64_t stamp)
     pool.flush(root + hashmapAuditOffset(), 8);
 }
 
-/**
- * Instrumented twin of hashmapAtomicRecoveryVerifier: the same chain
- * walk, but through the pool's read path so every byte it depends on
- * lands in the execution's read set. The durable element count is
- * deliberately *not* compared against reachability — the count
- * persists under its own fence after the publish, so a transient
- * mismatch is a legitimate crash state (matching the crashsim
- * verifier's semantics).
- */
-std::string
-verifyHashmapAtomic(PmemPool &pool)
-{
-    using Meta = PersistentHashmapAtomic::Meta;
-    using Entry = PersistentHashmapAtomic::Entry;
-    const Addr meta_addr = pool.root(sizeof(Meta));
-    const Meta meta = pool.load<Meta>(meta_addr);
-    const std::size_t size = pool.device().size();
-    if (meta.buckets == 0 || meta.nBuckets == 0 ||
-        meta.buckets + meta.nBuckets * sizeof(Addr) > size)
-        return "hashmap_atomic recovery: bucket table corrupt";
-
-    std::uint64_t steps = 0;
-    for (std::uint64_t b = 0; b < meta.nBuckets; ++b) {
-        Addr cursor = pool.load<Addr>(meta.buckets + b * sizeof(Addr));
-        while (cursor != 0) {
-            if (cursor % 8 != 0 || cursor + sizeof(Entry) > size)
-                return "hashmap_atomic recovery: bucket head dangles "
-                       "out of bounds";
-            if (++steps > (1u << 20))
-                return "hashmap_atomic recovery: chain walk diverges "
-                       "(cycle?)";
-            const Entry entry = pool.load<Entry>(cursor);
-            if (entry.value != hashmapAtomicTaggedValue(entry.key)) {
-                return "hashmap_atomic recovery: reachable entry for "
-                       "key " +
-                       std::to_string(entry.key) +
-                       " is torn or never persisted";
-            }
-            cursor = entry.next;
-        }
-    }
-    return "";
-}
-
 } // namespace
 
 ModelExecution
@@ -187,7 +143,8 @@ HashmapAtomicModel::runRecovery(std::vector<std::uint8_t> image,
     // instrumented path is what a real reopen does, and it reads the
     // log header into the read set.
     TxRecovery::recoverPool(pool);
-    std::string verdict = verifyHashmapAtomic(pool);
+    // The map's meta sits at the root.
+    std::string verdict = hashmapAtomicRecoveryVerdict(pool, root);
     if (verdict.empty() && cfg.recoveryOperations > 0) {
         pool.recoverHeap();
         PersistentHashmapAtomic map(pool, cfg.faults, nullptr, mcBuckets);
@@ -205,74 +162,6 @@ HashmapAtomicModel::runRecovery(std::vector<std::uint8_t> image,
 /* --------------------------------------------------------------- */
 /* b_tree                                                          */
 /* --------------------------------------------------------------- */
-
-namespace
-{
-
-/** Instrumented twin of verifyBTreeImage (btree.cc). */
-struct BTreePoolWalk
-{
-    PmemPool &pool;
-    std::uint64_t reachable = 0;
-    std::uint64_t visited = 0;
-    std::string error;
-
-    void
-    node(Addr addr, int depth)
-    {
-        using Node = PersistentBTree::Node;
-        if (!error.empty())
-            return;
-        if (addr == 0 || addr % 8 != 0 ||
-            addr + sizeof(Node) > pool.device().size()) {
-            error = "b_tree recovery: node pointer out of bounds";
-            return;
-        }
-        if (depth > 64 || ++visited > (1u << 20)) {
-            error = "b_tree recovery: tree walk diverges (cycle?)";
-            return;
-        }
-        const Node n = pool.load<Node>(addr);
-        if (n.nKeys > PersistentBTree::maxKeys) {
-            error = "b_tree recovery: node key count corrupt";
-            return;
-        }
-        for (std::uint32_t i = 1; i < n.nKeys; ++i) {
-            if (n.keys[i - 1] >= n.keys[i]) {
-                error = "b_tree recovery: node keys out of order";
-                return;
-            }
-        }
-        reachable += n.nKeys;
-        if (!n.isLeaf) {
-            for (std::uint32_t i = 0; i <= n.nKeys; ++i)
-                node(n.children[i], depth + 1);
-        }
-    }
-};
-
-std::string
-verifyBTree(PmemPool &pool)
-{
-    using Meta = PersistentBTree::Meta;
-    const Addr meta_addr = pool.root(sizeof(Meta));
-    const Meta meta = pool.load<Meta>(meta_addr);
-    if (meta.rootNode == 0)
-        return "b_tree recovery: root pointer lost";
-    BTreePoolWalk walk{pool, 0, 0, {}};
-    walk.node(meta.rootNode, 0);
-    if (!walk.error.empty())
-        return walk.error;
-    if (walk.reachable != meta.count) {
-        return "b_tree recovery: reachable keys (" +
-               std::to_string(walk.reachable) +
-               ") disagree with durable count (" +
-               std::to_string(meta.count) + ")";
-    }
-    return "";
-}
-
-} // namespace
 
 ModelExecution
 BTreeModel::runInitial(const ModelRunConfig &cfg)
@@ -299,9 +188,9 @@ BTreeModel::runRecovery(std::vector<std::uint8_t> image,
     PmemPool pool(cap.runtime, std::move(image), "b_tree.pool");
     cap.session.adopt(pool.device());
 
-    pool.root(sizeof(PersistentBTree::Meta));
+    const Addr meta = pool.root(sizeof(PersistentBTree::Meta));
     TxRecovery::recoverPool(pool);
-    std::string verdict = verifyBTree(pool);
+    std::string verdict = btreeRecoveryVerdict(pool, meta);
     if (verdict.empty() && cfg.recoveryOperations > 0) {
         pool.recoverHeap();
         PersistentBTree tree(pool, cfg.faults);

@@ -5,11 +5,12 @@
  * synthetic outcomes, and end-to-end corpora — the same seeded bug
  * recorded under varied seeds and thread counts must cluster to one
  * top-ranked advisory naming the injected program site, bit-identically
- * for any worker count.
+ * for any worker count — checked over a panel of seven seeded bugs.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -246,6 +247,67 @@ TEST(Corpus, SeededHashmapBugClustersToItsProgramSite)
     EXPECT_DOUBLE_EQ(top.confidence, 1.0);
     EXPECT_FALSE(top.performance);
 }
+
+/** A repairable seeded bug whose injection point is a named site. */
+struct PanelCase
+{
+    const char *name;
+    /** The SiteScope label of the injected bug's code path. */
+    const char *expectedSite;
+    std::size_t operations;
+};
+
+const PanelCase advisePanel[] = {
+    {"hashmap_atomic_entry_not_flushed",
+     "hashmap_atomic.cc:insert.fill_entry", 50},
+    {"hashmap_atomic_bucket_first",
+     "hashmap_atomic.cc:insert.fill_entry", 50},
+    {"hashmap_atomic_double_flush",
+     "hashmap_atomic.cc:insert.persist_entry", 50},
+    {"hashmap_atomic_flush_empty",
+     "hashmap_atomic.cc:insert.audit_scratch", 50},
+    {"pmdk_create_hashmap_fence", "hashmap_atomic.cc:create", 50},
+    {"memcached_bug_1", "memcached.cc:setNew.late_header_update", 120},
+    {"memcached_bug_4", "memcached.cc:setNew.persist_item", 120},
+};
+
+/** Keeps the listed test names free of pointer bytes. */
+void
+PrintTo(const PanelCase &panel_case, std::ostream *os)
+{
+    *os << panel_case.name;
+}
+
+class AdvisePanel : public ::testing::TestWithParam<PanelCase>
+{
+};
+
+TEST_P(AdvisePanel, CorpusRepairsAndTopRanksTheInjectedSite)
+{
+    const PanelCase &panel_case = GetParam();
+    const BugCase *bug_case = findBugCase(panel_case.name);
+    ASSERT_NE(bug_case, nullptr);
+
+    CorpusSpec spec;
+    spec.seeds = {1, 2, 3};
+    spec.operations = panel_case.operations;
+    spec.workers = 2;
+    const AdviseReport report = runAdviseCorpus(*bug_case, spec);
+
+    ASSERT_EQ(report.traces.size(), 3u);
+    for (const TraceOutcome &trace : report.traces) {
+        EXPECT_TRUE(trace.targetPresent) << trace.label;
+        EXPECT_TRUE(trace.verified) << trace.label;
+    }
+    ASSERT_FALSE(report.advisories.empty());
+    EXPECT_EQ(report.advisories.front().site, panel_case.expectedSite);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, AdvisePanel, ::testing::ValuesIn(advisePanel),
+    [](const ::testing::TestParamInfo<PanelCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Corpus, SeedsTimesThreadsClusterToOneTopAdvisory)
 {

@@ -3,8 +3,9 @@
  * Tests for the crash-state model checker (src/modelcheck/): the
  * persistent visited-state cache (round-trip, merge-on-load, corrupt
  * rejection, resume semantics), worker-count and rerun determinism of
- * the frontier search, read-set pruning not masking findings, and the
- * seeded multi-crash recovery bugs being reachable only at depth >= 2.
+ * the frontier search, read-set pruning not masking findings, the
+ * seeded multi-crash recovery bugs being reachable only at depth >= 2,
+ * and depth-3 coverage against single-crash exploration.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "modelcheck/engine.hh"
 #include "modelcheck/model.hh"
 #include "modelcheck/state_cache.hh"
+#include "workloads/crashsim_runner.hh"
 
 namespace pmdb
 {
@@ -279,6 +281,37 @@ TEST(ModelCheckerTest, PruningOnlySkipsWork)
     EXPECT_LT(pruned.stats.executions, full.stats.executions);
     // Pruned states still count as visited.
     EXPECT_GT(pruned.stats.distinctStates, 0u);
+}
+
+TEST(ModelCheckerTest, DepthThreeReachesTenfoldCrashsimStates)
+{
+    // Multi-crash recovery re-execution reaches an order of magnitude
+    // more persistent states than single-crash exploration of the same
+    // workload: crashsim's space is bounded by one execution's crash
+    // points, however large its enumeration budget.
+    ModelCheckOptions options = smallSearch(3);
+    options.run.operations = 6;
+    options.maxStates = 1 << 20;
+    const ModelCheckResult mc = runSearch("hashmap_atomic", false,
+                                          options);
+    EXPECT_FALSE(mc.stats.budgetExhausted);
+
+    WorkloadOptions wl_options;
+    wl_options.operations = 6;
+    wl_options.poolBytes = std::size_t(1) << 17;
+    CrashsimOptions cs_options;
+    cs_options.maxImagesPerPoint = 256;
+    const CrashsimResult cs =
+        runCrashsimWorkload("hashmap_atomic", wl_options, cs_options);
+    // Saturated: no bound cut the enumeration short, so a larger
+    // budget could not reach another state.
+    ASSERT_EQ(cs.stats.truncatedPoints, 0u);
+    const std::uint64_t cs_distinct =
+        cs.stats.imagesEnumerated - cs.stats.imagesDeduped;
+    ASSERT_GT(cs_distinct, 0u);
+    EXPECT_GE(mc.stats.distinctStates, 10 * cs_distinct)
+        << "modelcheck " << mc.stats.distinctStates << " vs crashsim "
+        << cs_distinct;
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Minimize/repair engine tests: ddmin witness minimization
  * (idempotence, structure-preserving slicing, verdict-cache reuse) and
- * end-to-end repair synthesis for every rule class with a patch
- * vocabulary.
+ * end-to-end repair synthesis for every suite case whose rule class
+ * has a patch vocabulary.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "repair/case_repair.hh"
 #include "repair/minimize.hh"
 #include "repair/patch.hh"
+#include "workloads/bug_suite.hh"
 
 namespace pmdb
 {
@@ -42,6 +43,18 @@ struct CaseFixture
             bug_case = nullptr;
     }
 };
+
+/** Every suite case whose rule class has a patch vocabulary. */
+std::vector<std::string>
+repairableSuiteCases()
+{
+    std::vector<std::string> names;
+    for (const BugCase &bug_case : bugSuite()) {
+        if (ruleClassHasVocabulary(bug_case.expected))
+            names.push_back(bug_case.name);
+    }
+    return names;
+}
 
 /** Per-thread balance check for section markers in a sliced trace. */
 void
@@ -90,6 +103,23 @@ TEST(MinimizeTest, ShrinksAndPreservesTarget)
 
     const ReplayOracle oracle(fx.config, fx.trace.names);
     EXPECT_TRUE(oracle.replay(result.events).has(fx.target));
+}
+
+TEST(MinimizeTest, TenSuiteCasesShrinkFivefold)
+{
+    std::size_t shrink5x = 0;
+    for (const std::string &name : repairableSuiteCases()) {
+        CaseFixture fx(name);
+        ASSERT_NE(fx.bug_case, nullptr) << name;
+        const MinimizeResult result =
+            minimizeWitness(fx.trace, fx.target, fx.config);
+        ASSERT_TRUE(result.reproduced) << name;
+        const ReplayOracle oracle(fx.config, fx.trace.names);
+        EXPECT_TRUE(oracle.replay(result.events).has(fx.target)) << name;
+        if (result.stats.shrinkFactor() >= 5.0)
+            ++shrink5x;
+    }
+    EXPECT_GE(shrink5x, 10u);
 }
 
 TEST(MinimizeTest, Idempotent)
@@ -196,6 +226,11 @@ TEST(RepairTest, EveryRuleClassGetsVerifiedPatch)
         CaseFixture fx(name);
         ASSERT_NE(fx.bug_case, nullptr) << name;
         ASSERT_EQ(fx.target.type, type) << name;
+    }
+
+    for (const std::string &name : repairableSuiteCases()) {
+        CaseFixture fx(name);
+        ASSERT_NE(fx.bug_case, nullptr) << name;
 
         const RepairResult result =
             repairTrace(fx.trace, fx.target, fx.config);
