@@ -126,6 +126,14 @@ BugCollector::find(const BugFingerprint &fingerprint) const
     return it == sites_.end() ? nullptr : &bugs_[it->second];
 }
 
+std::vector<BugReport>
+BugCollector::takeBugs()
+{
+    std::vector<BugReport> bugs = std::move(bugs_);
+    clear();
+    return bugs;
+}
+
 std::vector<BugFingerprint>
 BugCollector::fingerprints() const
 {

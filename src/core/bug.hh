@@ -11,8 +11,8 @@
 #define PMDB_CORE_BUG_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -110,6 +110,16 @@ struct BugFingerprint
     std::string toString() const;
 };
 
+/** Hasher keying unordered containers by BugFingerprint::hash(). */
+struct BugFingerprintHash
+{
+    std::size_t
+    operator()(const BugFingerprint &fingerprint) const
+    {
+        return static_cast<std::size_t>(fingerprint.hash());
+    }
+};
+
 /** Compute the fingerprint of a report. */
 BugFingerprint fingerprintOf(const BugReport &report);
 
@@ -125,6 +135,9 @@ class BugCollector
     bool report(const BugReport &report);
 
     const std::vector<BugReport> &bugs() const { return bugs_; }
+
+    /** Move the unique reports out, in report order, and clear. */
+    std::vector<BugReport> takeBugs();
 
     /** Unique sites of @p type. */
     std::size_t countOf(BugType type) const;
@@ -155,8 +168,11 @@ class BugCollector
     std::string summary() const;
 
   private:
+    /** Unique reports in report order (the output order). */
     std::vector<BugReport> bugs_;
-    std::map<BugFingerprint, std::size_t> sites_;
+    /** Fingerprint → index into bugs_. */
+    std::unordered_map<BugFingerprint, std::size_t, BugFingerprintHash>
+        sites_;
     std::uint64_t occurrences_ = 0;
 };
 

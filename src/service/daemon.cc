@@ -298,9 +298,15 @@ ServiceDaemon::metricsSnapshot() const
                       static_cast<std::int64_t>(seconds * 1000.0));
         snap.addGauge("pmdbd.session.live" + label, live ? 1 : 0);
     };
-    for (const SessionSummary &session : summaries()) {
-        addSession(session.id, session.eventsProcessed,
-                   session.batchesDrained, session.seconds, false);
+    std::size_t completed = 0;
+    {
+        // In place: summaries() would copy every past bug list.
+        std::lock_guard<std::mutex> lock(summariesMutex_);
+        for (const SessionSummary &session : summaries_) {
+            addSession(session.id, session.eventsProcessed,
+                       session.batchesDrained, session.seconds, false);
+        }
+        completed = summaries_.size();
     }
     const auto now = std::chrono::steady_clock::now();
     for (const auto &poller : pollers_) {
@@ -317,7 +323,7 @@ ServiceDaemon::metricsSnapshot() const
         }
     }
     snap.addGauge("pmdbd.sessions_completed",
-                  static_cast<std::int64_t>(completedSessions()));
+                  static_cast<std::int64_t>(completed));
     snap.addGauge(
         "pmdbd.crossproc.groups_completed",
         static_cast<std::int64_t>(crossproc_.results().size()));
@@ -744,6 +750,27 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
 }
 
 void
+ServiceDaemon::sendReport(const ActiveSession &session)
+{
+    // A child of session.verdict on the same track: the trace shows
+    // merge and shipping apart.
+    telemetry::SpanTimer span("session.report", "pmdbd", session.id,
+                              "parent=session.verdict");
+    const SessionSummary &summary = session.summary;
+    const std::vector<std::uint8_t> payload = ReportBody::encode(
+        summary.verdict.bugs, summary.eventsProcessed,
+        summary.eventsDropped, summary.verdict.stats);
+    if (sendMessage(session.fd, MsgType::Report, payload))
+        return;
+    warn("pmdbd", "report of " + std::to_string(payload.size()) +
+                      " bytes not delivered to session " +
+                      std::to_string(session.id) +
+                      (payload.size() > maxMessageBytes
+                           ? " (over the frame cap)"
+                           : ""));
+}
+
+void
 ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
                           bool aborted)
 {
@@ -769,24 +796,13 @@ ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - session.started)
                     .count();
-            if (!session.summary.aborted) {
-                BugCollector bugs;
-                for (const BugReport &bug : session.summary.verdict.bugs)
-                    bugs.report(bug);
-                ReportBody report;
-                report.bugs = session.summary.verdict.bugs;
-                report.eventsProcessed = session.summary.eventsProcessed;
-                report.eventsDropped = session.summary.eventsDropped;
-                report.json =
-                    reportToJson(bugs, session.summary.verdict.stats);
-                sendMessage(session.fd, MsgType::Report,
-                            report.serialize());
-            }
+            if (!session.summary.aborted)
+                sendReport(session);
             ::close(session.fd);
             session.fd = -1;
             {
                 std::lock_guard<std::mutex> lock(summariesMutex_);
-                summaries_.push_back(session.summary);
+                summaries_.push_back(std::move(session.summary));
             }
             sessionDone_.notify_all();
             session.done.store(true);

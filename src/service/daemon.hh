@@ -184,6 +184,8 @@ class ServiceDaemon
     bool finishHandshake(ActiveSession &session);
     void beginClose(const std::shared_ptr<ActiveSession> &session,
                     bool aborted);
+    /** Encode the session's verdict and send it as the Report. */
+    void sendReport(const ActiveSession &session);
 
     ServiceConfig config_;
     ShardPool pool_;

@@ -1,5 +1,7 @@
 #include "service/protocol.hh"
 
+#include <algorithm>
+
 namespace pmdb
 {
 
@@ -40,7 +42,7 @@ HelloBody::serialize() const
     out.putString(spillPath);
     out.putString(sharedPoolPath);
     out.put(sharedWriterId);
-    return out.bytes();
+    return std::move(out).bytes();
 }
 
 bool
@@ -65,7 +67,7 @@ ByeBody::serialize() const
     WireWriter out;
     out.put(ringEvents);
     out.put(spillEvents);
-    return out.bytes();
+    return std::move(out).bytes();
 }
 
 bool
@@ -105,16 +107,37 @@ getBugReport(WireReader &in)
 }
 
 std::vector<std::uint8_t>
-ReportBody::serialize() const
+ReportBody::encode(const std::vector<BugReport> &bugs,
+                   std::uint64_t eventsProcessed,
+                   std::uint64_t eventsDropped, const DebuggerStats &stats)
 {
+    // Size the buffer once: a verdict can run to tens of megabytes.
+    std::size_t size = 4 + 2 * 8 + 9 * 8;
+    for (const BugReport &bug : bugs)
+        size += minBugReportBytes + bug.detail.size() + bug.context.size();
     WireWriter out;
+    out.reserve(size);
     out.put(static_cast<std::uint32_t>(bugs.size()));
     for (const BugReport &bug : bugs)
         putBugReport(out, bug);
     out.put(eventsProcessed);
     out.put(eventsDropped);
-    out.putString(json);
-    return out.bytes();
+    out.put(stats.stores);
+    out.put(stats.flushes);
+    out.put(stats.fences);
+    out.put(stats.epochs);
+    out.put(stats.treeNodeSampleSum);
+    out.put(stats.treeNodeSamples);
+    out.put(stats.tree.reorganizations);
+    out.put(stats.array.collectiveInvalidations);
+    out.put(stats.array.recordsMovedToTree);
+    return std::move(out).bytes();
+}
+
+std::vector<std::uint8_t>
+ReportBody::serialize() const
+{
+    return encode(bugs, eventsProcessed, eventsDropped, stats);
 }
 
 bool
@@ -124,11 +147,25 @@ ReportBody::deserialize(const std::vector<std::uint8_t> &payload,
     WireReader in(payload);
     const auto count = in.get<std::uint32_t>();
     out->bugs.clear();
+    // The count is untrusted: reserve no more than the bytes left
+    // could hold.
+    out->bugs.reserve(std::min<std::size_t>(
+        count, in.remaining() / minBugReportBytes));
     for (std::uint32_t i = 0; i < count && in.ok(); ++i)
         out->bugs.push_back(getBugReport(in));
     out->eventsProcessed = in.get<std::uint64_t>();
     out->eventsDropped = in.get<std::uint64_t>();
-    out->json = in.getString();
+    DebuggerStats &stats = out->stats;
+    stats = DebuggerStats{};
+    stats.stores = in.get<std::uint64_t>();
+    stats.flushes = in.get<std::uint64_t>();
+    stats.fences = in.get<std::uint64_t>();
+    stats.epochs = in.get<std::uint64_t>();
+    stats.treeNodeSampleSum = in.get<std::uint64_t>();
+    stats.treeNodeSamples = in.get<std::uint64_t>();
+    stats.tree.reorganizations = in.get<std::uint64_t>();
+    stats.array.collectiveInvalidations = in.get<std::uint64_t>();
+    stats.array.recordsMovedToTree = in.get<std::uint64_t>();
     return in.ok();
 }
 

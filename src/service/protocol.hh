@@ -31,13 +31,15 @@
 
 #include "core/bug.hh"
 #include "core/config.hh"
+#include "core/stats.hh"
 
 namespace pmdb
 {
 
 /** Protocol version; bumped on any wire-incompatible change.
- *  v2: HelloBody gained the shared-pool membership fields. */
-constexpr std::uint32_t serviceProtocolVersion = 2;
+ *  v2: HelloBody gained the shared-pool membership fields.
+ *  v3: Report carries stats instead of a rendered JSON document. */
+constexpr std::uint32_t serviceProtocolVersion = 3;
 
 /** Session identifier assigned by the daemon. */
 using SessionId = std::uint32_t;
@@ -57,7 +59,8 @@ enum class MsgType : std::uint32_t
     ReportBug = 5,
     /** client → daemon: stream complete (u64 pushed, u64 spilled). */
     Bye = 6,
-    /** daemon → client: final report (packed bugs + stats + JSON). */
+    /** daemon → client: final report (ReportBody: packed bugs, event
+     *  accounting, merged stats); the client renders it. */
     Report = 7,
     /** either direction: fatal error (string). */
     Error = 8,
@@ -112,7 +115,11 @@ class WireWriter
         buf_.insert(buf_.end(), text.begin(), text.end());
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+    const std::vector<std::uint8_t> &bytes() const & { return buf_; }
+    /** Hand the buffer over without copying it. */
+    std::vector<std::uint8_t> bytes() && { return std::move(buf_); }
 
   private:
     std::vector<std::uint8_t> buf_;
@@ -177,6 +184,9 @@ class WireReader
 
     bool ok() const { return ok_; }
 
+    /** Unread bytes: bounds any reservation sized by a wire count. */
+    std::size_t remaining() const { return buf_.size() - pos_; }
+
   private:
     const std::vector<std::uint8_t> &buf_;
     std::size_t pos_ = 0;
@@ -225,21 +235,44 @@ struct ByeBody
                             ByeBody *out);
 };
 
-/** Final report payload: the session's merged verdict. */
+/**
+ * Final report payload: the session's merged verdict. The client
+ * renders it (pmdb_run --connect --json feeds `bugs` to a
+ * BugCollector and calls reportToJson with `stats`), so the verdict
+ * crosses the socket once, in this compact form.
+ */
 struct ReportBody
 {
+    /** Unique sites in merge order (home-first stable seq order). */
     std::vector<BugReport> bugs;
     /** Events the daemon consumed (ring + spill replay). */
     std::uint64_t eventsProcessed = 0;
     /** Events lost to the Drop policy. */
     std::uint64_t eventsDropped = 0;
-    /** Ready-to-print JSON document (reportToJson shape). */
-    std::string json;
+    /**
+     * Merged bookkeeping statistics. Only the fields reportToJson
+     * prints travel, as raw integers (stores, flushes, fences, epochs,
+     * the tree-node sample sum and count, tree reorganizations,
+     * collective invalidations, records moved to the tree); the rest
+     * arrive zero.
+     */
+    DebuggerStats stats;
 
     std::vector<std::uint8_t> serialize() const;
     static bool deserialize(const std::vector<std::uint8_t> &payload,
                             ReportBody *out);
+
+    /** serialize() over borrowed parts: the daemon encodes a verdict
+     *  in place instead of copying it into a ReportBody first. */
+    static std::vector<std::uint8_t>
+    encode(const std::vector<BugReport> &bugs,
+           std::uint64_t eventsProcessed, std::uint64_t eventsDropped,
+           const DebuggerStats &stats);
 };
+
+/** Smallest putBugReport encoding: two enum bytes, three u64s and two
+ *  empty strings' u32 lengths. Bounds wire-count reservations. */
+constexpr std::size_t minBugReportBytes = 2 + 3 * 8 + 2 * 4;
 
 /** Serialize one BugReport into @p out (shared by ReportBug/Report). */
 void putBugReport(WireWriter &out, const BugReport &bug);

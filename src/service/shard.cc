@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <thread>
+#include <unordered_set>
 
 #include "common/logging.hh"
 #include "core/order_spec.hh"
@@ -457,29 +459,46 @@ ShardPool::mergeAndFinish(CloseState &close)
     // Merge: home shard first so that, at equal seq, its chronological
     // ordering wins; client-reported external bugs come last at equal
     // seq (in-process detection reports at an event before a manual
-    // cross-failure check stamped with the same sequence number).
-    std::vector<BugReport> merged;
-    for (const BugReport &bug : close.bugs[close.home])
-        merged.push_back(bug);
+    // cross-failure check stamped with the same sequence number). The
+    // parts die here, so they are moved, not copied.
+    std::size_t total = close.external.size();
+    for (const std::vector<BugReport> &part : close.bugs)
+        total += part.size();
+    std::vector<BugReport> merged = std::move(close.bugs[close.home]);
+    merged.reserve(total);
+    const auto append = [&merged](std::vector<BugReport> &part) {
+        merged.insert(merged.end(), std::make_move_iterator(part.begin()),
+                      std::make_move_iterator(part.end()));
+    };
     for (std::size_t shard = 0; shard < close.bugs.size(); ++shard) {
-        if (shard == close.home)
-            continue;
-        for (const BugReport &bug : close.bugs[shard])
-            merged.push_back(bug);
+        if (shard != close.home)
+            append(close.bugs[shard]);
     }
-    for (const BugReport &bug : close.external)
-        merged.push_back(bug);
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const BugReport &a, const BugReport &b) {
-                         return a.seq < b.seq;
-                     });
+    append(close.external);
+    const auto bySeq = [](const BugReport &a, const BugReport &b) {
+        return a.seq < b.seq;
+    };
+    // One busy shard usually holds every bug, already in seq order;
+    // skip the sort and its scratch buffer then.
+    if (!std::is_sorted(merged.begin(), merged.end(), bySeq))
+        std::stable_sort(merged.begin(), merged.end(), bySeq);
+
+    // First detection of each fingerprint wins, as in a BugCollector;
+    // the survivors are compacted in place.
+    std::unordered_set<BugFingerprint, BugFingerprintHash> seen;
+    seen.reserve(merged.size());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+        if (!seen.insert(fingerprintOf(merged[i])).second)
+            continue;
+        if (kept != i)
+            merged[kept] = std::move(merged[i]);
+        ++kept;
+    }
+    merged.resize(kept);
 
     SessionVerdict verdict;
-    BugCollector collector;
-    for (const BugReport &bug : merged) {
-        if (collector.report(bug))
-            verdict.bugs.push_back(bug);
-    }
+    verdict.bugs = std::move(merged);
     for (const DebuggerStats &part : close.stats)
         mergeStats(&verdict.stats, part);
     if (telemetryOn) {
@@ -590,7 +609,7 @@ ShardPool::runTask(SessionShard &queue, Task &task)
         DebuggerStats stats;
         if (queue.debugger) {
             queue.debugger->finalize();
-            bugs = queue.debugger->bugs().bugs();
+            bugs = queue.debugger->bugs().takeBugs();
             stats = queue.debugger->stats();
             queue.debugger.reset();
         }

@@ -42,10 +42,10 @@
  *    later (backpressure propagates to the client ring). Control
  *    tasks (Open/Name/Close) bypass the cap — rejecting them could
  *    deadlock a session;
- *  - **merge determinism**: closeSession merges per-shard bug lists
- *    by a stable sequence-number sort with the session's home shard
- *    (the one stripe 0 maps to) first, then re-collects through a
- *    fresh BugCollector — preserving chronological order and
+ *  - **merge determinism**: closeSession moves the per-shard bug
+ *    lists into one, home shard (the one stripe 0 maps to) first,
+ *    stable-sorts it by sequence number and keeps the first detection
+ *    of each fingerprint — preserving chronological order and
  *    first-detection dedup, independent of which worker ran which
  *    queue. Context-only rules (redundant epoch fence) are enabled on
  *    the home shard only so broadcasting cannot duplicate them.

@@ -132,6 +132,10 @@ bool
 sendMessage(int fd, MsgType type,
             const std::vector<std::uint8_t> &payload)
 {
+    // The peer would reject the frame, and above 4 GiB the u32 length
+    // would wrap.
+    if (payload.size() > maxMessageBytes)
+        return false;
     MsgHeader header;
     header.type = static_cast<std::uint32_t>(type);
     header.length = static_cast<std::uint32_t>(payload.size());
@@ -148,7 +152,7 @@ recvMessage(int fd, MsgType *type, std::vector<std::uint8_t> *payload)
     if (!recvAll(fd, &header, sizeof(header)))
         return false;
     // A corrupt length would otherwise trigger a giant allocation.
-    if (header.length > (64u << 20))
+    if (header.length > maxMessageBytes)
         return false;
     *type = static_cast<MsgType>(header.type);
     payload->resize(header.length);

@@ -7,6 +7,7 @@
 #ifndef PMDB_SERVICE_TRANSPORT_HH
 #define PMDB_SERVICE_TRANSPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,13 +32,24 @@ int listenUnix(const std::string &path, std::string *error = nullptr);
 int connectUnix(const std::string &path, int timeout_ms = 2000,
                 std::string *error = nullptr);
 
-/** Send one framed message; false on a broken peer. */
+/**
+ * Largest control-plane payload either end accepts (64 MiB). The
+ * receiver rejects a longer frame before allocating for it, so the
+ * sender refuses to emit one. The Report frame is the only message
+ * that can approach it.
+ */
+constexpr std::size_t maxMessageBytes = 64u << 20;
+
+/**
+ * Send one framed message; false on a broken peer, or without writing
+ * anything when @p payload exceeds maxMessageBytes.
+ */
 bool sendMessage(int fd, MsgType type,
                  const std::vector<std::uint8_t> &payload);
 
 /**
  * Receive one framed message, blocking until a full frame arrives.
- * False on EOF or a broken frame.
+ * False on EOF, a broken frame or a length above maxMessageBytes.
  */
 bool recvMessage(int fd, MsgType *type,
                  std::vector<std::uint8_t> *payload);

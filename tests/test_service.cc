@@ -11,17 +11,23 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include "common/rng.hh"
 #include "core/debugger.hh"
+#include "core/report.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
 #include "service/remote_sink.hh"
 #include "service/spsc_ring.hh"
+#include "service/transport.hh"
 #include "trace/trace_file.hh"
 #include "workloads/bug_suite.hh"
 #include "workloads/workload.hh"
@@ -262,7 +268,18 @@ TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
     report.bugs.push_back(bug);
     report.eventsProcessed = 1000;
     report.eventsDropped = 3;
-    report.json = "{}";
+    // Every stats field reportToJson prints; distinct values catch a
+    // swapped pair.
+    DebuggerStats &stats = report.stats;
+    stats.stores = 11;
+    stats.flushes = 12;
+    stats.fences = 13;
+    stats.epochs = 14;
+    stats.treeNodeSampleSum = 15;
+    stats.treeNodeSamples = 16;
+    stats.tree.reorganizations = 17;
+    stats.array.collectiveInvalidations = 18;
+    stats.array.recordsMovedToTree = 19;
 
     const std::vector<std::uint8_t> wire = report.serialize();
     ReportBody parsed;
@@ -274,6 +291,21 @@ TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
     EXPECT_EQ(parsed.bugs[0].detail, "line flushed twice");
     EXPECT_EQ(parsed.eventsProcessed, 1000u);
     EXPECT_EQ(parsed.eventsDropped, 3u);
+    EXPECT_EQ(parsed.stats.stores, 11u);
+    EXPECT_EQ(parsed.stats.flushes, 12u);
+    EXPECT_EQ(parsed.stats.fences, 13u);
+    EXPECT_EQ(parsed.stats.epochs, 14u);
+    EXPECT_EQ(parsed.stats.treeNodeSampleSum, 15u);
+    EXPECT_EQ(parsed.stats.treeNodeSamples, 16u);
+    EXPECT_EQ(parsed.stats.tree.reorganizations, 17u);
+    EXPECT_EQ(parsed.stats.array.collectiveInvalidations, 18u);
+    EXPECT_EQ(parsed.stats.array.recordsMovedToTree, 19u);
+    // A client rendering from the shipped stats equals one from the
+    // daemon's.
+    BugCollector bugs;
+    bugs.report(bug);
+    EXPECT_EQ(reportToJson(bugs, parsed.stats),
+              reportToJson(bugs, report.stats));
 
     std::vector<std::uint8_t> cut(wire.begin(), wire.end() - 3);
     EXPECT_FALSE(ReportBody::deserialize(cut, &parsed));
@@ -342,6 +374,180 @@ TEST(ProtocolTest, PolicyNames)
     EXPECT_EQ(policy, SlowConsumerPolicy::Spill);
     EXPECT_FALSE(parseSlowConsumerPolicy("lossy", &policy));
     EXPECT_STREQ(toString(SlowConsumerPolicy::Drop), "drop");
+}
+
+/** A valid payload of each client-sent frame plus the Report. */
+std::vector<std::pair<const char *, std::vector<std::uint8_t>>>
+wireSeeds()
+{
+    HelloBody hello;
+    hello.model = PersistencyModel::Strand;
+    hello.policy = SlowConsumerPolicy::Spill;
+    hello.orderSpecText = "a < b";
+    hello.ringPath = "/tmp/ring";
+    hello.spillPath = "/tmp/spill";
+    hello.sharedPoolPath = "/tmp/pool";
+    hello.sharedWriterId = 2;
+
+    ByeBody bye;
+    bye.ringEvents = 123456;
+    bye.spillEvents = 789;
+
+    BugReport bug;
+    bug.type = BugType::NoOrderGuarantee;
+    bug.cause = DurabilityCause::MissingFlush;
+    bug.range = AddrRange(0x1000, 0x1040);
+    bug.seq = 77;
+    bug.detail = "b persisted before a";
+    bug.context = "a<b";
+    WireWriter single;
+    putBugReport(single, bug);
+
+    ReportBody report;
+    for (int i = 0; i < 3; ++i) {
+        report.bugs.push_back(bug);
+        report.bugs.back().seq += static_cast<SeqNum>(i);
+    }
+    report.bugs[1].detail.clear();
+    report.eventsProcessed = 5000;
+    report.stats.stores = 40;
+    report.stats.treeNodeSamples = 9;
+
+    return {{"Hello", hello.serialize()},
+            {"Bye", bye.serialize()},
+            {"ReportBug", single.bytes()},
+            {"Report", report.serialize()}};
+}
+
+/** Parse @p payload as frame @p kind; a parse must be in range. */
+bool
+parseWire(const std::string &kind,
+          const std::vector<std::uint8_t> &payload)
+{
+    const auto validBug = [](const BugReport &bug) {
+        return bug.type <= BugType::CrossFailureSemantic &&
+               bug.cause <= DurabilityCause::MissingFence;
+    };
+    if (kind == "Hello") {
+        HelloBody hello;
+        if (!HelloBody::deserialize(payload, &hello))
+            return false;
+        EXPECT_LE(hello.model, PersistencyModel::Strand);
+        EXPECT_LE(hello.policy, SlowConsumerPolicy::Spill);
+        return true;
+    }
+    if (kind == "Bye") {
+        ByeBody bye;
+        return ByeBody::deserialize(payload, &bye);
+    }
+    if (kind == "ReportBug") {
+        WireReader in(payload);
+        const BugReport bug = getBugReport(in);
+        if (!in.ok())
+            return false;
+        EXPECT_TRUE(validBug(bug));
+        return true;
+    }
+    ReportBody report;
+    if (!ReportBody::deserialize(payload, &report))
+        return false;
+    EXPECT_LE(report.bugs.size() * minBugReportBytes, payload.size());
+    for (const BugReport &bug : report.bugs)
+        EXPECT_TRUE(validBug(bug));
+    return true;
+}
+
+TEST(ProtocolFuzzTest, SeededMutantsParseOrFailCleanly)
+{
+    // Every wire payload the daemon or the client decodes, mutated
+    // under a fixed seed: each mutant parses to in-range values or is
+    // rejected, with no overread (the sanitizer lanes run this) and no
+    // allocation sized by an unchecked count.
+    Rng rng(0x5eed71e5);
+    for (const auto &[kind, seed] : wireSeeds()) {
+        ASSERT_TRUE(parseWire(kind, seed)) << kind;
+        int parsed = 0;
+        int rejected = 0;
+        for (int round = 0; round < 1500; ++round) {
+            std::vector<std::uint8_t> mutant = seed;
+            switch (rng.nextBounded(3)) {
+              case 0: // overwrite a few bytes anywhere
+                for (int k = 1 + static_cast<int>(rng.nextBounded(4));
+                     k > 0; --k) {
+                    mutant[rng.nextBounded(mutant.size())] =
+                        static_cast<std::uint8_t>(rng.nextBounded(256));
+                }
+                break;
+              case 1: // cut the frame short
+                mutant.resize(rng.nextBounded(mutant.size()));
+                break;
+              default: { // a wild u32: counts and string lengths
+                const std::uint32_t wild =
+                    rng.nextBool(0.5)
+                        ? ~std::uint32_t{0} -
+                              static_cast<std::uint32_t>(
+                                  rng.nextBounded(16))
+                        : static_cast<std::uint32_t>(rng.next());
+                const std::size_t at =
+                    rng.nextBounded(mutant.size() - 3);
+                std::memcpy(mutant.data() + at, &wild, sizeof(wild));
+                break;
+              }
+            }
+            if (parseWire(kind, mutant))
+                ++parsed;
+            else
+                ++rejected;
+        }
+        // Both outcomes occur, so the mutations reach past the first
+        // field.
+        EXPECT_GT(parsed, 0) << kind;
+        EXPECT_GT(rejected, 0) << kind;
+    }
+}
+
+TEST(TransportTest, FrameCapHoldsOnBothEnds)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // A sender that ignored the cap would block on the unread frame;
+    // time it out so the test fails instead of hanging.
+    timeval sendTimeout{};
+    sendTimeout.tv_sec = 5;
+    ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
+                           sizeof(sendTimeout)),
+              0);
+
+    // Over the cap: refused before a byte is written.
+    const std::vector<std::uint8_t> over(maxMessageBytes + 1, 0x5a);
+    EXPECT_FALSE(sendMessage(fds[0], MsgType::Report, over));
+    EXPECT_FALSE(readable(fds[1], 0));
+
+    // At the cap: delivered whole. The frame outgrows the socket
+    // buffer, so a reader drains it concurrently.
+    std::vector<std::uint8_t> at(maxMessageBytes, 0x33);
+    at.front() = 1;
+    at.back() = 2;
+    MsgType type = MsgType::Error;
+    std::vector<std::uint8_t> got;
+    bool received = false;
+    std::thread reader(
+        [&] { received = recvMessage(fds[1], &type, &got); });
+    EXPECT_TRUE(sendMessage(fds[0], MsgType::Report, at));
+    reader.join();
+    EXPECT_TRUE(received);
+    EXPECT_EQ(type, MsgType::Report);
+    EXPECT_TRUE(got == at);
+
+    // A header announcing more than the cap is rejected on receipt.
+    MsgHeader header;
+    header.type = static_cast<std::uint32_t>(MsgType::Report);
+    header.length = static_cast<std::uint32_t>(maxMessageBytes + 1);
+    ASSERT_EQ(::write(fds[0], &header, sizeof(header)),
+              static_cast<ssize_t>(sizeof(header)));
+    EXPECT_FALSE(recvMessage(fds[1], &type, &got));
+    ::close(fds[0]);
+    ::close(fds[1]);
 }
 
 /** Identity over the full 78-case suite at a given shard count. */
@@ -461,6 +667,60 @@ TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
     }
     EXPECT_GT(checked, 2);
     daemon.stop();
+}
+
+TEST(ServiceTest, BugHeavyReportRoundTrips)
+{
+    // NoDurability reports every site left unpersisted at program
+    // end: 300K hashmap_atomic inserts without the entry flush leave
+    // 365,102 sites, one Report frame that must fit the frame cap.
+    WorkloadOptions workload;
+    workload.operations = 300000;
+    workload.faults.enable("hmatomic_skip_entry_flush");
+
+    std::vector<BugFingerprint> local;
+    {
+        const auto program = makeWorkload("hashmap_atomic");
+        DebuggerConfig config;
+        config.model = program->model();
+        config.orderSpec = OrderSpec::fromText(program->orderSpecText());
+        PmRuntime runtime;
+        PmDebugger debugger(config);
+        runtime.attach(&debugger);
+        program->run(runtime, workload);
+        runtime.drain();
+        debugger.finalize();
+        local = debugger.bugs().fingerprints();
+    }
+    ASSERT_EQ(local.size(), 365102u);
+
+    ServiceConfig config;
+    config.socketPath = scratchPath("sock");
+    config.pool.shards = 2;
+    ServiceDaemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const auto program = makeWorkload("hashmap_atomic");
+    PmRuntime runtime;
+    RemoteSink sink;
+    RemoteSink::Options options;
+    options.socketPath = config.socketPath;
+    options.ringPath = scratchPath("ring");
+    options.model = program->model();
+    options.orderSpecText = program->orderSpecText();
+    ASSERT_TRUE(sink.connect(options, &error)) << error;
+    runtime.attach(&sink);
+    program->run(runtime, workload);
+    ReportBody report;
+    ASSERT_TRUE(sink.finish(&report, &error)) << error;
+    daemon.stop();
+
+    // Compared in order; gtest would print all 365K on a mismatch.
+    ASSERT_EQ(report.bugs.size(), local.size());
+    for (std::size_t i = 0; i < local.size(); ++i) {
+        ASSERT_EQ(fingerprintOf(report.bugs[i]), local[i])
+            << "first difference at bug " << i;
+    }
 }
 
 TEST(ServiceTest, SpillFileLoadsOnItsOwnWithItsNames)

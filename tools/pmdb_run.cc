@@ -170,8 +170,12 @@ main(int argc, char **argv)
                          error.c_str());
             return exitFailure;
         }
+        // The daemon ships the verdict, not a rendering of it.
+        BugCollector bugs;
+        for (const BugReport &bug : report.bugs)
+            bugs.report(bug);
         if (json) {
-            std::printf("%s\n", report.json.c_str());
+            std::printf("%s\n", reportToJson(bugs, report.stats).c_str());
         } else {
             std::printf("%s via pmdbd: %zu ops in %.4fs\n",
                         workload_name.c_str(), options.operations,
@@ -181,9 +185,6 @@ main(int argc, char **argv)
                             report.eventsProcessed),
                         static_cast<unsigned long long>(
                             report.eventsDropped));
-            BugCollector bugs;
-            for (const BugReport &bug : report.bugs)
-                bugs.report(bug);
             std::printf("%s", bugs.summary().c_str());
         }
         return 0;
