@@ -54,8 +54,6 @@ class ZipfianGenerator
 
     std::uint64_t next();
 
-    std::uint64_t itemCount() const { return items_; }
-
   private:
     double zeta(std::uint64_t n, double theta) const;
 

@@ -26,9 +26,6 @@ class Stopwatch
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Milliseconds elapsed since construction or the last reset(). */
-    double elapsedMillis() const { return elapsedSeconds() * 1e3; }
-
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

@@ -84,17 +84,8 @@ class AvlTree
     /** Number of live nodes flagged as written in the current epoch. */
     std::size_t epochCount() const { return epochCount_; }
 
-    /** Visit every node overlapping @p range (in key order). */
-    void forEachOverlap(const AddrRange &range,
-                        const std::function<void(const LocationRecord &)>
-                            &visit) const;
-
     /** True if any node overlaps @p range. */
     bool overlapsAny(const AddrRange &range) const;
-
-    /** True if any node overlapping @p range has state @p state. */
-    bool overlapsAnyWithState(const AddrRange &range,
-                              FlushState state) const;
 
     /** Outcome of applying one CLF to the tree. */
     struct FlushOutcome

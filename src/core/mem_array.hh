@@ -205,9 +205,6 @@ class MemoryLocationArray
         const std::function<void(const LocationRecord &, FlushState)>
             &visit) const;
 
-    /** Count of live records (array only, not the tree). */
-    std::uint32_t liveCount() const { return size_; }
-
     /** Clear the epoch membership flag on all live records (§5). */
     void clearEpochFlags();
 

@@ -77,7 +77,6 @@ class OrderTracker
      */
     bool watching() const { return !vars_.empty(); }
 
-    std::size_t varCount() const { return vars_.size(); }
     const Var &var(int idx) const { return vars_[idx]; }
 
     /** Constraint pairs as (firstIdx, secondIdx). */

@@ -66,8 +66,6 @@ class PmTestDetector : public Detector
     /** PMTest_END: stop tracking and discard the op log. */
     void pmTestEnd();
 
-    bool inRegion() const { return inRegion_; }
-
     /**
      * Enable the in-region overwrite checker (PMTest's mult-store
      * assertion mode). Opt-in, because epoch-model code legally

@@ -2,7 +2,6 @@
 
 #include "detectors/pmdebugger_detector.hh"
 #include "detectors/pmemcheck.hh"
-#include "detectors/persistence_inspector.hh"
 #include "detectors/pmtest.hh"
 #include "detectors/xfdetector.hh"
 
@@ -13,7 +12,7 @@ std::vector<std::string>
 detectorNames()
 {
     return {"pmdebugger", "pmemcheck", "pmtest", "xfdetector",
-            "persistence_inspector", "nulgrind"};
+            "nulgrind"};
 }
 
 std::unique_ptr<Detector>
@@ -30,8 +29,6 @@ makeDetector(const std::string &name, const DebuggerConfig &config)
         xf.orderSpec = config.orderSpec;
         return std::make_unique<XfDetector>(xf);
     }
-    if (name == "persistence_inspector")
-        return std::make_unique<PersistenceInspector>();
     if (name == "nulgrind")
         return std::make_unique<NulgrindDetector>();
     return nullptr;

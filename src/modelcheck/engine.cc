@@ -1,7 +1,7 @@
 #include "modelcheck/engine.hh"
 
+#include <atomic>
 #include <thread>
-#include <unistd.h>
 #include <unordered_set>
 #include <utility>
 
@@ -10,7 +10,6 @@
 #include "common/stopwatch.hh"
 #include "crashsim/explore.hh"
 #include "modelcheck/pruner.hh"
-#include "service/remote_sink.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
@@ -37,9 +36,6 @@ ModelChecker::ModelChecker(ModelWorkload &workload,
                            ModelCheckOptions options)
     : workload_(workload), options_(std::move(options))
 {
-    runCfg_ = options_.run;
-    if (!options_.connectSocket.empty())
-        runCfg_.recordEvents = true;
 }
 
 void
@@ -58,7 +54,7 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
         const CrashPoint &point = log.points[p];
         bool truncated = false;
         const std::vector<std::vector<std::size_t>> candidates =
-            enumerateCrashCandidates(log, point, runCfg_.sim,
+            enumerateCrashCandidates(log, point, options_.run.sim,
                                      &truncated);
         if (truncated)
             ++out.truncatedPoints;
@@ -103,11 +99,10 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
             cursor.revert();
 
             ModelExecution exec =
-                workload_.runRecovery(std::move(image), runCfg_);
+                workload_.runRecovery(std::move(image), options_.run);
             pruner.observeReads(exec.reads);
             ++out.executions;
             out.crashPoints += exec.log.points.size();
-            dispatchToService(exec);
 
             outcome.executed = true;
             outcome.inconsistency = std::move(exec.inconsistency);
@@ -141,10 +136,9 @@ ModelChecker::run()
             fatal("modelcheck: " + err);
     }
 
-    ModelExecution initial = workload_.runInitial(runCfg_);
+    ModelExecution initial = workload_.runInitial(options_.run);
     ++stats.executions;
     stats.crashPoints += initial.log.points.size();
-    dispatchToService(initial);
     if (!initial.inconsistency.empty()) {
         // The workload broke without any crash; depth-0 finding.
         ModelCheckFinding finding;
@@ -266,53 +260,8 @@ ModelChecker::run()
             warn("modelcheck: failed to persist state cache: " + err);
     }
     result.cacheStates = cache.size();
-    result.connectSessions = connectSessions_.load();
-    result.connectErrors = connectErrors_.load();
     result.seconds = watch.elapsedSeconds();
     return result;
-}
-
-void
-ModelChecker::dispatchToService(const ModelExecution &exec)
-{
-    if (options_.connectSocket.empty())
-        return;
-
-    RemoteSink::Options sink_options;
-    sink_options.socketPath = options_.connectSocket;
-    sink_options.ringPath =
-        options_.scratchDir + "/pmdb_mc_ring_" +
-        std::to_string(::getpid()) + "_" +
-        std::to_string(ringSeq_.fetch_add(1));
-
-    RemoteSink sink;
-    std::string err;
-    if (!sink.connect(sink_options, &err)) {
-        connectErrors_.fetch_add(1);
-        return;
-    }
-
-    // The sink interns names ahead of the events that reference them;
-    // replaying the recorded table in id order reproduces the ids the
-    // events carry.
-    NameTable names;
-    for (const std::string &name : exec.names)
-        names.intern(name);
-    sink.attached(names);
-    for (const Event &event : exec.events)
-        sink.handle(event);
-    if (!exec.inconsistency.empty()) {
-        BugReport report;
-        report.type = BugType::CrossFailureSemantic;
-        report.detail = exec.inconsistency;
-        sink.reportBug(report);
-    }
-
-    ReportBody body;
-    if (sink.finish(&body, &err))
-        connectSessions_.fetch_add(1);
-    else
-        connectErrors_.fetch_add(1);
 }
 
 } // namespace pmdb

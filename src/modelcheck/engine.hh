@@ -44,7 +44,6 @@
 #ifndef PMDB_MODELCHECK_ENGINE_HH
 #define PMDB_MODELCHECK_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -86,16 +85,6 @@ struct ModelCheckOptions
 
     /** Cap on recorded findings. */
     std::size_t maxFindings = 64;
-
-    /**
-     * When non-empty, every execution's event stream is also dispatched
-     * to the pmdbd daemon at this control socket as its own service
-     * session (forces ModelRunConfig::recordEvents).
-     */
-    std::string connectSocket;
-
-    /** Where --connect ring files are created. */
-    std::string scratchDir = "/tmp";
 };
 
 /** One inconsistency the search found. */
@@ -163,13 +152,7 @@ struct ModelCheckResult
     /** Wall clock (not part of identicalTo). */
     double seconds = 0.0;
 
-    /** @name --connect delivery counters (not part of identicalTo) */
-    /** @{ */
-    std::uint64_t connectSessions = 0;
-    std::uint64_t connectErrors = 0;
-    /** @} */
-
-    /** Bit-identical search outcome (timing and transport excluded). */
+    /** Bit-identical search outcome (timing excluded). */
     bool identicalTo(const ModelCheckResult &other) const
     {
         return findings == other.findings && stats == other.stats &&
@@ -245,17 +228,8 @@ class ModelChecker
     void processGroup(const Group &group, const StateCache &frozen,
                       GroupOutcome &out);
 
-    /** Replay one execution's stream to the daemon (--connect). */
-    void dispatchToService(const ModelExecution &exec);
-
     ModelWorkload &workload_;
     ModelCheckOptions options_;
-    /** options_.run with recordEvents forced when connected. */
-    ModelRunConfig runCfg_;
-    /** Unique ring-file suffix per --connect session. */
-    std::atomic<std::uint64_t> ringSeq_{0};
-    std::atomic<std::uint64_t> connectSessions_{0};
-    std::atomic<std::uint64_t> connectErrors_{0};
 };
 
 } // namespace pmdb

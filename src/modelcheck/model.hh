@@ -12,9 +12,9 @@
  *
  * Contract for implementations:
  *  - Executions are deterministic functions of (config, input image):
- *    same image in, same event stream and final image out. The pruning
- *    soundness argument (DESIGN.md §11) and the resumable state cache
- *    both stand on this.
+ *    same image in, same event stream out. The pruning soundness
+ *    argument (DESIGN.md §11) and the resumable state cache both stand
+ *    on this.
  *  - runRecovery() must *detect* inconsistent images (return a
  *    non-empty ModelExecution::inconsistency) rather than crash on
  *    them, and must read the image through the pool's instrumented
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "crashsim/crash_points.hh"
-#include "trace/event.hh"
 #include "trace/read_set.hh"
 #include "workloads/workload.hh"
 
@@ -66,13 +65,6 @@ struct ModelRunConfig
 
     /** Crash-point capture and enumeration bounds. */
     CrashsimOptions sim;
-
-    /**
-     * Record the event stream and name table of every execution
-     * (needed to dispatch executions to a pmdbd daemon; off by
-     * default — recording is pure overhead otherwise).
-     */
-    bool recordEvents = false;
 };
 
 /** One instrumented execution observed by the model checker. */
@@ -80,9 +72,6 @@ struct ModelExecution
 {
     /** Crash points captured while the execution ran. */
     CrashPointLog log;
-
-    /** Durable pool image when the execution finished. */
-    std::vector<std::uint8_t> finalImage;
 
     /**
      * Non-empty when the execution's recovery logic found the input
@@ -92,12 +81,6 @@ struct ModelExecution
 
     /** Cache lines the execution read (recovery dependence set). */
     ReadSet reads;
-
-    /** Recorded event stream (only when ModelRunConfig::recordEvents). */
-    std::vector<Event> events;
-
-    /** Interned names in id order, for replaying @ref events. */
-    std::vector<std::string> names;
 };
 
 /** A workload the model checker can drive through crash-recover cycles. */

@@ -49,9 +49,11 @@ StateCache::load(const std::string &path, std::string *error)
         std::fclose(file);
         return fail(error, path + ": truncated header");
     }
-    const std::uint64_t expected =
-        16 + count * sizeof(std::uint64_t);
-    if (static_cast<std::uint64_t>(st.st_size) != expected) {
+    // Bound count by the file before using it: 16 + count * 8 wraps
+    // for a hostile count and could match the real size.
+    const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
+    if (size < 16 || (size - 16) % sizeof(std::uint64_t) != 0 ||
+        count != (size - 16) / sizeof(std::uint64_t)) {
         std::fclose(file);
         return fail(error, path + ": size disagrees with state count");
     }

@@ -33,21 +33,6 @@
 namespace pmdb
 {
 
-/** Typed offset into a pool; the null value is offset 0. */
-template <typename T>
-struct Pptr
-{
-    Addr off = 0;
-
-    Pptr() = default;
-    explicit Pptr(Addr o) : off(o) {}
-
-    bool isNull() const { return off == 0; }
-    explicit operator bool() const { return off != 0; }
-
-    bool operator==(const Pptr &other) const = default;
-};
-
 /**
  * A persistent object pool. Owns the simulated device; the caller owns
  * the runtime (so detectors can be attached before or after pool
@@ -113,13 +98,6 @@ class PmemPool
      */
     Addr alloc(std::size_t size, ThreadId thread = 0);
 
-    template <typename T>
-    Pptr<T>
-    allocFor()
-    {
-        return Pptr<T>(alloc(sizeof(T)));
-    }
-
     /**
      * Allocate for a transaction: the zeroed data is stored but not
      * flushed and no fence is issued — the commit barrier flushes the
@@ -172,20 +150,6 @@ class PmemPool
         T value;
         readBytes(addr, &value, sizeof(T));
         return value;
-    }
-
-    template <typename T>
-    void
-    storeAt(Pptr<T> ptr, const T &value, ThreadId thread = 0)
-    {
-        store<T>(ptr.off, value, thread);
-    }
-
-    template <typename T>
-    T
-    loadAt(Pptr<T> ptr) const
-    {
-        return load<T>(ptr.off);
     }
 
     /** Emit one CLWB event per cache line covering [addr, addr+size). */

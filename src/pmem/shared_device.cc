@@ -108,25 +108,43 @@ SharedPmemPool::SharedPmemPool(PmRuntime &runtime,
                  std::strerror(errno);
         return;
     }
+    const auto reject = [&](const std::string &message) {
+        error_ = message;
+        ::close(fd_);
+        fd_ = -1;
+    };
     Header probe = {};
     if (::pread(fd_, &probe, sizeof(probe), 0) !=
             static_cast<ssize_t>(sizeof(probe)) ||
         std::memcmp(probe.magic, poolMagic, sizeof(poolMagic)) != 0) {
-        error_ = path + " is not a PMDB shared pool (bad magic)";
-        ::close(fd_);
-        fd_ = -1;
+        reject(path + " is not a PMDB shared pool (bad magic)");
         return;
     }
-    dataSize_ = probe.dataSize;
-    mapBytes_ = headerBytes + 3 * dataSize_ +
-                lineCount() * sizeof(SharedLineState);
+    // Validate the header against the file before mapping it: pages
+    // the file does not back fault (SIGBUS) on first touch.
+    struct stat st;
+    std::size_t lineBytes = 0;
+    std::size_t total = 0;
+    const std::uint64_t data = probe.dataSize;
+    if (::fstat(fd_, &st) != 0 || data == 0 ||
+        data % cacheLineSize != 0 ||
+        __builtin_mul_overflow(data / cacheLineSize,
+                               sizeof(SharedLineState), &lineBytes) ||
+        __builtin_mul_overflow(data, 3, &total) ||
+        __builtin_add_overflow(total, lineBytes, &total) ||
+        __builtin_add_overflow(total, headerBytes, &total) ||
+        total != static_cast<std::uint64_t>(st.st_size)) {
+        reject(path + ": shared-pool header does not match the file "
+                      "size");
+        return;
+    }
+    dataSize_ = data;
+    mapBytes_ = total;
     void *map = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
                        MAP_SHARED, fd_, 0);
     if (map == MAP_FAILED) {
-        error_ = "shared pool: mmap failed: " +
-                 std::string(std::strerror(errno));
-        ::close(fd_);
-        fd_ = -1;
+        reject("shared pool: mmap failed: " +
+               std::string(std::strerror(errno)));
         return;
     }
     base_ = static_cast<std::uint8_t *>(map);

@@ -484,40 +484,6 @@ cascadeDeletes(std::vector<Event> &work, const ReplayOracle &oracle,
 
 } // namespace
 
-std::vector<Event>
-applyPatch(const std::vector<Event> &events, const TracePatch &patch)
-{
-    // Group edits by original index (stable within a group).
-    std::vector<const TraceEdit *> sorted;
-    sorted.reserve(patch.edits.size());
-    for (const TraceEdit &edit : patch.edits)
-        sorted.push_back(&edit);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const TraceEdit *a, const TraceEdit *b) {
-                         return a->index < b->index;
-                     });
-
-    std::vector<Event> out;
-    out.reserve(events.size() + patch.edits.size());
-    std::size_t next = 0;
-    for (std::size_t i = 0; i <= events.size(); ++i) {
-        bool deleted = false;
-        while (next < sorted.size() && sorted[next]->index == i) {
-            if (sorted[next]->op == TraceEdit::Op::Insert)
-                out.push_back(sorted[next]->event);
-            else
-                deleted = true;
-            ++next;
-        }
-        if (i < events.size() && !deleted)
-            out.push_back(events[i]);
-    }
-    SeqNum seq = 0;
-    for (Event &event : out)
-        event.seq = ++seq;
-    return out;
-}
-
 bool
 ruleClassHasVocabulary(BugType type)
 {

@@ -81,14 +81,6 @@ struct TracePatch
     std::string strategy;
 };
 
-/**
- * Apply @p patch to @p events. Inserts land before their index (stable
- * among themselves), deletes remove their index, and the result is
- * renumbered seq 1..n so it replays and records like a fresh trace.
- */
-std::vector<Event> applyPatch(const std::vector<Event> &events,
-                              const TracePatch &patch);
-
 /** Synthesizer bounds. */
 struct RepairOptions
 {

@@ -100,7 +100,7 @@ RemoteSink::connect(const Options &options, std::string *error)
     WireReader in(payload);
     session_ = in.get<std::uint32_t>();
     namesSent_ = 0;
-    pushed_ = spilled_ = dropped_ = frames_ = 0;
+    pushed_ = spilled_ = dropped_ = 0;
     spilling_ = false;
     dead_ = false;
     batch_.setCapacity(std::min<std::uint32_t>(
@@ -172,11 +172,8 @@ RemoteSink::flushBatch()
     }
 
     std::size_t accepted = ring_.tryPushBatch(events, remaining);
-    if (accepted) {
-        ++frames_;
-        if (telemetryOn)
-            ring_.stampPublish(telemetry::nowNs());
-    }
+    if (accepted && telemetryOn)
+        ring_.stampPublish(telemetry::nowNs());
     pushed_ += accepted;
     events += accepted;
     remaining -= accepted;
@@ -197,7 +194,6 @@ RemoteSink::flushBatch()
             while (remaining) {
                 accepted = ring_.tryPushBatch(events, remaining);
                 if (accepted) {
-                    ++frames_;
                     if (telemetryOn)
                         ring_.stampPublish(telemetry::nowNs());
                     pushed_ += accepted;

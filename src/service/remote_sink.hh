@@ -111,8 +111,6 @@ class RemoteSink : public TraceSink
     std::uint64_t ringEvents() const { return pushed_; }
     std::uint64_t spillEvents() const { return spilled_; }
     std::uint64_t droppedEvents() const { return dropped_; }
-    /** Batch frames published into the ring. */
-    std::uint64_t ringFrames() const { return frames_; }
 
   private:
     bool ensureNamesSent(std::uint32_t name_id);
@@ -132,7 +130,6 @@ class RemoteSink : public TraceSink
     std::uint64_t pushed_ = 0;
     std::uint64_t spilled_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t frames_ = 0;
     /** Once spilling starts, everything spills (order preservation). */
     bool spilling_ = false;
     bool dead_ = false;

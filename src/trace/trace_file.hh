@@ -2,9 +2,9 @@
  * @file
  * On-disk trace format.
  *
- * Recorded event streams can be saved and re-loaded, enabling the
- * record-once / analyze-many workflow that post-mortem tools (Intel's
- * Persistence Inspector) use, offline characterization, and detector
+ * Recorded event streams can be saved and re-loaded for a
+ * record-once / analyze-many workflow: offline replay through any
+ * detector, characterization, crash-state scans, minimization, and
  * regression testing against frozen traces.
  *
  * Every trace file has one format (little-endian, version 2): the

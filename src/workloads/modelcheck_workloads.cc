@@ -4,7 +4,6 @@
 #include "crashsim/capture.hh"
 #include "pmdk/pool.hh"
 #include "pmdk/tx.hh"
-#include "trace/recorder.hh"
 #include "workloads/btree.hh"
 #include "workloads/hashmap_atomic.hh"
 #include "workloads/hashmap_tx.hh"
@@ -20,27 +19,22 @@ constexpr std::uint64_t recoverySeedSalt = 0x7265636f76657279ULL;
 
 /**
  * Per-execution capture scaffold: one runtime, one crash-point
- * session, optional event recording, and the execution's read set.
+ * session, and the execution's read set.
  */
 struct Capture
 {
     PmRuntime runtime;
     CrashsimSession session;
-    TraceRecorder recorder;
     ReadSet reads;
-    bool record;
 
-    explicit Capture(const ModelRunConfig &cfg)
-        : session(cfg.sim), record(cfg.recordEvents)
+    explicit Capture(const ModelRunConfig &cfg) : session(cfg.sim)
     {
-        if (record)
-            runtime.attach(&recorder);
         runtime.setReadTracker(&reads);
     }
 
     /** Close the execution and package everything the engine needs. */
     ModelExecution
-    finish(PmemPool &pool, std::string verdict)
+    finish(std::string verdict)
     {
         runtime.programEnd();
         runtime.drain();
@@ -48,15 +42,7 @@ struct Capture
         ModelExecution exec;
         exec.inconsistency = std::move(verdict);
         exec.log = session.log();
-        exec.finalImage = pool.device().persistedBytes();
         exec.reads = std::move(reads);
-        if (record) {
-            exec.events = recorder.events();
-            const NameTable &names = runtime.names();
-            for (std::uint32_t i = 0; i < names.size(); ++i)
-                exec.names.push_back(names.name(i));
-            runtime.detach(&recorder);
-        }
         runtime.setReadTracker(nullptr);
         return exec;
     }
@@ -126,7 +112,7 @@ HashmapAtomicModel::runInitial(const ModelRunConfig &cfg)
         const std::uint64_t key = rng.nextBounded(1024);
         map.insert(key, hashmapAtomicTaggedValue(key));
     }
-    return cap.finish(pool, "");
+    return cap.finish("");
 }
 
 ModelExecution
@@ -156,7 +142,7 @@ HashmapAtomicModel::runRecovery(std::vector<std::uint8_t> image,
             map.insert(key, hashmapAtomicTaggedValue(key));
         }
     }
-    return cap.finish(pool, std::move(verdict));
+    return cap.finish(std::move(verdict));
 }
 
 /* --------------------------------------------------------------- */
@@ -177,7 +163,7 @@ BTreeModel::runInitial(const ModelRunConfig &cfg)
         cap.runtime.appOp();
         tree.insert(rng.next(), i);
     }
-    return cap.finish(pool, "");
+    return cap.finish("");
 }
 
 ModelExecution
@@ -200,7 +186,7 @@ BTreeModel::runRecovery(std::vector<std::uint8_t> image,
             tree.insert(rng.next(), 1000000 + i);
         }
     }
-    return cap.finish(pool, std::move(verdict));
+    return cap.finish(std::move(verdict));
 }
 
 /* --------------------------------------------------------------- */
@@ -271,7 +257,7 @@ HashmapTxModel::runInitial(const ModelRunConfig &cfg)
         cap.runtime.appOp();
         map.insert(rng.nextBounded(1024), i);
     }
-    return cap.finish(pool, "");
+    return cap.finish("");
 }
 
 ModelExecution
@@ -294,7 +280,7 @@ HashmapTxModel::runRecovery(std::vector<std::uint8_t> image,
             map.insert(rng.nextBounded(1024), 1000000 + i);
         }
     }
-    return cap.finish(pool, std::move(verdict));
+    return cap.finish(std::move(verdict));
 }
 
 /* --------------------------------------------------------------- */
@@ -364,7 +350,7 @@ McUndoFlushModel::runInitial(const ModelRunConfig &cfg)
         cap.runtime.appOp();
         mcUndoPairOp(pool, root, rng.next() | 1);
     }
-    return cap.finish(pool, "");
+    return cap.finish("");
 }
 
 ModelExecution
@@ -417,7 +403,7 @@ McUndoFlushModel::runRecovery(std::vector<std::uint8_t> image,
             mcUndoPairOp(pool, root, rng.next() | 1);
         }
     }
-    return cap.finish(pool, std::move(verdict));
+    return cap.finish(std::move(verdict));
 }
 
 /* --------------------------------------------------------------- */
@@ -469,7 +455,7 @@ McDirtyFlagModel::runInitial(const ModelRunConfig &cfg)
         cap.runtime.appOp();
         mcDirtyOp(pool, root, rng.next() | 1);
     }
-    return cap.finish(pool, "");
+    return cap.finish("");
 }
 
 ModelExecution
@@ -512,7 +498,7 @@ McDirtyFlagModel::runRecovery(std::vector<std::uint8_t> image,
             mcDirtyOp(pool, root, rng.next() | 1);
         }
     }
-    return cap.finish(pool, std::move(verdict));
+    return cap.finish(std::move(verdict));
 }
 
 /* --------------------------------------------------------------- */

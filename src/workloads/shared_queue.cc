@@ -177,7 +177,7 @@ SharedQueueWorkload::run(PmRuntime &runtime, const WorkloadOptions &options)
     SharedPmemPool pool(runtime, options.sharedPoolPath,
                         options.sharedWriter);
     if (!pool.valid())
-        panic("shared_queue: " + pool.error());
+        fatal("shared_queue: " + pool.error());
 
     const Variant variant = variantOf(options.faults);
     if (options.sharedWriter == producerWriter)

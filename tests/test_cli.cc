@@ -82,9 +82,9 @@ contracts()
          "run b_tree", "--workers"},
         {"pmdb_modelcheck",
          {"--ops", "--recovery-ops", "--depth", "--max-states", "--workers",
-          "--seed", "--fault", "--no-prune", "--cache", "--connect",
-          "--scratch", "--max-pending", "--max-images", "--flush-points",
-          "--no-epoch-atomic", "--max-findings", "--json"},
+          "--seed", "--fault", "--no-prune", "--cache", "--max-pending",
+          "--max-images", "--flush-points", "--no-epoch-atomic",
+          "--max-findings", "--json"},
          "run b_tree", "--max-states"},
         {"pmdb_tracetool",
          {"--fault", "--correct", "--seed", "--threads", "--ycsb-mix",

@@ -1,24 +1,27 @@
 /**
  * @file
  * Tests for multi-writer shared-pool detection: the SharedPmemPool
- * device semantics, the cross-session rule engine, and the daemon's
- * merged two-writer verdicts — including the two guarantees the
- * subsystem exists for: the seeded shared_queue bugs are visible
- * *only* to the cross-session engine (each writer's own session stays
- * clean), and the merged verdict is bit-identical across detector
- * shard counts.
+ * device semantics and header validation, the cross-session rule
+ * engine, and the daemon's merged two-writer verdicts — including the
+ * two guarantees the subsystem exists for: the seeded shared_queue
+ * bugs are visible *only* to the cross-session engine (each writer's
+ * own session stays clean), and the merged verdict is bit-identical
+ * across detector shard counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include "common/rng.hh"
 #include "crossproc/engine.hh"
 #include "crossproc/rules.hh"
 #include "pmem/shared_device.hh"
@@ -258,6 +261,116 @@ TEST(SharedPmemPoolTest, OperationsStampEventsWithGlobalTickets)
     EXPECT_EQ(capture.events[1].kind, EventKind::Store);
     EXPECT_EQ(capture.events[2].kind, EventKind::Load);
     EXPECT_EQ(pool.clockNow(), 4u);
+
+    std::remove(path.c_str());
+}
+
+/** Overwrite @p size bytes of the file at @p path at @p offset. */
+void
+patchFile(const std::string &path, off_t offset, const void *bytes,
+          std::size_t size)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, bytes, size, offset),
+              static_cast<ssize_t>(size));
+    ::close(fd);
+}
+
+/** Header bytes 8..16 hold the pool's data size. */
+constexpr off_t dataSizeOffset = 8;
+
+TEST(SharedPmemPoolTest, RejectsHeaderTheFileDoesNotBack)
+{
+    const std::string path = scratchPath("poolbad");
+    std::string error;
+    PmRuntime runtime;
+
+    // A truncated file: the header promises images it no longer has.
+    ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
+        << error;
+    ASSERT_EQ(::truncate(path.c_str(), 4096), 0);
+    {
+        SharedPmemPool pool(runtime, path, 1);
+        EXPECT_FALSE(pool.valid());
+        EXPECT_FALSE(pool.error().empty());
+    }
+
+    // An intact file whose header claims twice its data size.
+    ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
+        << error;
+    const std::uint64_t doubled = 2 * 4096;
+    patchFile(path, dataSizeOffset, &doubled, sizeof(doubled));
+    {
+        SharedPmemPool pool(runtime, path, 1);
+        EXPECT_FALSE(pool.valid());
+        EXPECT_FALSE(pool.error().empty());
+    }
+
+    std::remove(path.c_str());
+}
+
+TEST(SharedPmemPoolTest, SeededHeaderMutantsOpenOrFailCleanly)
+{
+    // Mutate only the magic and the data size: the clock, lock word
+    // and coordination words are live state, and a set lock word
+    // legitimately makes writers wait. Every mutant either opens onto
+    // a mapping the file backs end to end, or fails with an error.
+    const std::string path = scratchPath("poolfuzz");
+    std::string error;
+    ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
+        << error;
+    char seed[16];
+    {
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::pread(fd, seed, sizeof(seed), 0),
+                  static_cast<ssize_t>(sizeof(seed)));
+        ::close(fd);
+    }
+
+    Rng rng(0x5a1ed9001);
+    int opened = 0;
+    int rejected = 0;
+    for (int round = 0; round < 300; ++round) {
+        char mutant[16];
+        std::memcpy(mutant, seed, sizeof(mutant));
+        if (rng.nextBool(0.5)) {
+            // A few random bytes anywhere in the magic and data size.
+            for (int k = 1 + static_cast<int>(rng.nextBounded(3)); k > 0;
+                 --k) {
+                mutant[rng.nextBounded(sizeof(mutant))] =
+                    static_cast<char>(rng.nextBounded(256));
+            }
+        } else {
+            // A data size near the real one, in lines or in bytes.
+            std::uint64_t size = 0;
+            std::memcpy(&size, mutant + dataSizeOffset, sizeof(size));
+            const std::uint64_t step = rng.nextBool(0.5) ? 64 : 1;
+            size = size - 2 * step + rng.nextBounded(5) * step;
+            std::memcpy(mutant + dataSizeOffset, &size, sizeof(size));
+        }
+        patchFile(path, 0, mutant, sizeof(mutant));
+
+        PmRuntime runtime;
+        SharedPmemPool pool(runtime, path, 1);
+        if (pool.valid()) {
+            // Touch the last data line and the durable image behind it.
+            const Addr last = pool.size() - 8;
+            pool.store<std::uint64_t>(last, 0xabcdef);
+            pool.persist(last, 8);
+            EXPECT_EQ(pool.peek<std::uint64_t>(last), 0xabcdefu)
+                << "round " << round;
+            EXPECT_EQ(pool.crashImage().size(), pool.size())
+                << "round " << round;
+            ++opened;
+        } else {
+            EXPECT_FALSE(pool.error().empty()) << "round " << round;
+            ++rejected;
+        }
+    }
+    EXPECT_GT(opened, 0);
+    EXPECT_GT(rejected, 0);
 
     std::remove(path.c_str());
 }

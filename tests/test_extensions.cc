@@ -4,14 +4,16 @@
  * persistent indexes (crash-consistency clean under the debugger),
  * the parameterized pattern generator (closing the loop against the
  * characterization tool), and a differential test between the online
- * and post-mortem detectors.
+ * debugger and a post-mortem walk of the recorded stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "charz/characterize.hh"
 #include "common/rng.hh"
-#include "detectors/persistence_inspector.hh"
 #include "detectors/pmdebugger_detector.hh"
 #include "trace/recorder.hh"
 #include "workloads/ctree.hh"
@@ -211,8 +213,37 @@ TEST(PatternWorkloadTest, RegisteredAndCleanUnderDebugger)
 }
 
 /**
- * Differential test: the online debugger and the post-mortem
- * Persistence Inspector must agree on durability verdicts over random
+ * Bytes a recorded stream leaves not durable, by a per-byte post-mortem
+ * walk: a store makes its bytes dirty, a flush marks the dirty bytes it
+ * covers flushed, and a fence drops every flushed byte.
+ */
+std::set<Addr>
+postMortemUndurableBytes(const std::vector<Event> &events)
+{
+    std::map<Addr, bool> pending; // byte -> flushed
+    for (const Event &event : events) {
+        const AddrRange range = event.range();
+        if (event.kind == EventKind::Store) {
+            for (Addr a = range.start; a < range.end; ++a)
+                pending[a] = false;
+        } else if (event.kind == EventKind::Flush) {
+            for (auto it = pending.lower_bound(range.start);
+                 it != pending.end() && it->first < range.end; ++it)
+                it->second = true;
+        } else if (event.kind == EventKind::Fence) {
+            std::erase_if(pending,
+                          [](const auto &entry) { return entry.second; });
+        }
+    }
+    std::set<Addr> out;
+    for (const auto &entry : pending)
+        out.insert(entry.first);
+    return out;
+}
+
+/**
+ * Differential test: the online debugger and a post-mortem walk of the
+ * recorded stream must agree on durability verdicts over random
  * pattern streams (they share no bookkeeping code).
  */
 class DifferentialTest : public ::testing::TestWithParam<std::uint64_t>
@@ -222,13 +253,10 @@ class DifferentialTest : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(DifferentialTest, OnlineAndPostMortemAgreeOnDurability)
 {
     PmRuntime runtime;
-    DebuggerConfig config;
-    config.detectFlushNothing = false;   // inspector has no such rule
-    config.detectRedundantFlush = false; // dedup policies differ
-    PmDebuggerDetector online(std::move(config));
-    PersistenceInspector post_mortem;
+    PmDebuggerDetector online;
+    TraceRecorder recorder;
     runtime.attach(&online);
-    runtime.attach(&post_mortem);
+    runtime.attach(&recorder);
 
     Rng rng(GetParam());
     for (int i = 0; i < 2000; ++i) {
@@ -243,18 +271,14 @@ TEST_P(DifferentialTest, OnlineAndPostMortemAgreeOnDurability)
     }
     runtime.programEnd();
 
-    auto durable_bytes = [](const BugCollector &bugs) {
-        std::set<Addr> out;
-        for (const BugReport &bug : bugs.bugs()) {
-            if (bug.type == BugType::NoDurability) {
-                for (Addr a = bug.range.start; a < bug.range.end; ++a)
-                    out.insert(a);
-            }
+    std::set<Addr> online_bytes;
+    for (const BugReport &bug : online.bugs().bugs()) {
+        if (bug.type == BugType::NoDurability) {
+            for (Addr a = bug.range.start; a < bug.range.end; ++a)
+                online_bytes.insert(a);
         }
-        return out;
-    };
-    EXPECT_EQ(durable_bytes(online.bugs()),
-              durable_bytes(post_mortem.bugs()));
+    }
+    EXPECT_EQ(online_bytes, postMortemUndurableBytes(recorder.events()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

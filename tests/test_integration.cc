@@ -41,7 +41,7 @@ TEST(IntegrationTest, AllDetectorsShareOneStream)
     for (auto &detector : detectors) {
         const std::string name = detector->detectorName();
         if (name == "pmdebugger" || name == "pmemcheck" ||
-            name == "xfdetector" || name == "persistence_inspector") {
+            name == "xfdetector") {
             EXPECT_TRUE(detector->bugs().hasAny(BugType::NoDurability))
                 << name;
         }

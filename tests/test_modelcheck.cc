@@ -2,7 +2,7 @@
  * @file
  * Tests for the crash-state model checker (src/modelcheck/): the
  * persistent visited-state cache (round-trip, merge-on-load, corrupt
- * rejection, resume semantics), worker-count and rerun determinism of
+ * rejection including seeded mutants, resume semantics), worker-count and rerun determinism of
  * the frontier search, read-set pruning not masking findings, the
  * seeded multi-crash recovery bugs being reachable only at depth >= 2,
  * and depth-3 coverage against single-crash exploration.
@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "modelcheck/engine.hh"
 #include "modelcheck/model.hh"
 #include "modelcheck/state_cache.hh"
@@ -121,6 +123,109 @@ TEST(StateCacheTest, RejectsForeignAndTruncatedFiles)
     }
     EXPECT_FALSE(cache.load(path.str(), &err));
     EXPECT_EQ(cache.size(), 1u);
+}
+
+/** Write @p bytes to @p path, replacing it. */
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Header plus @p count as the state count (hashes follow). */
+std::string
+cacheHeader(std::uint64_t count)
+{
+    std::string bytes("PMDBMCC1", 8);
+    bytes.append(reinterpret_cast<const char *>(&count), 8);
+    return bytes;
+}
+
+TEST(StateCacheTest, RejectsStateCountThatWrapsOntoFileSize)
+{
+    // 16 + count * 8 wraps to 32 for this count, which is exactly the
+    // file's size: only a count bounded by the file itself rejects it.
+    TempPath path("mc_cache_wrap.bin");
+    std::string bytes = cacheHeader((std::uint64_t(1) << 61) + 2);
+    bytes.append(16, '\x5a');
+    ASSERT_EQ(bytes.size(), 32u);
+    writeBytes(path.str(), bytes);
+
+    StateCache cache;
+    cache.insert(7);
+    std::string err;
+    EXPECT_FALSE(cache.load(path.str(), &err));
+    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(StateCacheTest, SeededMutantsLoadOrFailCleanly)
+{
+    // A saved cache mutated many ways under a fixed seed: every mutant
+    // either loads (adding at most one state per 8 file bytes) or fails
+    // with an error and leaves the set unchanged.
+    TempPath seed_path("mc_cache_fuzz_seed.bin");
+    StateCache original;
+    for (std::uint64_t i = 1; i <= 6; ++i)
+        original.insert(i * 0x9e3779b97f4a7c15ULL);
+    ASSERT_TRUE(original.save(seed_path.str()));
+    std::string seed;
+    {
+        std::ifstream in(seed_path.str(), std::ios::binary);
+        seed.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(seed.size(), 16u + 6 * 8);
+
+    Rng rng(0x5eedcace);
+    TempPath mutant_path("mc_cache_fuzz_mutant.bin");
+    int loaded = 0;
+    int rejected = 0;
+    for (int round = 0; round < 500; ++round) {
+        std::string mutant = seed;
+        switch (rng.nextBounded(4)) {
+          case 0: // overwrite a few bytes anywhere, the header included
+            for (int k = 1 + static_cast<int>(rng.nextBounded(4)); k > 0;
+                 --k) {
+                mutant[rng.nextBounded(mutant.size())] =
+                    static_cast<char>(rng.nextBounded(256));
+            }
+            break;
+          case 1: // cut the file short
+            mutant.resize(rng.nextBounded(mutant.size()));
+            break;
+          case 2: // grow it by whole or partial states
+            mutant.append(rng.nextBounded(24), '\x01');
+            break;
+          default: { // a count whose byte size wraps onto the real one
+            const std::uint64_t count =
+                (rng.nextBounded(8) << 61) + 6;
+            mutant.replace(8, 8, reinterpret_cast<const char *>(&count),
+                           8);
+            break;
+          }
+        }
+        writeBytes(mutant_path.str(), mutant);
+
+        StateCache cache;
+        cache.insert(7);
+        std::string err;
+        if (cache.load(mutant_path.str(), &err)) {
+            EXPECT_TRUE(cache.contains(7)) << "round " << round;
+            EXPECT_LE(cache.size(), 1 + mutant.size() / 8)
+                << "round " << round;
+            ++loaded;
+        } else {
+            EXPECT_FALSE(err.empty()) << "round " << round;
+            EXPECT_EQ(cache.size(), 1u) << "round " << round;
+            EXPECT_TRUE(cache.contains(7)) << "round " << round;
+            ++rejected;
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the magic.
+    EXPECT_GT(loaded, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 ModelCheckOptions

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the on-disk trace format and the record/replay workflow,
- * plus the JSON report rendering and the Persistence Inspector model
- * (the post-mortem consumers of saved traces).
+ * plus the JSON report rendering.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "common/json.hh"
 #include "common/rng.hh"
 #include "core/report.hh"
-#include "detectors/persistence_inspector.hh"
 #include "detectors/registry.hh"
 #include "trace/recorder.hh"
 #include "trace/trace_file.hh"
@@ -469,39 +467,6 @@ TEST(TraceFuzzTest, SeededMutantsLoadValidOrFailCleanly)
     // Both outcomes occur, so the mutations reach past the magic.
     EXPECT_GT(loaded_count, 0);
     EXPECT_GT(rejected, 0);
-}
-
-TEST(PersistenceInspectorTest, PostMortemFindsDurabilityBugs)
-{
-    PmRuntime runtime;
-    PersistenceInspector inspector;
-    runtime.attach(&inspector);
-    runtime.store(0x100, 8); // missing CLF
-    runtime.fence();
-    runtime.store(0x200, 8);
-    runtime.flush(0x200, 64);
-    runtime.flush(0x200, 64); // excessive flush
-    runtime.fence();
-    runtime.epochBegin();
-    runtime.txLog(0x300, 16);
-    runtime.txLog(0x308, 8); // excessive logging
-    runtime.fence();
-    runtime.epochEnd();
-    // Nothing is reported during collection...
-    EXPECT_EQ(inspector.bugs().total(), 0u);
-    EXPECT_GT(inspector.collectedEvents(), 0u);
-    runtime.programEnd();
-    // ...everything at analysis time.
-    EXPECT_EQ(inspector.bugs().countOf(BugType::NoDurability), 1u);
-    EXPECT_EQ(inspector.bugs().countOf(BugType::RedundantFlush), 1u);
-    EXPECT_EQ(inspector.bugs().countOf(BugType::RedundantLogging), 1u);
-}
-
-TEST(PersistenceInspectorTest, RegistryBuildsIt)
-{
-    auto detector = makeDetector("persistence_inspector");
-    ASSERT_NE(detector, nullptr);
-    EXPECT_TRUE(detector->isDbiBased());
 }
 
 TEST(JsonReportTest, EscapesAndStructures)

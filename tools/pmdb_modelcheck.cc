@@ -187,10 +187,6 @@ main(int argc, char **argv)
                       "disable read-set pruning (A/B measurement)", false),
             cli::flag("--cache", "PATH", &options.cachePath,
                       "persist the visited-state cache (resumable)"),
-            cli::flag("--connect", "SOCK", &options.connectSocket,
-                      "dispatch every execution to a pmdbd daemon"),
-            cli::flag("--scratch", "DIR", &options.scratchDir,
-                      "where --connect ring files go (default /tmp)"),
             cli::flag("--max-pending", "K",
                       &options.run.sim.maxPendingLines,
                       "pending-line cap per crash point"),
@@ -275,9 +271,7 @@ main(int argc, char **argv)
                        ? static_cast<double>(result.stats.distinctStates) /
                              result.seconds
                        : 0.0,
-                   1)
-            .field("connect_sessions", result.connectSessions)
-            .field("connect_errors", result.connectErrors);
+                   1);
         std::printf("%s\n", out.endObject().str().c_str());
     } else {
         std::printf("%s (%zu ops, depth %zu, seed %llu): "
