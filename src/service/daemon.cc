@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 
 #include <sys/socket.h>
@@ -12,7 +11,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "core/report.hh"
 #include "service/cpu_pin.hh"
 #include "service/spsc_ring.hh"
 #include "service/transport.hh"
@@ -25,6 +23,9 @@ namespace pmdb
 
 namespace
 {
+
+/** Events drained from a ring per poll (>= one batch frame). */
+constexpr std::size_t eventsPerDrain = 4096;
 
 /** Poller drain-path metrics, resolved once; touched per frame. */
 struct DrainMetrics
@@ -58,8 +59,6 @@ poolConfigFor(ServiceConfig &config)
 {
     if (config.pollers == 0)
         config.pollers = 1;
-    if (config.drainEvents == 0)
-        config.drainEvents = 4096;
     ShardPoolConfig pool = config.pool;
     pool.pinCores = config.pinCores;
     pool.pinBase = config.pollers;
@@ -96,7 +95,9 @@ struct ServiceDaemon::ActiveSession
     };
 
     int fd = -1;
-    Phase phase = Phase::Handshake;
+    /** Written by the owning poller; the metrics scrape reads it,
+     *  then id and started, which are set before Streaming. */
+    std::atomic<Phase> phase{Phase::Handshake};
     SessionId id = 0;
     HelloBody hello;
     EventRing ring;
@@ -107,6 +108,10 @@ struct ServiceDaemon::ActiveSession
     PendingRoute pending;
     /** Drain buffer; sized once at handshake. */
     std::vector<Event> scratch;
+    /** Live ingest counters the metrics scrape reads; folded into
+     *  summary at close. */
+    std::atomic<std::uint64_t> eventsProcessed{0};
+    std::atomic<std::uint64_t> batchesDrained{0};
     SessionSummary summary;
     std::chrono::steady_clock::time_point started{};
     /** Set when the session is fully finished (poller may prune). */
@@ -165,8 +170,6 @@ ServiceDaemon::start(std::string *error)
         }
         metricsThread_ = std::thread([this] { metricsLoop(); });
     }
-    if (config_.statsIntervalSec)
-        statsThread_ = std::thread([this] { statsLoop(); });
     if (!config_.traceOutPath.empty())
         telemetry::setSpansEnabled(true);
     running_ = true;
@@ -197,8 +200,6 @@ ServiceDaemon::stop()
     pool_.stop();
     if (metricsThread_.joinable())
         metricsThread_.join();
-    if (statsThread_.joinable())
-        statsThread_.join();
     if (metricsFd_ >= 0) {
         ::close(metricsFd_);
         metricsFd_ = -1;
@@ -268,25 +269,9 @@ ServiceDaemon::metricsSnapshot() const
     const IngestStats ingest = ingestStats();
     snap.addCounter("pmdbd.polls", ingest.polls);
     snap.addCounter("pmdbd.idle_polls", ingest.idlePolls);
-    snap.addCounter("pmdbd.steals", pool_.stealCount());
-    snap.addCounter("pmdbd.straddles", pool_.straddleCount());
-    const std::vector<ShardStats> shards = pool_.shardStats();
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const std::string label =
-            "{shard=\"" + std::to_string(i) + "\"}";
-        snap.addCounter("pmdbd.shard.batches" + label,
-                        shards[i].batches);
-        snap.addCounter("pmdbd.shard.events" + label,
-                        shards[i].events);
-        snap.addCounter("pmdbd.shard.steals" + label,
-                        shards[i].steals);
-        snap.addGauge("pmdbd.shard.queue_depth" + label,
-                      static_cast<std::int64_t>(shards[i].queueDepth));
-    }
+    pool_.addMetrics(snap);
     // Per-session ingest: completed sessions from their summaries,
-    // live ones read in place. Live counters are written by the
-    // owning poller without synchronization — a monitoring-only racy
-    // read, never fed back into detection.
+    // live ones from the atomics their poller keeps current.
     const auto addSession = [&](SessionId id, std::uint64_t events,
                                 std::uint64_t batches, double seconds,
                                 bool live) {
@@ -300,7 +285,6 @@ ServiceDaemon::metricsSnapshot() const
     };
     std::size_t completed = 0;
     {
-        // In place: summaries() would copy every past bug list.
         std::lock_guard<std::mutex> lock(summariesMutex_);
         for (const SessionSummary &session : summaries_) {
             addSession(session.id, session.eventsProcessed,
@@ -314,8 +298,8 @@ ServiceDaemon::metricsSnapshot() const
         for (const auto &session : poller->sessions) {
             if (session->phase != ActiveSession::Phase::Streaming)
                 continue;
-            addSession(session->id, session->summary.eventsProcessed,
-                       session->summary.batchesDrained,
+            addSession(session->id, session->eventsProcessed,
+                       session->batchesDrained,
                        std::chrono::duration<double>(
                            now - session->started)
                            .count(),
@@ -363,66 +347,19 @@ ServiceDaemon::metricsLoop()
     }
 }
 
-void
-ServiceDaemon::statsLoop()
-{
-    auto next = std::chrono::steady_clock::now();
-    while (!stopping_.load()) {
-        next += std::chrono::seconds(config_.statsIntervalSec);
-        while (!stopping_.load() &&
-               std::chrono::steady_clock::now() < next) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        if (stopping_.load())
-            return;
-        const IngestStats ingest = ingestStats();
-        std::uint64_t events = 0, steals = 0;
-        for (const ShardStats &shard : pool_.shardStats()) {
-            events += shard.events;
-            steals += shard.steals;
-        }
-        std::ostringstream line;
-        line << "sessions=" << completedSessions()
-             << " events=" << events << " steals=" << steals
-             << " polls=" << ingest.polls << " idle_ratio=";
-        line.precision(3);
-        line << std::fixed << ingest.idleRatio();
-        inform("pmdbd/stats", line.str());
-    }
-}
-
 std::string
 ServiceDaemon::aggregatedJson() const
 {
     const std::vector<SessionSummary> sessions = summaries();
-    const IngestStats ingest = ingestStats();
     JsonWriter json;
     json.beginObject()
-        .field("schema", 2)
+        .field("schema", 3)
         .field("shards", pool_.shardCount())
         .field("stripe_bytes", pool_.stripeBytes())
-        .field("straddles", pool_.straddleCount())
         .field("pollers", config_.pollers)
-        .field("polls", ingest.polls)
-        .field("idle_polls", ingest.idlePolls)
-        .field("idle_poll_ratio", ingest.idleRatio())
-        .field("steals", pool_.stealCount())
-        .key("shard_stats")
+        .key("sessions")
         .beginArray();
-    for (const ShardStats &shard : pool_.shardStats()) {
-        json.beginObject()
-            .field("batches", shard.batches)
-            .field("events", shard.events)
-            .field("steals", shard.steals)
-            .field("queue_depth", shard.queueDepth)
-            .endObject();
-    }
-    json.endArray().key("sessions").beginArray();
     for (const SessionSummary &session : sessions) {
-        BugCollector bugs;
-        for (const BugReport &bug : session.verdict.bugs)
-            bugs.report(bug);
         const double rate =
             session.seconds > 0.0
                 ? static_cast<double>(session.eventsProcessed) /
@@ -438,12 +375,11 @@ ServiceDaemon::aggregatedJson() const
             .field("seconds", session.seconds)
             .field("events_per_sec", rate)
             .field("aborted", session.aborted)
-            .key("report")
-            .raw(reportToJson(bugs, session.verdict.stats))
+            .field("bugs", session.bugs)
             .endObject();
     }
     // The same snapshot the metrics endpoint serves, embedded whole:
-    // the two outputs render one structure and cannot drift.
+    // every counter is rendered there and nowhere else.
     json.endArray()
         .key("crossproc")
         .raw(crossproc_.resultsJson())
@@ -595,7 +531,7 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     out.put(static_cast<std::uint32_t>(session.id));
     sendMessage(session.fd, MsgType::Welcome, out.bytes());
 
-    session.scratch.resize(config_.drainEvents);
+    session.scratch.resize(eventsPerDrain);
     session.started = std::chrono::steady_clock::now();
     session.phase = ActiveSession::Phase::Streaming;
     return true;
@@ -670,10 +606,16 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
     if (session.pending.empty()) {
         const std::size_t popped = session.ring.popBatch(
             session.scratch.data(), session.scratch.size());
+        if (session.ring.corrupt()) {
+            warn("pmdbd/poller", "corrupt ring cursors; aborting session " +
+                 std::to_string(session.id));
+            beginClose(sp, /*aborted=*/true);
+            return true;
+        }
         if (popped) {
             progressed = true;
-            ++session.summary.batchesDrained;
-            session.summary.eventsProcessed += popped;
+            ++session.batchesDrained;
+            session.eventsProcessed += popped;
             if (telemetry::enabled()) {
                 DrainMetrics &metrics = DrainMetrics::get();
                 const std::uint64_t now = telemetry::nowNs();
@@ -737,8 +679,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 pool_.routeEvents(session.id, spill.events.data(),
                                   spill.events.size());
                 session.summary.spillReplayed = spill.events.size();
-                session.summary.eventsProcessed +=
-                    spill.events.size();
+                session.eventsProcessed += spill.events.size();
             } else {
                 warn("pmdbd/poller", "cannot replay spill trace: " + error);
             }
@@ -750,16 +691,16 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
 }
 
 void
-ServiceDaemon::sendReport(const ActiveSession &session)
+ServiceDaemon::sendReport(const ActiveSession &session,
+                          const SessionVerdict &verdict)
 {
     // A child of session.verdict on the same track: the trace shows
     // merge and shipping apart.
     telemetry::SpanTimer span("session.report", "pmdbd", session.id,
                               "parent=session.verdict");
-    const SessionSummary &summary = session.summary;
     const std::vector<std::uint8_t> payload = ReportBody::encode(
-        summary.verdict.bugs, summary.eventsProcessed,
-        summary.eventsDropped, summary.verdict.stats);
+        verdict.bugs, session.summary.eventsProcessed,
+        session.summary.eventsDropped, verdict.stats);
     if (sendMessage(session.fd, MsgType::Report, payload))
         return;
     warn("pmdbd", "report of " + std::to_string(payload.size()) +
@@ -776,6 +717,8 @@ ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
 {
     ActiveSession &session = *sp;
     session.phase = ActiveSession::Phase::Closing;
+    session.summary.eventsProcessed = session.eventsProcessed;
+    session.summary.batchesDrained = session.batchesDrained;
     session.summary.eventsDropped = session.ring.droppedCount();
     session.summary.aborted = aborted;
     // Every event of this session has been fed by now (feeds and this
@@ -791,13 +734,13 @@ ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
         session.id, std::move(session.external),
         [this, sp](SessionVerdict &&verdict) {
             ActiveSession &session = *sp;
-            session.summary.verdict = std::move(verdict);
+            session.summary.bugs = verdict.bugs.size();
             session.summary.seconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - session.started)
                     .count();
             if (!session.summary.aborted)
-                sendReport(session);
+                sendReport(session, verdict);
             ::close(session.fd);
             session.fd = -1;
             {

@@ -49,8 +49,6 @@ struct ServiceConfig
     ShardPoolConfig pool;
     /** Poller threads multiplexing the client rings. */
     std::size_t pollers = 1;
-    /** Events drained from a ring per poll (>= one batch frame). */
-    std::size_t drainEvents = 4096;
     /**
      * Pin pollers and shard workers round-robin to distinct cores
      * (pollers first, then workers). Opt-in: `pmdbd --pin-cores`.
@@ -63,18 +61,16 @@ struct ServiceConfig
      * pmdb_stat is the bundled client.
      */
     std::string metricsSocketPath;
-    /** Log a one-line ingest summary every N seconds (0 = off). */
-    unsigned statsIntervalSec = 0;
     /** Enable span tracing and write Chrome trace JSON here at stop. */
     std::string traceOutPath;
 };
 
-/** Per-session attribution kept by the aggregated collector. */
+/** Per-session attribution; the verdict lives only in the Report. */
 struct SessionSummary
 {
     SessionId id = 0;
-    /** Merged per-session verdict (bugs + stats). */
-    SessionVerdict verdict;
+    /** Unique bug sites in the merged verdict. */
+    std::uint64_t bugs = 0;
     std::uint64_t eventsProcessed = 0;
     std::uint64_t eventsDropped = 0;
     std::uint64_t spillReplayed = 0;
@@ -95,13 +91,6 @@ struct IngestStats
     std::uint64_t polls = 0;
     /** Sweeps that made no progress (idle). */
     std::uint64_t idlePolls = 0;
-    /** idlePolls / polls; 0 when no polls have run. */
-    double idleRatio() const
-    {
-        return polls ? static_cast<double>(idlePolls) /
-                           static_cast<double>(polls)
-                     : 0.0;
-    }
 };
 
 /** The out-of-process detection daemon. */
@@ -135,27 +124,20 @@ class ServiceDaemon
     /** Daemon-level poll counters. */
     IngestStats ingestStats() const;
 
-    /** Per-shard execution counters (batches, events, steals). */
-    std::vector<ShardStats> shardStats() const
-    {
-        return pool_.shardStats();
-    }
-
     /**
-     * Aggregated JSON across all completed sessions: per-session bug
-     * reports with attribution and ingest counters, plus daemon-level
-     * poller and shard counters and the cross-session group verdicts.
+     * Aggregated JSON across all completed sessions: the pool shape,
+     * per-session attribution and ingest counters with the bug-site
+     * count, the cross-session group verdicts, and metricsSnapshot().
      */
     std::string aggregatedJson() const;
 
     /**
-     * The unified metric view: the process-global telemetry registry
-     * plus dynamic daemon state folded in under the same naming scheme
-     * — poller counters ("pmdbd.polls"), per-shard execution counters
-     * ("pmdbd.shard.events{shard=\"0\"}"), and per-session ingest
-     * ("pmdbd.session.events{session=\"1\"}", completed sessions and a
-     * racy monitoring-only read of live ones). Both the metrics
-     * endpoint and aggregatedJson() render this one snapshot.
+     * The one render of every daemon counter: the global telemetry
+     * registry plus this instance's poll counters ("pmdbd.polls"),
+     * ShardPool::addMetrics and per-session ingest
+     * ("pmdbd.session.events{session=\"1\"}", completed and live).
+     * Instance-owned, since daemons may share a process whose registry
+     * is reset under them. The endpoint and aggregatedJson() render it.
      */
     telemetry::MetricsSnapshot metricsSnapshot() const;
 
@@ -177,15 +159,15 @@ class ServiceDaemon
 
     void acceptLoop();
     void metricsLoop();
-    void statsLoop();
     void pollerLoop(Poller &poller);
     /** One sweep step for one session; true when progress was made. */
     bool pollSession(const std::shared_ptr<ActiveSession> &session);
     bool finishHandshake(ActiveSession &session);
     void beginClose(const std::shared_ptr<ActiveSession> &session,
                     bool aborted);
-    /** Encode the session's verdict and send it as the Report. */
-    void sendReport(const ActiveSession &session);
+    /** Encode @p verdict and send it to the client as the Report. */
+    void sendReport(const ActiveSession &session,
+                    const SessionVerdict &verdict);
 
     ServiceConfig config_;
     ShardPool pool_;
@@ -195,7 +177,6 @@ class ServiceDaemon
     int metricsFd_ = -1;
     std::thread acceptThread_;
     std::thread metricsThread_;
-    std::thread statsThread_;
     std::vector<std::unique_ptr<Poller>> pollers_;
     std::atomic<std::size_t> nextPoller_{0};
 

@@ -104,15 +104,18 @@ class WireWriter
     put(const T &value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const auto *bytes = reinterpret_cast<const std::uint8_t *>(&value);
-        buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+        const std::size_t at = buf_.size();
+        buf_.resize(at + sizeof(T));
+        std::memcpy(buf_.data() + at, &value, sizeof(T));
     }
 
     void
     putString(const std::string &text)
     {
         put(static_cast<std::uint32_t>(text.size()));
-        buf_.insert(buf_.end(), text.begin(), text.end());
+        const std::size_t at = buf_.size();
+        buf_.resize(at + text.size());
+        std::memcpy(buf_.data() + at, text.data(), text.size());
     }
 
     void reserve(std::size_t bytes) { buf_.reserve(bytes); }

@@ -29,8 +29,6 @@ struct ShardMetrics
         .histogram("pmdbd.shard.eval_ns");
     telemetry::Histogram &verdictNs = telemetry::Registry::global()
         .histogram("pmdbd.shard.verdict_ns");
-    telemetry::Counter &tasks =
-        telemetry::Registry::global().counter("pmdbd.shard.tasks");
 
     static ShardMetrics &
     get()
@@ -509,36 +507,26 @@ ShardPool::mergeAndFinish(CloseState &close)
         close.done(std::move(verdict));
 }
 
-std::uint64_t
-ShardPool::straddleCount() const
+void
+ShardPool::addMetrics(telemetry::MetricsSnapshot &snap) const
 {
-    return straddles_.load(std::memory_order_relaxed);
-}
-
-std::vector<ShardStats>
-ShardPool::shardStats() const
-{
-    std::vector<ShardStats> stats(config_.shards);
-    for (std::size_t i = 0; i < config_.shards; ++i) {
-        stats[i].batches =
-            counters_[i]->batches.load(std::memory_order_relaxed);
-        stats[i].events =
-            counters_[i]->events.load(std::memory_order_relaxed);
-        stats[i].steals =
-            counters_[i]->steals.load(std::memory_order_relaxed);
-        stats[i].queueDepth =
-            counters_[i]->queueDepth.load(std::memory_order_relaxed);
+    const auto load = [](const std::atomic<std::uint64_t> &counter) {
+        return counter.load(std::memory_order_relaxed);
+    };
+    std::uint64_t steals = 0;
+    for (std::size_t i = 0; i < counters_.size(); ++i) {
+        const Counters &shard = *counters_[i];
+        const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
+        snap.addCounter("pmdbd.shard.batches" + label, load(shard.batches));
+        snap.addCounter("pmdbd.shard.events" + label, load(shard.events));
+        const std::uint64_t stolen = load(shard.steals);
+        snap.addCounter("pmdbd.shard.steals" + label, stolen);
+        snap.addGauge("pmdbd.shard.queue_depth" + label,
+                      static_cast<std::int64_t>(load(shard.queueDepth)));
+        steals += stolen;
     }
-    return stats;
-}
-
-std::uint64_t
-ShardPool::stealCount() const
-{
-    std::uint64_t total = 0;
-    for (const auto &counter : counters_)
-        total += counter->steals.load(std::memory_order_relaxed);
-    return total;
+    snap.addCounter("pmdbd.steals", steals);
+    snap.addCounter("pmdbd.straddles", load(straddles_));
 }
 
 void
@@ -546,24 +534,17 @@ ShardPool::runTask(SessionShard &queue, Task &task)
 {
     Counters &counters = *counters_[queue.shard];
     const bool telemetryOn = telemetry::enabled();
-    if (telemetryOn) {
-        ShardMetrics &metrics = ShardMetrics::get();
-        metrics.tasks.add(1);
-        if (task.enqueuedNs) {
-            const std::uint64_t wait =
-                telemetry::nowNs() - task.enqueuedNs;
-            metrics.queueWaitNs.record(wait);
-            if (telemetry::spansEnabled() &&
-                task.kind == Task::Kind::Events) {
-                telemetry::Span span;
-                span.name = "shard.queue_wait";
-                span.category = "pmdbd";
-                span.startNs = task.enqueuedNs;
-                span.durNs = wait;
-                span.track = queue.session;
-                telemetry::SpanBuffer::global().record(
-                    std::move(span));
-            }
+    if (telemetryOn && task.enqueuedNs) {
+        const std::uint64_t wait = telemetry::nowNs() - task.enqueuedNs;
+        ShardMetrics::get().queueWaitNs.record(wait);
+        if (telemetry::spansEnabled() && task.kind == Task::Kind::Events) {
+            telemetry::Span span;
+            span.name = "shard.queue_wait";
+            span.category = "pmdbd";
+            span.startNs = task.enqueuedNs;
+            span.durNs = wait;
+            span.track = queue.session;
+            telemetry::SpanBuffer::global().record(std::move(span));
         }
     }
     switch (task.kind) {

@@ -82,6 +82,11 @@
 namespace pmdb
 {
 
+namespace telemetry
+{
+struct MetricsSnapshot;
+}
+
 /** Shard-pool shape. */
 struct ShardPoolConfig
 {
@@ -115,19 +120,6 @@ struct SessionVerdict
     std::vector<BugReport> bugs;
     /** Aggregated bookkeeping statistics across shards. */
     DebuggerStats stats;
-};
-
-/** Per-shard execution counters (ingest observability). */
-struct ShardStats
-{
-    /** Event batches (tasks) processed. */
-    std::uint64_t batches = 0;
-    /** Events processed. */
-    std::uint64_t events = 0;
-    /** Queue leases taken by a worker of a different shard index. */
-    std::uint64_t steals = 0;
-    /** Tasks currently enqueued across this shard's queues. */
-    std::uint64_t queueDepth = 0;
 };
 
 /**
@@ -215,14 +207,15 @@ class ShardPool
     SessionVerdict closeSession(SessionId session,
                                 const std::vector<BugReport> &external);
 
-    /** Addressed events whose range straddled a stripe boundary. */
-    std::uint64_t straddleCount() const;
-
-    /** Snapshot of per-shard execution counters. */
-    std::vector<ShardStats> shardStats() const;
-
-    /** Total queue leases stolen across shard indices. */
-    std::uint64_t stealCount() const;
+    /**
+     * Append the pool's counters to @p snap: "pmdbd.steals" (queue
+     * leases taken by a worker of another shard index),
+     * "pmdbd.straddles" (addressed events whose range crossed a stripe
+     * boundary), and per shard "pmdbd.shard.{batches,events,steals}"
+     * plus the "pmdbd.shard.queue_depth" gauge, labelled
+     * {shard="N"}.
+     */
+    void addMetrics(telemetry::MetricsSnapshot &snap) const;
 
   private:
     struct CloseState;

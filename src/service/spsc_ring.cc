@@ -135,6 +135,7 @@ EventRing::close()
     cachedTail_ = 0;
     cachedHead_ = 0;
     owner_ = false;
+    corrupt_ = false;
 }
 
 std::size_t
@@ -170,6 +171,8 @@ EventRing::tryPushBatch(const Event *events, std::size_t count)
 std::size_t
 EventRing::popBatch(Event *out, std::size_t max)
 {
+    if (corrupt_)
+        return 0;
     const std::uint64_t tail =
         header_->tail.load(std::memory_order_relaxed);
     if (cachedHead_ == tail) {
@@ -177,6 +180,12 @@ EventRing::popBatch(Event *out, std::size_t max)
         cachedHead_ = header_->head.load(std::memory_order_acquire);
         if (cachedHead_ == tail)
             return 0;
+    }
+    // Both cursors sit in memory the producer can write: bound the
+    // span by the slot array before copying out of it.
+    if (cachedHead_ - tail > slots_) {
+        corrupt_ = true;
+        return 0;
     }
     std::size_t count = static_cast<std::size_t>(cachedHead_ - tail);
     if (count > max)

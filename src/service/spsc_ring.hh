@@ -122,6 +122,9 @@ class EventRing
 
     bool isOpen() const { return header_ != nullptr; }
 
+    /** Consumer: a drain saw the peer's cursors out of range. */
+    bool corrupt() const { return corrupt_; }
+
     /**
      * Producer: publish the largest prefix of @p events that fits as
      * one atomic frame (a single release store of head). Returns the
@@ -139,7 +142,9 @@ class EventRing
     /**
      * Consumer: drain up to @p max published events into @p out as one
      * frame (one acquire of head, one release of tail). Returns the
-     * number drained.
+     * number drained. Cursors more than slots() apart cannot come from
+     * a well-behaved producer: the ring is then marked corrupt() and
+     * nothing is drained, now or later.
      */
     std::size_t popBatch(Event *out, std::size_t max);
 
@@ -181,6 +186,7 @@ class EventRing
     std::uint64_t cachedHead_ = 0;
     std::string path_;
     bool owner_ = false;
+    bool corrupt_ = false;
 };
 
 } // namespace pmdb

@@ -70,7 +70,7 @@ contracts()
         {"pmdbd",
          {"--socket", "--shards", "--stripe-bytes", "--array-capacity",
           "--pollers", "--pin-cores", "--once", "--json", "--metrics-sock",
-          "--stats-interval", "--trace-out"},
+          "--trace-out"},
          "--socket /nonexistent/pmdbd.sock", "--shards"},
         {"pmdb_stat",
          {"--socket", "--once", "--interval", "--json", "--prom"},

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -73,6 +75,21 @@ sameBugs(const std::vector<BugReport> &local,
         }
     }
     return ::testing::AssertionSuccess();
+}
+
+/** Add @p delta to a ring file's head cursor, as a misbehaving
+ *  producer sharing the mapping could. */
+void
+shiftRingHead(const std::string &path, std::uint64_t delta)
+{
+    const int fd = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0) << path;
+    void *map = ::mmap(nullptr, sizeof(RingHeader),
+                       PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    ASSERT_NE(map, MAP_FAILED);
+    static_cast<RingHeader *>(map)->head.fetch_add(delta);
+    ::munmap(map, sizeof(RingHeader));
 }
 
 /** Run one suite case with an in-process PmDebugger (the baseline). */
@@ -237,6 +254,35 @@ TEST(EventRingTest, OpenRejectsGarbageFile)
     std::string error;
     EXPECT_FALSE(ring.open(path, &error));
     std::remove(path.c_str());
+}
+
+TEST(EventRingTest, CursorsFurtherApartThanTheRingDrainNothing)
+{
+    // Both cursors live in memory the producer can write. A head moved
+    // far past the tail must not turn into a drain of that many
+    // events: with pmdbd's 4096-event buffer, 64 slots would be read
+    // 4096 deep.
+    const std::string path = scratchPath("ringcorrupt");
+    EventRing producer;
+    std::string error;
+    ASSERT_TRUE(producer.create(path, 64, &error)) << error;
+    EventRing consumer;
+    ASSERT_TRUE(consumer.open(path, &error)) << error;
+    Event event;
+    ASSERT_TRUE(producer.tryPush(event));
+    std::vector<Event> out(4096);
+    ASSERT_EQ(consumer.popBatch(out.data(), out.size()), 1u);
+    EXPECT_FALSE(consumer.corrupt());
+
+    ASSERT_TRUE(producer.tryPush(event));
+    shiftRingHead(path, 1ull << 20);
+    EXPECT_EQ(consumer.popBatch(out.data(), out.size()), 0u);
+    EXPECT_TRUE(consumer.corrupt());
+
+    // Sticky: moving the head back does not revive the ring.
+    shiftRingHead(path, 0 - (1ull << 20));
+    EXPECT_EQ(consumer.popBatch(out.data(), out.size()), 0u);
+    EXPECT_TRUE(consumer.corrupt());
 }
 
 TEST(ProtocolTest, HelloRoundTrip)
@@ -973,7 +1019,9 @@ TEST(ShardPoolTest, WorkStealingCoversDeliberatelySlowShard)
                              std::min(chunk, events.size() - at));
         }
         SessionVerdict verdict = pool.closeSession(1, {});
-        const std::uint64_t steals = pool.stealCount();
+        telemetry::MetricsSnapshot metrics;
+        pool.addMetrics(metrics);
+        const std::int64_t steals = metrics.find("pmdbd.steals")->value;
         pool.stop();
         return std::make_pair(std::move(verdict), steals);
     };
@@ -981,7 +1029,7 @@ TEST(ShardPoolTest, WorkStealingCoversDeliberatelySlowShard)
     auto [fastVerdict, fastSteals] = runPool(false);
     auto [slowVerdict, slowSteals] = runPool(true);
     (void)fastSteals;
-    EXPECT_GT(slowSteals, 0u) << "no queue was ever stolen from the "
+    EXPECT_GT(slowSteals, 0) << "no queue was ever stolen from the "
                                  "slow shard";
     EXPECT_TRUE(sameBugs(fastVerdict.bugs, slowVerdict.bugs));
     EXPECT_EQ(fastVerdict.stats.stores, slowVerdict.stats.stores);
@@ -1026,22 +1074,325 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
     const IngestStats ingest = daemon.ingestStats();
     EXPECT_GT(ingest.polls, 0u);
 
-    const std::vector<ShardStats> shards = daemon.shardStats();
-    ASSERT_EQ(shards.size(), 2u);
-    std::uint64_t shardEvents = 0;
-    for (const ShardStats &shard : shards)
-        shardEvents += shard.events;
-    EXPECT_GE(shardEvents, sessions[0].eventsProcessed);
-
+    // The aggregate renders attribution and configuration; every
+    // counter is in the snapshot embedded under "metrics" (its last
+    // key), and nowhere else.
     const std::string json = daemon.aggregatedJson();
     for (const char *key :
-         {"\"pollers\"", "\"idle_poll_ratio\"", "\"steals\"",
-          "\"shard_stats\"", "\"batches_drained\"",
-          "\"queue_full_stalls\"", "\"events_per_sec\""}) {
+         {"\"pollers\"", "\"batches_drained\"", "\"queue_full_stalls\"",
+          "\"events_per_sec\"", "\"bugs\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
+    for (const char *key : {"\"idle_poll_ratio\"", "\"shard_stats\"",
+                            "\"report\""}) {
+        EXPECT_EQ(json.find(key), std::string::npos) << key;
+    }
+    const std::size_t at = json.find("\"metrics\": ");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t from = at + std::strlen("\"metrics\": ");
+    telemetry::MetricsSnapshot snap;
+    ASSERT_TRUE(telemetry::MetricsSnapshot::fromJson(
+        json.substr(from, json.size() - 1 - from), &snap, &error))
+        << error;
+
+    // Every name pmdb_stat and the repository benchmark read.
+    const std::string session =
+        "{session=\"" + std::to_string(sessions[0].id) + "\"}";
+    std::vector<std::string> names = {
+        "pmdbd.polls",          "pmdbd.idle_polls",
+        "pmdbd.steals",         "pmdbd.straddles",
+        "pmdbd.events_drained", "pmdbd.frames_drained",
+        "pmdbd.sessions_completed"};
+    for (const char *base : {"pmdbd.session.events", "pmdbd.session.batches",
+                             "pmdbd.session.millis", "pmdbd.session.live"})
+        names.push_back(base + session);
+    for (const char *shard : {"{shard=\"0\"}", "{shard=\"1\"}"}) {
+        for (const char *base :
+             {"pmdbd.shard.batches", "pmdbd.shard.events",
+              "pmdbd.shard.steals", "pmdbd.shard.queue_depth"})
+            names.push_back(base + std::string(shard));
+    }
+    for (const std::string &name : names)
+        EXPECT_NE(snap.find(name), nullptr) << name;
+    for (const std::string &name :
+         {std::string("pmdbd.polls"), std::string("pmdbd.events_drained"),
+          std::string("pmdbd.frames_drained"),
+          "pmdbd.session.events" + session}) {
+        const telemetry::MetricSample *sample = snap.find(name);
+        ASSERT_NE(sample, nullptr) << name;
+        EXPECT_GT(sample->value, 0) << name;
+    }
+    const std::int64_t shardEvents =
+        snap.find("pmdbd.shard.events{shard=\"0\"}")->value +
+        snap.find("pmdbd.shard.events{shard=\"1\"}")->value;
+    EXPECT_GE(shardEvents,
+              static_cast<std::int64_t>(sessions[0].eventsProcessed));
+    EXPECT_EQ(snap.find("pmdbd.session.events" + session)->value,
+              static_cast<std::int64_t>(sessions[0].eventsProcessed));
     daemon.stop();
 }
+
+TEST(ServiceTest, MetricsScrapeWhileStreamingIsRaceFree)
+{
+    // The live-session fields the snapshot reads are written by the
+    // poller; a scraper rendering it in a loop while a client streams
+    // must not race (the ThreadSanitizer lane runs this).
+    ServiceConfig config;
+    config.socketPath = scratchPath("sock");
+    config.pool.shards = 2;
+    ServiceDaemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    std::atomic<bool> scraping{true};
+    std::atomic<int> liveScrapes{0};
+    std::thread scraper([&] {
+        while (scraping.load()) {
+            const telemetry::MetricsSnapshot snap = daemon.metricsSnapshot();
+            for (const telemetry::MetricSample &sample : snap.samples) {
+                if (sample.name.rfind("pmdbd.session.live", 0) == 0 &&
+                    sample.value == 1)
+                    ++liveScrapes;
+            }
+        }
+    });
+
+    PmRuntime runtime;
+    RemoteSink sink;
+    RemoteSink::Options options;
+    options.socketPath = config.socketPath;
+    options.ringPath = scratchPath("ring");
+    ASSERT_TRUE(sink.connect(options, &error)) << error;
+    runtime.attach(&sink);
+    // Stream until a scrape has seen the session live, then some more.
+    for (int i = 0; i < 65536 || (liveScrapes.load() == 0 && i < (1 << 24));
+         ++i) {
+        runtime.store(0x1000 + 64u * (i % 64), 64);
+        runtime.flush(0x1000 + 64u * (i % 64), 64);
+        if (i % 64 == 63)
+            runtime.fence();
+    }
+    runtime.programEnd();
+    ReportBody report;
+    ASSERT_TRUE(sink.finish(&report, &error)) << error;
+    EXPECT_TRUE(daemon.waitForSessions(1, 10000));
+    scraping.store(false);
+    scraper.join();
+    EXPECT_GT(liveScrapes.load(), 0);
+
+    const std::vector<SessionSummary> sessions = daemon.summaries();
+    ASSERT_EQ(sessions.size(), 1u);
+    const telemetry::MetricsSnapshot snap = daemon.metricsSnapshot();
+    const telemetry::MetricSample *events = snap.find(
+        "pmdbd.session.events{session=\"" + std::to_string(sessions[0].id) +
+        "\"}");
+    ASSERT_NE(events, nullptr);
+    EXPECT_EQ(events->value,
+              static_cast<std::int64_t>(sessions[0].eventsProcessed));
+    EXPECT_EQ(report.eventsProcessed, sessions[0].eventsProcessed);
+    daemon.stop();
+}
+
+/** What the misbehaving client of the adversarial matrix does. */
+enum class Misbehaviour
+{
+    CorruptRingHead,
+    OutOfRangeHelloEnum,
+    OversizedControlFrame,
+    VanishWithoutBye,
+};
+
+const char *
+toString(Misbehaviour how)
+{
+    switch (how) {
+      case Misbehaviour::CorruptRingHead:
+        return "CorruptRingHead";
+      case Misbehaviour::OutOfRangeHelloEnum:
+        return "OutOfRangeHelloEnum";
+      case Misbehaviour::OversizedControlFrame:
+        return "OversizedControlFrame";
+      case Misbehaviour::VanishWithoutBye:
+        return "VanishWithoutBye";
+    }
+    return "Unknown";
+}
+
+/** Names the parameter in gtest and ctest output. */
+void
+PrintTo(Misbehaviour how, std::ostream *out)
+{
+    *out << toString(how);
+}
+
+/** Speak the protocol by hand, breaking it the way @p how says. */
+void
+misbehave(Misbehaviour how, const std::string &socket_path)
+{
+    std::string error;
+    const int fd = connectUnix(socket_path, 2000, &error);
+    ASSERT_GE(fd, 0) << error;
+    HelloBody hello;
+    hello.ringPath = scratchPath("badring");
+    std::vector<std::uint8_t> wire = hello.serialize();
+    MsgType type;
+    std::vector<std::uint8_t> payload;
+    if (how == Misbehaviour::OutOfRangeHelloEnum) {
+        wire[4] = 3; // the model, one past Strand
+        ASSERT_TRUE(sendMessage(fd, MsgType::Hello, wire));
+        EXPECT_TRUE(readable(fd, 10000));
+        EXPECT_FALSE(recvMessage(fd, &type, &payload));
+        ::close(fd);
+        return;
+    }
+
+    // A 64-slot ring: a drain trusting a corrupt head would read
+    // the daemon's whole 4096-event buffer out of it.
+    EventRing ring;
+    ASSERT_TRUE(ring.create(hello.ringPath, 64, &error)) << error;
+    ASSERT_TRUE(sendMessage(fd, MsgType::Hello, wire));
+    ASSERT_TRUE(recvMessage(fd, &type, &payload));
+    ASSERT_EQ(type, MsgType::Welcome);
+    std::vector<Event> events(48);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        events[i].kind = i % 3 == 0   ? EventKind::Store
+                         : i % 3 == 1 ? EventKind::Flush
+                                      : EventKind::Fence;
+        events[i].addr = 0x1000 + 64 * (i / 3);
+        events[i].size = events[i].kind == EventKind::Fence ? 0 : 64;
+        events[i].seq = i + 1;
+    }
+    ASSERT_EQ(ring.tryPushBatch(events.data(), events.size()),
+              events.size());
+    switch (how) {
+      case Misbehaviour::CorruptRingHead:
+        shiftRingHead(hello.ringPath, 1ull << 20);
+        ASSERT_TRUE(sendMessage(fd, MsgType::Bye, ByeBody{}.serialize()));
+        break;
+      case Misbehaviour::OversizedControlFrame: {
+        MsgHeader header;
+        header.type = static_cast<std::uint32_t>(MsgType::ReportBug);
+        header.length = static_cast<std::uint32_t>(maxMessageBytes + 1);
+        ASSERT_EQ(::write(fd, &header, sizeof(header)),
+                  static_cast<ssize_t>(sizeof(header)));
+        break;
+      }
+      case Misbehaviour::VanishWithoutBye:
+        ::close(fd);
+        return;
+      case Misbehaviour::OutOfRangeHelloEnum:
+        break;
+    }
+    // The daemon aborts the session: it hangs up without a Report.
+    EXPECT_TRUE(readable(fd, 10000));
+    EXPECT_FALSE(recvMessage(fd, &type, &payload));
+    ::close(fd);
+}
+
+/** The well-behaved session of the matrix: hashmap_atomic with its
+ *  entry flush skipped, so the report holds many bug sites. */
+WorkloadOptions
+faultyHashmapOptions()
+{
+    WorkloadOptions workload;
+    workload.operations = 2000;
+    workload.faults.enable("hmatomic_skip_entry_flush");
+    return workload;
+}
+
+/** The wire encoding of @p bugs: equal bytes are equal reports. */
+std::vector<std::uint8_t>
+bugBytes(const std::vector<BugReport> &bugs)
+{
+    WireWriter out;
+    for (const BugReport &bug : bugs)
+        putBugReport(out, bug);
+    return std::move(out).bytes();
+}
+
+std::vector<std::uint8_t>
+faultyHashmapLocal()
+{
+    const auto program = makeWorkload("hashmap_atomic");
+    DebuggerConfig config;
+    config.model = program->model();
+    config.orderSpec = OrderSpec::fromText(program->orderSpecText());
+    PmRuntime runtime;
+    PmDebugger debugger(config);
+    runtime.attach(&debugger);
+    program->run(runtime, faultyHashmapOptions());
+    runtime.drain();
+    debugger.finalize();
+    return bugBytes(debugger.bugs().bugs());
+}
+
+std::vector<std::uint8_t>
+faultyHashmapRemote(const std::string &socket_path)
+{
+    const auto program = makeWorkload("hashmap_atomic");
+    PmRuntime runtime;
+    RemoteSink sink;
+    RemoteSink::Options options;
+    options.socketPath = socket_path;
+    options.ringPath = scratchPath("ring");
+    options.model = program->model();
+    options.orderSpecText = program->orderSpecText();
+    std::string error;
+    EXPECT_TRUE(sink.connect(options, &error)) << error;
+    runtime.attach(&sink);
+    program->run(runtime, faultyHashmapOptions());
+    ReportBody report;
+    EXPECT_TRUE(sink.finish(&report, &error)) << error;
+    return bugBytes(report.bugs);
+}
+
+class AdversarialClientTest : public ::testing::TestWithParam<Misbehaviour>
+{
+};
+
+TEST_P(AdversarialClientTest, OtherSessionsStayExactAndDaemonServesOn)
+{
+    const std::vector<std::uint8_t> local = faultyHashmapLocal();
+    ASSERT_FALSE(local.empty());
+
+    ServiceConfig config;
+    config.socketPath = scratchPath("sock");
+    config.pool.shards = 2;
+    ServiceDaemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    std::vector<std::uint8_t> concurrent;
+    std::thread good(
+        [&] { concurrent = faultyHashmapRemote(config.socketPath); });
+    misbehave(GetParam(), config.socketPath);
+    good.join();
+    EXPECT_TRUE(concurrent == local)
+        << "concurrent session: " << concurrent.size() << " report bytes, "
+        << local.size() << " in-process";
+
+    // The daemon is still up and serves the next session exactly.
+    EXPECT_TRUE(faultyHashmapRemote(config.socketPath) == local);
+
+    // A rejected Hello opens no session; the others end aborted.
+    const bool opened = GetParam() != Misbehaviour::OutOfRangeHelloEnum;
+    EXPECT_TRUE(daemon.waitForSessions(opened ? 3 : 2, 10000));
+    std::size_t aborted = 0;
+    for (const SessionSummary &session : daemon.summaries())
+        aborted += session.aborted;
+    EXPECT_EQ(aborted, opened ? 1u : 0u);
+    daemon.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Misbehaviours, AdversarialClientTest,
+    ::testing::Values(Misbehaviour::CorruptRingHead,
+                      Misbehaviour::OutOfRangeHelloEnum,
+                      Misbehaviour::OversizedControlFrame,
+                      Misbehaviour::VanishWithoutBye),
+    [](const ::testing::TestParamInfo<Misbehaviour> &info) {
+        return std::string(toString(info.param));
+    });
 
 } // namespace
 } // namespace pmdb

@@ -137,7 +137,7 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
                                          "pmdbd.events_drained")) /
                     dtSec;
     }
-    const double idleRatio =
+    const double idleFrac =
         polls ? static_cast<double>(idle) /
                     static_cast<double>(polls)
               : 0.0;
@@ -147,7 +147,7 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
                 static_cast<long long>(events),
                 static_cast<long long>(frames),
                 static_cast<long long>(done),
-                static_cast<long long>(steals), idleRatio);
+                static_cast<long long>(steals), idleFrac);
     if (prev)
         std::printf(", %.0f events/s", eventRate);
     std::printf("\n");

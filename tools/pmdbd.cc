@@ -6,11 +6,11 @@
  * src/service/), runs each through the sharded detector pool, and
  * replies to every client with its merged bug report.
  *
- * `--help` lists the flags. The --json aggregate carries ingest
- * counters (batches drained, events/s, steals, queue-full stalls,
- * idle-poll ratio) and the live metrics snapshot; --metrics-sock
- * clients send "json" or "prom" and get one snapshot back (see
- * tools/pmdb_stat).
+ * `--help` lists the flags. The --json aggregate carries per-session
+ * attribution (batches drained, events/s, queue-full stalls, bug
+ * sites) and the metrics snapshot, which holds every daemon counter;
+ * --metrics-sock clients send "json" or "prom" and get that snapshot
+ * back (see tools/pmdb_stat).
  */
 
 #include <atomic>
@@ -67,8 +67,6 @@ main(int argc, char **argv)
                       "print the aggregated per-session report on exit"),
             cli::flag("--metrics-sock", "PATH", &config.metricsSocketPath,
                       "serve live metrics snapshots on PATH"),
-            cli::flag("--stats-interval", "SEC", &config.statsIntervalSec,
-                      "log a one-line ingest summary every SEC seconds"),
             cli::flag("--trace-out", "FILE", &config.traceOutPath,
                       "write a Chrome/Perfetto span trace on exit"),
         });
