@@ -1,8 +1,6 @@
 #include "advise/corpus.hh"
 
-#include <atomic>
-#include <thread>
-
+#include "common/parallel.hh"
 #include "repair/oracle.hh"
 
 namespace pmdb
@@ -95,32 +93,13 @@ runAdviseCorpus(const BugCase &bug_case, const CorpusSpec &spec)
 {
     const std::vector<CaseParams> grid = spec.enumerate();
 
-    // Indexed fan-out: worker w claims grid slots via an atomic cursor
-    // and writes into its slot only, so the merged vector — and
-    // everything derived from it — is independent of the worker count.
+    // Indexed fan-out: each trace writes into its own slot only, so the
+    // merged vector — and everything derived from it — is independent
+    // of the worker count.
     std::vector<TraceOutcome> outcomes(grid.size());
-    std::atomic<std::size_t> cursor{0};
-    const auto work = [&]() {
-        for (;;) {
-            const std::size_t at = cursor.fetch_add(1);
-            if (at >= grid.size())
-                return;
-            outcomes[at] = adviseOneTrace(bug_case, grid[at], spec);
-        }
-    };
-
-    std::size_t pool = spec.workers ? spec.workers : 1;
-    pool = std::min(pool, grid.size());
-    if (pool <= 1) {
-        work();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (std::size_t w = 0; w < pool; ++w)
-            threads.emplace_back(work);
-        for (std::thread &thread : threads)
-            thread.join();
-    }
+    parallelFor(grid.size(), spec.workers, [&](std::size_t at) {
+        outcomes[at] = adviseOneTrace(bug_case, grid[at], spec);
+    });
 
     AdviseReport report;
     report.caseName = bug_case.name;

@@ -10,6 +10,7 @@
 #ifndef PMDB_COMMON_RNG_HH
 #define PMDB_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -84,6 +85,19 @@ class ScrambledZipfianGenerator
 
 /** 64-bit finalizer hash (splitmix64 mix step), used for key scrambling. */
 std::uint64_t mix64(std::uint64_t x);
+
+/** Byte-wise 64-bit FNV-1a; chain calls through @p hash. */
+inline std::uint64_t
+fnv1a(const void *data, std::size_t size,
+      std::uint64_t hash = 0xcbf29ce484222325ULL)
+{
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
 
 } // namespace pmdb
 

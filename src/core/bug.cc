@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/rng.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
@@ -42,23 +43,6 @@ BugReport::toString() const
     out << " [seq " << seq << "]";
     return out.str();
 }
-
-namespace
-{
-
-/** FNV-1a, the project's stock non-cryptographic string hash. */
-std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t hash = 0xcbf29ce484222325ULL)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-} // namespace
 
 std::uint64_t
 BugFingerprint::hash() const

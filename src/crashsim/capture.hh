@@ -20,6 +20,7 @@
 #define PMDB_CRASHSIM_CAPTURE_HH
 
 #include <map>
+#include <utility>
 
 #include "core/cross_failure.hh"
 #include "crashsim/crash_points.hh"
@@ -86,6 +87,9 @@ class CrashsimSession : public PersistenceObserver
     CrashsimOptions &options() { return options_; }
 
     const CrashPointLog &log() const { return log_; }
+
+    /** Hand the captured log over without copying it (leaves it empty). */
+    CrashPointLog takeLog() { return std::exchange(log_, {}); }
 
     /**
      * Explore the captured crash points with the registered verifier

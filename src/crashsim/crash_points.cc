@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "pmdk/tx.hh"
 
 namespace pmdb
 {

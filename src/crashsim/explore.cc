@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stopwatch.hh"
 #include "core/debugger.hh"
@@ -252,25 +252,13 @@ exploreCrashPoints(const CrashPointLog &log,
         }
     };
 
-    if (!items.empty()) {
-        const std::size_t chunk =
-            (items.size() + workers - 1) / workers;
-        if (workers == 1) {
-            run_chunk(0, 0, items.size());
-        } else {
-            std::vector<std::thread> pool;
-            for (std::size_t w = 0; w < workers; ++w) {
-                const std::size_t begin = w * chunk;
-                const std::size_t end =
-                    std::min(items.size(), begin + chunk);
-                if (begin >= end)
-                    break;
-                pool.emplace_back(run_chunk, w, begin, end);
-            }
-            for (std::thread &t : pool)
-                t.join();
-        }
-    }
+    const std::size_t chunk = (items.size() + workers - 1) / workers;
+    parallelFor(workers, workers, [&](std::size_t w) {
+        const std::size_t begin = w * chunk;
+        const std::size_t end = std::min(items.size(), begin + chunk);
+        if (begin < end)
+            run_chunk(w, begin, end);
+    });
 
     for (std::size_t w = 0; w < workers; ++w) {
         stats.minimizeVerifies += min_verifies[w];

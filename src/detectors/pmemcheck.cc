@@ -1,5 +1,7 @@
 #include "detectors/pmemcheck.hh"
 
+#include "common/rng.hh"
+
 namespace pmdb
 {
 
@@ -66,13 +68,7 @@ PmemcheckDetector::simulateExecontext(const Event &event)
     std::uint64_t frames[8];
     for (int i = 0; i < 8; ++i)
         frames[i] = event.addr * 0x9e3779b97f4a7c15ULL + i * event.size;
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(frames);
-    for (std::size_t i = 0; i < sizeof(frames); ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    ++execontexts_[hash & 0x3ff];
+    ++execontexts_[fnv1a(frames, sizeof(frames)) & 0x3ff];
 }
 
 void

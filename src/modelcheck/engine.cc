@@ -1,11 +1,10 @@
 #include "modelcheck/engine.hh"
 
-#include <atomic>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stopwatch.hh"
 #include "crashsim/explore.hh"
@@ -104,13 +103,14 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
             ++out.executions;
             out.crashPoints += exec.log.points.size();
 
-            outcome.executed = true;
             outcome.inconsistency = std::move(exec.inconsistency);
             // Inconsistent states are reported, not expanded: their
             // recovery already failed, so operating past it explores
             // the consequences of a bug rather than new program
-            // behavior.
-            if (outcome.inconsistency.empty())
+            // behavior. At the depth bound nothing expands, so no log
+            // is kept.
+            if (outcome.inconsistency.empty() &&
+                group.depth < options_.maxDepth)
                 outcome.childLog =
                     std::make_shared<const CrashPointLog>(
                         std::move(exec.log));
@@ -148,20 +148,25 @@ ModelChecker::run()
 
     std::vector<Group> frontier;
     const auto expand = [&](std::shared_ptr<const CrashPointLog> log,
-                            std::size_t depth,
+                            std::uint64_t base_hash, std::size_t depth,
                             std::vector<SeqNum> chain,
                             std::vector<Group> &into) {
         if (depth > options_.maxDepth || log->points.empty())
             return;
         Group group;
-        group.logBaseHash = imageContentHash(log->baseline);
+        group.logBaseHash = base_hash;
         group.log = std::move(log);
         group.depth = depth;
         group.chainPrefix = std::move(chain);
         into.push_back(std::move(group));
     };
+    // The only full-image hash of the search: every recovery's
+    // baseline is the candidate it ran on, whose identity the worker
+    // already computed (the runRecovery contract, model.hh).
+    const std::uint64_t initial_hash =
+        imageContentHash(initial.log.baseline);
     expand(std::make_shared<const CrashPointLog>(std::move(initial.log)),
-           1, {}, frontier);
+           initial_hash, 1, {}, frontier);
 
     while (!frontier.empty() && !stats.budgetExhausted) {
         ++stats.rounds;
@@ -172,30 +177,9 @@ ModelChecker::run()
 
         // Parallel phase: the cache is frozen (read-only), so each
         // group's outcome is independent of scheduling.
-        std::size_t workers = options_.workers > 0 ? options_.workers : 1;
-        if (workers > frontier.size())
-            workers = frontier.size();
-        if (workers <= 1) {
-            for (std::size_t i = 0; i < frontier.size(); ++i)
-                processGroup(frontier[i], cache, outcomes[i]);
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            std::atomic<std::size_t> next{0};
-            for (std::size_t w = 0; w < workers; ++w) {
-                pool.emplace_back([&]() {
-                    for (;;) {
-                        const std::size_t i =
-                            next.fetch_add(1, std::memory_order_relaxed);
-                        if (i >= frontier.size())
-                            return;
-                        processGroup(frontier[i], cache, outcomes[i]);
-                    }
-                });
-            }
-            for (std::thread &thread : pool)
-                thread.join();
-        }
+        parallelFor(frontier.size(), options_.workers, [&](std::size_t i) {
+            processGroup(frontier[i], cache, outcomes[i]);
+        });
 
         // Sequential merge in (group, candidate) order: the only place
         // cache, findings, frontier and frontierHash mutate.
@@ -237,9 +221,10 @@ ModelChecker::run()
                     finding.detail = cand.inconsistency;
                     result.findings.push_back(std::move(finding));
                 }
-                if (cand.childLog && group.depth < options_.maxDepth)
-                    expand(cand.childLog, group.depth + 1,
-                           std::move(chain), next_frontier);
+                if (cand.childLog)
+                    expand(std::move(cand.childLog), cand.hash,
+                           group.depth + 1, std::move(chain),
+                           next_frontier);
                 if (stats.distinctStates >= options_.maxStates) {
                     stats.budgetExhausted = true;
                     break;

@@ -186,12 +186,14 @@ class ModelChecker
         /** Boundary seqs of the crashes that led to this execution. */
         std::vector<SeqNum> chainPrefix;
         /**
-         * Full content hash of the log's baseline image. ImageCursor
+         * Absolute identity of the log's baseline image. ImageCursor
          * hashes are XOR deltas *relative to their log's baseline*;
          * anchoring them here turns them into absolute image
          * identities comparable across executions — without it, a
          * child state would alias whatever parent state shares its
-         * delta shape.
+         * delta shape. A recovery's baseline is the candidate image
+         * it ran on, so a child group inherits that candidate's hash;
+         * only the initial execution's baseline is hashed in full.
          */
         std::uint64_t logBaseHash = 0;
     };
@@ -204,10 +206,11 @@ class ModelChecker
         std::size_t pointIdx = 0;
         /** Frozen-cache hit: skipped before pruning or execution. */
         bool cachedSkip = false;
-        /** A recovery execution ran for this candidate. */
-        bool executed = false;
         std::string inconsistency;
-        /** Next-round capture (null when not executed or inconsistent). */
+        /**
+         * Next-round capture: null when not executed, inconsistent,
+         * or already at the depth bound.
+         */
         std::shared_ptr<const CrashPointLog> childLog;
     };
 

@@ -15,6 +15,11 @@
  *    same image in, same event stream out. The pruning soundness
  *    argument (DESIGN.md §11) and the resumable state cache both stand
  *    on this.
+ *  - runRecovery adopts the image before its first write, so the
+ *    execution's log baseline is the input image. The engine anchors
+ *    a child state's identity on the candidate's hash instead of
+ *    re-hashing the baseline; a model that wrote before adopting
+ *    would silently alias states (tests/test_modelcheck.cc pins it).
  *  - runRecovery() must *detect* inconsistent images (return a
  *    non-empty ModelExecution::inconsistency) rather than crash on
  *    them, and must read the image through the pool's instrumented

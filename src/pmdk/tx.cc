@@ -8,18 +8,6 @@
 namespace pmdb
 {
 
-std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t seed)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 namespace
 {
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh" // fnv1a: the log-entry checksum
 #include "pmdk/pool.hh"
 
 namespace pmdb
@@ -161,10 +162,6 @@ class TxRecovery
      */
     static std::vector<RecoveredEntry> recoverPool(PmemPool &pool);
 };
-
-/** FNV-1a checksum used for log-entry integrity. */
-std::uint64_t fnv1a(const void *data, std::size_t size,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 } // namespace pmdb
 

@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/rng.hh"
+
 namespace pmdb
 {
 
 namespace
 {
-
-std::uint64_t
-fnv1a(const void *data, std::size_t size,
-      std::uint64_t hash = 0xcbf29ce484222325ULL)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 /**
  * A deletion unit: either a single event or a matched Begin/End marker

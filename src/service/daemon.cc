@@ -82,6 +82,17 @@ idleBackoff(int idleRounds)
     std::this_thread::sleep_for(std::chrono::microseconds(1 << shift));
 }
 
+/** invalidEventField of the first invalid one of @p count events. */
+const char *
+invalidEvent(const Event *events, std::size_t count, std::size_t names)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        if (const char *field = invalidEventField(events[i], names))
+            return field;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 /** One client connection, owned by its poller. */
@@ -103,6 +114,9 @@ struct ServiceDaemon::ActiveSession
     EventRing ring;
     ByeBody bye;
     bool sawBye = false;
+    /** Names the client interned, in id order: drained events may
+     *  reference only these. The session's detectors read it too. */
+    NameTable names;
     std::vector<BugReport> external;
     /** Routed events awaiting queue space (backpressure). */
     PendingRoute pending;
@@ -517,7 +531,7 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     const bool pinned =
         session.hello.model == PersistencyModel::Strand ||
         !session.hello.orderSpecText.empty();
-    pool_.openSession(session.id, config, pinned);
+    pool_.openSession(session.id, config, pinned, &session.names);
 
     // Shared-pool sessions additionally join their pool's
     // cross-session detection group; their events still flow through
@@ -545,6 +559,13 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
         return finishHandshake(session);
 
     bool progressed = false;
+    // Only this session ends; the daemon and its other sessions go on.
+    const auto abortSession = [&](const std::string &why) {
+        warn("pmdbd/poller", why + "; aborting session " +
+                                 std::to_string(session.id));
+        beginClose(sp, /*aborted=*/true);
+        return true;
+    };
 
     // 1. Control plane: names, client-side bug reports, Bye.
     while (!session.sawBye && readable(session.fd, 0)) {
@@ -559,7 +580,12 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
           case MsgType::InternName: {
             WireReader in(payload);
             const auto id = in.get<std::uint32_t>();
-            pool_.internName(session.id, id, in.getString());
+            const std::string name = in.getString();
+            // intern() returns an older id for a repeated name.
+            if (!in.ok() || id != session.names.size() ||
+                session.names.intern(name) != id)
+                return abortSession("name " + std::to_string(id) +
+                                    " out of order");
             WireWriter ack;
             ack.put(id);
             sendMessage(session.fd, MsgType::NameAck, ack.bytes());
@@ -581,10 +607,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 // A truncated Bye would silently zero the spill
                 // accounting and drop the spilled tail from the
                 // report; treat the session as aborted instead.
-                warn("pmdbd/poller", "malformed Bye; aborting session " +
-                     std::to_string(session.id));
-                beginClose(sp, /*aborted=*/true);
-                return true;
+                return abortSession("malformed Bye");
             }
             session.sawBye = true;
             break;
@@ -606,12 +629,12 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
     if (session.pending.empty()) {
         const std::size_t popped = session.ring.popBatch(
             session.scratch.data(), session.scratch.size());
-        if (session.ring.corrupt()) {
-            warn("pmdbd/poller", "corrupt ring cursors; aborting session " +
-                 std::to_string(session.id));
-            beginClose(sp, /*aborted=*/true);
-            return true;
-        }
+        if (session.ring.corrupt())
+            return abortSession("corrupt ring cursors");
+        if (const char *field = invalidEvent(
+                session.scratch.data(), popped, session.names.size()))
+            return abortSession(std::string("ring event with an invalid ") +
+                                field);
         if (popped) {
             progressed = true;
             ++session.batchesDrained;
@@ -667,6 +690,13 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
             std::string error;
             if (readTraceFile(session.hello.spillPath, &spill,
                               &truncated, &error)) {
+                // The file checks its events against its own names;
+                // the shards know only the ones the client interned.
+                if (const char *field = invalidEvent(
+                        spill.events.data(), spill.events.size(),
+                        session.names.size()))
+                    return abortSession(
+                        std::string("spill event with an invalid ") + field);
                 if (truncated) {
                     warn("pmdbd/poller", "spill trace " +
                          session.hello.spillPath +

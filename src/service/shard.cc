@@ -7,7 +7,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "common/logging.hh"
 #include "core/order_spec.hh"
 #include "service/cpu_pin.hh"
 #include "telemetry/metrics.hh"
@@ -94,7 +93,6 @@ struct ShardPool::Task
     enum class Kind
     {
         Open,
-        Name,
         Events,
         Close,
     };
@@ -104,9 +102,7 @@ struct ShardPool::Task
     std::uint64_t enqueuedNs = 0;
     /** Open */
     DebuggerConfig config;
-    /** Name */
-    std::uint32_t nameId = 0;
-    std::string name;
+    const NameTable *names = nullptr;
     /** Events */
     std::vector<Event> events;
     /** Close */
@@ -134,11 +130,8 @@ struct ShardPool::SessionShard
     bool closed = false;
     /** @} */
 
-    /** @name leased-worker state (heap-stable NameTable address). */
-    /** @{ */
-    NameTable names;
+    /** Leased-worker state. */
     std::unique_ptr<PmDebugger> debugger;
-    /** @} */
 };
 
 ShardPool::ShardPool(ShardPoolConfig config)
@@ -243,7 +236,7 @@ ShardPool::enqueueLocked(SessionShard &queue, Task task)
 
 void
 ShardPool::openSession(SessionId session, const DebuggerConfig &config,
-                       bool pinned)
+                       bool pinned, const NameTable *names)
 {
     {
         std::lock_guard<std::mutex> lock(pinnedMutex_);
@@ -261,6 +254,7 @@ ShardPool::openSession(SessionId session, const DebuggerConfig &config,
         Task task;
         task.kind = Task::Kind::Open;
         task.config = config;
+        task.names = names;
         // Context-only rules fire on broadcast boundaries alone, so
         // every shard would report the same bug; keep them on the home
         // shard only to preserve single-detector report identity.
@@ -268,23 +262,6 @@ ShardPool::openSession(SessionId session, const DebuggerConfig &config,
             task.config.detectRedundantEpochFence = false;
         enqueueLocked(*entry, std::move(task));
         queues_[key] = std::move(entry);
-    }
-}
-
-void
-ShardPool::internName(SessionId session, std::uint32_t nameId,
-                      std::string name)
-{
-    std::lock_guard<std::mutex> lock(queuesMutex_);
-    for (std::size_t shard = 0; shard < config_.shards; ++shard) {
-        SessionShard *queue = queueOf(session, shard);
-        if (!queue)
-            continue;
-        Task task;
-        task.kind = Task::Kind::Name;
-        task.nameId = nameId;
-        task.name = name;
-        enqueueLocked(*queue, std::move(task));
     }
 }
 
@@ -550,17 +527,9 @@ ShardPool::runTask(SessionShard &queue, Task &task)
     switch (task.kind) {
       case Task::Kind::Open:
         queue.debugger = std::make_unique<PmDebugger>(task.config);
-        queue.debugger->attached(queue.names);
+        if (task.names)
+            queue.debugger->attached(*task.names);
         break;
-      case Task::Kind::Name: {
-        const std::uint32_t id = queue.names.intern(task.name);
-        if (id != task.nameId) {
-            warn("pmdbd/shard", "name id mismatch (got " +
-                 std::to_string(id) + ", expected " +
-                 std::to_string(task.nameId) + ")");
-        }
-        break;
-      }
       case Task::Kind::Events: {
         if (queue.shard == config_.slowShard &&
             config_.slowShardDelayUs) {

@@ -156,19 +156,13 @@ class ShardPool
 
     /**
      * Open a session on every shard. @p pinned forces the whole
-     * stream to the session's home shard.
+     * stream to the session's home shard. The shards' detectors look
+     * event name ids up in @p names (none when null): the caller's
+     * table of the session's interned names, which must outlive the
+     * session's close and hold every id a routed event references.
      */
     void openSession(SessionId session, const DebuggerConfig &config,
-                     bool pinned);
-
-    /**
-     * Deliver one interned name to every shard of @p session. Ids must
-     * arrive in intern order; the call returns after *enqueueing*, and
-     * FIFO queues guarantee shards intern the name before any
-     * subsequently routed event that references it.
-     */
-    void internName(SessionId session, std::uint32_t nameId,
-                    std::string name);
+                     bool pinned, const NameTable *names = nullptr);
 
     /**
      * Partition @p events into per-shard subsequences (preserving

@@ -103,21 +103,19 @@ unpack(const PackedEvent &packed)
     return event;
 }
 
-/** The field of @p packed no writer could have produced, or nullptr
- *  when the event is valid after @p names name records. */
+} // namespace
+
 const char *
-invalidField(const PackedEvent &packed, std::size_t names)
+invalidEventField(const Event &event, std::size_t names)
 {
-    if (packed.kind > static_cast<std::uint8_t>(EventKind::ProgramEnd))
+    if (event.kind > EventKind::ProgramEnd)
         return "kind";
-    if (packed.flushKind > static_cast<std::uint8_t>(FlushKind::Clflushopt))
+    if (event.flushKind > FlushKind::Clflushopt)
         return "flush kind";
-    if (packed.nameId != noName && packed.nameId >= names)
+    if (event.nameId != noName && event.nameId >= names)
         return "name id";
     return nullptr;
 }
-
-} // namespace
 
 bool
 writeTraceFile(const std::string &path, const std::vector<Event> &events,
@@ -265,13 +263,14 @@ readTraceFile(const std::string &path, LoadedTrace *out, bool *truncated,
             PackedEvent packed;
             if (!readValue(file.get(), &packed))
                 return tail();
+            const Event event = unpack(packed);
             if (const char *field =
-                    invalidField(packed, out->names.size())) {
+                    invalidEventField(event, out->names.size())) {
                 return fail(error, "corrupt trace: event " +
                                        std::to_string(out->events.size()) +
                                        " has an invalid " + field);
             }
-            out->events.push_back(unpack(packed));
+            out->events.push_back(event);
         } else {
             return fail(error, "corrupt trace: unknown record tag");
         }

@@ -106,6 +106,14 @@ class TraceStreamWriter
 };
 
 /**
+ * The field of @p event no writer could have produced — "kind",
+ * "flush kind" or "name id" — or nullptr when the event is valid in a
+ * stream that has interned @p names names so far. Trace loading and
+ * pmdbd's ring drain both reject events this flags.
+ */
+const char *invalidEventField(const Event &event, std::size_t names);
+
+/**
  * Load the trace at @p path into @p out, which is reset first. Every
  * event is validated as it is decoded: a kind or flush kind outside
  * its enum, or a nameId that is neither noName nor the id of a name

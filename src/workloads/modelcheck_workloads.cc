@@ -41,7 +41,7 @@ struct Capture
 
         ModelExecution exec;
         exec.inconsistency = std::move(verdict);
-        exec.log = session.log();
+        exec.log = session.takeLog();
         exec.reads = std::move(reads);
         runtime.setReadTracker(nullptr);
         return exec;

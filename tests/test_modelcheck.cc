@@ -5,7 +5,8 @@
  * rejection including seeded mutants, resume semantics), worker-count and rerun determinism of
  * the frontier search, read-set pruning not masking findings, the
  * seeded multi-crash recovery bugs being reachable only at depth >= 2,
- * and depth-3 coverage against single-crash exploration.
+ * depth-3 coverage against single-crash exploration, pinned search
+ * outcomes, and the recovery-baseline contract state identity rests on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "crashsim/explore.hh"
 #include "modelcheck/engine.hh"
 #include "modelcheck/model.hh"
 #include "modelcheck/state_cache.hh"
@@ -386,6 +388,98 @@ TEST(ModelCheckerTest, PruningOnlySkipsWork)
     EXPECT_LT(pruned.stats.executions, full.stats.executions);
     // Pruned states still count as visited.
     EXPECT_GT(pruned.stats.distinctStates, 0u);
+}
+
+/** A search configured as `pmdb_modelcheck run` configures it. */
+ModelCheckOptions
+cliSearch(std::size_t ops, std::size_t depth, std::size_t max_states)
+{
+    ModelCheckOptions options;
+    options.run.operations = ops;
+    options.run.seed = 1;
+    options.maxDepth = depth;
+    options.maxStates = max_states;
+    return options;
+}
+
+TEST(ModelCheckerTest, SearchOutcomesArePinned)
+{
+    // Read with `pmdb_modelcheck run <workload> --ops O --depth D
+    // [--max-states N] --seed 1 --json`. State identities feed every
+    // figure here, so a change to how a state is hashed, or to which
+    // recoveries run, moves at least one of them.
+    struct Pin
+    {
+        const char *workload;
+        ModelCheckOptions options;
+        std::uint64_t distinctStates;
+        std::uint64_t executions;
+        std::uint64_t frontierHash;
+    };
+    const Pin pins[] = {
+        // crash_atomic's search in the repository benchmark.
+        {"hashmap_atomic", cliSearch(64, 4, std::size_t(1) << 20), 6923,
+         6926, 0x6289d9f9db1aa2f3ULL},
+        {"hashmap_tx", cliSearch(8, 3, 4096), 27, 28,
+         0xc9c501654513364cULL},
+        {"b_tree", cliSearch(8, 3, 4096), 27, 28, 0x2323bf3573fdf49cULL},
+        {"mc_undo_flush", cliSearch(8, 3, 4096), 88, 257,
+         0xc52e2db97a6a9d0bULL},
+        {"mc_dirty_flag", cliSearch(8, 3, 4096), 37, 105,
+         0x6cd9a1b1db9463fdULL},
+    };
+    for (const Pin &pin : pins) {
+        for (const std::size_t workers : {1u, 2u}) {
+            SCOPED_TRACE(std::string(pin.workload) + " at " +
+                         std::to_string(workers) + " worker(s)");
+            ModelCheckOptions options = pin.options;
+            options.workers = workers;
+            const ModelCheckResult result =
+                runSearch(pin.workload, false, options);
+            EXPECT_FALSE(result.stats.budgetExhausted);
+            EXPECT_EQ(result.stats.distinctStates, pin.distinctStates);
+            EXPECT_EQ(result.stats.executions, pin.executions);
+            EXPECT_EQ(result.frontierHash, pin.frontierHash);
+        }
+    }
+}
+
+TEST(ModelCheckerTest, RecoveryBaselineIsTheInputImage)
+{
+    // The engine names a recovery's crash states relative to the
+    // candidate image it ran on, not to a fresh hash of the
+    // recovery's baseline; that is sound only while the two are the
+    // same bytes (model.hh).
+    ModelRunConfig config;
+    for (const std::string &name : modelWorkloadNames()) {
+        SCOPED_TRACE(name);
+        auto model = makeModelWorkload(name);
+        ASSERT_NE(model, nullptr);
+        const ModelExecution initial = model->runInitial(config);
+        const CrashPointLog &log = initial.log;
+
+        // The first crash point with something in flight, so the
+        // landed subset really changes the image.
+        std::size_t p = 0;
+        while (p < log.points.size() &&
+               log.pendingCount(log.points[p]) == 0)
+            ++p;
+        ASSERT_LT(p, log.points.size());
+        const std::vector<std::vector<std::size_t>> candidates =
+            enumerateCrashCandidates(log, log.points[p], config.sim);
+        ASSERT_FALSE(candidates.back().empty());
+
+        ImageCursor cursor(log);
+        cursor.advanceTo(p);
+        cursor.apply(candidates.back());
+        const std::vector<std::uint8_t> image = cursor.image();
+        cursor.revert();
+        EXPECT_NE(image, log.baseline);
+
+        const ModelExecution recovery = model->runRecovery(image, config);
+        EXPECT_TRUE(recovery.log.baseline == image)
+            << "recovery wrote to the pool before adopting it";
+    }
 }
 
 TEST(ModelCheckerTest, DepthThreeReachesTenfoldCrashsimStates)

@@ -1200,6 +1200,8 @@ enum class Misbehaviour
     OutOfRangeHelloEnum,
     OversizedControlFrame,
     VanishWithoutBye,
+    UninternedNameId,
+    OutOfOrderInternName,
 };
 
 const char *
@@ -1214,6 +1216,10 @@ toString(Misbehaviour how)
         return "OversizedControlFrame";
       case Misbehaviour::VanishWithoutBye:
         return "VanishWithoutBye";
+      case Misbehaviour::UninternedNameId:
+        return "UninternedNameId";
+      case Misbehaviour::OutOfOrderInternName:
+        return "OutOfOrderInternName";
     }
     return "Unknown";
 }
@@ -1262,6 +1268,11 @@ misbehave(Misbehaviour how, const std::string &socket_path)
         events[i].size = events[i].kind == EventKind::Fence ? 0 : 64;
         events[i].seq = i + 1;
     }
+    if (how == Misbehaviour::UninternedNameId) {
+        // Registers a pool under a name the client never interned.
+        events[0].kind = EventKind::RegisterPmem;
+        events[0].nameId = 0;
+    }
     ASSERT_EQ(ring.tryPushBatch(events.data(), events.size()),
               events.size());
     switch (how) {
@@ -1280,6 +1291,17 @@ misbehave(Misbehaviour how, const std::string &socket_path)
       case Misbehaviour::VanishWithoutBye:
         ::close(fd);
         return;
+      case Misbehaviour::UninternedNameId:
+        // The drain may abort the session before the Bye arrives.
+        sendMessage(fd, MsgType::Bye, ByeBody{}.serialize());
+        break;
+      case Misbehaviour::OutOfOrderInternName: {
+        WireWriter out;
+        out.put(std::uint32_t{1}); // no name 0 came first
+        out.putString("pool");
+        ASSERT_TRUE(sendMessage(fd, MsgType::InternName, out.bytes()));
+        break;
+      }
       case Misbehaviour::OutOfRangeHelloEnum:
         break;
     }
@@ -1389,7 +1411,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Misbehaviour::CorruptRingHead,
                       Misbehaviour::OutOfRangeHelloEnum,
                       Misbehaviour::OversizedControlFrame,
-                      Misbehaviour::VanishWithoutBye),
+                      Misbehaviour::VanishWithoutBye,
+                      Misbehaviour::UninternedNameId,
+                      Misbehaviour::OutOfOrderInternName),
     [](const ::testing::TestParamInfo<Misbehaviour> &info) {
         return std::string(toString(info.param));
     });
