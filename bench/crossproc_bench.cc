@@ -55,11 +55,11 @@ struct PairResult
 /** One two-writer run; @p announce switches the cross engine on/off. */
 PairResult
 runPair(std::size_t ops, const std::string &fault, bool announce,
-        std::size_t shards)
+        std::size_t workers)
 {
     ServiceConfig config;
     config.socketPath = scratch("sock");
-    config.pool.shards = shards;
+    config.pool.shards = workers;
     ServiceDaemon daemon(config);
     std::string error;
     if (!daemon.start(&error))
@@ -127,12 +127,12 @@ runPair(std::size_t ops, const std::string &fault, bool announce,
 /** Warm-up + median-of-3. */
 PairResult
 timedPair(std::size_t ops, const std::string &fault, bool announce,
-          std::size_t shards)
+          std::size_t workers)
 {
-    runPair(std::max<std::size_t>(64, ops / 4), fault, announce, shards);
+    runPair(std::max<std::size_t>(64, ops / 4), fault, announce, workers);
     std::vector<PairResult> runs;
     for (int r = 0; r < 3; ++r)
-        runs.push_back(runPair(ops, fault, announce, shards));
+        runs.push_back(runPair(ops, fault, announce, workers));
     std::sort(runs.begin(), runs.end(),
               [](const PairResult &a, const PairResult &b) {
                   return a.seconds < b.seconds;
@@ -144,12 +144,12 @@ int
 benchMain()
 {
     const std::size_t ops = scaled(2000);
-    constexpr std::size_t shards = 4;
+    constexpr std::size_t workers = 4;
 
-    const PairResult cleanOff = timedPair(ops, "", false, shards);
-    const PairResult cleanOn = timedPair(ops, "", true, shards);
+    const PairResult cleanOff = timedPair(ops, "", false, workers);
+    const PairResult cleanOn = timedPair(ops, "", true, workers);
     const std::string fault = crossprocCases()[0].fault;
-    const PairResult seededOn = timedPair(ops, fault, true, shards);
+    const PairResult seededOn = timedPair(ops, fault, true, workers);
 
     const auto rate = [](const PairResult &r) {
         return r.seconds > 0.0
@@ -175,8 +175,8 @@ benchMain()
     addRow("cross engine, clean", cleanOn);
     addRow("cross engine, seeded", seededOn);
     std::printf("--- shared_queue: 2 writers x %zu ops -> pmdbd "
-                "(%zu shards) ---\n%s\n",
-                ops, shards, table.render().c_str());
+                "(%zu workers) ---\n%s\n",
+                ops, workers, table.render().c_str());
     std::printf("cross-session engine overhead vs independent "
                 "sessions: %.1f%%\n", overhead * 100.0);
 
@@ -188,10 +188,10 @@ benchMain()
                     "(want %zu)\n", cleanOff.crossBugs,
                     cleanOn.crossBugs, seededOn.crossBugs, ops);
 
-    writeBenchRow("crossproc", static_cast<unsigned>(shards),
+    writeBenchRow("crossproc", static_cast<unsigned>(workers),
                   [&](JsonWriter &row) {
         row.field("ops", ops)
-            .field("shards", shards)
+            .field("workers", workers)
             .field("events_per_sec_independent", rate(cleanOff), 0)
             .field("events_per_sec_cross_clean", rate(cleanOn), 0)
             .field("events_per_sec_cross_seeded", rate(seededOn), 0)

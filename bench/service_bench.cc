@@ -1,30 +1,22 @@
 /**
  * @file
- * Detection-service benchmark: (a) shard scaling of the address-range
- * sharded detector pool on a synthetic store-heavy stream, and (b) an
- * ingestion sweep — 1/2/4/8 concurrent RemoteSink clients x 1/4
- * detector shards streaming into an in-process ServiceDaemon — that
- * reports aggregate events/s plus per-client fairness (min/max client
- * rate).
- *
- * Why shard scaling pays even on a single core: the synthetic stream
- * flushes every line individually, so each CLF closes a CLF interval
- * (§4.3) and the next applyFlush scans the fence interval's whole
- * accumulated interval-metadata list — cost grows with the number of
- * live intervals, quadratic over a fence interval. Sharding partitions
- * the bookkeeping space: each shard scans only its own stripes'
- * interval list, dividing that cost by the shard count. On top of
- * that, a fence interval's 131072 distinct locations overflow one
- * shard's fixed-capacity memory-location array (Section 4.1) into
- * AVL-tree insertion (Section 4.2), while 2+ shards stay under
- * capacity on the O(1) array path. Both effects are bookkeeping-space
- * partitioning, not thread parallelism, so the speedup holds on 1-CPU
- * hosts.
+ * Detection-service benchmark: (a) a one-session stream, store-heavy
+ * and fully persisted, at 1024, 2048 and 4096 lines per fence interval,
+ * streamed through a one-worker session pool — the cost of one
+ * detector's fence-interval bookkeeping as the interval grows (every
+ * line is flushed on its own, so each flush closes a CLF interval that
+ * the next flush's scan visits); and (b) an ingestion sweep — 1/2/4/8
+ * concurrent RemoteSink clients x 1/4 detector workers streaming into
+ * an in-process ServiceDaemon — that reports aggregate events/s plus
+ * per-client fairness (min/max client rate).
  *
  * Emits a JSON row to BENCH_service.json (and stdout). Exits non-zero
- * if the per-shard-count verdicts disagree (identity self-check).
+ * if a stream's verdict is not exact (no bug, every store and flush
+ * counted).
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <unistd.h>
@@ -33,7 +25,7 @@
 #include "bench/bench_util.hh"
 #include "service/daemon.hh"
 #include "service/remote_sink.hh"
-#include "service/shard.hh"
+#include "service/session_pool.hh"
 #include "trace/event.hh"
 
 namespace pmdb
@@ -41,21 +33,16 @@ namespace pmdb
 namespace
 {
 
-constexpr Addr stripeBytes = 4ull << 20;
-constexpr std::size_t stripes = 8;
-
 /**
- * Store-heavy stream: per fence interval, every stripe gets
- * @p lines_per_stripe distinct 64-byte lines stored and flushed, then
- * one fence closes the interval. Fully persisted, so the verdict is
- * zero bugs and the identity check across shard counts is trivial to
- * state: same (empty) bug list, same store/flush totals.
+ * Store-heavy stream: @p rounds fence intervals, each storing and
+ * flushing @p lines distinct 64-byte lines one at a time, then one
+ * fence. Fully persisted, so the exact verdict is zero bugs.
  */
 std::vector<Event>
-buildStream(std::size_t rounds, std::size_t lines_per_stripe)
+buildStream(std::size_t rounds, std::size_t lines)
 {
     std::vector<Event> events;
-    events.reserve(rounds * (stripes * lines_per_stripe * 2 + 1) + 1);
+    events.reserve(rounds * (lines * 2 + 1) + 1);
     SeqNum seq = 1;
     auto emit = [&](EventKind kind, Addr addr, std::uint32_t size) {
         Event event;
@@ -66,14 +53,10 @@ buildStream(std::size_t rounds, std::size_t lines_per_stripe)
         events.push_back(event);
     };
     for (std::size_t round = 0; round < rounds; ++round) {
-        for (std::size_t stripe = 0; stripe < stripes; ++stripe) {
-            const Addr base = static_cast<Addr>(stripe) * stripeBytes;
-            for (std::size_t line = 0; line < lines_per_stripe;
-                 ++line) {
-                const Addr addr = base + 64 * line;
-                emit(EventKind::Store, addr, 64);
-                emit(EventKind::Flush, addr, 64);
-            }
+        for (std::size_t line = 0; line < lines; ++line) {
+            const Addr addr = 0x10000 + 64 * line;
+            emit(EventKind::Store, addr, 64);
+            emit(EventKind::Flush, addr, 64);
         }
         emit(EventKind::Fence, 0, 0);
     }
@@ -81,56 +64,54 @@ buildStream(std::size_t rounds, std::size_t lines_per_stripe)
     return events;
 }
 
-struct ShardRun
+struct StreamRun
 {
     double seconds = 0.0;
     double eventsPerSec = 0.0;
     SessionVerdict verdict;
 };
 
-/** Stream @p events through a pool of @p shards and time to verdict. */
-ShardRun
-runShardPool(std::size_t shards, const std::vector<Event> &events)
+/** Stream @p events through a one-worker pool and time to verdict. */
+StreamRun
+runSession(const std::vector<Event> &events)
 {
-    ShardPoolConfig config;
-    config.shards = shards;
-    config.stripeBytes = stripeBytes;
-    ShardPool pool(config);
+    SessionPool pool;
     pool.start();
-
-    DebuggerConfig debugger; // default epoch model, default capacity
     const SessionId session = 1;
-    pool.openSession(session, debugger, /*pinned=*/false);
+    pool.openSession(session, DebuggerConfig{});
 
-    // Route in ring-batch-sized chunks, mirroring the daemon's
-    // tryPop(512) drain loop.
+    // Route in chunks the size of a typical ring drain.
     constexpr std::size_t chunk = 512;
     Stopwatch watch;
     for (std::size_t at = 0; at < events.size(); at += chunk) {
-        pool.routeEvents(session, events.data() + at,
-                         std::min(chunk, events.size() - at));
+        const auto from = events.begin() + static_cast<std::ptrdiff_t>(at);
+        pool.routeEvents(session,
+                         std::vector<Event>(
+                             from, from + static_cast<std::ptrdiff_t>(
+                                              std::min(chunk,
+                                                       events.size() - at))));
     }
-    ShardRun run;
-    run.verdict = pool.closeSession(session, {});
+    StreamRun run;
+    run.verdict = pool.closeSession(session);
     run.seconds = watch.elapsedSeconds();
-    run.eventsPerSec =
-        static_cast<double>(events.size()) / run.seconds;
+    run.eventsPerSec = static_cast<double>(events.size()) / run.seconds;
     pool.stop();
     return run;
 }
 
-/**
- * One measured pass after an unmeasured warm-up. A single rep is
- * enough here: the shard effect under measurement is 2-5x, orders of
- * magnitude above run-to-run noise, and the quadratic 1-shard pass
- * dominates the bench's wall clock.
- */
-ShardRun
-timedShardRun(std::size_t shards, const std::vector<Event> &events,
-              const std::vector<Event> &warmup)
+/** Median-time run of three, after an unmeasured warm-up. */
+StreamRun
+timedStream(const std::vector<Event> &events)
 {
-    runShardPool(shards, warmup);
-    return runShardPool(shards, events);
+    runSession(events);
+    std::vector<StreamRun> runs;
+    for (int rep = 0; rep < 3; ++rep)
+        runs.push_back(runSession(events));
+    std::sort(runs.begin(), runs.end(),
+              [](const StreamRun &a, const StreamRun &b) {
+                  return a.seconds < b.seconds;
+              });
+    return std::move(runs[1]);
 }
 
 struct OneClient
@@ -234,26 +215,25 @@ runClients(const std::string &socket_path, int clients,
 /** One ingest-sweep measurement point. */
 struct SweepPoint
 {
-    std::size_t shards = 0;
+    std::size_t workers = 0;
     int clients = 0;
     ClientRun run;
 };
 
 /**
- * The ingestion sweep: for each shard count, one daemon serves
- * 1/2/4/8-client groups back to back. Two pollers multiplex all
- * rings; detector workers scale with the shard count.
+ * The ingestion sweep: for each worker count, one daemon serves
+ * 1/2/4/8-client groups back to back. Two pollers multiplex all rings.
  */
 std::vector<SweepPoint>
 runIngestSweep(std::size_t stores_per_client)
 {
     std::vector<SweepPoint> points;
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         ServiceConfig config;
         config.socketPath = "/tmp/pmdb_bench." +
-                            std::to_string(::getpid()) + ".s" +
-                            std::to_string(shards) + ".sock";
-        config.pool.shards = shards;
+                            std::to_string(::getpid()) + ".w" +
+                            std::to_string(workers) + ".sock";
+        config.pool.shards = workers;
         config.pollers = 2;
         ServiceDaemon daemon(config);
         std::string error;
@@ -263,7 +243,7 @@ runIngestSweep(std::size_t stores_per_client)
                    std::max<std::size_t>(64, stores_per_client / 4));
         for (const int clients : {1, 2, 4, 8}) {
             SweepPoint point;
-            point.shards = shards;
+            point.workers = workers;
             point.clients = clients;
             point.run = runClients(config.socketPath, clients,
                                    stores_per_client);
@@ -277,81 +257,72 @@ runIngestSweep(std::size_t stores_per_client)
 int
 benchMain()
 {
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
+    const unsigned cores = benchCores();
 
-    // --- shard scaling -------------------------------------------------
-    // 8 stripes x 16384 lines = 131072 distinct locations per fence
-    // interval: 1.3x one shard's array capacity (forced AVL overflow),
-    // under capacity per shard at 2 and 4 shards (array path).
-    const std::size_t lines = scaled(16384);
-    const std::vector<Event> stream = buildStream(3, lines);
-    const std::vector<Event> warmup =
-        buildStream(1, std::max<std::size_t>(64, lines / 8));
-
-    const ShardRun s1 = timedShardRun(1, stream, warmup);
-    const ShardRun s2 = timedShardRun(2, stream, warmup);
-    const ShardRun s4 = timedShardRun(4, stream, warmup);
-
-    const bool identical =
-        s1.verdict.bugs.size() == s2.verdict.bugs.size() &&
-        s1.verdict.bugs.size() == s4.verdict.bugs.size() &&
-        s1.verdict.stats.stores == s2.verdict.stats.stores &&
-        s1.verdict.stats.stores == s4.verdict.stats.stores &&
-        s1.verdict.stats.flushes == s2.verdict.stats.flushes &&
-        s1.verdict.stats.flushes == s4.verdict.stats.flushes;
-
-    TextTable shard_table;
-    shard_table.setHeader(
-        {"shards", "seconds", "events/s", "speedup", "tree inserts"});
-    const auto addShardRow = [&](std::size_t n, const ShardRun &run) {
-        shard_table.addRow(
-            {std::to_string(n), fmtDouble(run.seconds, 3),
-             fmtCount(static_cast<std::uint64_t>(run.eventsPerSec)),
-             fmtFactor(s1.seconds / run.seconds, 2),
-             fmtCount(run.verdict.stats.tree.insertions)});
+    // --- one-session stream -------------------------------------------
+    // Every size stays under the array capacity (no tree inserts), so
+    // events/s falls with the interval only through the flush scan.
+    const std::size_t rounds = static_cast<std::size_t>(
+        std::max(1.0, std::round(16.0 * benchScale())));
+    struct StreamPoint
+    {
+        std::size_t lines = 0;
+        std::size_t events = 0;
+        StreamRun run;
     };
-    addShardRow(1, s1);
-    addShardRow(2, s2);
-    addShardRow(4, s4);
-    std::printf("--- shard scaling: %zu-event store-heavy stream, "
-                "%zu stripes x %zu lines per fence interval ---\n%s\n",
-                stream.size(), stripes, lines,
-                shard_table.render().c_str());
-    const double shard_speedup = s1.seconds / s4.seconds;
-    std::printf("verdicts identical across shard counts: %s\n",
-                identical ? "yes" : "NO — BUG");
-    std::printf("4-shard >= 2x 1-shard: %s (%.2fx)\n",
-                shard_speedup >= 2.0 ? "yes" : "no", shard_speedup);
-    if (benchScale() < 1.0) {
-        std::printf("note: PMDB_BENCH_SCALE < 1 shrinks the working "
-                    "set below the array-overflow threshold, so the "
-                    "shard speedup target only applies at full "
-                    "scale\n");
+    std::vector<StreamPoint> stream;
+    bool exact = true;
+    for (const std::size_t lines :
+         {std::size_t{1024}, std::size_t{2048}, std::size_t{4096}}) {
+        const std::vector<Event> events = buildStream(rounds, lines);
+        StreamPoint point{lines, events.size(), timedStream(events)};
+        const std::uint64_t expected = rounds * lines;
+        exact = exact && point.run.verdict.bugs.empty() &&
+                point.run.verdict.stats.stores == expected &&
+                point.run.verdict.stats.flushes == expected;
+        stream.push_back(std::move(point));
     }
+
+    TextTable stream_table;
+    stream_table.setHeader({"lines/fence", "events", "seconds", "events/s",
+                            "vs 1024", "tree inserts"});
+    for (const StreamPoint &point : stream) {
+        stream_table.addRow(
+            {std::to_string(point.lines), fmtCount(point.events),
+             fmtDouble(point.run.seconds, 3),
+             fmtCount(static_cast<std::uint64_t>(point.run.eventsPerSec)),
+             fmtFactor(stream.front().run.eventsPerSec /
+                           point.run.eventsPerSec,
+                       2),
+             fmtCount(point.run.verdict.stats.tree.insertions)});
+    }
+    std::printf("--- one-session stream: %zu fence intervals, one line "
+                "stored and flushed at a time, 1 worker ---\n%s\n",
+                rounds, stream_table.render().c_str());
+    std::printf("verdicts exact: %s\n", exact ? "yes" : "NO — BUG");
 
     // --- multi-client ingestion sweep ---------------------------------
     const std::size_t stores = scaled(200000);
     const std::vector<SweepPoint> sweep = runIngestSweep(stores);
 
-    // Aggregate rate of the 1-client group at each shard count, the
-    // scaling baseline for that shard count's rows.
-    const auto baseRate = [&](std::size_t shards) {
+    // Aggregate rate of the 1-client group at each worker count, the
+    // scaling baseline for that worker count's rows.
+    const auto baseRate = [&](std::size_t workers) {
         for (const SweepPoint &point : sweep) {
-            if (point.shards == shards && point.clients == 1)
+            if (point.workers == workers && point.clients == 1)
                 return point.run.eventsPerSec;
         }
         return 0.0;
     };
 
     TextTable client_table;
-    client_table.setHeader({"shards", "clients", "events", "seconds",
+    client_table.setHeader({"workers", "clients", "events", "seconds",
                             "aggregate events/s", "vs 1 client",
                             "client min", "client max"});
     for (const SweepPoint &point : sweep) {
-        const double base = baseRate(point.shards);
+        const double base = baseRate(point.workers);
         client_table.addRow(
-            {std::to_string(point.shards),
+            {std::to_string(point.workers),
              std::to_string(point.clients),
              fmtCount(point.run.events),
              fmtDouble(point.run.seconds, 3),
@@ -368,24 +339,19 @@ benchMain()
     std::printf("--- ingestion sweep: concurrent RemoteSink clients "
                 "-> pmdbd (2 pollers, block policy) ---\n%s\n",
                 client_table.render().c_str());
-    const auto ratioAt = [&](std::size_t shards, int clients) {
-        const double base = baseRate(shards);
+    const auto ratioAt = [&](std::size_t workers, int clients) {
+        const double base = baseRate(workers);
         for (const SweepPoint &point : sweep) {
-            if (point.shards == shards && point.clients == clients)
+            if (point.workers == workers && point.clients == clients)
                 return base > 0.0 ? point.run.eventsPerSec / base
                                   : 0.0;
         }
         return 0.0;
     };
-    std::printf("4-client aggregate vs 1-client: %.2fx at 1 shard, "
-                "%.2fx at 4 shards (%u core%s visible)\n",
+    std::printf("4-client aggregate vs 1-client: %.2fx at 1 worker, "
+                "%.2fx at 4 workers (%u core%s visible)\n",
                 ratioAt(1, 4), ratioAt(4, 4), cores,
                 cores == 1 ? "" : "s");
-    if (cores < 4) {
-        std::printf("note: multi-client scaling is core-bound; the "
-                    ">=4x aggregate target needs >=4 cores (this "
-                    "host pins every thread to %u)\n", cores);
-    }
 
     // The sweep's largest client group; aggregate scaling numbers from
     // hosts with fewer cores than clients measure time-slicing, not
@@ -393,23 +359,31 @@ benchMain()
     constexpr unsigned maxClients = 8;
 
     writeBenchRow("service", maxClients, [&](JsonWriter &row) {
-        row.field("shard_stream_events", stream.size())
-            .field("events_per_sec_shard1", s1.eventsPerSec, 0)
-            .field("events_per_sec_shard2", s2.eventsPerSec, 0)
-            .field("events_per_sec_shard4", s4.eventsPerSec, 0)
-            .field("shard_speedup_4x1", shard_speedup, 3)
-            .field("shard_speedup_2x1", s1.seconds / s2.seconds, 3)
+        row.field("stream_fence_intervals", rounds).key("stream").beginArray();
+        for (const StreamPoint &point : stream) {
+            row.beginObject()
+                .field("lines_per_fence", point.lines)
+                .field("events", point.events)
+                .field("seconds", point.run.seconds, 4)
+                .field("events_per_sec", point.run.eventsPerSec, 0)
+                .endObject();
+        }
+        row.endArray()
+            .field("stream_slowdown_4096v1024",
+                   stream.front().run.eventsPerSec /
+                       stream.back().run.eventsPerSec,
+                   3)
             .field("ingest_stores_per_client", stores)
             .key("ingest")
             .beginArray();
         for (const SweepPoint &point : sweep) {
             row.beginObject()
-                .field("shards", point.shards)
+                .field("workers", point.workers)
                 .field("clients", point.clients)
                 .field("events", point.run.events)
                 .field("seconds", point.run.seconds, 3)
                 .field("events_per_sec", point.run.eventsPerSec, 0)
-                .field("vs_1_client", ratioAt(point.shards, point.clients),
+                .field("vs_1_client", ratioAt(point.workers, point.clients),
                        3)
                 .field("client_min_events_per_sec",
                        point.run.minClientRate, 0)
@@ -418,12 +392,12 @@ benchMain()
                 .endObject();
         }
         row.endArray()
-            .field("ingest_ratio_4v1_shard1", ratioAt(1, 4), 3)
-            .field("ingest_ratio_4v1_shard4", ratioAt(4, 4), 3)
-            .field("results_identical", identical);
+            .field("ingest_ratio_4v1_workers1", ratioAt(1, 4), 3)
+            .field("ingest_ratio_4v1_workers4", ratioAt(4, 4), 3)
+            .field("verdicts_exact", exact);
     });
 
-    return identical ? 0 : 1;
+    return exact ? 0 : 1;
 }
 
 } // namespace

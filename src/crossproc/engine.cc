@@ -28,11 +28,6 @@ CrossGroupResult::toJson() const
     return json.endArray().endObject().str();
 }
 
-CrossprocEngine::CrossprocEngine(std::size_t shards, Addr stripeBytes)
-    : shards_(shards), stripeBytes_(stripeBytes)
-{
-}
-
 void
 CrossprocEngine::joinGroup(std::uint32_t id, const std::string &pool,
                            std::uint32_t writer)
@@ -118,7 +113,7 @@ CrossprocEngine::evaluate(const std::string &pool, Group &group)
                   return a.event->global < b.event->global;
               });
 
-    CrossRuleEngine rules(shards_, stripeBytes_);
+    CrossRuleEngine rules;
     for (const Tagged &entry : merged)
         rules.feed(entry.writer, *entry.event);
     rules.finish();

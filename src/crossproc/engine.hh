@@ -10,8 +10,8 @@
  * global fence-clock ticket — the pool guarantees tickets order the
  * actual shared-memory mutations — and replays the total order through
  * CrossRuleEngine. Per-session detection is untouched: the same events
- * still flow to the shard pool, and cross-writer verdicts are reported
- * per group, not attributed to any one session.
+ * still flow to each session's detector, and cross-writer verdicts are
+ * reported per group, not attributed to any one session.
  */
 
 #ifndef PMDB_CROSSPROC_ENGINE_HH
@@ -50,9 +50,6 @@ struct CrossGroupResult
 class CrossprocEngine
 {
   public:
-    /** Mirror the shard pool's routing shape (see CrossRuleEngine). */
-    CrossprocEngine(std::size_t shards, Addr stripeBytes);
-
     /** Session @p id announced membership of @p pool as @p writer. */
     void joinGroup(std::uint32_t id, const std::string &pool,
                    std::uint32_t writer);
@@ -94,8 +91,6 @@ class CrossprocEngine
 
     void evaluate(const std::string &pool, Group &group);
 
-    std::size_t shards_;
-    Addr stripeBytes_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Group> groups_;
     std::unordered_map<std::uint32_t, std::string> sessionPool_;

@@ -31,33 +31,11 @@ CrossBug::toString() const
     return out.str();
 }
 
-CrossRuleEngine::CrossRuleEngine(std::size_t shards, Addr stripeBytes)
-    : shards_(shards ? shards : 1),
-      stripeBytes_(stripeBytes ? stripeBytes : (64ull << 20)),
-      stripes_(shards_)
-{
-}
-
-CrossRuleEngine::LineView &
-CrossRuleEngine::lineAt(std::uint64_t line)
-{
-    // Home-stripe routing: same stripe function as ShardPool::shardOf,
-    // without the per-session salt — this state belongs to the address,
-    // not to any one session.
-    const Addr addr = line * cacheLineSize;
-    const std::size_t stripe =
-        static_cast<std::size_t>((addr / stripeBytes_) % shards_);
-    return stripes_[stripe][line];
-}
-
 const CrossRuleEngine::LineView *
 CrossRuleEngine::findLine(std::uint64_t line) const
 {
-    const Addr addr = line * cacheLineSize;
-    const std::size_t stripe =
-        static_cast<std::size_t>((addr / stripeBytes_) % shards_);
-    const auto it = stripes_[stripe].find(line);
-    return it == stripes_[stripe].end() ? nullptr : &it->second;
+    const auto it = lines_.find(line);
+    return it == lines_.end() ? nullptr : &it->second;
 }
 
 CrossRuleEngine::WriterView &
@@ -109,7 +87,7 @@ CrossRuleEngine::onStore(std::uint32_t writer, const Event &event)
     const AddrRange range = event.range();
     for (std::uint64_t line = cacheLineIndex(range.start);
          line <= cacheLineIndex(range.end - 1); ++line) {
-        LineView &state = lineAt(line);
+        LineView &state = lines_[line];
         // Rule 3: the line is inside another writer's still-open epoch
         // section — its atomic unit now spans two failure domains.
         if (state.epochWriter != 0 && state.epochWriter != writer) {
@@ -169,7 +147,7 @@ CrossRuleEngine::onFlush(std::uint32_t writer, const Event &event)
     const AddrRange range = event.range();
     for (std::uint64_t line = cacheLineIndex(range.start);
          line <= cacheLineIndex(range.end - 1); ++line) {
-        LineView &state = lineAt(line);
+        LineView &state = lines_[line];
         if (!state.dirty)
             continue;
         // The CLF queues a writeback of the line's current bytes; the
@@ -187,13 +165,11 @@ CrossRuleEngine::onFence(std::uint32_t writer, const Event &event)
     // First complete this writer's own pending writebacks — a fence
     // that durable-izes the very line a dependency waits on satisfies
     // that dependency in the same instant, so no bug may fire on it.
-    for (auto &stripe : stripes_) {
-        for (auto &[line, state] : stripe) {
-            if (state.pending && state.pendingWriter == writer) {
-                state.pending = false;
-                state.pendingWriter = 0;
-                lineDurable(line);
-            }
+    for (auto &[line, state] : lines_) {
+        if (state.pending && state.pendingWriter == writer) {
+            state.pending = false;
+            state.pendingWriter = 0;
+            lineDurable(line);
         }
     }
     // Rule 2: the writer fenced while holding a dependency on another

@@ -29,13 +29,9 @@
  * CrossRuleEngine replays the *merged* stream — every shared-pool
  * event of every writer, in global fence-clock ticket order — and
  * mirrors the pool's per-writer dirty/pending/durable line lifecycle
- * to evaluate exactly these rules. Per-line state is partitioned by
- * the same address-stripe function the shard pool routes with (minus
- * the per-session salt: cross-session state must live with the home
- * stripe of the address, not with any one session), so each stripe's
- * table is the natural unit to colocate with its home shard. The
- * replay itself is a deterministic left fold over the ticket order, so
- * results are bit-identical for any shard count.
+ * to evaluate exactly these rules. The replay is a deterministic left
+ * fold over the ticket order, so results are bit-identical for any
+ * daemon worker count.
  */
 
 #ifndef PMDB_CROSSPROC_RULES_HH
@@ -80,7 +76,7 @@ struct CrossBug
 
     /**
      * Canonical single-line rendering; the report-identity tests
-     * compare these strings byte-for-byte across shard counts.
+     * compare these strings byte-for-byte across worker counts.
      */
     std::string toString() const;
 
@@ -95,14 +91,6 @@ struct CrossBug
 class CrossRuleEngine
 {
   public:
-    /**
-     * @p shards / @p stripeBytes reproduce the shard pool's routing
-     * shape so per-line state lives with the home stripe of its
-     * address. The verdict provably does not depend on @p shards (the
-     * replay is sequential); the tests assert it anyway.
-     */
-    CrossRuleEngine(std::size_t shards, Addr stripeBytes);
-
     /** Replay one merged-stream event issued by @p writer. */
     void feed(std::uint32_t writer, const Event &event);
 
@@ -149,7 +137,6 @@ class CrossRuleEngine
         std::vector<Dependency> deps;
     };
 
-    LineView &lineAt(std::uint64_t line);
     const LineView *findLine(std::uint64_t line) const;
     WriterView &writerAt(std::uint32_t writer);
     void onStore(std::uint32_t writer, const Event &event);
@@ -161,14 +148,8 @@ class CrossRuleEngine
     /** A line became durable: dependencies on it are satisfied. */
     void lineDurable(std::uint64_t line);
 
-    std::size_t shards_;
-    Addr stripeBytes_;
-    /**
-     * Per-line state, one table per home stripe (the map key is the
-     * line index within the stripe's table). shardOf(addr) without the
-     * session salt picks the table.
-     */
-    std::vector<std::unordered_map<std::uint64_t, LineView>> stripes_;
+    /** Per-line state, keyed by cache-line index. */
+    std::unordered_map<std::uint64_t, LineView> lines_;
     std::unordered_map<std::uint32_t, WriterView> writers_;
     std::uint64_t epochCounter_ = 0;
     std::uint64_t replayed_ = 0;

@@ -11,7 +11,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "service/cpu_pin.hh"
 #include "service/spsc_ring.hh"
 #include "service/transport.hh"
 #include "telemetry/metrics.hh"
@@ -49,21 +48,6 @@ struct DrainMetrics
         return instance;
     }
 };
-
-/**
- * Normalize the daemon config and derive the pool's pinning layout:
- * pollers occupy cores [0, pollers), shard workers follow.
- */
-ShardPoolConfig
-poolConfigFor(ServiceConfig &config)
-{
-    if (config.pollers == 0)
-        config.pollers = 1;
-    ShardPoolConfig pool = config.pool;
-    pool.pinCores = config.pinCores;
-    pool.pinBase = config.pollers;
-    return pool;
-}
 
 /**
  * Adaptive idle backoff for a poller: yield while recently busy so a
@@ -115,11 +99,11 @@ struct ServiceDaemon::ActiveSession
     ByeBody bye;
     bool sawBye = false;
     /** Names the client interned, in id order: drained events may
-     *  reference only these. The session's detectors read it too. */
+     *  reference only these. The session's detector reads it too. */
     NameTable names;
     std::vector<BugReport> external;
-    /** Routed events awaiting queue space (backpressure). */
-    PendingRoute pending;
+    /** Drained events awaiting queue space (backpressure). */
+    std::vector<Event> pending;
     /** Drain buffer; sized once at handshake. */
     std::vector<Event> scratch;
     /** Live ingest counters the metrics scrape reads; folded into
@@ -145,9 +129,10 @@ struct ServiceDaemon::Poller
 };
 
 ServiceDaemon::ServiceDaemon(ServiceConfig config)
-    : config_(std::move(config)), pool_(poolConfigFor(config_)),
-      crossproc_(config_.pool.shards, config_.pool.stripeBytes)
+    : config_(std::move(config)), pool_(config_.pool)
 {
+    if (config_.pollers == 0)
+        config_.pollers = 1;
 }
 
 ServiceDaemon::~ServiceDaemon()
@@ -171,8 +156,6 @@ ServiceDaemon::start(std::string *error)
         poller->index = i;
         poller->thread =
             std::thread([this, p = poller.get()] { pollerLoop(*p); });
-        if (config_.pinCores)
-            pinThreadToCore(poller->thread, i);
         pollers_.push_back(std::move(poller));
     }
     acceptThread_ = std::thread([this] { acceptLoop(); });
@@ -203,7 +186,7 @@ ServiceDaemon::stop()
             poller->thread.join();
     }
     // Pollers issued an async close for every surviving session on
-    // the way out; let the shard workers finish those before the pool
+    // the way out; let the pool's workers finish those before it
     // goes down. (Poller structs stay alive so counters remain
     // readable after stop.)
     {
@@ -283,7 +266,6 @@ ServiceDaemon::metricsSnapshot() const
     const IngestStats ingest = ingestStats();
     snap.addCounter("pmdbd.polls", ingest.polls);
     snap.addCounter("pmdbd.idle_polls", ingest.idlePolls);
-    pool_.addMetrics(snap);
     // Per-session ingest: completed sessions from their summaries,
     // live ones from the atomics their poller keeps current.
     const auto addSession = [&](SessionId id, std::uint64_t events,
@@ -367,9 +349,8 @@ ServiceDaemon::aggregatedJson() const
     const std::vector<SessionSummary> sessions = summaries();
     JsonWriter json;
     json.beginObject()
-        .field("schema", 3)
-        .field("shards", pool_.shardCount())
-        .field("stripe_bytes", pool_.stripeBytes())
+        .field("schema", 4)
+        .field("workers", pool_.workerCount())
         .field("pollers", config_.pollers)
         .key("sessions")
         .beginArray();
@@ -526,12 +507,7 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     if (!session.hello.orderSpecText.empty())
         config.orderSpec =
             OrderSpec::fromText(session.hello.orderSpecText);
-    // Global-order rules cannot be checked against a partitioned
-    // stream; pin such sessions to one shard (a degenerate barrier).
-    const bool pinned =
-        session.hello.model == PersistencyModel::Strand ||
-        !session.hello.orderSpecText.empty();
-    pool_.openSession(session.id, config, pinned, &session.names);
+    pool_.openSession(session.id, config, &session.names);
 
     // Shared-pool sessions additionally join their pool's
     // cross-session detection group; their events still flow through
@@ -617,9 +593,9 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
     }
 
     // 2. Backlog first: events refused by a full queue must reach the
-    // pool before anything newer, or per-shard order breaks.
+    // pool before anything newer, or the session's order breaks.
     if (!session.pending.empty()) {
-        if (pool_.tryFlushPending(session.id, &session.pending))
+        if (pool_.tryRouteEvents(session.id, session.pending))
             progressed = true;
         else
             ++session.summary.queueFullStalls;
@@ -671,9 +647,9 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 crossproc_.feed(session.id, session.scratch.data(),
                                 popped);
             }
-            if (!pool_.tryRouteEvents(session.id,
-                                      session.scratch.data(), popped,
-                                      &session.pending))
+            session.pending.assign(session.scratch.begin(),
+                                   session.scratch.begin() + popped);
+            if (!pool_.tryRouteEvents(session.id, session.pending))
                 ++session.summary.queueFullStalls;
         }
     }
@@ -691,7 +667,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
             if (readTraceFile(session.hello.spillPath, &spill,
                               &truncated, &error)) {
                 // The file checks its events against its own names;
-                // the shards know only the ones the client interned.
+                // the detector knows only the ones the client interned.
                 if (const char *field = invalidEvent(
                         spill.events.data(), spill.events.size(),
                         session.names.size()))
@@ -706,10 +682,9 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                     crossproc_.feed(session.id, spill.events.data(),
                                     spill.events.size());
                 }
-                pool_.routeEvents(session.id, spill.events.data(),
-                                  spill.events.size());
                 session.summary.spillReplayed = spill.events.size();
                 session.eventsProcessed += spill.events.size();
+                pool_.routeEvents(session.id, std::move(spill.events));
             } else {
                 warn("pmdbd/poller", "cannot replay spill trace: " + error);
             }
@@ -757,9 +732,9 @@ ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
     if (!session.hello.sharedPoolPath.empty())
         crossproc_.sessionComplete(session.id);
     outstandingCloses_.fetch_add(1);
-    // The callback runs on the shard worker that finalizes the last
-    // (session, shard) queue — off the poller, so a slow report send
-    // never stalls ingestion for other sessions.
+    // The callback runs on the worker that finalizes the session's
+    // detector — off the poller, so a slow report send never stalls
+    // ingestion for other sessions.
     pool_.closeSessionAsync(
         session.id, std::move(session.external),
         [this, sp](SessionVerdict &&verdict) {

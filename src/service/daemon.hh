@@ -2,19 +2,18 @@
  * @file
  * The detection-service daemon (pmdbd): accepts trace streams from
  * multiple concurrent clients over per-client shared-memory event
- * rings plus a Unix-domain-socket control plane, feeds them through
- * a work-stealing pool of detector workers, and replies to each
- * client with its merged bug report.
+ * rings plus a Unix-domain-socket control plane, runs each session's
+ * stream through its own detector on a pool of worker threads, and
+ * replies to each client with its bug report.
  *
- * Ingest path (the PR-6 rework): instead of one reader thread per
- * session, a fixed pool of **poller** threads multiplexes every
+ * Ingest path: a fixed pool of **poller** threads multiplexes every
  * client ring. Each poller sweeps the sessions assigned to it —
  * pending control messages, then a whole-frame ring drain, then
- * routing into the shard pool's bounded per-(session,shard) queues —
+ * routing into the session's bounded task queue (session_pool.hh) —
  * with adaptive spin→sleep backoff when a full sweep makes no
  * progress. Thread count is therefore fixed by configuration
- * (pollers + shard workers), not by client count, so concurrent
- * sessions compound instead of contending.
+ * (pollers + workers), not by client count, so concurrent sessions
+ * compound instead of contending.
  *
  * Embeddable: tests and the bench run a ServiceDaemon on a thread
  * inside the same process; the pmdbd tool wraps one in a main().
@@ -34,7 +33,7 @@
 
 #include "crossproc/engine.hh"
 #include "service/protocol.hh"
-#include "service/shard.hh"
+#include "service/session_pool.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
@@ -45,15 +44,10 @@ struct ServiceConfig
 {
     /** Control-plane socket path. */
     std::string socketPath;
-    /** Detector shard-pool shape. */
-    ShardPoolConfig pool;
+    /** Detector pool shape; `pool.shards` is the worker count. */
+    SessionPoolConfig pool;
     /** Poller threads multiplexing the client rings. */
     std::size_t pollers = 1;
-    /**
-     * Pin pollers and shard workers round-robin to distinct cores
-     * (pollers first, then workers). Opt-in: `pmdbd --pin-cores`.
-     */
-    bool pinCores = false;
     /**
      * When non-empty, serve live metric snapshots on this Unix socket
      * (`pmdbd --metrics-sock`): a connection sends one request line —
@@ -69,14 +63,14 @@ struct ServiceConfig
 struct SessionSummary
 {
     SessionId id = 0;
-    /** Unique bug sites in the merged verdict. */
+    /** Unique bug sites in the verdict. */
     std::uint64_t bugs = 0;
     std::uint64_t eventsProcessed = 0;
     std::uint64_t eventsDropped = 0;
     std::uint64_t spillReplayed = 0;
     /** Ring frames drained by the poller. */
     std::uint64_t batchesDrained = 0;
-    /** Polls that found a full (session,shard) queue (backpressure). */
+    /** Polls that found the session's queue full (backpressure). */
     std::uint64_t queueFullStalls = 0;
     /** Welcome-to-report wall time. */
     double seconds = 0.0;
@@ -103,7 +97,7 @@ class ServiceDaemon
     ServiceDaemon(const ServiceDaemon &) = delete;
     ServiceDaemon &operator=(const ServiceDaemon &) = delete;
 
-    /** Bind the socket, start the shard pool and the poller pool. */
+    /** Bind the socket, start the worker pool and the poller pool. */
     bool start(std::string *error = nullptr);
 
     /** Stop accepting, drain sessions, join pollers and workers. */
@@ -133,8 +127,8 @@ class ServiceDaemon
 
     /**
      * The one render of every daemon counter: the global telemetry
-     * registry plus this instance's poll counters ("pmdbd.polls"),
-     * ShardPool::addMetrics and per-session ingest
+     * registry plus this instance's poll counters ("pmdbd.polls") and
+     * per-session ingest
      * ("pmdbd.session.events{session=\"1\"}", completed and live).
      * Instance-owned, since daemons may share a process whose registry
      * is reset under them. The endpoint and aggregatedJson() render it.
@@ -170,7 +164,7 @@ class ServiceDaemon
                     const SessionVerdict &verdict);
 
     ServiceConfig config_;
-    ShardPool pool_;
+    SessionPool pool_;
     /** Cross-session rule engine for shared-pool session groups. */
     CrossprocEngine crossproc_;
     int listenFd_ = -1;

@@ -13,9 +13,9 @@
  *
  * Name-sync ordering contract: the client sends InternName and waits
  * for NameAck *before* pushing the first ring event that references
- * the name. The daemon enqueues the name to its shard workers before
- * acknowledging, so a shard always interns a name before it processes
- * an event referencing it.
+ * the name. The daemon adds the name to the session's name table
+ * before acknowledging, so the session's detector always knows a name
+ * before it processes an event referencing it.
  *
  * All integers are host-endian (client and daemon share the machine —
  * they already share memory).
@@ -53,7 +53,7 @@ enum class MsgType : std::uint32_t
     Welcome = 2,
     /** client → daemon: interned name (u32 id, string). */
     InternName = 3,
-    /** daemon → client: name delivered to shards (u32 id). */
+    /** daemon → client: name recorded for the session (u32 id). */
     NameAck = 4,
     /** client → daemon: externally detected bug (packed BugReport). */
     ReportBug = 5,
@@ -239,14 +239,15 @@ struct ByeBody
 };
 
 /**
- * Final report payload: the session's merged verdict. The client
+ * Final report payload: the session's verdict. The client
  * renders it (pmdb_run --connect --json feeds `bugs` to a
  * BugCollector and calls reportToJson with `stats`), so the verdict
  * crosses the socket once, in this compact form.
  */
 struct ReportBody
 {
-    /** Unique sites in merge order (home-first stable seq order). */
+    /** Unique sites in seq order; at equal seq, the detector's before
+     *  the client-reported ones. */
     std::vector<BugReport> bugs;
     /** Events the daemon consumed (ring + spill replay). */
     std::uint64_t eventsProcessed = 0;

@@ -120,8 +120,9 @@ RemoteSink::ensureNamesSent(std::uint32_t name_id)
         out.putString(names_->name(namesSent_));
         MsgType type;
         std::vector<std::uint8_t> payload;
-        // Wait for the ack: the daemon has handed the name to its
-        // shards, so the event referencing it may now enter the ring.
+        // Wait for the ack: the daemon has added the name to the
+        // session's name table, so the event referencing it may now
+        // enter the ring.
         // Events already batched do not reference this name (it was
         // interned after them), so they may legally cross later.
         if (!sendMessage(fd_, MsgType::InternName, out.bytes()) ||

@@ -17,11 +17,11 @@
  *    substrate under 2% (BENCH_telemetry.json).
  *
  *  - **Deterministic merge.** Histograms are fixed log2 buckets;
- *    merging per-thread / per-shard / per-session histograms is
+ *    merging per-thread / per-worker / per-session histograms is
  *    bucket-wise addition — commutative and associative — so merged
  *    buckets and every derived quantile are bit-identical regardless
  *    of merge order (tests/test_telemetry.cc asserts this, mirroring
- *    the 1-vs-4-shard report-identity pattern).
+ *    the 1-vs-4-worker report-identity pattern).
  *
  *  - **Snapshot identity.** A MetricsSnapshot serializes to JSON and
  *    parses back to an equal snapshot (round-trip asserted in tests),
@@ -29,7 +29,7 @@
  *    both render the same snapshot structure.
  *
  * Metric names are dotted paths with optional Prometheus-style labels
- * embedded in the name ("pmdbd.shard.events{shard=\"0\"}"); the
+ * embedded in the name ("pmdbd.session.events{session=\"1\"}"); the
  * Prometheus renderer translates dots to underscores and keeps the
  * label set.
  */
@@ -72,7 +72,7 @@ constexpr std::size_t counterStripes = 16;
 
 /**
  * Monotonic counter, striped across cache lines by thread so
- * concurrent producers (pollers, shard workers, client threads) never
+ * concurrent producers (pollers, pool workers, client threads) never
  * contend on one line. value() sums the stripes.
  */
 class Counter

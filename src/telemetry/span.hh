@@ -8,7 +8,7 @@
  * --trace-out and pmdb_run --trace-out enable them for a run and write
  * the trace at exit. Each span carries a track id — the session id on
  * the daemon, the thread on a client — so Perfetto lays the pipeline
- * stages (client publish → ring residency → poller drain → shard
+ * stages (client publish → ring residency → poller drain → session
  * queue wait → rule evaluation → verdict) out as per-session rows.
  */
 

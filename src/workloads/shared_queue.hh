@@ -16,8 +16,8 @@
  * The two roles run in lock-step via the pool's uninstrumented
  * coordination word 0 (a turn counter), so the interleaving of the
  * two event streams — and therefore every report derived from the
- * merged stream — is identical from run to run and across shard
- * counts.
+ * merged stream — is identical from run to run and across daemon
+ * worker counts.
  *
  * Fault-injection points (each seeds exactly one cross-session rule,
  * and each is deliberately *invisible* to a per-session detector: the

@@ -68,10 +68,9 @@ contracts()
           "--shared-pool", "--writer", "--list"},
          "pmdebugger 10 b_tree", "--threads"},
         {"pmdbd",
-         {"--socket", "--shards", "--stripe-bytes", "--array-capacity",
-          "--pollers", "--pin-cores", "--once", "--json", "--metrics-sock",
-          "--trace-out"},
-         "--socket /nonexistent/pmdbd.sock", "--shards"},
+         {"--socket", "--workers", "--array-capacity", "--pollers",
+          "--once", "--json", "--metrics-sock", "--trace-out"},
+         "--socket /nonexistent/pmdbd.sock", "--workers"},
         {"pmdb_stat",
          {"--socket", "--once", "--interval", "--json", "--prom"},
          "--socket /nonexistent/pmdb.metrics --once", "--interval"},
@@ -98,7 +97,7 @@ contracts()
           "--no-minimize", "--max-replays"},
          "case:hashmap_atomic_entry_not_flushed", "--ops"},
         {"pmdb_crossproc",
-         {"--ops", "--fault", "--case", "--shards", "--seed", "--dir",
+         {"--ops", "--fault", "--case", "--workers", "--seed", "--dir",
           "--json", "--list-cases", "--create-pool"},
          "--dir /nonexistent", "--ops"},
     };

@@ -6,7 +6,7 @@
  * two guarantees the subsystem exists for: the seeded shared_queue
  * bugs are visible *only* to the cross-session engine (each writer's
  * own session stays clean), and the merged verdict is bit-identical
- * across detector shard counts.
+ * across daemon worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -82,7 +82,7 @@ TEST(CrossGroupResultTest, ToJsonEscapesControlBytes)
 
 TEST(CrossRuleEngineTest, ReadOfOtherWritersDirtyLineIsABug)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 2));
     engine.finish();
@@ -95,7 +95,7 @@ TEST(CrossRuleEngineTest, ReadOfOtherWritersDirtyLineIsABug)
 
 TEST(CrossRuleEngineTest, ReadOfDurableOrOwnDataIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     // Durable: store, flush, fence by w1, then w2 reads.
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
@@ -110,7 +110,7 @@ TEST(CrossRuleEngineTest, ReadOfDurableOrOwnDataIsQuiet)
 
 TEST(CrossRuleEngineTest, PublishBeforePersistFiresAtReadersFence)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     // w1 flushes but never fences the entry; w2 reads it, publishes
     // its own store, and fences.
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
@@ -128,7 +128,7 @@ TEST(CrossRuleEngineTest, PublishBeforePersistFiresAtReadersFence)
 
 TEST(CrossRuleEngineTest, SourceFencedFirstSatisfiesTheDependency)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 3));
@@ -142,7 +142,7 @@ TEST(CrossRuleEngineTest, SourceFencedFirstSatisfiesTheDependency)
 
 TEST(CrossRuleEngineTest, LoadWithoutLaterPublishIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 1));
     engine.feed(1, mk(EventKind::Flush, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Load, 0x0, 8, 3));
@@ -153,7 +153,7 @@ TEST(CrossRuleEngineTest, LoadWithoutLaterPublishIsQuiet)
 
 TEST(CrossRuleEngineTest, StoreIntoOpenForeignEpochIsABug)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::EpochBegin, 0, 0, 1));
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 2));
     engine.feed(2, mk(EventKind::Store, 0x8, 8, 3)); // same line
@@ -165,7 +165,7 @@ TEST(CrossRuleEngineTest, StoreIntoOpenForeignEpochIsABug)
 
 TEST(CrossRuleEngineTest, StoreAfterForeignEpochClosesIsQuiet)
 {
-    CrossRuleEngine engine(4, 64ull << 20);
+    CrossRuleEngine engine;
     engine.feed(1, mk(EventKind::EpochBegin, 0, 0, 1));
     engine.feed(1, mk(EventKind::Store, 0x0, 64, 2));
     engine.feed(1, mk(EventKind::EpochEnd, 0, 0, 3));
@@ -396,12 +396,12 @@ struct PairRun
  * seeded bugs are invisible to per-session detection.
  */
 PairRun
-runSharedPair(const std::string &fault, std::size_t shards,
+runSharedPair(const std::string &fault, std::size_t workers,
               std::size_t ops, bool announcePool = true)
 {
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
-    config.pool.shards = shards;
+    config.pool.shards = workers;
     ServiceDaemon daemon(config);
     std::string error;
     EXPECT_TRUE(daemon.start(&error)) << error;

@@ -3,7 +3,7 @@
  * Tests for the out-of-process detection service: the shared-memory
  * event ring, the wire protocol, and — the core guarantee — report
  * identity: every bug-suite case detected through a pmdbd daemon
- * (any shard count, any non-lossy backpressure policy) must produce
+ * (any worker count, any non-lossy backpressure policy) must produce
  * exactly the bug report an in-process PmDebugger produces.
  */
 
@@ -202,7 +202,7 @@ TEST(EventRingTest, BatchPushPopInWholeFramesAcrossWraparound)
     EventRing consumer;
     ASSERT_TRUE(consumer.open(path, &error)) << error;
 
-    // Offset the cursors so batch frames straddle the wrap point.
+    // Offset the cursors so batch frames span the wrap point.
     Event seed;
     for (int i = 0; i < 5; ++i)
         ASSERT_TRUE(producer.tryPush(seed));
@@ -596,13 +596,13 @@ TEST(TransportTest, FrameCapHoldsOnBothEnds)
     ::close(fds[1]);
 }
 
-/** Identity over the full 78-case suite at a given shard count. */
+/** Identity over the full 78-case suite at a given worker count. */
 void
-suiteIdentityAtShards(std::size_t shards)
+suiteIdentityAtWorkers(std::size_t workers)
 {
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
-    config.pool.shards = shards;
+    config.pool.shards = workers;
     ServiceDaemon daemon(config);
     std::string error;
     ASSERT_TRUE(daemon.start(&error)) << error;
@@ -613,35 +613,35 @@ suiteIdentityAtShards(std::size_t shards)
             runRemote(bug_case, config.socketPath);
         EXPECT_TRUE(sameBugs(local, remote))
             << "case " << bug_case.id << " (" << bug_case.name
-            << ") at " << shards << " shard(s)";
+            << ") at " << workers << " worker(s)";
     }
     daemon.stop();
 }
 
 TEST(ServiceIdentityTest, FullBugSuiteOneShard)
 {
-    suiteIdentityAtShards(1);
+    suiteIdentityAtWorkers(1);
 }
 
 TEST(ServiceIdentityTest, FullBugSuiteThreeShards)
 {
-    suiteIdentityAtShards(3);
+    suiteIdentityAtWorkers(3);
 }
 
 /**
  * Identity under real concurrency: @p clients threads stream the
  * full 78-case suite (dealt round-robin, every case covered) into one
- * daemon at @p shards shards, and every session's report must equal
+ * daemon at @p workers workers, and every session's report must equal
  * its in-process baseline. This is the multiplexing stress: pollers
- * interleave rings mid-stream, and shard workers steal queues across
- * sessions.
+ * interleave rings mid-stream, and any worker may lease any session's
+ * queue.
  */
 void
-concurrentSuiteIdentity(std::size_t shards, std::size_t clients)
+concurrentSuiteIdentity(std::size_t workers, std::size_t clients)
 {
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
-    config.pool.shards = shards;
+    config.pool.shards = workers;
     config.pollers = 2;
     ServiceDaemon daemon(config);
     std::string error;
@@ -666,7 +666,7 @@ concurrentSuiteIdentity(std::size_t shards, std::size_t clients)
     for (std::size_t i = 0; i < suite.size(); ++i) {
         EXPECT_TRUE(sameBugs(locals[i], remotes[i]))
             << "case " << suite[i].id << " (" << suite[i].name
-            << ") at " << shards << " shard(s), " << clients
+            << ") at " << workers << " worker(s), " << clients
             << " concurrent clients";
     }
     // The finalize worker sends a session's Report to the client
@@ -889,69 +889,6 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
     daemon.stop();
 }
 
-TEST(ServiceTest, MultiStripeStreamShardsByAddressRange)
-{
-    // Small stripes force a single session's stores across all three
-    // shards; the merged report must still equal in-process detection.
-    ServiceConfig config;
-    config.socketPath = scratchPath("sock");
-    config.pool.shards = 3;
-    config.pool.stripeBytes = 4096;
-    ServiceDaemon daemon(config);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
-    const auto drive = [](PmRuntime &runtime) {
-        // 8 stripes; even stripes are flushed+fenced, odd are left
-        // unflushed -> one NoDurability site per odd stripe.
-        for (int round = 0; round < 3; ++round) {
-            for (Addr stripe = 0; stripe < 8; ++stripe) {
-                const Addr base = stripe * 4096;
-                runtime.store(base, 64);
-                if (stripe % 2 == 0)
-                    runtime.flush(base, 64);
-            }
-            runtime.fence();
-        }
-        runtime.programEnd();
-    };
-
-    PmRuntime localRuntime;
-    PmDebugger local;
-    localRuntime.attach(&local);
-    drive(localRuntime);
-    local.finalize();
-
-    PmRuntime remoteRuntime;
-    RemoteSink sink;
-    RemoteSink::Options options;
-    options.socketPath = config.socketPath;
-    options.ringPath = scratchPath("ring");
-    ASSERT_TRUE(sink.connect(options, &error)) << error;
-    remoteRuntime.attach(&sink);
-    drive(remoteRuntime);
-    ReportBody report;
-    ASSERT_TRUE(sink.finish(&report, &error)) << error;
-
-    // Shards finalize independently, so same-seq bugs may merge in a
-    // different relative order than one debugger's finalize pass;
-    // compare as sorted multisets.
-    const auto canonical = [](std::vector<BugReport> bugs) {
-        std::sort(bugs.begin(), bugs.end(),
-                  [](const BugReport &a, const BugReport &b) {
-                      return std::tie(a.seq, a.range.start,
-                                      a.range.end) <
-                             std::tie(b.seq, b.range.start,
-                                      b.range.end);
-                  });
-        return bugs;
-    };
-    EXPECT_TRUE(sameBugs(canonical(local.bugs().bugs()),
-                         canonical(report.bugs)));
-    EXPECT_EQ(local.bugs().countOf(BugType::NoDurability), 4u);
-    daemon.stop();
-}
-
 TEST(ServiceTest, ClientSurvivesMissingDaemon)
 {
     RemoteSink sink;
@@ -963,77 +900,6 @@ TEST(ServiceTest, ClientSurvivesMissingDaemon)
     EXPECT_FALSE(sink.connect(options, &error));
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(sink.connected());
-}
-
-/** A fully persisted stream spread over @p stripes 4 KiB stripes. */
-std::vector<Event>
-stripedCleanStream(std::size_t rounds, std::size_t stripes)
-{
-    std::vector<Event> events;
-    SeqNum seq = 1;
-    auto emit = [&](EventKind kind, Addr addr, std::uint32_t size) {
-        Event event;
-        event.kind = kind;
-        event.addr = addr;
-        event.size = size;
-        event.seq = seq++;
-        events.push_back(event);
-    };
-    for (std::size_t round = 0; round < rounds; ++round) {
-        for (std::size_t stripe = 0; stripe < stripes; ++stripe) {
-            const Addr base = static_cast<Addr>(stripe) * 4096;
-            const Addr addr = base + 64 * (round % 16);
-            emit(EventKind::Store, addr, 64);
-            emit(EventKind::Flush, addr, 64);
-        }
-        emit(EventKind::Fence, 0, 0);
-    }
-    emit(EventKind::ProgramEnd, 0, 0);
-    return events;
-}
-
-TEST(ShardPoolTest, WorkStealingCoversDeliberatelySlowShard)
-{
-    // Shard 0's worker sleeps on every Events task; its queues keep
-    // turning ready while it is busy, so other workers must steal
-    // them or the run crawls. Verify steals happen and the verdict
-    // still equals an unhandicapped pool's.
-    const auto runPool = [](bool slow) {
-        ShardPoolConfig config;
-        config.shards = 4;
-        config.stripeBytes = 4096;
-        config.queueCapacity = 4;
-        if (slow) {
-            config.slowShard = 0;
-            config.slowShardDelayUs = 200;
-        }
-        ShardPool pool(config);
-        pool.start();
-        pool.openSession(1, DebuggerConfig{}, /*pinned=*/false);
-        const std::vector<Event> events =
-            stripedCleanStream(400, config.shards);
-        // Small chunks -> many Events tasks per shard queue.
-        constexpr std::size_t chunk = 32;
-        for (std::size_t at = 0; at < events.size(); at += chunk) {
-            pool.routeEvents(1, events.data() + at,
-                             std::min(chunk, events.size() - at));
-        }
-        SessionVerdict verdict = pool.closeSession(1, {});
-        telemetry::MetricsSnapshot metrics;
-        pool.addMetrics(metrics);
-        const std::int64_t steals = metrics.find("pmdbd.steals")->value;
-        pool.stop();
-        return std::make_pair(std::move(verdict), steals);
-    };
-
-    auto [fastVerdict, fastSteals] = runPool(false);
-    auto [slowVerdict, slowSteals] = runPool(true);
-    (void)fastSteals;
-    EXPECT_GT(slowSteals, 0) << "no queue was ever stolen from the "
-                                 "slow shard";
-    EXPECT_TRUE(sameBugs(fastVerdict.bugs, slowVerdict.bugs));
-    EXPECT_EQ(fastVerdict.stats.stores, slowVerdict.stats.stores);
-    EXPECT_EQ(fastVerdict.stats.flushes, slowVerdict.stats.flushes);
 }
 
 TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
@@ -1079,12 +945,14 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
     // key), and nowhere else.
     const std::string json = daemon.aggregatedJson();
     for (const char *key :
-         {"\"pollers\"", "\"batches_drained\"", "\"queue_full_stalls\"",
+         {"\"schema\": 4", "\"workers\": 2", "\"pollers\"",
+          "\"batches_drained\"", "\"queue_full_stalls\"",
           "\"events_per_sec\"", "\"bugs\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
     for (const char *key : {"\"idle_poll_ratio\"", "\"shard_stats\"",
-                            "\"report\""}) {
+                            "\"report\"", "\"shards\"",
+                            "\"stripe_bytes\""}) {
         EXPECT_EQ(json.find(key), std::string::npos) << key;
     }
     const std::size_t at = json.find("\"metrics\": ");
@@ -1100,20 +968,22 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
         "{session=\"" + std::to_string(sessions[0].id) + "\"}";
     std::vector<std::string> names = {
         "pmdbd.polls",          "pmdbd.idle_polls",
-        "pmdbd.steals",         "pmdbd.straddles",
         "pmdbd.events_drained", "pmdbd.frames_drained",
         "pmdbd.sessions_completed"};
     for (const char *base : {"pmdbd.session.events", "pmdbd.session.batches",
                              "pmdbd.session.millis", "pmdbd.session.live"})
         names.push_back(base + session);
-    for (const char *shard : {"{shard=\"0\"}", "{shard=\"1\"}"}) {
-        for (const char *base :
-             {"pmdbd.shard.batches", "pmdbd.shard.events",
-              "pmdbd.shard.steals", "pmdbd.shard.queue_depth"})
-            names.push_back(base + std::string(shard));
-    }
     for (const std::string &name : names)
         EXPECT_NE(snap.find(name), nullptr) << name;
+    // The pool keeps no per-worker counters: only its three stage
+    // histograms carry the "pmdbd.shard." prefix.
+    EXPECT_EQ(snap.find("pmdbd.steals"), nullptr);
+    for (const telemetry::MetricSample &sample : snap.samples) {
+        if (sample.name.rfind("pmdbd.shard.", 0) == 0) {
+            EXPECT_EQ(sample.kind, telemetry::MetricSample::Kind::Histogram)
+                << sample.name;
+        }
+    }
     for (const std::string &name :
          {std::string("pmdbd.polls"), std::string("pmdbd.events_drained"),
           std::string("pmdbd.frames_drained"),
@@ -1122,11 +992,6 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
         ASSERT_NE(sample, nullptr) << name;
         EXPECT_GT(sample->value, 0) << name;
     }
-    const std::int64_t shardEvents =
-        snap.find("pmdbd.shard.events{shard=\"0\"}")->value +
-        snap.find("pmdbd.shard.events{shard=\"1\"}")->value;
-    EXPECT_GE(shardEvents,
-              static_cast<std::int64_t>(sessions[0].eventsProcessed));
     EXPECT_EQ(snap.find("pmdbd.session.events" + session)->value,
               static_cast<std::int64_t>(sessions[0].eventsProcessed));
     daemon.stop();

@@ -45,7 +45,7 @@ TEST(TelemetryHistogram, MergeOrderIsIrrelevant)
 {
     // Three disjoint shards of one sample population, merged in every
     // permutation: buckets, count, sum and quantiles must be
-    // bit-identical — the property that makes per-shard histograms
+    // bit-identical — the property that makes per-thread histograms
     // aggregatable without coordination.
     std::mt19937_64 rng(7);
     std::vector<HistogramSnapshot> parts(3);
@@ -140,8 +140,8 @@ buildSnapshot()
         hist.record(static_cast<std::uint64_t>(i * i));
     MetricsSnapshot snap;
     snap.addCounter("pmdbd.events_drained", 123456);
-    snap.addCounter("pmdbd.shard.events{shard=\"0\"}", 777);
-    snap.addGauge("pmdbd.shard.queue_depth{shard=\"0\"}", -3);
+    snap.addCounter("pmdbd.session.events{session=\"1\"}", 777);
+    snap.addGauge("pmdbd.session.millis{session=\"1\"}", -3);
     snap.addHistogram("detector.eval_ns{class=\"store\"}",
                       hist.snapshot());
     snap.sortByName();
@@ -205,7 +205,7 @@ TEST(TelemetrySnapshot, PrometheusShape)
     EXPECT_NE(prom.find("pmdb_pmdbd_events_drained 123456"),
               std::string::npos);
     // Labels survive as Prometheus label sets.
-    EXPECT_NE(prom.find("pmdb_pmdbd_shard_events{shard=\"0\"} 777"),
+    EXPECT_NE(prom.find("pmdb_pmdbd_session_events{session=\"1\"} 777"),
               std::string::npos);
     // Histograms render cumulative buckets ending at +Inf, plus _sum
     // and _count.

@@ -106,7 +106,7 @@ main(int argc, char **argv)
 
     std::size_t ops = 64;
     std::uint64_t seed = 42;
-    std::size_t shards = 4;
+    std::size_t workers = 4;
     std::string fault;
     std::string case_name;
     std::string dir = "/tmp";
@@ -121,7 +121,8 @@ main(int argc, char **argv)
                       "enable one shared_queue fault on both writers"),
             cli::flag("--case", "NAME", &case_name,
                       "shorthand for a seeded case's fault"),
-            cli::flag("--shards", "N", &shards, "daemon detector shards"),
+            cli::flag("--workers", "N", &workers,
+                      "daemon detector worker threads"),
             cli::flag("--seed", "S", &seed, "workload seed"),
             cli::flag("--dir", "PATH", &dir,
                       "directory for the pool/ring/socket files"),
@@ -210,7 +211,7 @@ main(int argc, char **argv)
 
     ServiceConfig config;
     config.socketPath = socket_path;
-    config.pool.shards = shards;
+    config.pool.shards = workers;
     ServiceDaemon daemon(config);
     if (!daemon.start(&error)) {
         std::fprintf(stderr, "daemon start failed: %s\n", error.c_str());
@@ -245,7 +246,7 @@ main(int argc, char **argv)
         out.beginObject()
             .field("tool", "crossproc")
             .field("ops", ops)
-            .field("shards", shards)
+            .field("workers", workers)
             .field("fault", fault)
             .key("groups")
             .beginArray();
@@ -255,8 +256,8 @@ main(int argc, char **argv)
         }
         std::printf("%s\n", out.endArray().endObject().str().c_str());
     } else {
-        std::printf("shared_queue: %zu ops, 2 writers, %zu shard(s)%s%s\n",
-                    ops, shards,
+        std::printf("shared_queue: %zu ops, 2 writers, %zu worker(s)%s%s\n",
+                    ops, workers,
                     fault.empty() ? "" : ", fault ", fault.c_str());
         for (const auto &group : results) {
             std::printf("pool %s: %llu shared events merged, "

@@ -4,8 +4,7 @@
  *
  * Attaches to a running daemon's --metrics-sock endpoint and renders
  * the snapshot: top-line ingest counters, per-session event rates,
- * per-shard utilization (batches, steals, queue depth), and per-rule-
- * class evaluation-latency histograms (p50/p95/p99).
+ * and per-rule-class evaluation-latency histograms (p50/p95/p99).
  * Watch mode refreshes every --interval seconds with rates computed
  * from successive snapshots; `--help` lists the flags.
  */
@@ -126,7 +125,6 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
     const std::int64_t frames = valueOf(snap, "pmdbd.frames_drained");
     const std::int64_t polls = valueOf(snap, "pmdbd.polls");
     const std::int64_t idle = valueOf(snap, "pmdbd.idle_polls");
-    const std::int64_t steals = valueOf(snap, "pmdbd.steals");
     const std::int64_t done =
         valueOf(snap, "pmdbd.sessions_completed");
 
@@ -142,12 +140,10 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
                     static_cast<double>(polls)
               : 0.0;
     std::printf("pmdbd: %lld events (%lld frames) drained, "
-                "%lld session(s) done, %lld steal(s), "
-                "idle-poll ratio %.3f",
+                "%lld session(s) done, idle-poll ratio %.3f",
                 static_cast<long long>(events),
                 static_cast<long long>(frames),
-                static_cast<long long>(done),
-                static_cast<long long>(steals), idleFrac);
+                static_cast<long long>(done), idleFrac);
     if (prev)
         std::printf(", %.0f events/s", eventRate);
     std::printf("\n");
@@ -183,30 +179,6 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
                                 liveIt->second->value
                             ? "yes"
                             : "no");
-        }
-    }
-
-    const auto shardBatches = byLabel(snap, "pmdbd.shard.batches");
-    if (!shardBatches.empty()) {
-        std::printf("\n%-6s %12s %12s %8s %8s\n", "shard", "batches",
-                    "events", "steals", "depth");
-        const auto shardEvents = byLabel(snap, "pmdbd.shard.events");
-        const auto shardSteals = byLabel(snap, "pmdbd.shard.steals");
-        const auto shardDepth =
-            byLabel(snap, "pmdbd.shard.queue_depth");
-        for (const auto &[id, sample] : shardBatches) {
-            const auto pick =
-                [&](const std::map<std::string,
-                                   const MetricSample *> &m) {
-                    const auto it = m.find(id);
-                    return static_cast<long long>(
-                        it != m.end() ? it->second->value : 0);
-                };
-            std::printf("%-6s %12lld %12lld %8lld %8lld\n",
-                        id.c_str(),
-                        static_cast<long long>(sample->value),
-                        pick(shardEvents), pick(shardSteals),
-                        pick(shardDepth));
         }
     }
 

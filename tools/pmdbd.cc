@@ -3,8 +3,9 @@
  * pmdbd — the out-of-process detection daemon.
  *
  * Listens on a Unix-domain socket for trace-stream sessions (see
- * src/service/), runs each through the sharded detector pool, and
- * replies to every client with its merged bug report.
+ * src/service/), runs each session's stream through its own detector
+ * on a pool of worker threads, and replies to every client with its
+ * bug report.
  *
  * `--help` lists the flags. The --json aggregate carries per-session
  * attribution (batches drained, events/s, queue-full stalls, bug
@@ -49,17 +50,13 @@ main(int argc, char **argv)
         {
             cli::flag("--socket", "PATH", &config.socketPath,
                       "listen on this Unix-domain socket (required)"),
-            cli::flag("--shards", "N", &config.pool.shards,
-                      "detector shards"),
-            cli::flag("--stripe-bytes", "B", &config.pool.stripeBytes,
-                      "address-stripe width per shard"),
+            cli::flag("--workers", "N", &config.pool.shards,
+                      "detector worker threads (default 1)"),
             cli::flag("--array-capacity", "N",
                       &config.pool.arrayCapacity,
-                      "per-shard store-array capacity"),
+                      "per-session store-array capacity"),
             cli::flag("--pollers", "N", &config.pollers,
                       "ring-poller threads multiplexing client rings"),
-            cli::flag("--pin-cores", &config.pinCores,
-                      "pin pollers + shard workers to distinct cores"),
             cli::flag("--once", "N", &once,
                       "exit after N sessions complete (default: run "
                       "until SIGINT/SIGTERM)"),
@@ -84,10 +81,9 @@ main(int argc, char **argv)
         return exitFailure;
     }
     std::fprintf(stderr,
-                 "pmdbd: listening on %s (%zu shards, %zu pollers%s)\n",
+                 "pmdbd: listening on %s (%zu workers, %zu pollers)\n",
                  config.socketPath.c_str(), config.pool.shards,
-                 config.pollers ? config.pollers : 1,
-                 config.pinCores ? ", pinned" : "");
+                 config.pollers ? config.pollers : 1);
 
     if (cli.given("--once")) {
         while (!interrupted.load() && !daemon.waitForSessions(once, 200)) {
