@@ -2,8 +2,9 @@
  * @file
  * Detection-service benchmark: (a) a one-session stream, store-heavy
  * and fully persisted, at 1024, 2048 and 4096 lines per fence interval,
- * streamed through a one-worker session pool — the cost of one
- * detector's fence-interval bookkeeping as the interval grows (every
+ * fed to one session's detector in ring-drain-sized batches, as a
+ * daemon worker feeds it — the cost of one detector's fence-interval
+ * bookkeeping as the interval grows (every
  * line is flushed on its own, so each flush closes a CLF interval that
  * the next flush's scan visits); and (b) an ingestion sweep — 1/2/4/8
  * concurrent RemoteSink clients x 1/4 detector workers streaming into
@@ -23,9 +24,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "core/debugger.hh"
 #include "service/daemon.hh"
 #include "service/remote_sink.hh"
-#include "service/session_pool.hh"
 #include "trace/event.hh"
 
 namespace pmdb
@@ -68,34 +69,27 @@ struct StreamRun
 {
     double seconds = 0.0;
     double eventsPerSec = 0.0;
-    SessionVerdict verdict;
+    std::size_t bugs = 0;
+    DebuggerStats stats;
 };
 
-/** Stream @p events through a one-worker pool and time to verdict. */
+/** Feed @p events to one detector and time to its verdict. */
 StreamRun
 runSession(const std::vector<Event> &events)
 {
-    SessionPool pool;
-    pool.start();
-    const SessionId session = 1;
-    pool.openSession(session, DebuggerConfig{});
-
-    // Route in chunks the size of a typical ring drain.
+    // Batches the size of a typical ring drain.
     constexpr std::size_t chunk = 512;
     Stopwatch watch;
-    for (std::size_t at = 0; at < events.size(); at += chunk) {
-        const auto from = events.begin() + static_cast<std::ptrdiff_t>(at);
-        pool.routeEvents(session,
-                         std::vector<Event>(
-                             from, from + static_cast<std::ptrdiff_t>(
-                                              std::min(chunk,
-                                                       events.size() - at))));
-    }
+    PmDebugger debugger{DebuggerConfig{}};
+    for (std::size_t at = 0; at < events.size(); at += chunk)
+        debugger.handleBatch(events.data() + at,
+                             std::min(chunk, events.size() - at));
+    debugger.finalize();
     StreamRun run;
-    run.verdict = pool.closeSession(session);
     run.seconds = watch.elapsedSeconds();
     run.eventsPerSec = static_cast<double>(events.size()) / run.seconds;
-    pool.stop();
+    run.bugs = debugger.bugs().total();
+    run.stats = debugger.stats();
     return run;
 }
 
@@ -222,7 +216,7 @@ struct SweepPoint
 
 /**
  * The ingestion sweep: for each worker count, one daemon serves
- * 1/2/4/8-client groups back to back. Two pollers multiplex all rings.
+ * 1/2/4/8-client groups back to back.
  */
 std::vector<SweepPoint>
 runIngestSweep(std::size_t stores_per_client)
@@ -234,7 +228,6 @@ runIngestSweep(std::size_t stores_per_client)
                             std::to_string(::getpid()) + ".w" +
                             std::to_string(workers) + ".sock";
         config.pool.shards = workers;
-        config.pollers = 2;
         ServiceDaemon daemon(config);
         std::string error;
         if (!daemon.start(&error))
@@ -277,9 +270,9 @@ benchMain()
         const std::vector<Event> events = buildStream(rounds, lines);
         StreamPoint point{lines, events.size(), timedStream(events)};
         const std::uint64_t expected = rounds * lines;
-        exact = exact && point.run.verdict.bugs.empty() &&
-                point.run.verdict.stats.stores == expected &&
-                point.run.verdict.stats.flushes == expected;
+        exact = exact && point.run.bugs == 0 &&
+                point.run.stats.stores == expected &&
+                point.run.stats.flushes == expected;
         stream.push_back(std::move(point));
     }
 
@@ -294,10 +287,10 @@ benchMain()
              fmtFactor(stream.front().run.eventsPerSec /
                            point.run.eventsPerSec,
                        2),
-             fmtCount(point.run.verdict.stats.tree.insertions)});
+             fmtCount(point.run.stats.tree.insertions)});
     }
     std::printf("--- one-session stream: %zu fence intervals, one line "
-                "stored and flushed at a time, 1 worker ---\n%s\n",
+                "stored and flushed at a time, one detector ---\n%s\n",
                 rounds, stream_table.render().c_str());
     std::printf("verdicts exact: %s\n", exact ? "yes" : "NO — BUG");
 
@@ -337,7 +330,7 @@ benchMain()
                  point.run.maxClientRate))});
     }
     std::printf("--- ingestion sweep: concurrent RemoteSink clients "
-                "-> pmdbd (2 pollers, block policy) ---\n%s\n",
+                "-> pmdbd (block policy) ---\n%s\n",
                 client_table.render().c_str());
     const auto ratioAt = [&](std::size_t workers, int clients) {
         const double base = baseRate(workers);

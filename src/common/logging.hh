@@ -48,7 +48,7 @@ class Logger
     /**
      * Emit one line as
      * `[<seconds-since-start>s <level> <component>] <msg>` — e.g.
-     * `[12.345s warn pmdbd/poller] ring full`. The timestamp is
+     * `[12.345s warn pmdbd] ring full`. The timestamp is
      * monotonic seconds since the first log call of the process, so
      * interleaved daemon/client stderr can be ordered by eye.
      * @p component may be empty (plain `[12.345s warn] msg`).
@@ -59,7 +59,7 @@ class Logger
 
 /** Log at Info level. */
 void inform(const std::string &msg);
-/** Log at Info level with a component tag ("pmdbd/poller"). */
+/** Log at Info level with a component tag ("pmdbd"). */
 void inform(const std::string &component, const std::string &msg);
 /** Log at Warn level. */
 void warn(const std::string &msg);

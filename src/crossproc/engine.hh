@@ -3,7 +3,7 @@
  * Daemon-side cross-session detection engine.
  *
  * Sessions whose Hello announces a sharedPoolPath form a **group** per
- * pool. While each session streams, the daemon's pollers pass every
+ * pool. While each session streams, the daemon's workers pass every
  * drained frame through feed(), which retains just the shared-pool
  * events (Event::global != 0). When the last member of a group
  * completes, the engine merge-sorts the members' retained streams by

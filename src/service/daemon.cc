@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <thread>
+#include <unordered_set>
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -11,6 +13,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/debugger.hh"
 #include "service/spsc_ring.hh"
 #include "service/transport.hh"
 #include "telemetry/metrics.hh"
@@ -26,7 +29,7 @@ namespace
 /** Events drained from a ring per poll (>= one batch frame). */
 constexpr std::size_t eventsPerDrain = 4096;
 
-/** Poller drain-path metrics, resolved once; touched per frame. */
+/** Drain-path metrics, resolved once; touched per drain. */
 struct DrainMetrics
 {
     telemetry::Counter &framesDrained = telemetry::Registry::global()
@@ -40,6 +43,12 @@ struct DrainMetrics
     telemetry::Histogram &ringResidencyNs =
         telemetry::Registry::global().histogram(
             "pmdbd.ring_residency_ns");
+    /** Detector time per drain and per close. The names predate the
+     *  worker pool and are read by the benchmark harness. */
+    telemetry::Histogram &evalNs = telemetry::Registry::global()
+        .histogram("pmdbd.shard.eval_ns");
+    telemetry::Histogram &verdictNs = telemetry::Registry::global()
+        .histogram("pmdbd.shard.verdict_ns");
 
     static DrainMetrics &
     get()
@@ -50,7 +59,7 @@ struct DrainMetrics
 };
 
 /**
- * Adaptive idle backoff for a poller: yield while recently busy so a
+ * Adaptive idle backoff for a worker: yield while recently busy so a
  * burst resumes within a scheduler quantum, then escalate to sleeps
  * doubling up to 256 us so an idle daemon costs ~no CPU.
  */
@@ -77,20 +86,65 @@ invalidEvent(const Event *events, std::size_t count, std::size_t names)
     return nullptr;
 }
 
+/**
+ * The verdict of a close: append the client-reported @p external bugs
+ * to the detector's @p bugs, order by seq (a stable sort keeps
+ * external bugs last at equal seq — in-process detection reports at
+ * an event before a manual cross-failure check stamped with the same
+ * seq) and keep the first detection of each fingerprint.
+ */
+std::vector<BugReport>
+mergeVerdict(SessionId session, std::vector<BugReport> bugs,
+             std::vector<BugReport> external)
+{
+    const bool telemetryOn = telemetry::enabled();
+    const std::uint64_t start = telemetryOn ? telemetry::nowNs() : 0;
+    telemetry::SpanTimer span("session.verdict", "pmdbd", session);
+    bugs.insert(bugs.end(), std::make_move_iterator(external.begin()),
+                std::make_move_iterator(external.end()));
+    const auto bySeq = [](const BugReport &a, const BugReport &b) {
+        return a.seq < b.seq;
+    };
+    // The detector reports in seq order; without external bugs the
+    // list is usually sorted already, so skip the sort's scratch.
+    if (!std::is_sorted(bugs.begin(), bugs.end(), bySeq))
+        std::stable_sort(bugs.begin(), bugs.end(), bySeq);
+
+    std::unordered_set<BugFingerprint, BugFingerprintHash> seen;
+    seen.reserve(bugs.size());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < bugs.size(); ++i) {
+        if (!seen.insert(fingerprintOf(bugs[i])).second)
+            continue;
+        if (kept != i)
+            bugs[kept] = std::move(bugs[i]);
+        ++kept;
+    }
+    bugs.resize(kept);
+    if (telemetryOn)
+        DrainMetrics::get().verdictNs.record(telemetry::nowNs() - start);
+    return bugs;
+}
+
 } // namespace
 
-/** One client connection, owned by its poller. */
+/**
+ * One client connection. The worker holding `lease` owns every
+ * non-atomic field; the accept thread only builds the session.
+ */
 struct ServiceDaemon::ActiveSession
 {
     enum class Phase
     {
         Handshake, ///< Accepted; waiting for the Hello.
         Streaming, ///< Ring + control plane live.
-        Closing    ///< Async close issued; callback pending.
+        Closing    ///< Close under way; the session is leaving.
     };
 
+    /** Held by the one worker serving this session, for one step. */
+    std::mutex lease;
     int fd = -1;
-    /** Written by the owning poller; the metrics scrape reads it,
+    /** Written by the lease holder; the metrics scrape reads it,
      *  then id and started, which are set before Streaming. */
     std::atomic<Phase> phase{Phase::Handshake};
     SessionId id = 0;
@@ -101,10 +155,11 @@ struct ServiceDaemon::ActiveSession
     /** Names the client interned, in id order: drained events may
      *  reference only these. The session's detector reads it too. */
     NameTable names;
+    /** Built at handshake, released at close. */
+    std::unique_ptr<PmDebugger> debugger;
     std::vector<BugReport> external;
-    /** Drained events awaiting queue space (backpressure). */
-    std::vector<Event> pending;
-    /** Drain buffer; sized once at handshake. */
+    /** Drain buffer; sized once at handshake. Events are validated and
+     *  evaluated here, never in the ring the client can still write. */
     std::vector<Event> scratch;
     /** Live ingest counters the metrics scrape reads; folded into
      *  summary at close. */
@@ -112,27 +167,15 @@ struct ServiceDaemon::ActiveSession
     std::atomic<std::uint64_t> batchesDrained{0};
     SessionSummary summary;
     std::chrono::steady_clock::time_point started{};
-    /** Set when the session is fully finished (poller may prune). */
+    /** Set when the session is fully finished (workers prune it). */
     std::atomic<bool> done{false};
 };
 
-/** A poller thread plus the sessions assigned to it. */
-struct ServiceDaemon::Poller
-{
-    std::size_t index = 0;
-    std::thread thread;
-    /** Guards sessions (accept thread appends, poller prunes). */
-    std::mutex mutex;
-    std::vector<std::shared_ptr<ActiveSession>> sessions;
-    std::atomic<std::uint64_t> polls{0};
-    std::atomic<std::uint64_t> idlePolls{0};
-};
-
 ServiceDaemon::ServiceDaemon(ServiceConfig config)
-    : config_(std::move(config)), pool_(config_.pool)
+    : config_(std::move(config))
 {
-    if (config_.pollers == 0)
-        config_.pollers = 1;
+    if (config_.pool.shards == 0)
+        config_.pool.shards = 1;
 }
 
 ServiceDaemon::~ServiceDaemon()
@@ -149,15 +192,8 @@ ServiceDaemon::start(std::string *error)
     if (listenFd_ < 0)
         return false;
     stopping_.store(false);
-    pool_.start();
-    pollers_.clear();
-    for (std::size_t i = 0; i < config_.pollers; ++i) {
-        auto poller = std::make_unique<Poller>();
-        poller->index = i;
-        poller->thread =
-            std::thread([this, p = poller.get()] { pollerLoop(*p); });
-        pollers_.push_back(std::move(poller));
-    }
+    for (std::size_t i = 0; i < config_.pool.shards; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     if (!config_.metricsSocketPath.empty()) {
         metricsFd_ = listenUnix(config_.metricsSocketPath, error);
@@ -181,20 +217,26 @@ ServiceDaemon::stop()
     stopping_.store(true);
     if (acceptThread_.joinable())
         acceptThread_.join();
-    for (auto &poller : pollers_) {
-        if (poller->thread.joinable())
-            poller->thread.join();
-    }
-    // Pollers issued an async close for every surviving session on
-    // the way out; let the pool's workers finish those before it
-    // goes down. (Poller structs stay alive so counters remain
-    // readable after stop.)
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
+    // No worker is left to hold a lease: abort whatever is still live.
+    std::vector<std::shared_ptr<ActiveSession>> leftover;
     {
-        std::unique_lock<std::mutex> lock(closesMutex_);
-        closesDone_.wait(
-            lock, [this] { return outstandingCloses_.load() == 0; });
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        leftover.swap(sessions_);
     }
-    pool_.stop();
+    for (const auto &session : leftover) {
+        if (session->done.load())
+            continue;
+        if (session->phase == ActiveSession::Phase::Handshake) {
+            ::close(session->fd);
+            session->fd = -1;
+            session->done.store(true);
+        } else {
+            closeSession(*session, /*aborted=*/true);
+        }
+    }
     if (metricsThread_.joinable())
         metricsThread_.join();
     if (metricsFd_ >= 0) {
@@ -251,10 +293,8 @@ IngestStats
 ServiceDaemon::ingestStats() const
 {
     IngestStats stats;
-    for (const auto &poller : pollers_) {
-        stats.polls += poller->polls.load();
-        stats.idlePolls += poller->idlePolls.load();
-    }
+    stats.polls = polls_.load();
+    stats.idlePolls = idlePolls_.load();
     return stats;
 }
 
@@ -267,7 +307,7 @@ ServiceDaemon::metricsSnapshot() const
     snap.addCounter("pmdbd.polls", ingest.polls);
     snap.addCounter("pmdbd.idle_polls", ingest.idlePolls);
     // Per-session ingest: completed sessions from their summaries,
-    // live ones from the atomics their poller keeps current.
+    // live ones from the atomics their lease holder keeps current.
     const auto addSession = [&](SessionId id, std::uint64_t events,
                                 std::uint64_t batches, double seconds,
                                 bool live) {
@@ -289,9 +329,9 @@ ServiceDaemon::metricsSnapshot() const
         completed = summaries_.size();
     }
     const auto now = std::chrono::steady_clock::now();
-    for (const auto &poller : pollers_) {
-        std::lock_guard<std::mutex> lock(poller->mutex);
-        for (const auto &session : poller->sessions) {
+    {
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        for (const auto &session : sessions_) {
             if (session->phase != ActiveSession::Phase::Streaming)
                 continue;
             addSession(session->id, session->eventsProcessed,
@@ -349,9 +389,8 @@ ServiceDaemon::aggregatedJson() const
     const std::vector<SessionSummary> sessions = summaries();
     JsonWriter json;
     json.beginObject()
-        .field("schema", 4)
-        .field("workers", pool_.workerCount())
-        .field("pollers", config_.pollers)
+        .field("schema", 5)
+        .field("workers", config_.pool.shards)
         .key("sessions")
         .beginArray();
     for (const SessionSummary &session : sessions) {
@@ -366,7 +405,6 @@ ServiceDaemon::aggregatedJson() const
             .field("dropped", session.eventsDropped)
             .field("spill_replayed", session.spillReplayed)
             .field("batches_drained", session.batchesDrained)
-            .field("queue_full_stalls", session.queueFullStalls)
             .field("seconds", session.seconds)
             .field("events_per_sec", rate)
             .field("aborted", session.aborted)
@@ -394,79 +432,56 @@ ServiceDaemon::acceptLoop()
             continue;
         // Backstop against a client wedged mid-message: blocking
         // recvs on this socket give up after a while instead of
-        // pinning a poller (and stop()'s join) forever.
+        // pinning a worker (and stop()'s join) forever.
         timeval recvTimeout{};
         recvTimeout.tv_sec = 5;
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recvTimeout,
                      sizeof(recvTimeout));
         auto session = std::make_shared<ActiveSession>();
         session->fd = fd;
-        Poller &poller =
-            *pollers_[nextPoller_.fetch_add(1) % pollers_.size()];
-        std::lock_guard<std::mutex> lock(poller.mutex);
-        poller.sessions.push_back(std::move(session));
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        sessions_.push_back(std::move(session));
     }
 }
 
 void
-ServiceDaemon::pollerLoop(Poller &poller)
+ServiceDaemon::workerLoop()
 {
     std::vector<std::shared_ptr<ActiveSession>> snapshot;
     int idleRounds = 0;
     while (!stopping_.load()) {
         snapshot.clear();
         {
-            std::lock_guard<std::mutex> lock(poller.mutex);
-            snapshot = poller.sessions;
+            std::lock_guard<std::mutex> lock(sessionsMutex_);
+            snapshot = sessions_;
         }
         bool progressed = false;
         for (const auto &session : snapshot) {
-            if (session->done.load() ||
-                session->phase == ActiveSession::Phase::Closing)
+            // Another worker serving this session skips it here; the
+            // lease keeps its steps, and so its events, in order.
+            std::unique_lock<std::mutex> lease(session->lease,
+                                               std::try_to_lock);
+            if (!lease.owns_lock() || session->done.load())
                 continue;
-            if (pollSession(session))
+            if (pollSession(*session))
                 progressed = true;
         }
         {
-            std::lock_guard<std::mutex> lock(poller.mutex);
-            auto &sessions = poller.sessions;
-            sessions.erase(
-                std::remove_if(sessions.begin(), sessions.end(),
+            std::lock_guard<std::mutex> lock(sessionsMutex_);
+            sessions_.erase(
+                std::remove_if(sessions_.begin(), sessions_.end(),
                                [](const auto &session) {
                                    return session->done.load();
                                }),
-                sessions.end());
+                sessions_.end());
         }
-        poller.polls.fetch_add(1, std::memory_order_relaxed);
+        polls_.fetch_add(1, std::memory_order_relaxed);
         if (progressed) {
             idleRounds = 0;
             continue;
         }
-        poller.idlePolls.fetch_add(1, std::memory_order_relaxed);
+        idlePolls_.fetch_add(1, std::memory_order_relaxed);
         idleBackoff(++idleRounds);
-    }
-    // Stopping: abort whatever is still live. Sessions already in
-    // Closing settle through their pending callback.
-    std::vector<std::shared_ptr<ActiveSession>> leftover;
-    {
-        std::lock_guard<std::mutex> lock(poller.mutex);
-        leftover.swap(poller.sessions);
-    }
-    for (const auto &session : leftover) {
-        if (session->done.load())
-            continue;
-        switch (session->phase) {
-          case ActiveSession::Phase::Handshake:
-            ::close(session->fd);
-            session->fd = -1;
-            session->done.store(true);
-            break;
-          case ActiveSession::Phase::Streaming:
-            beginClose(session, /*aborted=*/true);
-            break;
-          case ActiveSession::Phase::Closing:
-            break;
-        }
     }
 }
 
@@ -474,7 +489,7 @@ bool
 ServiceDaemon::finishHandshake(ActiveSession &session)
 {
     // A client may connect and never speak; poll instead of blocking
-    // so one silent socket cannot stall the whole poller.
+    // so one silent socket cannot stall its worker.
     if (!readable(session.fd, 0))
         return false;
     MsgType type;
@@ -507,7 +522,8 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     if (!session.hello.orderSpecText.empty())
         config.orderSpec =
             OrderSpec::fromText(session.hello.orderSpecText);
-    pool_.openSession(session.id, config, &session.names);
+    session.debugger = std::make_unique<PmDebugger>(config);
+    session.debugger->attached(session.names);
 
     // Shared-pool sessions additionally join their pool's
     // cross-session detection group; their events still flow through
@@ -527,19 +543,31 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     return true;
 }
 
-bool
-ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
+void
+ServiceDaemon::evaluate(ActiveSession &session, const Event *events,
+                        std::size_t count)
 {
-    ActiveSession &session = *sp;
+    telemetry::SpanTimer span("session.rule_eval", "pmdbd", session.id,
+                              "events=" + std::to_string(count));
+    const bool telemetryOn = telemetry::enabled();
+    const std::uint64_t start = telemetryOn ? telemetry::nowNs() : 0;
+    session.debugger->handleBatch(events, count);
+    if (telemetryOn)
+        DrainMetrics::get().evalNs.record(telemetry::nowNs() - start);
+}
+
+bool
+ServiceDaemon::pollSession(ActiveSession &session)
+{
     if (session.phase == ActiveSession::Phase::Handshake)
         return finishHandshake(session);
 
     bool progressed = false;
     // Only this session ends; the daemon and its other sessions go on.
     const auto abortSession = [&](const std::string &why) {
-        warn("pmdbd/poller", why + "; aborting session " +
-                                 std::to_string(session.id));
-        beginClose(sp, /*aborted=*/true);
+        warn("pmdbd", why + "; aborting session " +
+                          std::to_string(session.id));
+        closeSession(session, /*aborted=*/true);
         return true;
     };
 
@@ -548,7 +576,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
         MsgType type;
         std::vector<std::uint8_t> payload;
         if (!recvMessage(session.fd, &type, &payload)) {
-            beginClose(sp, /*aborted=*/true);
+            closeSession(session, /*aborted=*/true);
             return true;
         }
         progressed = true;
@@ -573,9 +601,8 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
             if (in.ok())
                 session.external.push_back(std::move(bug));
             else
-                warn("pmdbd/poller", "malformed ReportBug dropped in "
-                                     "session " +
-                                         std::to_string(session.id));
+                warn("pmdbd", "malformed ReportBug dropped in session " +
+                                  std::to_string(session.id));
             break;
           }
           case MsgType::Bye:
@@ -592,71 +619,57 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
         }
     }
 
-    // 2. Backlog first: events refused by a full queue must reach the
-    // pool before anything newer, or the session's order breaks.
-    if (!session.pending.empty()) {
-        if (pool_.tryRouteEvents(session.id, session.pending))
-            progressed = true;
-        else
-            ++session.summary.queueFullStalls;
-    }
-
-    // 3. Ring drain, in whole published frames.
-    if (session.pending.empty()) {
-        const std::size_t popped = session.ring.popBatch(
-            session.scratch.data(), session.scratch.size());
-        if (session.ring.corrupt())
-            return abortSession("corrupt ring cursors");
-        if (const char *field = invalidEvent(
-                session.scratch.data(), popped, session.names.size()))
-            return abortSession(std::string("ring event with an invalid ") +
-                                field);
-        if (popped) {
-            progressed = true;
-            ++session.batchesDrained;
-            session.eventsProcessed += popped;
-            if (telemetry::enabled()) {
-                DrainMetrics &metrics = DrainMetrics::get();
-                const std::uint64_t now = telemetry::nowNs();
-                metrics.framesDrained.add(1);
-                metrics.eventsDrained.add(popped);
-                metrics.drainBatchEvents.record(popped);
-                // Publish stamp of the newest frame in the drained
-                // span: a lower bound on how long these events sat in
-                // the ring (same-host CLOCK_MONOTONIC on both sides).
-                const std::uint64_t published =
-                    session.ring.lastPublishNs();
-                if (published && published <= now) {
-                    const std::uint64_t residency = now - published;
-                    metrics.ringResidencyNs.record(residency);
-                    if (telemetry::spansEnabled()) {
-                        telemetry::Span span;
-                        span.name = "ring.residency";
-                        span.category = "pmdbd";
-                        span.startNs = published;
-                        span.durNs = residency;
-                        span.track = session.id;
-                        span.arg =
-                            "events=" + std::to_string(popped);
-                        telemetry::SpanBuffer::global().record(
-                            std::move(span));
-                    }
+    // 2. Ring drain, in whole published frames, straight into the
+    // detector.
+    const std::size_t popped = session.ring.popBatch(
+        session.scratch.data(), session.scratch.size());
+    if (session.ring.corrupt())
+        return abortSession("corrupt ring cursors");
+    if (const char *field = invalidEvent(
+            session.scratch.data(), popped, session.names.size()))
+        return abortSession(std::string("ring event with an invalid ") +
+                            field);
+    if (popped) {
+        progressed = true;
+        ++session.batchesDrained;
+        session.eventsProcessed += popped;
+        if (telemetry::enabled()) {
+            DrainMetrics &metrics = DrainMetrics::get();
+            const std::uint64_t now = telemetry::nowNs();
+            metrics.framesDrained.add(1);
+            metrics.eventsDrained.add(popped);
+            metrics.drainBatchEvents.record(popped);
+            // Publish stamp of the newest frame in the drained
+            // span: a lower bound on how long these events sat in
+            // the ring (same-host CLOCK_MONOTONIC on both sides).
+            const std::uint64_t published =
+                session.ring.lastPublishNs();
+            if (published && published <= now) {
+                const std::uint64_t residency = now - published;
+                metrics.ringResidencyNs.record(residency);
+                if (telemetry::spansEnabled()) {
+                    telemetry::Span span;
+                    span.name = "ring.residency";
+                    span.category = "pmdbd";
+                    span.startNs = published;
+                    span.durNs = residency;
+                    span.track = session.id;
+                    span.arg =
+                        "events=" + std::to_string(popped);
+                    telemetry::SpanBuffer::global().record(
+                        std::move(span));
                 }
             }
-            if (!session.hello.sharedPoolPath.empty()) {
-                crossproc_.feed(session.id, session.scratch.data(),
-                                popped);
-            }
-            session.pending.assign(session.scratch.begin(),
-                                   session.scratch.begin() + popped);
-            if (!pool_.tryRouteEvents(session.id, session.pending))
-                ++session.summary.queueFullStalls;
         }
+        if (!session.hello.sharedPoolPath.empty()) {
+            crossproc_.feed(session.id, session.scratch.data(),
+                            popped);
+        }
+        evaluate(session, session.scratch.data(), popped);
     }
 
-    // 4. End of stream: Bye seen and everything routed.
-    if (session.sawBye && session.pending.empty() &&
-        session.ring.size() == 0) {
+    // 3. End of stream: Bye seen and the ring drained.
+    if (session.sawBye && session.ring.size() == 0) {
         // Under the Spill policy the tail of the stream sits in the
         // spill trace file, in order; replay it after the ring.
         if (session.bye.spillEvents &&
@@ -674,7 +687,7 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                     return abortSession(
                         std::string("spill event with an invalid ") + field);
                 if (truncated) {
-                    warn("pmdbd/poller", "spill trace " +
+                    warn("pmdbd", "spill trace " +
                          session.hello.spillPath +
                          " has a truncated tail");
                 }
@@ -684,82 +697,68 @@ ServiceDaemon::pollSession(const std::shared_ptr<ActiveSession> &sp)
                 }
                 session.summary.spillReplayed = spill.events.size();
                 session.eventsProcessed += spill.events.size();
-                pool_.routeEvents(session.id, std::move(spill.events));
+                evaluate(session, spill.events.data(), spill.events.size());
             } else {
-                warn("pmdbd/poller", "cannot replay spill trace: " + error);
+                warn("pmdbd", "cannot replay spill trace: " + error);
             }
         }
-        beginClose(sp, /*aborted=*/false);
+        closeSession(session, /*aborted=*/false);
         return true;
     }
     return progressed;
 }
 
 void
-ServiceDaemon::sendReport(const ActiveSession &session,
-                          const SessionVerdict &verdict)
+ServiceDaemon::closeSession(ActiveSession &session, bool aborted)
 {
-    // A child of session.verdict on the same track: the trace shows
-    // merge and shipping apart.
-    telemetry::SpanTimer span("session.report", "pmdbd", session.id,
-                              "parent=session.verdict");
-    const std::vector<std::uint8_t> payload = ReportBody::encode(
-        verdict.bugs, session.summary.eventsProcessed,
-        session.summary.eventsDropped, verdict.stats);
-    if (sendMessage(session.fd, MsgType::Report, payload))
-        return;
-    warn("pmdbd", "report of " + std::to_string(payload.size()) +
-                      " bytes not delivered to session " +
-                      std::to_string(session.id) +
-                      (payload.size() > maxMessageBytes
-                           ? " (over the frame cap)"
-                           : ""));
-}
-
-void
-ServiceDaemon::beginClose(const std::shared_ptr<ActiveSession> &sp,
-                          bool aborted)
-{
-    ActiveSession &session = *sp;
     session.phase = ActiveSession::Phase::Closing;
     session.summary.eventsProcessed = session.eventsProcessed;
     session.summary.batchesDrained = session.batchesDrained;
     session.summary.eventsDropped = session.ring.droppedCount();
     session.summary.aborted = aborted;
     // Every event of this session has been fed by now (feeds and this
-    // close run on the same poller); when this is the group's last
+    // close run under its lease); when this is the group's last
     // member, the cross-session verdict is computed here.
     if (!session.hello.sharedPoolPath.empty())
         crossproc_.sessionComplete(session.id);
-    outstandingCloses_.fetch_add(1);
-    // The callback runs on the worker that finalizes the session's
-    // detector — off the poller, so a slow report send never stalls
-    // ingestion for other sessions.
-    pool_.closeSessionAsync(
-        session.id, std::move(session.external),
-        [this, sp](SessionVerdict &&verdict) {
-            ActiveSession &session = *sp;
-            session.summary.bugs = verdict.bugs.size();
-            session.summary.seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - session.started)
-                    .count();
-            if (!session.summary.aborted)
-                sendReport(session, verdict);
-            ::close(session.fd);
-            session.fd = -1;
-            {
-                std::lock_guard<std::mutex> lock(summariesMutex_);
-                summaries_.push_back(std::move(session.summary));
-            }
-            sessionDone_.notify_all();
-            session.done.store(true);
-            {
-                std::lock_guard<std::mutex> lock(closesMutex_);
-                outstandingCloses_.fetch_sub(1);
-            }
-            closesDone_.notify_all();
-        });
+
+    session.debugger->finalize();
+    const DebuggerStats stats = session.debugger->stats();
+    const std::vector<BugReport> bugs =
+        mergeVerdict(session.id, session.debugger->bugs().takeBugs(),
+                     std::move(session.external));
+    session.debugger.reset();
+    session.summary.bugs = bugs.size();
+    session.summary.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      session.started)
+            .count();
+
+    if (!aborted) {
+        // A child of session.verdict on the same track: the trace
+        // shows merge and shipping apart.
+        telemetry::SpanTimer span("session.report", "pmdbd", session.id,
+                                  "parent=session.verdict");
+        const std::vector<std::uint8_t> payload = ReportBody::encode(
+            bugs, session.summary.eventsProcessed,
+            session.summary.eventsDropped, stats);
+        if (!sendMessage(session.fd, MsgType::Report, payload)) {
+            warn("pmdbd", "report of " + std::to_string(payload.size()) +
+                              " bytes not delivered to session " +
+                              std::to_string(session.id) +
+                              (payload.size() > maxMessageBytes
+                                   ? " (over the frame cap)"
+                                   : ""));
+        }
+    }
+    ::close(session.fd);
+    session.fd = -1;
+    {
+        std::lock_guard<std::mutex> lock(summariesMutex_);
+        summaries_.push_back(std::move(session.summary));
+    }
+    sessionDone_.notify_all();
+    session.done.store(true);
 }
 
 } // namespace pmdb

@@ -6,14 +6,20 @@
  * stream through its own detector on a pool of worker threads, and
  * replies to each client with its bug report.
  *
- * Ingest path: a fixed pool of **poller** threads multiplexes every
- * client ring. Each poller sweeps the sessions assigned to it —
- * pending control messages, then a whole-frame ring drain, then
- * routing into the session's bounded task queue (session_pool.hh) —
- * with adaptive spin→sleep backoff when a full sweep makes no
- * progress. Thread count is therefore fixed by configuration
- * (pollers + workers), not by client count, so concurrent sessions
- * compound instead of contending.
+ * Worker pool: a fixed set of workers sweeps one shared session list,
+ * with adaptive spin→sleep backoff when a sweep makes no progress. A
+ * worker serves a session only while holding its **lease** (a
+ * try-lock held for one poll step), so one thread at a time drives a
+ * session's detector. A poll step reads the control plane, drains
+ * whole ring frames into the session's scratch buffer, validates that
+ * copy and evaluates it on the detector in place; on Bye the lease
+ * holder replays the spill file, finalizes and sends the Report. As
+ * the paper's PMDebugger keeps one bookkeeping space per debugged
+ * program, one session's events are never split, so verdicts are
+ * identical at any worker count; parallelism is between sessions. The
+ * client's ring, with its credits, is the only queue and the only
+ * backpressure. Thread count is fixed by configuration, not by client
+ * count.
  *
  * Embeddable: tests and the bench run a ServiceDaemon on a thread
  * inside the same process; the pmdbd tool wraps one in a main().
@@ -33,20 +39,32 @@
 
 #include "crossproc/engine.hh"
 #include "service/protocol.hh"
-#include "service/session_pool.hh"
 #include "telemetry/metrics.hh"
 
 namespace pmdb
 {
+
+/** Worker-pool shape and the per-session detector settings. */
+struct WorkerPoolConfig
+{
+    /** Worker threads serving the sessions. (Named `shards` until the
+     *  benchmark harness that sets it is renamed.) */
+    std::size_t shards = 1;
+    /** Per-session debugger array capacity (Section 4.1). */
+    std::size_t arrayCapacity = 100000;
+    /** Per-session AVL lazy-merge threshold. */
+    std::size_t mergeThreshold = 500;
+};
 
 /** Daemon configuration. */
 struct ServiceConfig
 {
     /** Control-plane socket path. */
     std::string socketPath;
-    /** Detector pool shape; `pool.shards` is the worker count. */
-    SessionPoolConfig pool;
-    /** Poller threads multiplexing the client rings. */
+    /** Worker pool; `pool.shards` is the worker count. */
+    WorkerPoolConfig pool;
+    /** Inert: only the benchmark harness reads it (ROADMAP item 1
+     *  deletes it). */
     std::size_t pollers = 1;
     /**
      * When non-empty, serve live metric snapshots on this Unix socket
@@ -68,9 +86,10 @@ struct SessionSummary
     std::uint64_t eventsProcessed = 0;
     std::uint64_t eventsDropped = 0;
     std::uint64_t spillReplayed = 0;
-    /** Ring frames drained by the poller. */
+    /** Ring drains that returned events. */
     std::uint64_t batchesDrained = 0;
-    /** Polls that found the session's queue full (backpressure). */
+    /** Inert, always 0: only the benchmark harness reads it (ROADMAP
+     *  item 1 deletes it). */
     std::uint64_t queueFullStalls = 0;
     /** Welcome-to-report wall time. */
     double seconds = 0.0;
@@ -81,7 +100,7 @@ struct SessionSummary
 /** Daemon-level ingest counters (observability). */
 struct IngestStats
 {
-    /** Poller sweeps over the session set. */
+    /** Worker sweeps over the session list. */
     std::uint64_t polls = 0;
     /** Sweeps that made no progress (idle). */
     std::uint64_t idlePolls = 0;
@@ -97,10 +116,10 @@ class ServiceDaemon
     ServiceDaemon(const ServiceDaemon &) = delete;
     ServiceDaemon &operator=(const ServiceDaemon &) = delete;
 
-    /** Bind the socket, start the worker pool and the poller pool. */
+    /** Bind the socket and start the worker pool. */
     bool start(std::string *error = nullptr);
 
-    /** Stop accepting, drain sessions, join pollers and workers. */
+    /** Stop accepting, join the workers, abort live sessions. */
     void stop();
 
     /**
@@ -115,7 +134,7 @@ class ServiceDaemon
     /** Snapshot of per-session summaries (completed sessions only). */
     std::vector<SessionSummary> summaries() const;
 
-    /** Daemon-level poll counters. */
+    /** Daemon-level sweep counters. */
     IngestStats ingestStats() const;
 
     /**
@@ -127,7 +146,7 @@ class ServiceDaemon
 
     /**
      * The one render of every daemon counter: the global telemetry
-     * registry plus this instance's poll counters ("pmdbd.polls") and
+     * registry plus this instance's sweep counters ("pmdbd.polls") and
      * per-session ingest
      * ("pmdbd.session.events{session=\"1\"}", completed and live).
      * Instance-owned, since daemons may share a process whose registry
@@ -149,38 +168,37 @@ class ServiceDaemon
 
   private:
     struct ActiveSession;
-    struct Poller;
 
     void acceptLoop();
     void metricsLoop();
-    void pollerLoop(Poller &poller);
-    /** One sweep step for one session; true when progress was made. */
-    bool pollSession(const std::shared_ptr<ActiveSession> &session);
+    void workerLoop();
+    /** One poll step for one leased session; true on progress. */
+    bool pollSession(ActiveSession &session);
     bool finishHandshake(ActiveSession &session);
-    void beginClose(const std::shared_ptr<ActiveSession> &session,
-                    bool aborted);
-    /** Encode @p verdict and send it to the client as the Report. */
-    void sendReport(const ActiveSession &session,
-                    const SessionVerdict &verdict);
+    /** Run @p count events through the session's detector. */
+    void evaluate(ActiveSession &session, const Event *events,
+                  std::size_t count);
+    /** Finalize the detector, build the verdict, send the Report
+     *  unless @p aborted, and retire the session. */
+    void closeSession(ActiveSession &session, bool aborted);
 
     ServiceConfig config_;
-    SessionPool pool_;
     /** Cross-session rule engine for shared-pool session groups. */
     CrossprocEngine crossproc_;
     int listenFd_ = -1;
     int metricsFd_ = -1;
     std::thread acceptThread_;
     std::thread metricsThread_;
-    std::vector<std::unique_ptr<Poller>> pollers_;
-    std::atomic<std::size_t> nextPoller_{0};
+    std::vector<std::thread> workers_;
+
+    /** Guards sessions_ (the accept thread appends, workers prune). */
+    mutable std::mutex sessionsMutex_;
+    std::vector<std::shared_ptr<ActiveSession>> sessions_;
+    std::atomic<std::uint64_t> polls_{0};
+    std::atomic<std::uint64_t> idlePolls_{0};
 
     std::atomic<bool> stopping_{false};
     std::atomic<SessionId> nextSession_{1};
-
-    /** Sessions whose async close has not completed yet. */
-    std::atomic<std::size_t> outstandingCloses_{0};
-    std::mutex closesMutex_;
-    std::condition_variable closesDone_;
 
     mutable std::mutex summariesMutex_;
     std::condition_variable sessionDone_;

@@ -68,10 +68,12 @@ RemoteSink::connect(const Options &options, std::string *error)
     }
     if (!ring_.create(options_.ringPath, options_.ringSlots, error))
         return false;
-    if (options_.policy == SlowConsumerPolicy::Spill &&
-        !spill_.open(options_.spillPath, error)) {
-        ring_.close();
-        return false;
+    if (options_.policy == SlowConsumerPolicy::Spill) {
+        if (!spill_.open(options_.spillPath, error)) {
+            ring_.close();
+            return false;
+        }
+        ownsSpill_ = true;
     }
 
     fd_ = connectUnix(options_.socketPath, options_.connectTimeoutMs,
@@ -339,8 +341,11 @@ RemoteSink::disconnect()
         spill_.close();
     ring_.close();
     // The spill file has served its purpose once the session is over.
-    if (!options_.spillPath.empty())
+    // Only one this sink created is removed: under another policy the
+    // path may name a file the caller owns.
+    if (ownsSpill_)
         std::remove(options_.spillPath.c_str());
+    ownsSpill_ = false;
 }
 
 } // namespace pmdb

@@ -132,6 +132,8 @@ class RemoteSink : public TraceSink
     std::uint64_t dropped_ = 0;
     /** Once spilling starts, everything spills (order preservation). */
     bool spilling_ = false;
+    /** This sink created the spill file, so disconnect removes it. */
+    bool ownsSpill_ = false;
     bool dead_ = false;
     std::mutex mutex_;
 };

@@ -72,7 +72,7 @@ constexpr std::size_t counterStripes = 16;
 
 /**
  * Monotonic counter, striped across cache lines by thread so
- * concurrent producers (pollers, pool workers, client threads) never
+ * concurrent producers (daemon workers, client threads) never
  * contend on one line. value() sums the stripes.
  */
 class Counter

@@ -8,8 +8,8 @@
  * --trace-out and pmdb_run --trace-out enable them for a run and write
  * the trace at exit. Each span carries a track id — the session id on
  * the daemon, the thread on a client — so Perfetto lays the pipeline
- * stages (client publish → ring residency → poller drain → session
- * queue wait → rule evaluation → verdict) out as per-session rows.
+ * stages (client publish → ring residency → rule evaluation →
+ * verdict) out as per-session rows.
  */
 
 #ifndef PMDB_TELEMETRY_SPAN_HH
@@ -34,7 +34,7 @@ void setSpansEnabled(bool on);
 /** One completed interval on a track. */
 struct Span
 {
-    /** Stage name ("ring.residency", "shard.rule_eval", ...). */
+    /** Stage name ("ring.residency", "session.rule_eval", ...). */
     std::string name;
     /** Trace-event category ("client", "pmdbd", "detector"). */
     std::string category;

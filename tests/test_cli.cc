@@ -68,8 +68,8 @@ contracts()
           "--shared-pool", "--writer", "--list"},
          "pmdebugger 10 b_tree", "--threads"},
         {"pmdbd",
-         {"--socket", "--workers", "--array-capacity", "--pollers",
-          "--once", "--json", "--metrics-sock", "--trace-out"},
+         {"--socket", "--workers", "--array-capacity", "--once", "--json",
+          "--metrics-sock", "--trace-out"},
          "--socket /nonexistent/pmdbd.sock", "--workers"},
         {"pmdb_stat",
          {"--socket", "--once", "--interval", "--json", "--prom"},

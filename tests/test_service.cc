@@ -115,8 +115,7 @@ runLocal(const BugCase &bug_case)
 std::vector<BugReport>
 runRemote(const BugCase &bug_case, const std::string &socket_path,
           SlowConsumerPolicy policy = SlowConsumerPolicy::Block,
-          std::uint32_t ring_slots = 1024,
-          ReportBody *report_out = nullptr)
+          std::uint32_t ring_slots = 1024)
 {
     PmRuntime runtime;
     RemoteSink sink;
@@ -140,8 +139,6 @@ runRemote(const BugCase &bug_case, const std::string &socket_path,
     runtime.programEnd();
     ReportBody report;
     EXPECT_TRUE(sink.finish(&report, &error)) << error;
-    if (report_out)
-        *report_out = report;
     return report.bugs;
 }
 
@@ -632,9 +629,8 @@ TEST(ServiceIdentityTest, FullBugSuiteThreeShards)
  * Identity under real concurrency: @p clients threads stream the
  * full 78-case suite (dealt round-robin, every case covered) into one
  * daemon at @p workers workers, and every session's report must equal
- * its in-process baseline. This is the multiplexing stress: pollers
- * interleave rings mid-stream, and any worker may lease any session's
- * queue.
+ * its in-process baseline. This is the multiplexing stress: workers
+ * interleave rings mid-stream, and any worker may lease any session.
  */
 void
 concurrentSuiteIdentity(std::size_t workers, std::size_t clients)
@@ -642,7 +638,6 @@ concurrentSuiteIdentity(std::size_t workers, std::size_t clients)
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
     config.pool.shards = workers;
-    config.pollers = 2;
     ServiceDaemon daemon(config);
     std::string error;
     ASSERT_TRUE(daemon.start(&error)) << error;
@@ -689,30 +684,36 @@ TEST(ServiceIdentityTest, FourConcurrentClientsFullSuiteFourShards)
 
 TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
 {
-    ServiceConfig config;
-    config.socketPath = scratchPath("sock");
-    config.pool.shards = 2;
-    ServiceDaemon daemon(config);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
     // A workload-backed case generates thousands of events; a 16-slot
-    // ring forces nearly the whole stream through the spill file.
-    int checked = 0;
-    for (const BugCase &bug_case : bugSuite()) {
-        if (bug_case.id % 13 != 0)
-            continue; // a sample is plenty: spilling is case-agnostic
-        ReportBody report;
-        const std::vector<BugReport> local = runLocal(bug_case);
-        const std::vector<BugReport> remote =
-            runRemote(bug_case, config.socketPath,
-                      SlowConsumerPolicy::Spill, 16, &report);
-        EXPECT_TRUE(sameBugs(local, remote))
-            << "case " << bug_case.id << " (" << bug_case.name << ")";
-        ++checked;
+    // ring forces nearly the whole stream through the spill file under
+    // Spill, and under Block makes the ring's credits throttle the
+    // client to the pace of the daemon's one worker.
+    const std::pair<SlowConsumerPolicy, std::size_t> inputs[] = {
+        {SlowConsumerPolicy::Spill, 2}, {SlowConsumerPolicy::Block, 1}};
+    for (const auto &[policy, workers] : inputs) {
+        ServiceConfig config;
+        config.socketPath = scratchPath("sock");
+        config.pool.shards = workers;
+        ServiceDaemon daemon(config);
+        std::string error;
+        ASSERT_TRUE(daemon.start(&error)) << error;
+
+        int checked = 0;
+        for (const BugCase &bug_case : bugSuite()) {
+            if (bug_case.id % 13 != 0)
+                continue; // a sample is plenty: the ring is case-agnostic
+            const std::vector<BugReport> local = runLocal(bug_case);
+            const std::vector<BugReport> remote =
+                runRemote(bug_case, config.socketPath, policy, 16);
+            EXPECT_TRUE(sameBugs(local, remote))
+                << "case " << bug_case.id << " (" << bug_case.name
+                << "), " << toString(policy) << " policy at " << workers
+                << " worker(s)";
+            ++checked;
+        }
+        EXPECT_GT(checked, 2);
+        daemon.stop();
     }
-    EXPECT_GT(checked, 2);
-    daemon.stop();
 }
 
 TEST(ServiceTest, BugHeavyReportRoundTrips)
@@ -891,15 +892,27 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
 
 TEST(ServiceTest, ClientSurvivesMissingDaemon)
 {
-    RemoteSink sink;
-    RemoteSink::Options options;
-    options.socketPath = scratchPath("nonexistent.sock");
-    options.ringPath = scratchPath("ring");
-    options.connectTimeoutMs = 50;
-    std::string error;
-    EXPECT_FALSE(sink.connect(options, &error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(sink.connected());
+    // The spill path names a file the caller owns: under the Block
+    // policy the sink never opens it, so it must not delete it either.
+    const std::string spill = scratchPath("callers_spill");
+    std::FILE *file = std::fopen(spill.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fclose(file);
+    {
+        RemoteSink sink;
+        RemoteSink::Options options;
+        options.socketPath = scratchPath("nonexistent.sock");
+        options.ringPath = scratchPath("ring");
+        options.spillPath = spill;
+        options.connectTimeoutMs = 50;
+        std::string error;
+        EXPECT_FALSE(sink.connect(options, &error));
+        EXPECT_FALSE(error.empty());
+        EXPECT_FALSE(sink.connected());
+    }
+    EXPECT_EQ(::access(spill.c_str(), F_OK), 0)
+        << "the sink deleted a spill file it never created";
+    std::remove(spill.c_str());
 }
 
 TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
@@ -907,7 +920,6 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
     ServiceConfig config;
     config.socketPath = scratchPath("sock");
     config.pool.shards = 2;
-    config.pollers = 1;
     ServiceDaemon daemon(config);
     std::string error;
     ASSERT_TRUE(daemon.start(&error)) << error;
@@ -945,14 +957,14 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
     // key), and nowhere else.
     const std::string json = daemon.aggregatedJson();
     for (const char *key :
-         {"\"schema\": 4", "\"workers\": 2", "\"pollers\"",
-          "\"batches_drained\"", "\"queue_full_stalls\"",
+         {"\"schema\": 5", "\"workers\": 2", "\"batches_drained\"",
           "\"events_per_sec\"", "\"bugs\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
-    for (const char *key : {"\"idle_poll_ratio\"", "\"shard_stats\"",
-                            "\"report\"", "\"shards\"",
-                            "\"stripe_bytes\""}) {
+    for (const char *key :
+         {"\"idle_poll_ratio\"", "\"shard_stats\"", "\"report\"",
+          "\"shards\"", "\"stripe_bytes\"", "\"pollers\"",
+          "\"queue_full_stalls\""}) {
         EXPECT_EQ(json.find(key), std::string::npos) << key;
     }
     const std::size_t at = json.find("\"metrics\": ");
@@ -975,7 +987,7 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
         names.push_back(base + session);
     for (const std::string &name : names)
         EXPECT_NE(snap.find(name), nullptr) << name;
-    // The pool keeps no per-worker counters: only its three stage
+    // The pool keeps no per-worker counters: only its two stage
     // histograms carry the "pmdbd.shard." prefix.
     EXPECT_EQ(snap.find("pmdbd.steals"), nullptr);
     for (const telemetry::MetricSample &sample : snap.samples) {
@@ -1000,7 +1012,7 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
 TEST(ServiceTest, MetricsScrapeWhileStreamingIsRaceFree)
 {
     // The live-session fields the snapshot reads are written by the
-    // poller; a scraper rendering it in a loop while a client streams
+    // session's worker; a scraper rendering it in a loop while a client streams
     // must not race (the ThreadSanitizer lane runs this).
     ServiceConfig config;
     config.socketPath = scratchPath("sock");

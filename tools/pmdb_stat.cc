@@ -188,7 +188,6 @@ render(const pmdb::telemetry::MetricsSnapshot &snap,
             continue;
         const auto [base, label] = splitLabel(s.name);
         if (base != "detector.eval_ns" &&
-            base != "pmdbd.shard.queue_wait_ns" &&
             base != "pmdbd.shard.eval_ns" &&
             base != "pmdbd.ring_residency_ns" &&
             base != "detector.store_run_ns")

@@ -8,8 +8,8 @@
  * bug report.
  *
  * `--help` lists the flags. The --json aggregate carries per-session
- * attribution (batches drained, events/s, queue-full stalls, bug
- * sites) and the metrics snapshot, which holds every daemon counter;
+ * attribution (batches drained, events/s, bug sites) and the metrics
+ * snapshot, which holds every daemon counter;
  * --metrics-sock clients send "json" or "prom" and get that snapshot
  * back (see tools/pmdb_stat).
  */
@@ -55,8 +55,6 @@ main(int argc, char **argv)
             cli::flag("--array-capacity", "N",
                       &config.pool.arrayCapacity,
                       "per-session store-array capacity"),
-            cli::flag("--pollers", "N", &config.pollers,
-                      "ring-poller threads multiplexing client rings"),
             cli::flag("--once", "N", &once,
                       "exit after N sessions complete (default: run "
                       "until SIGINT/SIGTERM)"),
@@ -80,10 +78,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "pmdbd: %s\n", error.c_str());
         return exitFailure;
     }
-    std::fprintf(stderr,
-                 "pmdbd: listening on %s (%zu workers, %zu pollers)\n",
-                 config.socketPath.c_str(), config.pool.shards,
-                 config.pollers ? config.pollers : 1);
+    std::fprintf(stderr, "pmdbd: listening on %s (%zu workers)\n",
+                 config.socketPath.c_str(), config.pool.shards);
 
     if (cli.given("--once")) {
         while (!interrupted.load() && !daemon.waitForSessions(once, 200)) {
