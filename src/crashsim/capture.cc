@@ -1,5 +1,7 @@
 #include "crashsim/capture.hh"
 
+#include <algorithm>
+
 namespace pmdb
 {
 
@@ -9,17 +11,7 @@ CrashsimSession::adopt(const PmemDevice &device)
     release();
     device_ = &device;
     log_ = CrashPointLog{};
-    pending_.clear();
     log_.baseline = device.persistedBytes();
-    // Lines flushed before adoption but not yet fenced are still in
-    // flight; seed the mirror so the first boundary's delta is exact.
-    for (const auto &[line, snapshot] : device.pendingLines()) {
-        CapturedLine cl;
-        cl.line = line;
-        cl.flushSeq = snapshot.flushSeq;
-        cl.data = snapshot.data;
-        pending_[line] = cl;
-    }
     device.setPersistenceObserver(this);
 }
 
@@ -41,15 +33,9 @@ CrashsimSession::release()
 }
 
 void
-CrashsimSession::onLineQueued(std::uint64_t line,
+CrashsimSession::onLineQueued(std::uint64_t /*line*/,
                               const PendingLine &snapshot)
 {
-    CapturedLine cl;
-    cl.line = line;
-    cl.flushSeq = snapshot.flushSeq;
-    cl.data = snapshot.data;
-    pending_[line] = cl;
-
     if (options_.captureAtFlush) {
         // A CLF is a crash point too: the states reachable here can
         // differ from the enclosing boundary's when a later store +
@@ -57,8 +43,7 @@ CrashsimSession::onLineQueued(std::uint64_t line,
         Event event;
         event.kind = EventKind::Flush;
         event.seq = snapshot.flushSeq;
-        recordPoint(event, device_ && device_->epochDepth() > 0,
-                    /*drains=*/false);
+        recordPoint(event, device_->epochDepth() > 0, /*drains=*/false);
     }
 }
 
@@ -69,7 +54,6 @@ CrashsimSession::onBoundary(const Event &event, int epoch_depth)
     const bool epoch_open =
         epoch_depth > 0 || event.kind == EventKind::EpochEnd;
     recordPoint(event, epoch_open, /*drains=*/true);
-    pending_.clear();
 }
 
 void
@@ -82,9 +66,20 @@ CrashsimSession::recordPoint(const Event &event, bool epoch_open,
     point.epochOpen = epoch_open;
     point.drains = drains;
     point.pendingBegin = log_.lines.size();
-    for (const auto &[line, cl] : pending_)
-        log_.lines.push_back(cl);
+    // The device's pending set already holds the line just queued and
+    // is drained only after onBoundary returns. Store it in line order
+    // so the log does not depend on the set's hash order.
+    for (const auto &[line, snapshot] : device_->pendingLines()) {
+        CapturedLine &cl = log_.lines.emplace_back();
+        cl.line = line;
+        cl.flushSeq = snapshot.flushSeq;
+        cl.data = snapshot.data;
+    }
     point.pendingEnd = log_.lines.size();
+    std::sort(log_.lines.begin() + point.pendingBegin, log_.lines.end(),
+              [](const CapturedLine &a, const CapturedLine &b) {
+                  return a.line < b.line;
+              });
     log_.points.push_back(point);
 }
 

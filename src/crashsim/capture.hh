@@ -4,11 +4,13 @@
  * CrashPointLog while a workload runs.
  *
  * The session snapshots the device's durable image once at adoption
- * (the baseline) and from then on mirrors the pending-writeback queue
- * incrementally from the device's onLineQueued()/onBoundary()
- * callbacks — O(1) per CLF-touched line, never O(pool size). Because
- * the device is a synchronous sink, the captured log is bit-identical
- * at every batch capacity.
+ * (the baseline). At each crash point the device's onBoundary() (and,
+ * with captureAtFlush, onLineQueued()) callback fires before the
+ * pending-writeback set changes further, and the session copies that
+ * set, sorted by line index, into the log — O(pending lines), never
+ * O(pool size). The session keeps no copy of the set between points.
+ * Because the device is a synchronous sink, the captured log is
+ * bit-identical at every batch capacity.
  *
  * The log is self-contained: exploration (explore.hh) runs after the
  * pool, device and runtime are destroyed. Verifiers registered here
@@ -19,7 +21,6 @@
 #ifndef PMDB_CRASHSIM_CAPTURE_HH
 #define PMDB_CRASHSIM_CAPTURE_HH
 
-#include <map>
 #include <utility>
 
 #include "core/cross_failure.hh"
@@ -59,8 +60,9 @@ class CrashsimSession : public PersistenceObserver
 
     /**
      * Begin capturing crash points from @p device: snapshot the
-     * durable baseline, seed the pending mirror, and install this
-     * session as the device's persistence observer.
+     * durable baseline and install this session as the device's
+     * persistence observer. Lines already flushed but not yet fenced
+     * appear in the first point's pending set.
      */
     void adopt(const PmemDevice &device);
 
@@ -113,8 +115,6 @@ class CrashsimSession : public PersistenceObserver
     const PmemDevice *device_ = nullptr;
     CrossFailureChecker::Verifier verify_;
     CrashPointLog log_;
-    /** Mirror of the device's pending queue, ordered by line index. */
-    std::map<std::uint64_t, CapturedLine> pending_;
 };
 
 } // namespace pmdb

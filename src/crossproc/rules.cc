@@ -151,8 +151,7 @@ CrossRuleEngine::onFlush(std::uint32_t writer, const Event &event)
         if (!state.dirty)
             continue;
         // The CLF queues a writeback of the line's current bytes; the
-        // flushing writer's fence will complete it (mirrors
-        // SharedPmemPool::flush).
+        // flushing writer's fence will complete it.
         state.dirty = false;
         state.pending = true;
         state.pendingWriter = writer;

@@ -28,8 +28,9 @@
  *
  * CrossRuleEngine replays the *merged* stream — every shared-pool
  * event of every writer, in global fence-clock ticket order — and
- * mirrors the pool's per-writer dirty/pending/durable line lifecycle
- * to evaluate exactly these rules. The replay is a deterministic left
+ * derives the pool's per-writer dirty/pending/durable line lifecycle
+ * from it (the pool itself keeps none) to evaluate exactly these
+ * rules. The replay is a deterministic left
  * fold over the ticket order, so results are bit-identical for any
  * daemon worker count.
  */

@@ -55,7 +55,8 @@ class PersistenceObserver
   public:
     virtual ~PersistenceObserver() = default;
 
-    /** A CLF queued (or refreshed) line @p line's writeback snapshot. */
+    /** A CLF queued (or refreshed) line @p line's writeback snapshot;
+     *  pendingLines() already holds it. */
     virtual void onLineQueued(std::uint64_t line,
                               const PendingLine &snapshot) = 0;
 

@@ -20,7 +20,7 @@ namespace
 
 constexpr char poolMagic[8] = {'P', 'M', 'D', 'B', 'S', 'H', 'P', '1'};
 
-/** Header page size; images start at the next page boundary. */
+/** Header page size; the volatile image starts at the next page. */
 constexpr std::size_t headerBytes = 4096;
 
 std::size_t
@@ -67,9 +67,7 @@ SharedPmemPool::createPoolFile(const std::string &path,
                   "shared-pool header must fit its reserved page");
     const std::size_t data = roundUpLines(dataSize ? dataSize
                                                    : cacheLineSize);
-    const std::size_t lines = data / cacheLineSize;
-    const std::size_t total = headerBytes + 3 * data +
-                              lines * sizeof(SharedLineState);
+    const std::size_t total = headerBytes + data;
 
     const int fd =
         ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
@@ -123,16 +121,11 @@ SharedPmemPool::SharedPmemPool(PmRuntime &runtime,
     // Validate the header against the file before mapping it: pages
     // the file does not back fault (SIGBUS) on first touch.
     struct stat st;
-    std::size_t lineBytes = 0;
     std::size_t total = 0;
     const std::uint64_t data = probe.dataSize;
     if (::fstat(fd_, &st) != 0 || data == 0 ||
         data % cacheLineSize != 0 ||
-        __builtin_mul_overflow(data / cacheLineSize,
-                               sizeof(SharedLineState), &lineBytes) ||
-        __builtin_mul_overflow(data, 3, &total) ||
-        __builtin_add_overflow(total, lineBytes, &total) ||
-        __builtin_add_overflow(total, headerBytes, &total) ||
+        __builtin_add_overflow(data, headerBytes, &total) ||
         total != static_cast<std::uint64_t>(st.st_size)) {
         reject(path + ": shared-pool header does not match the file "
                       "size");
@@ -172,25 +165,6 @@ SharedPmemPool::volatileImage() const
     return base_ + headerBytes;
 }
 
-std::uint8_t *
-SharedPmemPool::pendingImage() const
-{
-    return base_ + headerBytes + dataSize_;
-}
-
-std::uint8_t *
-SharedPmemPool::durableImage() const
-{
-    return base_ + headerBytes + 2 * dataSize_;
-}
-
-SharedLineState *
-SharedPmemPool::lineTable() const
-{
-    return reinterpret_cast<SharedLineState *>(base_ + headerBytes +
-                                               3 * dataSize_);
-}
-
 void
 SharedPmemPool::lock()
 {
@@ -217,6 +191,15 @@ SharedPmemPool::ticket()
 }
 
 void
+SharedPmemPool::stampNextEvent()
+{
+    lock();
+    const SeqNum stamp = ticket();
+    unlock();
+    runtime_.setNextGlobal(stamp);
+}
+
+void
 SharedPmemPool::checkBounds(Addr addr, std::size_t size,
                             const char *what) const
 {
@@ -237,13 +220,6 @@ SharedPmemPool::writeBytes(Addr addr, const void *data, std::size_t size,
     lock();
     const SeqNum stamp = ticket();
     std::memcpy(volatileImage() + addr, data, size);
-    const AddrRange range = AddrRange::fromSize(addr, size);
-    SharedLineState *lines = lineTable();
-    for (std::uint64_t line = cacheLineIndex(range.start);
-         line <= cacheLineIndex(range.end - 1); ++line) {
-        lines[line].phase |= SharedLineState::dirtyBit;
-        lines[line].dirtyWriter = writerId_;
-    }
     unlock();
     runtime_.setNextGlobal(stamp);
     runtime_.store(addr, static_cast<std::uint32_t>(size), thread);
@@ -279,21 +255,7 @@ SharedPmemPool::flush(Addr addr, std::size_t size, FlushKind kind,
     // draws its own ticket so the merged stream orders them exactly.
     for (Addr line = cacheLineBase(range.start); line < range.end;
          line += cacheLineSize) {
-        lock();
-        const SeqNum stamp = ticket();
-        const std::uint64_t index = cacheLineIndex(line);
-        SharedLineState &state = lineTable()[index];
-        if (state.phase & SharedLineState::dirtyBit) {
-            // Queue the writeback: snapshot the line as it is *now*.
-            std::memcpy(pendingImage() + index * cacheLineSize,
-                        volatileImage() + index * cacheLineSize,
-                        cacheLineSize);
-            state.phase = (state.phase & ~SharedLineState::dirtyBit) |
-                          SharedLineState::pendingBit;
-            state.pendingWriter = writerId_;
-        }
-        unlock();
-        runtime_.setNextGlobal(stamp);
+        stampNextEvent();
         runtime_.flush(line, cacheLineSize, kind, thread);
     }
 }
@@ -301,25 +263,7 @@ SharedPmemPool::flush(Addr addr, std::size_t size, FlushKind kind,
 void
 SharedPmemPool::fence(ThreadId thread)
 {
-    lock();
-    const SeqNum stamp = ticket();
-    // SFENCE completes writebacks *this writer* initiated; another
-    // writer's unfenced CLFs stay pending, which is exactly the state
-    // the cross-session rules reason about.
-    SharedLineState *lines = lineTable();
-    for (std::size_t index = 0; index < lineCount(); ++index) {
-        SharedLineState &state = lines[index];
-        if ((state.phase & SharedLineState::pendingBit) &&
-            state.pendingWriter == writerId_) {
-            std::memcpy(durableImage() + index * cacheLineSize,
-                        pendingImage() + index * cacheLineSize,
-                        cacheLineSize);
-            state.phase &= ~SharedLineState::pendingBit;
-            state.pendingWriter = 0;
-        }
-    }
-    unlock();
-    runtime_.setNextGlobal(stamp);
+    stampNextEvent();
     runtime_.fence(thread);
 }
 
@@ -333,20 +277,14 @@ SharedPmemPool::persist(Addr addr, std::size_t size, ThreadId thread)
 void
 SharedPmemPool::epochBegin(ThreadId thread)
 {
-    lock();
-    const SeqNum stamp = ticket();
-    unlock();
-    runtime_.setNextGlobal(stamp);
+    stampNextEvent();
     runtime_.epochBegin(thread);
 }
 
 void
 SharedPmemPool::epochEnd(ThreadId thread)
 {
-    lock();
-    const SeqNum stamp = ticket();
-    unlock();
-    runtime_.setNextGlobal(stamp);
+    stampNextEvent();
     runtime_.epochEnd(thread);
 }
 
@@ -373,52 +311,6 @@ SharedPmemPool::coordWait(std::size_t index, std::uint64_t expect) const
 {
     while (coordLoad(index) != expect)
         ::sched_yield();
-}
-
-bool
-SharedPmemPool::hasDirty(const AddrRange &range) const
-{
-    checkBounds(range.start, range.size(), "hasDirty");
-    const SharedLineState *lines = lineTable();
-    for (std::uint64_t line = cacheLineIndex(range.start);
-         line <= cacheLineIndex(range.end - 1); ++line) {
-        if (lines[line].phase & SharedLineState::dirtyBit)
-            return true;
-    }
-    return false;
-}
-
-bool
-SharedPmemPool::hasPendingFlush(const AddrRange &range) const
-{
-    checkBounds(range.start, range.size(), "hasPendingFlush");
-    const SharedLineState *lines = lineTable();
-    for (std::uint64_t line = cacheLineIndex(range.start);
-         line <= cacheLineIndex(range.end - 1); ++line) {
-        if (lines[line].phase & SharedLineState::pendingBit)
-            return true;
-    }
-    return false;
-}
-
-bool
-SharedPmemPool::isDurable(const AddrRange &range) const
-{
-    return !hasDirty(range) && !hasPendingFlush(range);
-}
-
-std::vector<std::uint8_t>
-SharedPmemPool::crashImage() const
-{
-    if (!base_)
-        panic("shared pool crashImage: pool not mapped");
-    std::vector<std::uint8_t> image(dataSize_);
-    // The spinlock keeps a concurrent fence from half-copying a line
-    // into the durable image while we snapshot it.
-    const_cast<SharedPmemPool *>(this)->lock();
-    std::memcpy(image.data(), durableImage(), dataSize_);
-    const_cast<SharedPmemPool *>(this)->unlock();
-    return image;
 }
 
 SeqNum

@@ -14,22 +14,15 @@
  * SharedPmemPool is that shape. The pool is a file mmap'd MAP_SHARED by
  * every writer, laid out as:
  *
- *   [ header | volatile image | pending image | durable image | lines ]
+ *   [ header | volatile image ]
  *
- *  - the **volatile image** is the program-visible bytes — writers see
- *    each other's stores immediately, like two processes mapping one
- *    CXL-attached region;
- *  - the **pending image** holds flush-time line snapshots (a CLF
- *    initiates a writeback of the bytes as they were at flush time);
- *  - the **durable image** is what has provably reached the
- *    persistence domain: a writer's SFENCE completes *that writer's*
- *    pending writebacks into it, so the durable image is at all times
- *    consistent with both writers' fence histories and crashImage()
- *    can be materialized by any process (or the driver, post-mortem);
- *  - the **line table** records per-line dirty/pending state with the
- *    writer that dirtied / flushed it, mirrored by the cross-session
- *    rule engine (src/crossproc/rules.hh) when it replays the merged
- *    event stream.
+ * The **volatile image** is the program-visible bytes: writers see each
+ * other's stores immediately, like two processes mapping one
+ * CXL-attached region. The pool keeps no persistence state of its own.
+ * Which lines are dirty or pending, and which writer made them so, is
+ * derived once, from the merged flush/fence stream, by the
+ * cross-session rule engine (src/crossproc/rules.hh): a writer's fence
+ * completes only that writer's writebacks there.
  *
  * The header also carries the **global fence clock**: every
  * instrumented operation draws a monotone ticket from it *inside the
@@ -61,7 +54,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/runtime.hh"
@@ -69,26 +61,11 @@
 namespace pmdb
 {
 
-/** Per-cache-line shared state; lives in the mapped file. */
-struct SharedLineState
-{
-    /** Bit 0: dirty (stored, not yet flushed). Bit 1: pending. */
-    std::uint32_t phase = 0;
-    /** Writer that last dirtied the line (0 = never dirtied). */
-    std::uint32_t dirtyWriter = 0;
-    /** Writer whose CLF queued the pending snapshot (0 = none). */
-    std::uint32_t pendingWriter = 0;
-    std::uint32_t pad = 0;
-
-    static constexpr std::uint32_t dirtyBit = 1u << 0;
-    static constexpr std::uint32_t pendingBit = 1u << 1;
-};
-
 /**
  * A persistent pool shared by multiple writer processes.
  *
  * Not a TraceSink: the pool *is* the device (it mutates the shared
- * images directly under its spinlock) and emits the instrumented
+ * image directly under its spinlock) and emits the instrumented
  * events itself, with explicit global-clock stamps. Attaching a
  * per-process PmemDevice on top would model a private cache each — the
  * opposite of the shared-mapping semantics modelled here.
@@ -201,44 +178,22 @@ class SharedPmemPool
 
     /** @} */
 
-    /** @name Persistence-domain inspection. */
-    /** @{ */
-
-    /** Any byte of the range stored but not yet flushed (any writer). */
-    bool hasDirty(const AddrRange &range) const;
-
-    /** Any covering line with a queued, unfenced writeback. */
-    bool hasPendingFlush(const AddrRange &range) const;
-
-    /** Range fully durable with respect to *every* writer's history. */
-    bool isDurable(const AddrRange &range) const;
-
-    /**
-     * The post-crash image if every writer failed now: exactly the
-     * bytes whose writebacks some writer's fence completed. Consistent
-     * with all writers' fence histories by construction.
-     */
-    std::vector<std::uint8_t> crashImage() const;
-
     /** Current global fence-clock value (tickets drawn so far). */
     SeqNum clockNow() const;
-
-    /** @} */
 
   private:
     struct Header;
 
     Header *header() const;
     std::uint8_t *volatileImage() const;
-    std::uint8_t *pendingImage() const;
-    std::uint8_t *durableImage() const;
-    SharedLineState *lineTable() const;
-    std::size_t lineCount() const { return dataSize_ / cacheLineSize; }
 
     void lock();
     void unlock();
     /** Draw the next global-clock ticket (call with the lock held). */
     SeqNum ticket();
+    /** Draw a ticket for an event that touches no pool bytes and arm
+     *  the runtime with it. */
+    void stampNextEvent();
     void checkBounds(Addr addr, std::size_t size, const char *what) const;
 
     PmRuntime &runtime_;

@@ -518,7 +518,6 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
     DebuggerConfig config;
     config.model = session.hello.model;
     config.arrayCapacity = config_.pool.arrayCapacity;
-    config.mergeThreshold = config_.pool.mergeThreshold;
     if (!session.hello.orderSpecText.empty())
         config.orderSpec =
             OrderSpec::fromText(session.hello.orderSpecText);

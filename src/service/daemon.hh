@@ -52,8 +52,6 @@ struct WorkerPoolConfig
     std::size_t shards = 1;
     /** Per-session debugger array capacity (Section 4.1). */
     std::size_t arrayCapacity = 100000;
-    /** Per-session AVL lazy-merge threshold. */
-    std::size_t mergeThreshold = 500;
 };
 
 /** Daemon configuration. */

@@ -25,30 +25,15 @@ fail(std::string *error, const std::string &message)
     return false;
 }
 
-/** Publish-path metrics, resolved once; touched per frame, not per
- *  event. */
-struct SinkMetrics
+/** Time the publisher spent blocked on a full ring, resolved once. */
+telemetry::Histogram &
+blockStallNs()
 {
-    telemetry::Counter &frames =
-        telemetry::Registry::global().counter("client.sink.frames");
-    telemetry::Counter &events =
-        telemetry::Registry::global().counter("client.sink.events");
-    telemetry::Counter &spilled =
-        telemetry::Registry::global().counter("client.sink.spilled");
-    telemetry::Counter &droppedEvents =
-        telemetry::Registry::global().counter("client.sink.dropped");
-    telemetry::Histogram &publishNs =
-        telemetry::Registry::global().histogram("client.sink.publish_ns");
-    telemetry::Histogram &blockStallNs = telemetry::Registry::global()
-        .histogram("client.sink.block_stall_ns");
-
-    static SinkMetrics &
-    get()
-    {
-        static SinkMetrics instance;
-        return instance;
-    }
-};
+    static telemetry::Histogram &histogram =
+        telemetry::Registry::global().histogram(
+            "client.sink.block_stall_ns");
+    return histogram;
+}
 
 } // namespace
 
@@ -163,13 +148,8 @@ RemoteSink::flushBatch()
     if (!remaining)
         return;
     const bool telemetryOn = telemetry::enabled();
-    const std::uint64_t publishStart =
-        telemetryOn ? telemetry::nowNs() : 0;
-    const std::size_t batchTotal = remaining;
     if (spilling_) {
         spill(events, remaining);
-        if (telemetryOn)
-            SinkMetrics::get().spilled.add(remaining);
         batch_.clear();
         return;
     }
@@ -218,33 +198,20 @@ RemoteSink::flushBatch()
                     }
                 }
             }
-            if (telemetryOn) {
-                SinkMetrics::get().blockStallNs.record(
-                    telemetry::nowNs() - stallStart);
-            }
+            if (telemetryOn)
+                blockStallNs().record(telemetry::nowNs() - stallStart);
             break;
           }
           case SlowConsumerPolicy::Drop:
-            for (std::size_t i = 0; i < remaining; ++i)
-                ring_.countDrop();
+            ring_.countDrop(remaining);
             dropped_ += remaining;
-            if (telemetryOn)
-                SinkMetrics::get().droppedEvents.add(remaining);
             break;
           case SlowConsumerPolicy::Spill:
             spilling_ = true;
             spill_.flush();
             spill(events, remaining);
-            if (telemetryOn)
-                SinkMetrics::get().spilled.add(batchTotal - accepted);
             break;
         }
-    }
-    if (telemetryOn) {
-        SinkMetrics &metrics = SinkMetrics::get();
-        metrics.frames.add(1);
-        metrics.events.add(batchTotal);
-        metrics.publishNs.record(telemetry::nowNs() - publishStart);
     }
     batch_.clear();
 }

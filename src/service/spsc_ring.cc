@@ -225,9 +225,9 @@ EventRing::producerDone() const
 }
 
 void
-EventRing::countDrop()
+EventRing::countDrop(std::uint64_t events)
 {
-    header_->dropped.fetch_add(1, std::memory_order_relaxed);
+    header_->dropped.fetch_add(events, std::memory_order_relaxed);
 }
 
 std::uint64_t

@@ -133,12 +133,6 @@ class EventRing
      */
     std::size_t tryPushBatch(const Event *events, std::size_t count);
 
-    /** Producer: append one event; false when out of credits (full). */
-    bool tryPush(const Event &event)
-    {
-        return tryPushBatch(&event, 1) == 1;
-    }
-
     /**
      * Consumer: drain up to @p max published events into @p out as one
      * frame (one acquire of head, one release of tail). Returns the
@@ -147,12 +141,6 @@ class EventRing
      * nothing is drained, now or later.
      */
     std::size_t popBatch(Event *out, std::size_t max);
-
-    /** Consumer: pop up to @p max events; returns the number popped. */
-    std::size_t tryPop(Event *out, std::size_t max)
-    {
-        return popBatch(out, max);
-    }
 
     /** Events currently queued (reads both shared cursors). */
     std::size_t size() const;
@@ -164,8 +152,8 @@ class EventRing
 
     bool producerDone() const;
 
-    /** Producer: count one event discarded under the Drop policy. */
-    void countDrop();
+    /** Producer: count @p events discarded under the Drop policy. */
+    void countDrop(std::uint64_t events);
 
     std::uint64_t droppedCount() const;
 

@@ -124,6 +124,53 @@ TEST(CrashsimCaptureTest, ImageCursorApplyRevertRestoresBase)
     EXPECT_EQ(cursor.image(), base_image);
 }
 
+TEST(CrashsimCaptureTest, AdoptionKeepsLinesAlreadyPending)
+{
+    PmRuntime runtime;
+    PmemPool pool(runtime, 1 << 20, "cs.pool");
+    const Addr a = pool.alloc(64);
+    const Addr b = pool.alloc(64);
+    ASSERT_LT(cacheLineIndex(a), cacheLineIndex(b));
+
+    // b's writeback is in flight before the session exists.
+    pool.store<std::uint64_t>(b, 9);
+    pool.flush(b, 8);
+
+    CrashsimOptions options = kAllOptions();
+    options.captureAtFlush = true;
+    CrashsimSession session(options);
+    session.adopt(pool.device());
+    pool.store<std::uint64_t>(a, 7);
+    pool.flush(a, 8);
+    pool.fence();
+
+    // One point at a's CLF, one at the fence; both hold a and b, in
+    // line order, with the bytes each CLF snapshotted.
+    const CrashPointLog &log = session.log();
+    ASSERT_EQ(log.points.size(), 2u);
+    EXPECT_EQ(log.points[0].boundary, EventKind::Flush);
+    EXPECT_FALSE(log.points[0].drains);
+    EXPECT_EQ(log.points[1].boundary, EventKind::Fence);
+    EXPECT_TRUE(log.points[1].drains);
+    for (const CrashPoint &point : log.points) {
+        ASSERT_EQ(point.pendingEnd - point.pendingBegin, 2u);
+        const CapturedLine &first = log.lines[point.pendingBegin];
+        const CapturedLine &second = log.lines[point.pendingBegin + 1];
+        EXPECT_EQ(first.line, cacheLineIndex(a));
+        EXPECT_EQ(second.line, cacheLineIndex(b));
+        EXPECT_GT(first.flushSeq, second.flushSeq);
+        std::uint64_t va = 0, vb = 0;
+        std::memcpy(&va, first.data.data() + a % cacheLineSize, 8);
+        std::memcpy(&vb, second.data.data() + b % cacheLineSize, 8);
+        EXPECT_EQ(va, 7u);
+        EXPECT_EQ(vb, 9u);
+    }
+    // b's writeback was still pending at adoption: not in the baseline.
+    std::uint64_t durable_b = 0;
+    std::memcpy(&durable_b, log.baseline.data() + b, 8);
+    EXPECT_EQ(durable_b, 0u);
+}
+
 TEST(CrashsimSuiteTest, XfCasesFoundByEngineWithCrashPointProvenance)
 {
     for (const char *name :
@@ -229,6 +276,38 @@ TEST(CrashsimWorkloadTest, SeededFaultsCaughtByRecoveryVerifier)
             runCrashsimWorkload("b_tree", wl, kAllOptions());
         EXPECT_FALSE(result.findings.empty());
     }
+}
+
+TEST(CrashsimWorkloadTest, FlushPointCaptureIsPinned)
+{
+    // hashmap_atomic's seeded bucket-before-entry bug, captured at
+    // every CLF as well as every fence (pmdb_crashsim run
+    // hashmap_atomic --ops 64 --seed 1 --flush-points --fault
+    // hmatomic_bucket_before_entry).
+    WorkloadOptions wl;
+    wl.operations = 64;
+    wl.faults.enable("hmatomic_bucket_before_entry");
+    CrashsimOptions options;
+    options.seed = 1;
+    options.captureAtFlush = true;
+    const CrashsimResult result =
+        runCrashsimWorkload("hashmap_atomic", wl, options);
+    EXPECT_EQ(result.stats.points, 576u);
+    EXPECT_EQ(result.stats.pendingLines, 704u);
+    EXPECT_EQ(result.stats.imagesEnumerated, 1408u);
+    EXPECT_EQ(result.stats.imagesDeduped, 1151u);
+    EXPECT_EQ(result.stats.imagesVerified, 257u);
+    ASSERT_EQ(result.findings.size(), 64u);
+    // The first finding is a crash at a CLF whose one landed line
+    // publishes a bucket pointer to an entry that never persisted.
+    const CrashsimFinding &first = result.findings.front();
+    EXPECT_EQ(first.pointIndex, 3u);
+    EXPECT_EQ(first.seq, 2614u);
+    EXPECT_EQ(first.boundary, EventKind::Flush);
+    EXPECT_EQ(first.candidateIndex, 1u);
+    EXPECT_EQ(first.witnessLines, std::vector<std::uint64_t>{168});
+    EXPECT_EQ(first.detail, "hashmap_atomic recovery: reachable entry "
+                            "for key 0 is torn or never persisted");
 }
 
 TEST(CrashsimDeterminismTest, IdenticalRunsAreBitIdentical)

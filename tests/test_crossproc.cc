@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/rng.hh"
@@ -180,6 +182,13 @@ TEST(CrossRuleEngineTest, StoreAfterForeignEpochClosesIsQuiet)
 
 // --- SharedPmemPool device semantics -------------------------------
 
+/** Sink that keeps every event it is handed. */
+struct EventLog : TraceSink
+{
+    std::vector<Event> events;
+    void handle(const Event &event) override { events.push_back(event); }
+};
+
 TEST(SharedPmemPoolTest, TwoMappingsShareVolatileAndDurableState)
 {
     const std::string path = scratchPath("pool");
@@ -187,7 +196,10 @@ TEST(SharedPmemPoolTest, TwoMappingsShareVolatileAndDurableState)
     ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
         << error;
 
+    EventLog log1, log2;
     PmRuntime rt1, rt2;
+    rt1.attach(&log1);
+    rt2.attach(&log2);
     SharedPmemPool w1(rt1, path, 1);
     SharedPmemPool w2(rt2, path, 2);
     ASSERT_TRUE(w1.valid()) << w1.error();
@@ -197,26 +209,74 @@ TEST(SharedPmemPoolTest, TwoMappingsShareVolatileAndDurableState)
     w1.store<std::uint64_t>(0x40, 0xDEADBEEFull);
     EXPECT_EQ(w2.peek<std::uint64_t>(0x40), 0xDEADBEEFull);
 
-    // ...but not durable: the crash image still reads zero.
-    const AddrRange range = AddrRange::fromSize(0x40, 8);
-    EXPECT_TRUE(w1.hasDirty(range));
-    EXPECT_FALSE(w1.isDurable(range));
-    EXPECT_EQ(w2.crashImage()[0x40], 0u);
-
-    // w2's fence must NOT complete w1's writeback.
+    // w2's fence must NOT complete w1's writeback: w2 reads the line,
+    // publishes a dependent store and persists it while w1's line is
+    // still pending.
     w1.flush(0x40, 8);
     w2.fence();
-    EXPECT_TRUE(w1.hasPendingFlush(range));
-    EXPECT_FALSE(w1.isDurable(range));
+    w2.load<std::uint64_t>(0x40);
+    w2.store<std::uint64_t>(0x80, 1);
+    w2.persist(0x80, 8);
 
-    // w1's own fence does.
+    // w1's own fence does: the same publish is now safe.
     w1.fence();
-    EXPECT_TRUE(w2.isDurable(range));
-    EXPECT_EQ(w2.crashImage()[0x40], 0xEFu);
+    w2.load<std::uint64_t>(0x40);
+    w2.store<std::uint64_t>(0x80, 2);
+    w2.persist(0x80, 8);
 
     // Tickets were drawn monotonically and are visible to both.
     EXPECT_GT(w1.clockNow(), 0u);
     EXPECT_EQ(w1.clockNow(), w2.clockNow());
+
+    // The durable state is derived from both writers' ticketed
+    // streams, merged in ticket order.
+    rt1.drain();
+    rt2.drain();
+    std::vector<std::pair<std::uint32_t, Event>> merged;
+    for (const Event &event : log1.events)
+        merged.emplace_back(1, event);
+    for (const Event &event : log2.events)
+        merged.emplace_back(2, event);
+    std::sort(merged.begin(), merged.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second.global < b.second.global;
+              });
+    CrossRuleEngine engine;
+    for (const auto &[writer, event] : merged)
+        engine.feed(writer, event);
+    engine.finish();
+    EXPECT_EQ(engine.eventsReplayed(), w1.clockNow());
+    ASSERT_EQ(engine.bugs().size(), 1u);
+    const CrossBug &bug = engine.bugs()[0];
+    EXPECT_EQ(bug.type, CrossBugType::PublishBeforePersist);
+    EXPECT_EQ(bug.range, AddrRange::fromSize(0x40, cacheLineSize));
+    EXPECT_EQ(bug.ownerWriter, 1u);
+    EXPECT_EQ(bug.observerWriter, 2u);
+
+    std::remove(path.c_str());
+}
+
+TEST(SharedPmemPoolTest, PoolFileIsHeaderPlusData)
+{
+    // One header page, then the volatile image: the pool file holds no
+    // persistence state of its own.
+    const std::string path = scratchPath("poolsize");
+    std::string error;
+    struct stat st;
+    ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
+        << error;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(st.st_size, 8192);
+
+    // Data rounds up to whole cache lines.
+    ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 100, &error))
+        << error;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(st.st_size, 4096 + 128);
+    PmRuntime runtime;
+    SharedPmemPool pool(runtime, path, 1);
+    ASSERT_TRUE(pool.valid()) << pool.error();
+    EXPECT_EQ(pool.size(), 128u);
 
     std::remove(path.c_str());
 }
@@ -228,14 +288,7 @@ TEST(SharedPmemPoolTest, OperationsStampEventsWithGlobalTickets)
     ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
         << error;
 
-    struct Capture : TraceSink
-    {
-        std::vector<Event> events;
-        void handle(const Event &event) override
-        {
-            events.push_back(event);
-        }
-    } capture;
+    EventLog capture;
 
     PmRuntime runtime;
     runtime.attach(&capture);
@@ -286,7 +339,7 @@ TEST(SharedPmemPoolTest, RejectsHeaderTheFileDoesNotBack)
     std::string error;
     PmRuntime runtime;
 
-    // A truncated file: the header promises images it no longer has.
+    // A truncated file: the header promises data it no longer has.
     ASSERT_TRUE(SharedPmemPool::createPoolFile(path, 4096, &error))
         << error;
     ASSERT_EQ(::truncate(path.c_str(), 4096), 0);
@@ -355,13 +408,11 @@ TEST(SharedPmemPoolTest, SeededHeaderMutantsOpenOrFailCleanly)
         PmRuntime runtime;
         SharedPmemPool pool(runtime, path, 1);
         if (pool.valid()) {
-            // Touch the last data line and the durable image behind it.
+            // Touch the last data line.
             const Addr last = pool.size() - 8;
             pool.store<std::uint64_t>(last, 0xabcdef);
             pool.persist(last, 8);
             EXPECT_EQ(pool.peek<std::uint64_t>(last), 0xabcdefu)
-                << "round " << round;
-            EXPECT_EQ(pool.crashImage().size(), pool.size())
                 << "round " << round;
             ++opened;
         } else {

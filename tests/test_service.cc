@@ -160,10 +160,10 @@ TEST(EventRingTest, PushPopAndWraparound)
             Event event;
             event.addr = 0x100;
             event.seq = next_push++;
-            ASSERT_TRUE(producer.tryPush(event));
+            ASSERT_EQ(producer.tryPushBatch(&event, 1), 1u);
         }
         while (next_pop < next_push) {
-            const std::size_t popped = consumer.tryPop(out, 4);
+            const std::size_t popped = consumer.popBatch(out, 4);
             ASSERT_GT(popped, 0u);
             for (std::size_t i = 0; i < popped; ++i)
                 EXPECT_EQ(out[i].seq, next_pop++);
@@ -179,15 +179,15 @@ TEST(EventRingTest, FullRingRejectsUntilDrained)
     ASSERT_TRUE(ring.create(path, 4));
     Event event;
     for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(ring.tryPush(event));
-    EXPECT_FALSE(ring.tryPush(event)); // out of credits
+        ASSERT_EQ(ring.tryPushBatch(&event, 1), 1u);
+    EXPECT_EQ(ring.tryPushBatch(&event, 1), 0u); // out of credits
     Event out[2];
-    EXPECT_EQ(ring.tryPop(out, 2), 2u);
-    EXPECT_TRUE(ring.tryPush(event));
+    EXPECT_EQ(ring.popBatch(out, 2), 2u);
+    EXPECT_EQ(ring.tryPushBatch(&event, 1), 1u);
     EXPECT_EQ(ring.size(), 3u);
-    ring.countDrop();
-    ring.countDrop();
-    EXPECT_EQ(ring.droppedCount(), 2u);
+    ring.countDrop(2);
+    ring.countDrop(3);
+    EXPECT_EQ(ring.droppedCount(), 5u);
 }
 
 TEST(EventRingTest, BatchPushPopInWholeFramesAcrossWraparound)
@@ -202,9 +202,9 @@ TEST(EventRingTest, BatchPushPopInWholeFramesAcrossWraparound)
     // Offset the cursors so batch frames span the wrap point.
     Event seed;
     for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(producer.tryPush(seed));
+        ASSERT_EQ(producer.tryPushBatch(&seed, 1), 1u);
     Event out[16];
-    ASSERT_EQ(consumer.tryPop(out, 16), 5u);
+    ASSERT_EQ(consumer.popBatch(out, 16), 5u);
 
     SeqNum next_push = 1;
     SeqNum next_pop = 1;
@@ -266,12 +266,12 @@ TEST(EventRingTest, CursorsFurtherApartThanTheRingDrainNothing)
     EventRing consumer;
     ASSERT_TRUE(consumer.open(path, &error)) << error;
     Event event;
-    ASSERT_TRUE(producer.tryPush(event));
+    ASSERT_EQ(producer.tryPushBatch(&event, 1), 1u);
     std::vector<Event> out(4096);
     ASSERT_EQ(consumer.popBatch(out.data(), out.size()), 1u);
     EXPECT_FALSE(consumer.corrupt());
 
-    ASSERT_TRUE(producer.tryPush(event));
+    ASSERT_EQ(producer.tryPushBatch(&event, 1), 1u);
     shiftRingHead(path, 1ull << 20);
     EXPECT_EQ(consumer.popBatch(out.data(), out.size()), 0u);
     EXPECT_TRUE(consumer.corrupt());
