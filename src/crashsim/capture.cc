@@ -10,8 +10,10 @@ CrashsimSession::adopt(const PmemDevice &device)
 {
     release();
     device_ = &device;
-    log_ = CrashPointLog{};
+    log_.poolBytes = device.size();
     log_.baseline = device.persistedBytes();
+    log_.lines.clear();
+    log_.points.clear();
     device.setPersistenceObserver(this);
 }
 

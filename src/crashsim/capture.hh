@@ -48,9 +48,15 @@ namespace pmdb
 class CrashsimSession : public PersistenceObserver
 {
   public:
-    explicit CrashsimSession(CrashsimOptions options = {})
+    /**
+     * @p baseline_storage: a buffer whose capacity the baseline
+     * snapshot reuses (for callers that run many sessions).
+     */
+    explicit CrashsimSession(CrashsimOptions options = {},
+                             std::vector<std::uint8_t> baseline_storage = {})
         : options_(options)
     {
+        log_.baseline = std::move(baseline_storage);
     }
 
     ~CrashsimSession() override { release(); }

@@ -23,14 +23,52 @@ lineContentHash(std::uint64_t line, const std::uint8_t *bytes)
     return mix64(content);
 }
 
-ImageCursor::ImageCursor(const CrashPointLog &log)
-    : log_(log), image_(log.baseline)
+ImageDelta
+imageDelta(const std::vector<std::uint8_t> &reference,
+           const std::vector<std::uint8_t> &image)
 {
+    if (image.size() != reference.size() ||
+        image.size() % cacheLineSize != 0)
+        panic("imageDelta: images differ in size or are not whole lines");
+    ImageDelta delta;
+    for (std::size_t base = 0; base < image.size(); base += cacheLineSize) {
+        if (std::memcmp(image.data() + base, reference.data() + base,
+                        cacheLineSize) == 0)
+            continue;
+        DeltaLine &dl = delta.emplace_back();
+        dl.line = base / cacheLineSize;
+        std::memcpy(dl.data.data(), image.data() + base, cacheLineSize);
+    }
+    return delta;
+}
+
+ImageCursor::ImageCursor(const CrashPointLog &log)
+    : ImageCursor(log, log.baseline, {})
+{
+}
+
+ImageCursor::ImageCursor(const CrashPointLog &log,
+                         const std::vector<std::uint8_t> &root,
+                         const ImageDelta &delta,
+                         std::vector<std::uint8_t> storage)
+    : log_(log), image_(std::move(storage))
+{
+    if (root.size() != log.poolBytes)
+        panic("ImageCursor: base image is not the log's pool size");
+    image_.assign(root.begin(), root.end());
+    for (const DeltaLine &dl : delta) {
+        if (dl.line >= image_.size() / cacheLineSize)
+            panic("ImageCursor: delta line past the end of the image");
+        std::memcpy(image_.data() + dl.line * cacheLineSize,
+                    dl.data.data(), cacheLineSize);
+    }
 }
 
 void
 ImageCursor::advanceTo(std::size_t point_idx)
 {
+    if (point_idx >= log_.points.size())
+        panic("ImageCursor: advanceTo() past the log's last point");
     if (point_idx < at_)
         panic("ImageCursor: advanceTo() is forward-only");
     if (!saved_.empty())

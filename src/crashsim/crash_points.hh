@@ -114,19 +114,42 @@ struct CrashPoint
  */
 struct CrashPointLog
 {
-    /** Durable image at capture start. */
+    /** Size of the captured pool in bytes. */
+    std::size_t poolBytes = 0;
+    /**
+     * Durable image at capture start (poolBytes long). An owner that
+     * keeps the image elsewhere may move it out — the model checker
+     * keeps it as an ImageDelta from its root image — and then builds
+     * its ImageCursor from that base.
+     */
     std::vector<std::uint8_t> baseline;
     /** Shared pool of pending-line snapshots, sliced per point. */
     std::vector<CapturedLine> lines;
     std::vector<CrashPoint> points;
-
-    std::size_t poolBytes() const { return baseline.size(); }
 
     std::size_t pendingCount(const CrashPoint &point) const
     {
         return point.pendingEnd - point.pendingBegin;
     }
 };
+
+/** One cache line of an image that differs from a reference image. */
+struct DeltaLine
+{
+    /** Cache-line index (addr / cacheLineSize). */
+    std::uint64_t line = 0;
+    std::array<std::uint8_t, cacheLineSize> data{};
+};
+
+/** An image as the lines where it differs from a reference, in line order. */
+using ImageDelta = std::vector<DeltaLine>;
+
+/**
+ * The lines where @p image differs from @p reference. Both must have
+ * the same size, a whole number of cache lines (as device images do).
+ */
+ImageDelta imageDelta(const std::vector<std::uint8_t> &reference,
+                      const std::vector<std::uint8_t> &image);
 
 /**
  * Position-salted content hash of one cache line; XOR-combining the
@@ -147,11 +170,25 @@ std::uint64_t lineContentHash(std::uint64_t line,
 class ImageCursor
 {
   public:
+    /** A cursor whose base image is the log's baseline. */
     explicit ImageCursor(const CrashPointLog &log);
 
     /**
+     * A cursor whose base image is @p root with @p delta landed on it,
+     * for a log whose baseline is kept that way. The image is built in
+     * @p storage, whose capacity is reused; releaseImage() hands it
+     * back. Panics when @p root is not the log's pool size or a delta
+     * line lies past its end.
+     */
+    ImageCursor(const CrashPointLog &log,
+                const std::vector<std::uint8_t> &root,
+                const ImageDelta &delta,
+                std::vector<std::uint8_t> storage = {});
+
+    /**
      * Move to crash point @p point_idx (forward-only), applying the
-     * drained pending sets of every earlier draining point.
+     * drained pending sets of every earlier draining point. Panics on
+     * an index past the log's last point.
      */
     void advanceTo(std::size_t point_idx);
 
@@ -177,6 +214,9 @@ class ImageCursor
     /** Land @p landed onto the image (revert() restores the base). */
     void apply(const std::vector<std::size_t> &landed);
     void revert();
+
+    /** Hand the image's storage back; the cursor is unusable after. */
+    std::vector<std::uint8_t> releaseImage() { return std::move(image_); }
 
   private:
     void applyLine(std::uint64_t line, const std::uint8_t *bytes);

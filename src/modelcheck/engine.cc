@@ -1,5 +1,6 @@
 #include "modelcheck/engine.hh"
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -39,10 +40,10 @@ ModelChecker::ModelChecker(ModelWorkload &workload,
 
 void
 ModelChecker::processGroup(const Group &group, const StateCache &frozen,
-                           GroupOutcome &out)
+                           ImageBuffers &buffers, GroupOutcome &out)
 {
     const CrashPointLog &log = *group.log;
-    ImageCursor cursor(log);
+    ImageCursor cursor(log, root_, group.baseDelta, buffers.take());
     // Shared across this execution's points: the forward-rolling
     // cursor makes adjacent points' images cheap to compare, and most
     // duplicates are exactly there (point k+1's drop-everything image
@@ -93,12 +94,13 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
                 continue;
             }
 
+            std::vector<std::uint8_t> image = buffers.take();
             cursor.apply(candidate);
-            std::vector<std::uint8_t> image = cursor.image();
+            image.assign(cursor.image().begin(), cursor.image().end());
             cursor.revert();
 
-            ModelExecution exec =
-                workload_.runRecovery(std::move(image), options_.run);
+            ModelExecution exec = workload_.runRecovery(
+                std::move(image), options_.run, buffers);
             pruner.observeReads(exec.reads);
             ++out.executions;
             out.crashPoints += exec.log.points.size();
@@ -108,18 +110,26 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
             // recovery already failed, so operating past it explores
             // the consequences of a bug rather than new program
             // behavior. At the depth bound nothing expands, so no log
-            // is kept.
+            // is kept. A kept log's baseline is the candidate it ran
+            // on (model.hh), kept as the lines it changed from the
+            // root; either way its buffer is reused.
             if (outcome.inconsistency.empty() &&
-                group.depth < options_.maxDepth)
+                group.depth < options_.maxDepth) {
+                outcome.childDelta = imageDelta(root_, exec.log.baseline);
+                buffers.give(std::move(exec.log.baseline));
                 outcome.childLog =
                     std::make_shared<const CrashPointLog>(
                         std::move(exec.log));
+            } else {
+                buffers.give(std::move(exec.log.baseline));
+            }
             out.candidates.push_back(std::move(outcome));
         }
 
         out.pruned += pruner.pruned();
         out.refinements += pruner.refinements();
     }
+    buffers.give(cursor.releaseImage());
 }
 
 ModelCheckResult
@@ -148,26 +158,32 @@ ModelChecker::run()
 
     std::vector<Group> frontier;
     const auto expand = [&](std::shared_ptr<const CrashPointLog> log,
-                            std::uint64_t base_hash, std::size_t depth,
-                            std::vector<SeqNum> chain,
+                            ImageDelta base_delta, std::uint64_t base_hash,
+                            std::size_t depth, std::vector<SeqNum> chain,
                             std::vector<Group> &into) {
         if (depth > options_.maxDepth || log->points.empty())
             return;
         Group group;
         group.logBaseHash = base_hash;
         group.log = std::move(log);
+        group.baseDelta = std::move(base_delta);
         group.depth = depth;
         group.chainPrefix = std::move(chain);
         into.push_back(std::move(group));
     };
-    // The only full-image hash of the search: every recovery's
-    // baseline is the candidate it ran on, whose identity the worker
-    // already computed (the runRecovery contract, model.hh).
-    const std::uint64_t initial_hash =
-        imageContentHash(initial.log.baseline);
+    // The initial baseline is the root every group's baseline is a
+    // delta from (its own delta is empty), and the only full-image
+    // hash of the search: every recovery's baseline is the candidate
+    // it ran on, whose identity the worker already computed (the
+    // runRecovery contract, model.hh).
+    root_ = std::move(initial.log.baseline);
+    const std::uint64_t initial_hash = imageContentHash(root_);
     expand(std::make_shared<const CrashPointLog>(std::move(initial.log)),
-           initial_hash, 1, {}, frontier);
+           {}, initial_hash, 1, {}, frontier);
 
+    // Each worker's spare images, reused across groups and rounds.
+    std::vector<ImageBuffers> buffers(
+        std::max<std::size_t>(1, options_.workers));
     while (!frontier.empty() && !stats.budgetExhausted) {
         ++stats.rounds;
         const bool telemetryOn = telemetry::enabled();
@@ -177,9 +193,11 @@ ModelChecker::run()
 
         // Parallel phase: the cache is frozen (read-only), so each
         // group's outcome is independent of scheduling.
-        parallelFor(frontier.size(), options_.workers, [&](std::size_t i) {
-            processGroup(frontier[i], cache, outcomes[i]);
-        });
+        parallelFor(frontier.size(), buffers.size(),
+                    [&](std::size_t i, std::size_t worker) {
+                        processGroup(frontier[i], cache, buffers[worker],
+                                     outcomes[i]);
+                    });
 
         // Sequential merge in (group, candidate) order: the only place
         // cache, findings, frontier and frontierHash mutate.
@@ -222,7 +240,8 @@ ModelChecker::run()
                     result.findings.push_back(std::move(finding));
                 }
                 if (cand.childLog)
-                    expand(std::move(cand.childLog), cand.hash,
+                    expand(std::move(cand.childLog),
+                           std::move(cand.childDelta), cand.hash,
                            group.depth + 1, std::move(chain),
                            next_frontier);
                 if (stats.distinctStates >= options_.maxStates) {

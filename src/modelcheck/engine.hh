@@ -180,7 +180,15 @@ class ModelChecker
      */
     struct Group
     {
+        /** The execution's capture, its baseline moved out. */
         std::shared_ptr<const CrashPointLog> log;
+        /**
+         * The log's baseline, as the lines where it differs from the
+         * search's root image (root_): only the changed lines, not a
+         * pool-sized copy per kept execution. The worker rebuilds the
+         * image into a reused buffer when it expands the group.
+         */
+        ImageDelta baseDelta;
         /** Crashes taken when this execution crashes (again). */
         std::size_t depth = 0;
         /** Boundary seqs of the crashes that led to this execution. */
@@ -212,6 +220,8 @@ class ModelChecker
          * or already at the depth bound.
          */
         std::shared_ptr<const CrashPointLog> childLog;
+        /** childLog's baseline (Group::baseDelta). */
+        ImageDelta childDelta;
     };
 
     struct GroupOutcome
@@ -227,12 +237,20 @@ class ModelChecker
         std::uint64_t truncatedPoints = 0;
     };
 
-    /** Pure worker step: no shared mutation, @p frozen is read-only. */
+    /**
+     * Pure worker step: no shared mutation, @p frozen is read-only.
+     * @p buffers is the calling worker's own.
+     */
     void processGroup(const Group &group, const StateCache &frozen,
-                      GroupOutcome &out);
+                      ImageBuffers &buffers, GroupOutcome &out);
 
     ModelWorkload &workload_;
     ModelCheckOptions options_;
+    /**
+     * The initial execution's baseline, kept once: every group's
+     * baseline is a delta from it.
+     */
+    std::vector<std::uint8_t> root_;
 };
 
 } // namespace pmdb

@@ -20,6 +20,8 @@
  *    a child state's identity on the candidate's hash instead of
  *    re-hashing the baseline; a model that wrote before adopting
  *    would silently alias states (tests/test_modelcheck.cc pins it).
+ *    The models in modelcheck_workloads.cc reopen their pool through
+ *    Capture::reopen, which adopts it at once.
  *  - runRecovery() must *detect* inconsistent images (return a
  *    non-empty ModelExecution::inconsistency) rather than crash on
  *    them, and must read the image through the pool's instrumented
@@ -88,6 +90,40 @@ struct ModelExecution
     ReadSet reads;
 };
 
+/**
+ * Spare pool-sized buffers that consecutive recoveries pass along. A
+ * recovery holds three pool images at once: its device's durable image
+ * (the input image) and volatile image, and its log's baseline. It
+ * takes storage for the last two from here and gives the device's two
+ * back when it ends; the caller gives the baseline back once done
+ * with it. A caller that runs thousands of recoveries then reuses a
+ * few buffers instead of allocating images per execution — for pools
+ * at glibc's 128 KiB mmap threshold, freed images go back to the
+ * kernel and fault in again on the next execution.
+ */
+class ImageBuffers
+{
+  public:
+    /** A spare buffer (contents unspecified), or an empty one. */
+    std::vector<std::uint8_t> take()
+    {
+        if (spare_.empty())
+            return {};
+        std::vector<std::uint8_t> buffer = std::move(spare_.back());
+        spare_.pop_back();
+        return buffer;
+    }
+
+    void give(std::vector<std::uint8_t> buffer)
+    {
+        if (buffer.capacity() != 0)
+            spare_.push_back(std::move(buffer));
+    }
+
+  private:
+    std::vector<std::vector<std::uint8_t>> spare_;
+};
+
 /** A workload the model checker can drive through crash-recover cycles. */
 class ModelWorkload
 {
@@ -102,10 +138,12 @@ class ModelWorkload
     /**
      * Reopen @p image as a crashed pool, run recovery (verdict +
      * repair) and, if the image was consistent, the continuation
-     * operations.
+     * operations. The pool's images and the log's baseline use
+     * storage from @p buffers, and the pool's go back there.
      */
     virtual ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                                       const ModelRunConfig &cfg) = 0;
+                                       const ModelRunConfig &cfg,
+                                       ImageBuffers &buffers) = 0;
 };
 
 /** Names of all model-checkable workloads. */

@@ -48,10 +48,12 @@ PmemPool::PmemPool(PmRuntime &runtime, std::size_t size,
 }
 
 PmemPool::PmemPool(PmRuntime &runtime, std::vector<std::uint8_t> image,
-                   const std::string &name, bool track_persistence)
+                   const std::string &name, bool track_persistence,
+                   std::vector<std::uint8_t> volatile_storage)
     : runtime_(runtime),
-      device_(std::make_unique<PmemDevice>(std::move(image))), name_(name),
-      deviceAttached_(track_persistence), freeLists_(25)
+      device_(std::make_unique<PmemDevice>(std::move(image),
+                                           std::move(volatile_storage))),
+      name_(name), deviceAttached_(track_persistence), freeLists_(25)
 {
     const std::size_t size = device_->size();
     if (size < rootOffset_ + 64 * 1024)

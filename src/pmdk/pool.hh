@@ -61,10 +61,13 @@ class PmemPool
      * @p image as both its volatile and durable content, modelling a
      * real PM file mapped back after a failure. Call root() (with the
      * original root size) and then recoverHeap() before allocating.
+     * The device builds its volatile image in @p volatile_storage
+     * (PmemDevice's reopen constructor).
      */
     PmemPool(PmRuntime &runtime, std::vector<std::uint8_t> image,
              const std::string &name = "pool",
-             bool track_persistence = true);
+             bool track_persistence = true,
+             std::vector<std::uint8_t> volatile_storage = {});
 
     ~PmemPool();
 

@@ -1,6 +1,7 @@
 #include "pmem/device.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -13,9 +14,12 @@ PmemDevice::PmemDevice(std::size_t size)
 {
 }
 
-PmemDevice::PmemDevice(std::vector<std::uint8_t> image)
-    : volatileImage_(image), persistedImage_(std::move(image))
+PmemDevice::PmemDevice(std::vector<std::uint8_t> image,
+                       std::vector<std::uint8_t> volatile_storage)
+    : volatileImage_(std::move(volatile_storage)),
+      persistedImage_(std::move(image))
 {
+    volatileImage_.assign(persistedImage_.begin(), persistedImage_.end());
 }
 
 PmemDevice::~PmemDevice()
@@ -194,6 +198,13 @@ PmemDevice::reset()
     dirtyLines_.clear();
     pendingLines_.clear();
     epochDepth_ = 0;
+}
+
+std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>
+PmemDevice::releaseImages()
+{
+    return {std::exchange(persistedImage_, {}),
+            std::exchange(volatileImage_, {})};
 }
 
 std::vector<std::uint8_t>

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -91,9 +92,12 @@ class PmemDevice : public TraceSink
      * Create a device whose volatile and durable images both start as
      * @p image — reopening a pool from a crash image, the way a real
      * PM file is mapped back after a failure. The device starts clean
-     * (no dirty lines, no pending writebacks, epoch depth 0).
+     * (no dirty lines, no pending writebacks, epoch depth 0). The
+     * volatile image is built in @p volatile_storage, whose capacity
+     * is reused.
      */
-    explicit PmemDevice(std::vector<std::uint8_t> image);
+    explicit PmemDevice(std::vector<std::uint8_t> image,
+                        std::vector<std::uint8_t> volatile_storage = {});
 
     ~PmemDevice() override;
 
@@ -179,6 +183,14 @@ class PmemDevice : public TraceSink
 
     /** Reset all state to a zeroed, clean device. */
     void reset();
+
+    /**
+     * Move both images out, durable first, so a caller that reopens
+     * many pools can reuse their storage. The device is empty after
+     * and must not be used again.
+     */
+    std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>
+    releaseImages();
 
   private:
     friend class CrashSimulator;

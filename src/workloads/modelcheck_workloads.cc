@@ -1,5 +1,7 @@
 #include "workloads/modelcheck_workloads.hh"
 
+#include <optional>
+
 #include "common/rng.hh"
 #include "crashsim/capture.hh"
 #include "pmdk/pool.hh"
@@ -19,17 +21,42 @@ constexpr std::uint64_t recoverySeedSalt = 0x7265636f76657279ULL;
 
 /**
  * Per-execution capture scaffold: one runtime, one crash-point
- * session, and the execution's read set.
+ * session, the execution's read set and, for a recovery, its
+ * reopened pool.
  */
 struct Capture
 {
     PmRuntime runtime;
     CrashsimSession session;
     ReadSet reads;
+    /** Storage for a recovery's images (ModelWorkload::runRecovery). */
+    ImageBuffers *buffers = nullptr;
+    /** A recovery's pool; declared last, so destroyed first. */
+    std::optional<PmemPool> pool;
 
     explicit Capture(const ModelRunConfig &cfg) : session(cfg.sim)
     {
         runtime.setReadTracker(&reads);
+    }
+
+    Capture(const ModelRunConfig &cfg, ImageBuffers &spare)
+        : session(cfg.sim, spare.take()), buffers(&spare)
+    {
+        runtime.setReadTracker(&reads);
+    }
+
+    /**
+     * Reopen @p image as the recovery's pool and adopt it before
+     * anything writes to it, so the log's baseline is the input image
+     * (the runRecovery contract, model.hh).
+     */
+    PmemPool &
+    reopen(std::vector<std::uint8_t> image, const std::string &name)
+    {
+        pool.emplace(runtime, std::move(image), name, true,
+                     buffers->take());
+        session.adopt(pool->device());
+        return *pool;
     }
 
     /** Close the execution and package everything the engine needs. */
@@ -44,6 +71,11 @@ struct Capture
         exec.log = session.takeLog();
         exec.reads = std::move(reads);
         runtime.setReadTracker(nullptr);
+        if (pool) {
+            auto [durable, volatile_image] = pool->device().releaseImages();
+            buffers->give(std::move(durable));
+            buffers->give(std::move(volatile_image));
+        }
         return exec;
     }
 };
@@ -117,11 +149,11 @@ HashmapAtomicModel::runInitial(const ModelRunConfig &cfg)
 
 ModelExecution
 HashmapAtomicModel::runRecovery(std::vector<std::uint8_t> image,
-                                const ModelRunConfig &cfg)
+                                const ModelRunConfig &cfg,
+                                ImageBuffers &buffers)
 {
-    Capture cap(cfg);
-    PmemPool pool(cap.runtime, std::move(image), "hashmap_atomic.pool");
-    cap.session.adopt(pool.device());
+    Capture cap(cfg, buffers);
+    PmemPool &pool = cap.reopen(std::move(image), "hashmap_atomic.pool");
 
     const Addr root = hashmapAtomicRoot(pool);
     // The creation transaction committed before capture began, so the
@@ -168,11 +200,11 @@ BTreeModel::runInitial(const ModelRunConfig &cfg)
 
 ModelExecution
 BTreeModel::runRecovery(std::vector<std::uint8_t> image,
-                        const ModelRunConfig &cfg)
+                        const ModelRunConfig &cfg,
+                        ImageBuffers &buffers)
 {
-    Capture cap(cfg);
-    PmemPool pool(cap.runtime, std::move(image), "b_tree.pool");
-    cap.session.adopt(pool.device());
+    Capture cap(cfg, buffers);
+    PmemPool &pool = cap.reopen(std::move(image), "b_tree.pool");
 
     const Addr meta = pool.root(sizeof(PersistentBTree::Meta));
     TxRecovery::recoverPool(pool);
@@ -262,11 +294,11 @@ HashmapTxModel::runInitial(const ModelRunConfig &cfg)
 
 ModelExecution
 HashmapTxModel::runRecovery(std::vector<std::uint8_t> image,
-                            const ModelRunConfig &cfg)
+                            const ModelRunConfig &cfg,
+                            ImageBuffers &buffers)
 {
-    Capture cap(cfg);
-    PmemPool pool(cap.runtime, std::move(image), "hashmap_tx.pool");
-    cap.session.adopt(pool.device());
+    Capture cap(cfg, buffers);
+    PmemPool &pool = cap.reopen(std::move(image), "hashmap_tx.pool");
 
     pool.root(sizeof(PersistentHashmapTx::Meta));
     TxRecovery::recoverPool(pool);
@@ -355,11 +387,11 @@ McUndoFlushModel::runInitial(const ModelRunConfig &cfg)
 
 ModelExecution
 McUndoFlushModel::runRecovery(std::vector<std::uint8_t> image,
-                              const ModelRunConfig &cfg)
+                              const ModelRunConfig &cfg,
+                              ImageBuffers &buffers)
 {
-    Capture cap(cfg);
-    PmemPool pool(cap.runtime, std::move(image), "mc_undo_flush.pool");
-    cap.session.adopt(pool.device());
+    Capture cap(cfg, buffers);
+    PmemPool &pool = cap.reopen(std::move(image), "mc_undo_flush.pool");
     const Addr root = mcUndoRoot(pool);
 
     const std::uint64_t a = pool.load<std::uint64_t>(root + mcA);
@@ -460,11 +492,11 @@ McDirtyFlagModel::runInitial(const ModelRunConfig &cfg)
 
 ModelExecution
 McDirtyFlagModel::runRecovery(std::vector<std::uint8_t> image,
-                              const ModelRunConfig &cfg)
+                              const ModelRunConfig &cfg,
+                              ImageBuffers &buffers)
 {
-    Capture cap(cfg);
-    PmemPool pool(cap.runtime, std::move(image), "mc_dirty_flag.pool");
-    cap.session.adopt(pool.device());
+    Capture cap(cfg, buffers);
+    PmemPool &pool = cap.reopen(std::move(image), "mc_dirty_flag.pool");
     const Addr root = pool.root(mcRootSize);
 
     const std::uint64_t c1 = pool.load<std::uint64_t>(root + mcC1);

@@ -50,7 +50,8 @@ class HashmapAtomicModel : public ModelWorkload
     const char *name() const override { return "hashmap_atomic"; }
     ModelExecution runInitial(const ModelRunConfig &cfg) override;
     ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                               const ModelRunConfig &cfg) override;
+                               const ModelRunConfig &cfg,
+                               ImageBuffers &buffers) override;
 };
 
 /** b_tree under model checking (undo-log recovery + structural walk). */
@@ -60,7 +61,8 @@ class BTreeModel : public ModelWorkload
     const char *name() const override { return "b_tree"; }
     ModelExecution runInitial(const ModelRunConfig &cfg) override;
     ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                               const ModelRunConfig &cfg) override;
+                               const ModelRunConfig &cfg,
+                               ImageBuffers &buffers) override;
 };
 
 /** hashmap_tx under model checking (count must match reachability). */
@@ -70,7 +72,8 @@ class HashmapTxModel : public ModelWorkload
     const char *name() const override { return "hashmap_tx"; }
     ModelExecution runInitial(const ModelRunConfig &cfg) override;
     ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                               const ModelRunConfig &cfg) override;
+                               const ModelRunConfig &cfg,
+                               ImageBuffers &buffers) override;
 };
 
 /** Seeded recovery bug: unflushed undo restore (see file header). */
@@ -81,7 +84,8 @@ class McUndoFlushModel : public ModelWorkload
     const char *name() const override { return "mc_undo_flush"; }
     ModelExecution runInitial(const ModelRunConfig &cfg) override;
     ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                               const ModelRunConfig &cfg) override;
+                               const ModelRunConfig &cfg,
+                               ImageBuffers &buffers) override;
 
   private:
     bool buggy_;
@@ -95,7 +99,8 @@ class McDirtyFlagModel : public ModelWorkload
     const char *name() const override { return "mc_dirty_flag"; }
     ModelExecution runInitial(const ModelRunConfig &cfg) override;
     ModelExecution runRecovery(std::vector<std::uint8_t> image,
-                               const ModelRunConfig &cfg) override;
+                               const ModelRunConfig &cfg,
+                               ImageBuffers &buffers) override;
 
   private:
     bool buggy_;

@@ -124,6 +124,49 @@ TEST(CrashsimCaptureTest, ImageCursorApplyRevertRestoresBase)
     EXPECT_EQ(cursor.image(), base_image);
 }
 
+/** A log with one crash point, the fence that persists one line. */
+CrashPointLog
+oneFenceLog()
+{
+    PmRuntime runtime;
+    PmemPool pool(runtime, 1 << 17, "cs.pool");
+    const Addr a = pool.alloc(64);
+    CrashsimSession session(kAllOptions());
+    session.adopt(pool.device());
+    pool.store<std::uint64_t>(a, 7);
+    pool.persist(a, 8);
+    return session.takeLog();
+}
+
+TEST(ImageCursorDeathTest, AdvancePastTheLastPointPanics)
+{
+    const CrashPointLog log = oneFenceLog();
+    ASSERT_EQ(log.points.size(), 1u);
+    ImageCursor cursor(log);
+    cursor.advanceTo(0);
+    EXPECT_DEATH(cursor.advanceTo(1), "past the log's last point");
+    EXPECT_DEATH(cursor.advanceTo(1000), "past the log's last point");
+}
+
+TEST(ImageCursorDeathTest, BaseImageOfAnotherSizePanics)
+{
+    const CrashPointLog log = oneFenceLog();
+    const std::vector<std::uint8_t> root(log.poolBytes - cacheLineSize);
+    EXPECT_DEATH(ImageCursor(log, root, {}), "not the log's pool size");
+}
+
+TEST(ImageCursorDeathTest, DeltaLinePastTheEndPanics)
+{
+    const CrashPointLog log = oneFenceLog();
+    ImageDelta delta(1);
+    delta[0].line = log.poolBytes / cacheLineSize;
+    EXPECT_DEATH(ImageCursor(log, log.baseline, delta),
+                 "delta line past the end");
+    delta[0].line = ~std::uint64_t{0};
+    EXPECT_DEATH(ImageCursor(log, log.baseline, delta),
+                 "delta line past the end");
+}
+
 TEST(CrashsimCaptureTest, AdoptionKeepsLinesAlreadyPending)
 {
     PmRuntime runtime;

@@ -6,13 +6,15 @@
  * the frontier search, read-set pruning not masking findings, the
  * seeded multi-crash recovery bugs being reachable only at depth >= 2,
  * depth-3 coverage against single-crash exploration, pinned search
- * outcomes, and the recovery-baseline contract state identity rests on.
+ * outcomes, the recovery-baseline contract state identity rests on,
+ * and the frontier's root + delta baselines and reused image buffers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -476,9 +478,129 @@ TEST(ModelCheckerTest, RecoveryBaselineIsTheInputImage)
         cursor.revert();
         EXPECT_NE(image, log.baseline);
 
-        const ModelExecution recovery = model->runRecovery(image, config);
+        ImageBuffers buffers;
+        const ModelExecution recovery =
+            model->runRecovery(image, config, buffers);
         EXPECT_TRUE(recovery.log.baseline == image)
             << "recovery wrote to the pool before adopting it";
+    }
+}
+
+/** Two executions captured the same crash points, reads and verdict. */
+void
+expectSameExecution(const ModelExecution &a, const ModelExecution &b)
+{
+    EXPECT_EQ(a.inconsistency, b.inconsistency);
+    EXPECT_TRUE(a.reads.lines() == b.reads.lines());
+    EXPECT_TRUE(a.log.baseline == b.log.baseline);
+    ASSERT_EQ(a.log.lines.size(), b.log.lines.size());
+    for (std::size_t i = 0; i < a.log.lines.size(); ++i) {
+        EXPECT_EQ(a.log.lines[i].line, b.log.lines[i].line);
+        EXPECT_EQ(a.log.lines[i].flushSeq, b.log.lines[i].flushSeq);
+        EXPECT_TRUE(a.log.lines[i].data == b.log.lines[i].data);
+    }
+    ASSERT_EQ(a.log.points.size(), b.log.points.size());
+    for (std::size_t i = 0; i < a.log.points.size(); ++i) {
+        const CrashPoint &pa = a.log.points[i];
+        const CrashPoint &pb = b.log.points[i];
+        EXPECT_EQ(pa.seq, pb.seq);
+        EXPECT_EQ(pa.boundary, pb.boundary);
+        EXPECT_EQ(pa.epochOpen, pb.epochOpen);
+        EXPECT_EQ(pa.drains, pb.drains);
+        EXPECT_EQ(pa.pendingBegin, pb.pendingBegin);
+        EXPECT_EQ(pa.pendingEnd, pb.pendingEnd);
+    }
+}
+
+TEST(ModelCheckerTest, RootPlusDeltaRebuildsEveryCandidateImage)
+{
+    // The frontier keeps each execution's baseline as the lines it
+    // changed from the search's root image (Group::baseDelta). Root +
+    // delta must give the image byte for byte, and a cursor built on
+    // it must name every state as one over the full baseline does:
+    // the pinned searches rest on both. Recoveries here draw their
+    // images from one ImageBuffers, so later ones reuse stale buffers;
+    // each must capture what a recovery with fresh buffers captures.
+    ModelRunConfig config;
+    for (const std::string &name : modelWorkloadNames()) {
+        SCOPED_TRACE(name);
+        auto model = makeModelWorkload(name);
+        ASSERT_NE(model, nullptr);
+        const ModelExecution initial = model->runInitial(config);
+        const CrashPointLog &log = initial.log;
+        const std::vector<std::uint8_t> &root = log.baseline;
+
+        // Up to four crash points with lines in flight, spread out.
+        std::vector<std::size_t> pending_points;
+        for (std::size_t p = 0; p < log.points.size(); ++p) {
+            if (log.pendingCount(log.points[p]) != 0)
+                pending_points.push_back(p);
+        }
+        ASSERT_FALSE(pending_points.empty());
+        std::vector<std::size_t> points;
+        for (std::size_t k = 0; k < 4; ++k) {
+            const std::size_t p =
+                pending_points[k * (pending_points.size() - 1) / 3];
+            if (points.empty() || points.back() != p)
+                points.push_back(p);
+        }
+
+        ImageBuffers buffers;
+        ImageCursor cursor(log);
+        std::size_t recovery_points = 0;
+        for (const std::size_t p : points) {
+            cursor.advanceTo(p);
+            const std::vector<std::vector<std::size_t>> candidates =
+                enumerateCrashCandidates(log, log.points[p], config.sim);
+            for (const std::size_t c :
+                 {std::size_t(0), candidates.size() / 2,
+                  candidates.size() - 1}) {
+                cursor.apply(candidates[c]);
+                const std::vector<std::uint8_t> image = cursor.image();
+                cursor.revert();
+
+                const ImageDelta delta = imageDelta(root, image);
+                for (std::size_t i = 0; i < delta.size(); ++i) {
+                    if (i > 0)
+                        EXPECT_LT(delta[i - 1].line, delta[i].line);
+                    EXPECT_NE(std::memcmp(root.data() +
+                                              delta[i].line *
+                                                  cacheLineSize,
+                                          delta[i].data.data(),
+                                          cacheLineSize),
+                              0);
+                }
+
+                const ModelExecution recovery =
+                    model->runRecovery(image, config, buffers);
+                ImageBuffers fresh;
+                expectSameExecution(
+                    recovery, model->runRecovery(image, config, fresh));
+                ASSERT_TRUE(recovery.log.baseline == image);
+
+                // Built in a stale buffer, as the engine's are.
+                ImageCursor full(recovery.log);
+                ImageCursor rebuilt(
+                    recovery.log, root, delta,
+                    std::vector<std::uint8_t>(root.size() / 2, 0xa5));
+                ASSERT_TRUE(rebuilt.image() == image);
+                for (std::size_t q = 0; q < recovery.log.points.size();
+                     ++q) {
+                    full.advanceTo(q);
+                    rebuilt.advanceTo(q);
+                    ++recovery_points;
+                    EXPECT_EQ(full.baseHash(), rebuilt.baseHash());
+                    EXPECT_TRUE(full.image() == rebuilt.image());
+                    for (const std::vector<std::size_t> &landed :
+                         enumerateCrashCandidates(recovery.log,
+                                                  recovery.log.points[q],
+                                                  config.sim))
+                        EXPECT_EQ(full.candidateHash(landed),
+                                  rebuilt.candidateHash(landed));
+                }
+            }
+        }
+        EXPECT_GT(recovery_points, 0u);
     }
 }
 
