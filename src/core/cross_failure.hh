@@ -44,7 +44,7 @@ struct CrashPointSpec
     /** Pending-set resolution when landedLines is not given. */
     CrashPolicy policy = CrashPolicy::DropPending;
     /** Exact pending-line subset (cache-line indices) that lands. */
-    std::optional<std::vector<std::uint64_t>> landedLines;
+    std::optional<std::vector<std::uint64_t>> landedLines{};
     /** Seed for CrashPolicy::RandomPending. */
     std::uint64_t seed = 1;
 };

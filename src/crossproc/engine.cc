@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.hh"
-#include "telemetry/metrics.hh"
 
 namespace pmdb
 {
@@ -70,17 +69,7 @@ CrossprocEngine::sessionComplete(std::uint32_t id)
         [](const auto &entry) { return entry.second.complete; });
     if (!allDone)
         return;
-    const bool telemetryOn = telemetry::enabled();
-    const std::uint64_t start = telemetryOn ? telemetry::nowNs() : 0;
     evaluate(pool, group);
-    if (telemetryOn) {
-        telemetry::Registry::global()
-            .histogram("crossproc.merge_ns")
-            .record(telemetry::nowNs() - start);
-        telemetry::Registry::global()
-            .counter("crossproc.groups_evaluated")
-            .add(1);
-    }
     for (const auto &[member, info] : group.members)
         sessionPool_.erase(member);
     groups_.erase(groupIt);

@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stopwatch.hh"
@@ -39,7 +38,8 @@ ModelChecker::ModelChecker(ModelWorkload &workload,
 }
 
 void
-ModelChecker::processGroup(const Group &group, const StateCache &frozen,
+ModelChecker::processGroup(const Group &group,
+                           const std::unordered_set<std::uint64_t> &frozen,
                            ImageBuffers &buffers, GroupOutcome &out)
 {
     const CrashPointLog &log = *group.log;
@@ -79,9 +79,9 @@ ModelChecker::processGroup(const Group &group, const StateCache &frozen,
             outcome.hash = hash;
             outcome.pointIdx = p;
             if (frozen.contains(hash)) {
-                // Visited in a previous round or run; the recovery
-                // edge out of this state has already been explored.
-                outcome.cachedSkip = true;
+                // Visited in a previous round; the recovery edge out
+                // of this state has already been explored.
+                outcome.visitedSkip = true;
                 out.candidates.push_back(std::move(outcome));
                 continue;
             }
@@ -139,12 +139,7 @@ ModelChecker::run()
     ModelCheckResult result;
     ModelCheckStats &stats = result.stats;
 
-    StateCache cache;
-    if (!options_.cachePath.empty()) {
-        std::string err;
-        if (!cache.load(options_.cachePath, &err))
-            fatal("modelcheck: " + err);
-    }
+    std::unordered_set<std::uint64_t> visited;
 
     ModelExecution initial = workload_.runInitial(options_.run);
     ++stats.executions;
@@ -191,16 +186,16 @@ ModelChecker::run()
             telemetryOn ? telemetry::nowNs() : 0;
         std::vector<GroupOutcome> outcomes(frontier.size());
 
-        // Parallel phase: the cache is frozen (read-only), so each
-        // group's outcome is independent of scheduling.
+        // Parallel phase: the visited set is frozen (read-only), so
+        // each group's outcome is independent of scheduling.
         parallelFor(frontier.size(), buffers.size(),
                     [&](std::size_t i, std::size_t worker) {
-                        processGroup(frontier[i], cache, buffers[worker],
-                                     outcomes[i]);
+                        processGroup(frontier[i], visited,
+                                     buffers[worker], outcomes[i]);
                     });
 
         // Sequential merge in (group, candidate) order: the only place
-        // cache, findings, frontier and frontierHash mutate.
+        // visited, findings, frontier and frontierHash mutate.
         std::vector<Group> next_frontier;
         for (std::size_t i = 0;
              i < frontier.size() && !stats.budgetExhausted; ++i) {
@@ -215,11 +210,11 @@ ModelChecker::run()
             stats.truncatedPoints += outcome.truncatedPoints;
 
             for (CandidateOutcome &cand : outcome.candidates) {
-                if (cand.cachedSkip) {
+                if (cand.visitedSkip) {
                     ++stats.dedupedStates;
                     continue;
                 }
-                if (!cache.insert(cand.hash)) {
+                if (!visited.insert(cand.hash).second) {
                     // Another group reached the same state this round.
                     ++stats.dedupedStates;
                     continue;
@@ -258,12 +253,6 @@ ModelChecker::run()
         frontier = std::move(next_frontier);
     }
 
-    if (!options_.cachePath.empty()) {
-        std::string err;
-        if (!cache.save(options_.cachePath, &err))
-            warn("modelcheck: failed to persist state cache: " + err);
-    }
-    result.cacheStates = cache.size();
     result.seconds = watch.elapsedSeconds();
     return result;
 }

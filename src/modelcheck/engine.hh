@@ -23,22 +23,26 @@
  * first crash — that single-crash exploration is structurally unable
  * to reach (see modelcheckOnlyCases()).
  *
+ * State identity: a state is a durable pool image, named by the 64-bit
+ * XOR of its position-salted line-content hashes (crash_points.hh:
+ * lineContentHash). The search's visited set holds these identities,
+ * so two different images colliding on 64 bits would alias and the
+ * second would be skipped — the standard stateless-model-checking
+ * compromise (Jaaru and CHESS hash states the same way). A collision
+ * can only suppress a state, never invent a finding. The visited set
+ * lives for one run; every search starts from an empty pool.
+ *
  * Determinism: results are bit-identical for any worker count. Within
  * a round, groups (one per explored execution) are processed in
- * parallel against a *frozen* visited-state cache; each group's work
- * is a pure function of (group, frozen cache, config), so the set of
+ * parallel against a *frozen* visited set; each group's work is a
+ * pure function of (group, frozen set, config), so the set of
  * executions a group performs does not depend on how groups are
- * distributed over threads. All mutation — cache inserts, finding order, frontier
- * construction, the rolling frontierHash — happens in a sequential
- * merge that walks outcomes in (group, candidate) order. The price is
- * that two groups reaching the same new state in one round both
- * execute it (the merge then dedups); rounds are the synchronization
- * grain.
- *
- * The visited-state cache can be persisted (ModelCheckOptions::
- * cachePath), making searches resumable: a rerun reloads the cache,
- * re-derives the frontier, and only executes states no prior run
- * covered.
+ * distributed over threads. All mutation — visited-set inserts,
+ * finding order, frontier construction, the rolling frontierHash —
+ * happens in a sequential merge that walks outcomes in (group,
+ * candidate) order. The price is that two groups reaching the same
+ * new state in one round both execute it (the merge then dedups);
+ * rounds are the synchronization grain.
  */
 
 #ifndef PMDB_MODELCHECK_ENGINE_HH
@@ -47,11 +51,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
 #include "modelcheck/model.hh"
-#include "modelcheck/state_cache.hh"
 
 namespace pmdb
 {
@@ -69,7 +73,7 @@ struct ModelCheckOptions
 
     /**
      * Distinct-state budget: the search stops expanding once this many
-     * *new* states have been visited this run (stats.budgetExhausted
+     * distinct states have been visited (stats.budgetExhausted
      * tells whether the bound bit).
      */
     std::size_t maxStates = 4096;
@@ -79,9 +83,6 @@ struct ModelCheckOptions
 
     /** Read-set pruning (off = execute every non-duplicate candidate). */
     bool prune = true;
-
-    /** Persist the visited-state cache here (empty = in-memory only). */
-    std::string cachePath;
 
     /** Cap on recorded findings. */
     std::size_t maxFindings = 64;
@@ -120,7 +121,7 @@ struct ModelCheckStats
     std::uint64_t prunedCandidates = 0;
     /** Candidates whose state identity was already visited. */
     std::uint64_t dedupedStates = 0;
-    /** New states visited this run. */
+    /** Distinct states visited. */
     std::uint64_t distinctStates = 0;
     /** Crash points whose enumeration the sim bounds cut short. */
     std::uint64_t truncatedPoints = 0;
@@ -142,12 +143,9 @@ struct ModelCheckResult
     /**
      * Order-sensitive rolling hash over the newly visited states in
      * merge order — the determinism witness: any two runs with the
-     * same config and prior cache must agree on it exactly.
+     * same config must agree on it exactly.
      */
     std::uint64_t frontierHash = 0;
-
-    /** Visited-state cache size after the run (prior + new states). */
-    std::size_t cacheStates = 0;
 
     /** Wall clock (not part of identicalTo). */
     double seconds = 0.0;
@@ -156,8 +154,7 @@ struct ModelCheckResult
     bool identicalTo(const ModelCheckResult &other) const
     {
         return findings == other.findings && stats == other.stats &&
-               frontierHash == other.frontierHash &&
-               cacheStates == other.cacheStates;
+               frontierHash == other.frontierHash;
     }
 };
 
@@ -212,8 +209,8 @@ class ModelChecker
         std::uint64_t hash = 0;
         /** Crash point (index into the group's log) it came from. */
         std::size_t pointIdx = 0;
-        /** Frozen-cache hit: skipped before pruning or execution. */
-        bool cachedSkip = false;
+        /** Frozen visited-set hit: skipped before pruning or execution. */
+        bool visitedSkip = false;
         std::string inconsistency;
         /**
          * Next-round capture: null when not executed, inconsistent,
@@ -241,7 +238,8 @@ class ModelChecker
      * Pure worker step: no shared mutation, @p frozen is read-only.
      * @p buffers is the calling worker's own.
      */
-    void processGroup(const Group &group, const StateCache &frozen,
+    void processGroup(const Group &group,
+                      const std::unordered_set<std::uint64_t> &frozen,
                       ImageBuffers &buffers, GroupOutcome &out);
 
     ModelWorkload &workload_;

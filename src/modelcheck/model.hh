@@ -13,7 +13,7 @@
  * Contract for implementations:
  *  - Executions are deterministic functions of (config, input image):
  *    same image in, same event stream out. The pruning soundness
- *    argument (DESIGN.md §11) and the resumable state cache both stand
+ *    argument (DESIGN.md §11) and the visited-set dedup both stand
  *    on this.
  *  - runRecovery adopts the image before its first write, so the
  *    execution's log baseline is the input image. The engine anchors

@@ -29,7 +29,7 @@
  * The projection key is an XOR of position-salted line-content hashes
  * (the state-identity hash of crash_points.hh), so distinct
  * projections could in principle collide on 64 bits; as with the
- * visited-state cache this can only merge states, never invent a
+ * engine's visited set this can only merge states, never invent a
  * finding, and the engine counts every pruned candidate's state
  * identity in the visited set regardless.
  *

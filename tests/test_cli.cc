@@ -5,7 +5,8 @@
  * every malformed command line (unknown flag, missing value, a numeric
  * value that is not a whole in-range unsigned number) exits 2 before any
  * work starts — nothing reaches stdout. A corrupt trace file is refused
- * with exit 4.
+ * with exit 4, and a model-checker search its state budget cuts short
+ * exits 5.
  */
 
 #include <gtest/gtest.h>
@@ -81,7 +82,7 @@ contracts()
          "run b_tree", "--workers"},
         {"pmdb_modelcheck",
          {"--ops", "--recovery-ops", "--depth", "--max-states", "--workers",
-          "--seed", "--fault", "--no-prune", "--cache", "--max-pending",
+          "--seed", "--fault", "--no-prune", "--max-pending",
           "--max-images", "--flush-points", "--no-epoch-atomic",
           "--max-findings", "--json"},
          "run b_tree", "--max-states"},
@@ -214,6 +215,33 @@ TEST(CliContract, CorruptTraceFilesExitFour)
         std::remove(path.c_str());
     }
     std::remove(good.c_str());
+}
+
+TEST(CliContract, ModelcheckBudgetExhaustionExitsFive)
+{
+    // crash_atomic's search (6,923 states) cut at 2,000 states exits 5;
+    // a budget above the whole search lets it finish and exit 0.
+    const std::string search =
+        "run hashmap_atomic --ops 64 --depth 4 --seed 1 --json ";
+    const RunResult cut =
+        runTool("pmdb_modelcheck", search + "--max-states 2000");
+    EXPECT_EQ(cut.exit, 5);
+    EXPECT_NE(cut.out.find("\"budget_exhausted\": true"),
+              std::string::npos)
+        << cut.out;
+    EXPECT_NE(cut.out.find("\"distinct_states\": 2000,"),
+              std::string::npos)
+        << cut.out;
+
+    const RunResult full =
+        runTool("pmdb_modelcheck", search + "--max-states 1048576");
+    EXPECT_EQ(full.exit, 0);
+    EXPECT_NE(full.out.find("\"budget_exhausted\": false"),
+              std::string::npos)
+        << full.out;
+    EXPECT_NE(full.out.find("\"distinct_states\": 6923,"),
+              std::string::npos)
+        << full.out;
 }
 
 } // namespace

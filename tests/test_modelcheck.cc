@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the crash-state model checker (src/modelcheck/): the
- * persistent visited-state cache (round-trip, merge-on-load, corrupt
- * rejection including seeded mutants, resume semantics), worker-count and rerun determinism of
- * the frontier search, read-set pruning not masking findings, the
+ * Tests for the crash-state model checker (src/modelcheck/):
+ * worker-count and rerun determinism of the frontier search, the
+ * state budget, read-set pruning not masking findings, the
  * seeded multi-crash recovery bugs being reachable only at depth >= 2,
  * depth-3 coverage against single-crash exploration, pinned search
  * outcomes, the recovery-baseline contract state identity rests on,
@@ -13,224 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "crashsim/explore.hh"
 #include "modelcheck/engine.hh"
 #include "modelcheck/model.hh"
-#include "modelcheck/state_cache.hh"
 #include "workloads/crashsim_runner.hh"
 
 namespace pmdb
 {
 namespace
 {
-
-/** Temp-file helper that cleans up after itself. */
-class TempPath
-{
-  public:
-    explicit TempPath(const std::string &name)
-        : path_(::testing::TempDir() + name)
-    {
-        std::remove(path_.c_str());
-    }
-    ~TempPath() { std::remove(path_.c_str()); }
-
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-TEST(StateCacheTest, InsertReportsNewVersusDuplicate)
-{
-    StateCache cache;
-    EXPECT_TRUE(cache.insert(0xdeadbeefULL));
-    EXPECT_FALSE(cache.insert(0xdeadbeefULL));
-    EXPECT_TRUE(cache.insert(0xdeadbef0ULL));
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_TRUE(cache.contains(0xdeadbeefULL));
-    EXPECT_FALSE(cache.contains(1ULL));
-}
-
-TEST(StateCacheTest, SaveLoadRoundTrip)
-{
-    TempPath path("mc_cache_roundtrip.bin");
-    StateCache cache;
-    for (std::uint64_t i = 0; i < 100; ++i)
-        cache.insert(i * 0x9e3779b97f4a7c15ULL);
-    std::string err;
-    ASSERT_TRUE(cache.save(path.str(), &err)) << err;
-
-    StateCache loaded;
-    ASSERT_TRUE(loaded.load(path.str(), &err)) << err;
-    EXPECT_EQ(loaded.states(), cache.states());
-}
-
-TEST(StateCacheTest, LoadMergesIntoExistingStates)
-{
-    TempPath path("mc_cache_merge.bin");
-    StateCache first;
-    first.insert(1);
-    first.insert(2);
-    ASSERT_TRUE(first.save(path.str()));
-
-    StateCache merged;
-    merged.insert(2);
-    merged.insert(3);
-    ASSERT_TRUE(merged.load(path.str()));
-    EXPECT_EQ(merged.size(), 3u);
-    EXPECT_TRUE(merged.contains(1));
-    EXPECT_TRUE(merged.contains(3));
-}
-
-TEST(StateCacheTest, MissingFileIsAFreshStart)
-{
-    TempPath path("mc_cache_missing.bin");
-    StateCache cache;
-    std::string err;
-    EXPECT_TRUE(cache.load(path.str(), &err)) << err;
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(StateCacheTest, RejectsForeignAndTruncatedFiles)
-{
-    TempPath path("mc_cache_bad.bin");
-    {
-        std::ofstream out(path.str(), std::ios::binary);
-        out << "NOTACACHEFILE";
-    }
-    StateCache cache;
-    cache.insert(7);
-    std::string err;
-    EXPECT_FALSE(cache.load(path.str(), &err));
-    EXPECT_FALSE(err.empty());
-    // A rejected load leaves the set unchanged.
-    EXPECT_EQ(cache.size(), 1u);
-
-    // Valid header, count promising more states than the file holds.
-    {
-        std::ofstream out(path.str(),
-                          std::ios::binary | std::ios::trunc);
-        const std::uint64_t count = 1000;
-        out.write("PMDBMCC1", 8);
-        out.write(reinterpret_cast<const char *>(&count), 8);
-        const std::uint64_t one = 1;
-        out.write(reinterpret_cast<const char *>(&one), 8);
-    }
-    EXPECT_FALSE(cache.load(path.str(), &err));
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-/** Write @p bytes to @p path, replacing it. */
-void
-writeBytes(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/** Header plus @p count as the state count (hashes follow). */
-std::string
-cacheHeader(std::uint64_t count)
-{
-    std::string bytes("PMDBMCC1", 8);
-    bytes.append(reinterpret_cast<const char *>(&count), 8);
-    return bytes;
-}
-
-TEST(StateCacheTest, RejectsStateCountThatWrapsOntoFileSize)
-{
-    // 16 + count * 8 wraps to 32 for this count, which is exactly the
-    // file's size: only a count bounded by the file itself rejects it.
-    TempPath path("mc_cache_wrap.bin");
-    std::string bytes = cacheHeader((std::uint64_t(1) << 61) + 2);
-    bytes.append(16, '\x5a');
-    ASSERT_EQ(bytes.size(), 32u);
-    writeBytes(path.str(), bytes);
-
-    StateCache cache;
-    cache.insert(7);
-    std::string err;
-    EXPECT_FALSE(cache.load(path.str(), &err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(StateCacheTest, SeededMutantsLoadOrFailCleanly)
-{
-    // A saved cache mutated many ways under a fixed seed: every mutant
-    // either loads (adding at most one state per 8 file bytes) or fails
-    // with an error and leaves the set unchanged.
-    TempPath seed_path("mc_cache_fuzz_seed.bin");
-    StateCache original;
-    for (std::uint64_t i = 1; i <= 6; ++i)
-        original.insert(i * 0x9e3779b97f4a7c15ULL);
-    ASSERT_TRUE(original.save(seed_path.str()));
-    std::string seed;
-    {
-        std::ifstream in(seed_path.str(), std::ios::binary);
-        seed.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
-    ASSERT_EQ(seed.size(), 16u + 6 * 8);
-
-    Rng rng(0x5eedcace);
-    TempPath mutant_path("mc_cache_fuzz_mutant.bin");
-    int loaded = 0;
-    int rejected = 0;
-    for (int round = 0; round < 500; ++round) {
-        std::string mutant = seed;
-        switch (rng.nextBounded(4)) {
-          case 0: // overwrite a few bytes anywhere, the header included
-            for (int k = 1 + static_cast<int>(rng.nextBounded(4)); k > 0;
-                 --k) {
-                mutant[rng.nextBounded(mutant.size())] =
-                    static_cast<char>(rng.nextBounded(256));
-            }
-            break;
-          case 1: // cut the file short
-            mutant.resize(rng.nextBounded(mutant.size()));
-            break;
-          case 2: // grow it by whole or partial states
-            mutant.append(rng.nextBounded(24), '\x01');
-            break;
-          default: { // a count whose byte size wraps onto the real one
-            const std::uint64_t count =
-                (rng.nextBounded(8) << 61) + 6;
-            mutant.replace(8, 8, reinterpret_cast<const char *>(&count),
-                           8);
-            break;
-          }
-        }
-        writeBytes(mutant_path.str(), mutant);
-
-        StateCache cache;
-        cache.insert(7);
-        std::string err;
-        if (cache.load(mutant_path.str(), &err)) {
-            EXPECT_TRUE(cache.contains(7)) << "round " << round;
-            EXPECT_LE(cache.size(), 1 + mutant.size() / 8)
-                << "round " << round;
-            ++loaded;
-        } else {
-            EXPECT_FALSE(err.empty()) << "round " << round;
-            EXPECT_EQ(cache.size(), 1u) << "round " << round;
-            EXPECT_TRUE(cache.contains(7)) << "round " << round;
-            ++rejected;
-        }
-    }
-    // Both outcomes occur, so the mutations reach past the magic.
-    EXPECT_GT(loaded, 0);
-    EXPECT_GT(rejected, 0);
-}
 
 ModelCheckOptions
 smallSearch(std::size_t depth)
@@ -280,28 +74,6 @@ TEST(ModelCheckerTest, RerunWithSameConfigIsDeterministic)
     const ModelCheckResult first = runSearch("b_tree", false, options);
     const ModelCheckResult second = runSearch("b_tree", false, options);
     EXPECT_TRUE(first.identicalTo(second));
-}
-
-TEST(ModelCheckerTest, PersistedCacheMakesRerunsIncremental)
-{
-    TempPath path("mc_cache_resume.bin");
-    ModelCheckOptions options = smallSearch(2);
-    options.cachePath = path.str();
-
-    const ModelCheckResult first = runSearch("hashmap_atomic", false,
-                                             options);
-    EXPECT_GT(first.stats.distinctStates, 0u);
-    EXPECT_EQ(first.cacheStates, first.stats.distinctStates);
-
-    // Same search against the persisted cache: every candidate is a
-    // cache hit, so only the initial execution runs and no new states
-    // are visited.
-    const ModelCheckResult second = runSearch("hashmap_atomic", false,
-                                              options);
-    EXPECT_EQ(second.stats.distinctStates, 0u);
-    EXPECT_EQ(second.stats.executions, 1u);
-    EXPECT_EQ(second.cacheStates, first.cacheStates);
-    EXPECT_TRUE(second.findings.empty());
 }
 
 TEST(ModelCheckerTest, StateBudgetStopsTheSearch)
@@ -561,8 +333,9 @@ TEST(ModelCheckerTest, RootPlusDeltaRebuildsEveryCandidateImage)
 
                 const ImageDelta delta = imageDelta(root, image);
                 for (std::size_t i = 0; i < delta.size(); ++i) {
-                    if (i > 0)
+                    if (i > 0) {
                         EXPECT_LT(delta[i - 1].line, delta[i].line);
+                    }
                     EXPECT_NE(std::memcmp(root.data() +
                                               delta[i].line *
                                                   cacheLineSize,

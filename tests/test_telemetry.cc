@@ -222,8 +222,9 @@ TEST(TelemetrySnapshot, PrometheusShape)
         if (end == std::string::npos)
             end = prom.size();
         const std::string line = prom.substr(start, end - start);
-        if (!line.empty() && line[0] != '#')
+        if (!line.empty() && line[0] != '#') {
             EXPECT_NE(line.find(' '), std::string::npos) << line;
+        }
         start = end + 1;
     }
 }

@@ -18,7 +18,7 @@
  * Exit codes (ToolExit): 1 a case behaved unexpectedly, 3 unknown
  * case/workload name, 5 (run mode) the
  * --max-states budget stopped the search before the frontier emptied
- * (coverage incomplete; raise the budget or resume via --cache).
+ * (coverage incomplete; rerun with a larger budget).
  */
 
 #include <cstdio>
@@ -60,7 +60,7 @@ printStats(const pmdb::ModelCheckResult &result, const char *indent)
         "%s%llu executions, %llu crash points, %llu rounds\n"
         "%s%llu candidates: %llu distinct states, %llu deduped, "
         "%llu pruned (%llu read-set refinements)\n"
-        "%s%llu truncated points, cache %zu states, budget %s\n"
+        "%s%llu truncated points, budget %s\n"
         "%sfrontier hash %016llx, %.4fs (%.0f states/s)\n",
         indent, static_cast<unsigned long long>(stats.executions),
         static_cast<unsigned long long>(stats.crashPoints),
@@ -71,7 +71,7 @@ printStats(const pmdb::ModelCheckResult &result, const char *indent)
         static_cast<unsigned long long>(stats.prunedCandidates),
         static_cast<unsigned long long>(stats.refinements), indent,
         static_cast<unsigned long long>(stats.truncatedPoints),
-        result.cacheStates, stats.budgetExhausted ? "EXHAUSTED" : "ok",
+        stats.budgetExhausted ? "EXHAUSTED" : "ok",
         indent,
         static_cast<unsigned long long>(result.frontierHash),
         result.seconds,
@@ -185,8 +185,6 @@ main(int argc, char **argv)
                       "enable a fault injection (repeatable)"),
             cli::flag("--no-prune", &options.prune,
                       "disable read-set pruning (A/B measurement)", false),
-            cli::flag("--cache", "PATH", &options.cachePath,
-                      "persist the visited-state cache (resumable)"),
             cli::flag("--max-pending", "K",
                       &options.run.sim.maxPendingLines,
                       "pending-line cap per crash point"),
@@ -261,7 +259,6 @@ main(int argc, char **argv)
             .field("truncated_points", result.stats.truncatedPoints)
             .field("refinements", result.stats.refinements)
             .field("rounds", result.stats.rounds)
-            .field("cache_states", result.cacheStates)
             .field("budget_exhausted", result.stats.budgetExhausted)
             .field("findings", result.findings.size())
             .field("frontier_hash", hash)
