@@ -150,7 +150,6 @@ struct ServiceDaemon::ActiveSession
     SessionId id = 0;
     HelloBody hello;
     EventRing ring;
-    ByeBody bye;
     bool sawBye = false;
     /** Names the client interned, in id order: drained events may
      *  reference only these. The session's detector reads it too. */
@@ -389,7 +388,7 @@ ServiceDaemon::aggregatedJson() const
     const std::vector<SessionSummary> sessions = summaries();
     JsonWriter json;
     json.beginObject()
-        .field("schema", 5)
+        .field("schema", 6)
         .field("workers", config_.pool.shards)
         .key("sessions")
         .beginArray();
@@ -402,8 +401,6 @@ ServiceDaemon::aggregatedJson() const
         json.beginObject()
             .field("id", session.id)
             .field("events", session.eventsProcessed)
-            .field("dropped", session.eventsDropped)
-            .field("spill_replayed", session.spillReplayed)
             .field("batches_drained", session.batchesDrained)
             .field("seconds", session.seconds)
             .field("events_per_sec", rate)
@@ -605,12 +602,10 @@ ServiceDaemon::pollSession(ActiveSession &session)
             break;
           }
           case MsgType::Bye:
-            if (!ByeBody::deserialize(payload, &session.bye)) {
-                // A truncated Bye would silently zero the spill
-                // accounting and drop the spilled tail from the
-                // report; treat the session as aborted instead.
+            // Bye carries nothing: a payload means the peer speaks
+            // some other protocol.
+            if (!payload.empty())
                 return abortSession("malformed Bye");
-            }
             session.sawBye = true;
             break;
           default:
@@ -669,38 +664,6 @@ ServiceDaemon::pollSession(ActiveSession &session)
 
     // 3. End of stream: Bye seen and the ring drained.
     if (session.sawBye && session.ring.size() == 0) {
-        // Under the Spill policy the tail of the stream sits in the
-        // spill trace file, in order; replay it after the ring.
-        if (session.bye.spillEvents &&
-            !session.hello.spillPath.empty()) {
-            LoadedTrace spill;
-            bool truncated = false;
-            std::string error;
-            if (readTraceFile(session.hello.spillPath, &spill,
-                              &truncated, &error)) {
-                // The file checks its events against its own names;
-                // the detector knows only the ones the client interned.
-                if (const char *field = invalidEvent(
-                        spill.events.data(), spill.events.size(),
-                        session.names.size()))
-                    return abortSession(
-                        std::string("spill event with an invalid ") + field);
-                if (truncated) {
-                    warn("pmdbd", "spill trace " +
-                         session.hello.spillPath +
-                         " has a truncated tail");
-                }
-                if (!session.hello.sharedPoolPath.empty()) {
-                    crossproc_.feed(session.id, spill.events.data(),
-                                    spill.events.size());
-                }
-                session.summary.spillReplayed = spill.events.size();
-                session.eventsProcessed += spill.events.size();
-                evaluate(session, spill.events.data(), spill.events.size());
-            } else {
-                warn("pmdbd", "cannot replay spill trace: " + error);
-            }
-        }
         closeSession(session, /*aborted=*/false);
         return true;
     }
@@ -713,7 +676,6 @@ ServiceDaemon::closeSession(ActiveSession &session, bool aborted)
     session.phase = ActiveSession::Phase::Closing;
     session.summary.eventsProcessed = session.eventsProcessed;
     session.summary.batchesDrained = session.batchesDrained;
-    session.summary.eventsDropped = session.ring.droppedCount();
     session.summary.aborted = aborted;
     // Every event of this session has been fed by now (feeds and this
     // close run under its lease); when this is the group's last
@@ -739,8 +701,7 @@ ServiceDaemon::closeSession(ActiveSession &session, bool aborted)
         telemetry::SpanTimer span("session.report", "pmdbd", session.id,
                                   "parent=session.verdict");
         const std::vector<std::uint8_t> payload = ReportBody::encode(
-            bugs, session.summary.eventsProcessed,
-            session.summary.eventsDropped, stats);
+            bugs, session.summary.eventsProcessed, stats);
         if (!sendMessage(session.fd, MsgType::Report, payload)) {
             warn("pmdbd", "report of " + std::to_string(payload.size()) +
                               " bytes not delivered to session " +

@@ -12,8 +12,8 @@
  * try-lock held for one poll step), so one thread at a time drives a
  * session's detector. A poll step reads the control plane, drains
  * whole ring frames into the session's scratch buffer, validates that
- * copy and evaluates it on the detector in place; on Bye the lease
- * holder replays the spill file, finalizes and sends the Report. As
+ * copy and evaluates it on the detector in place; on Bye, once the
+ * ring is empty, the lease holder finalizes and sends the Report. As
  * the paper's PMDebugger keeps one bookkeeping space per debugged
  * program, one session's events are never split, so verdicts are
  * identical at any worker count; parallelism is between sessions. The
@@ -82,8 +82,6 @@ struct SessionSummary
     /** Unique bug sites in the verdict. */
     std::uint64_t bugs = 0;
     std::uint64_t eventsProcessed = 0;
-    std::uint64_t eventsDropped = 0;
-    std::uint64_t spillReplayed = 0;
     /** Ring drains that returned events. */
     std::uint64_t batchesDrained = 0;
     /** Inert, always 0: only the benchmark harness reads it (ROADMAP

@@ -5,41 +5,14 @@
 namespace pmdb
 {
 
-const char *
-toString(SlowConsumerPolicy policy)
-{
-    switch (policy) {
-      case SlowConsumerPolicy::Block: return "block";
-      case SlowConsumerPolicy::Drop:  return "drop";
-      case SlowConsumerPolicy::Spill: return "spill";
-    }
-    return "?";
-}
-
-bool
-parseSlowConsumerPolicy(const std::string &name, SlowConsumerPolicy *out)
-{
-    if (name == "block")
-        *out = SlowConsumerPolicy::Block;
-    else if (name == "drop")
-        *out = SlowConsumerPolicy::Drop;
-    else if (name == "spill")
-        *out = SlowConsumerPolicy::Spill;
-    else
-        return false;
-    return true;
-}
-
 std::vector<std::uint8_t>
 HelloBody::serialize() const
 {
     WireWriter out;
     out.put(version);
     out.put(static_cast<std::uint32_t>(model));
-    out.put(static_cast<std::uint32_t>(policy));
     out.putString(orderSpecText);
     out.putString(ringPath);
-    out.putString(spillPath);
     out.putString(sharedPoolPath);
     out.put(sharedWriterId);
     return std::move(out).bytes();
@@ -52,32 +25,11 @@ HelloBody::deserialize(const std::vector<std::uint8_t> &payload,
     WireReader in(payload);
     out->version = in.get<std::uint32_t>();
     out->model = in.getEnum<std::uint32_t>(PersistencyModel::Strand);
-    out->policy = in.getEnum<std::uint32_t>(SlowConsumerPolicy::Spill);
     out->orderSpecText = in.getString();
     out->ringPath = in.getString();
-    out->spillPath = in.getString();
     out->sharedPoolPath = in.getString();
     out->sharedWriterId = in.get<std::uint32_t>();
     return in.ok() && out->version == serviceProtocolVersion;
-}
-
-std::vector<std::uint8_t>
-ByeBody::serialize() const
-{
-    WireWriter out;
-    out.put(ringEvents);
-    out.put(spillEvents);
-    return std::move(out).bytes();
-}
-
-bool
-ByeBody::deserialize(const std::vector<std::uint8_t> &payload,
-                     ByeBody *out)
-{
-    WireReader in(payload);
-    out->ringEvents = in.get<std::uint64_t>();
-    out->spillEvents = in.get<std::uint64_t>();
-    return in.ok();
 }
 
 void
@@ -108,11 +60,10 @@ getBugReport(WireReader &in)
 
 std::vector<std::uint8_t>
 ReportBody::encode(const std::vector<BugReport> &bugs,
-                   std::uint64_t eventsProcessed,
-                   std::uint64_t eventsDropped, const DebuggerStats &stats)
+                   std::uint64_t eventsProcessed, const DebuggerStats &stats)
 {
     // Size the buffer once: a verdict can run to tens of megabytes.
-    std::size_t size = 4 + 2 * 8 + 9 * 8;
+    std::size_t size = 4 + 8 + 9 * 8;
     for (const BugReport &bug : bugs)
         size += minBugReportBytes + bug.detail.size() + bug.context.size();
     WireWriter out;
@@ -121,7 +72,6 @@ ReportBody::encode(const std::vector<BugReport> &bugs,
     for (const BugReport &bug : bugs)
         putBugReport(out, bug);
     out.put(eventsProcessed);
-    out.put(eventsDropped);
     out.put(stats.stores);
     out.put(stats.flushes);
     out.put(stats.fences);
@@ -137,7 +87,7 @@ ReportBody::encode(const std::vector<BugReport> &bugs,
 std::vector<std::uint8_t>
 ReportBody::serialize() const
 {
-    return encode(bugs, eventsProcessed, eventsDropped, stats);
+    return encode(bugs, eventsProcessed, stats);
 }
 
 bool
@@ -154,7 +104,6 @@ ReportBody::deserialize(const std::vector<std::uint8_t> &payload,
     for (std::uint32_t i = 0; i < count && in.ok(); ++i)
         out->bugs.push_back(getBugReport(in));
     out->eventsProcessed = in.get<std::uint64_t>();
-    out->eventsDropped = in.get<std::uint64_t>();
     DebuggerStats &stats = out->stats;
     stats = DebuggerStats{};
     stats.stores = in.get<std::uint64_t>();

@@ -38,8 +38,11 @@ namespace pmdb
 
 /** Protocol version; bumped on any wire-incompatible change.
  *  v2: HelloBody gained the shared-pool membership fields.
- *  v3: Report carries stats instead of a rendered JSON document. */
-constexpr std::uint32_t serviceProtocolVersion = 3;
+ *  v3: Report carries stats instead of a rendered JSON document.
+ *  v4: one slow-consumer policy (the client waits for ring credits):
+ *      Hello drops the policy and spill path, Bye carries no payload
+ *      and Report no drop count. */
+constexpr std::uint32_t serviceProtocolVersion = 4;
 
 /** Session identifier assigned by the daemon. */
 using SessionId = std::uint32_t;
@@ -57,7 +60,7 @@ enum class MsgType : std::uint32_t
     NameAck = 4,
     /** client → daemon: externally detected bug (packed BugReport). */
     ReportBug = 5,
-    /** client → daemon: stream complete (u64 pushed, u64 spilled). */
+    /** client → daemon: stream complete (no payload). */
     Bye = 6,
     /** daemon → client: final report (ReportBody: packed bugs, event
      *  accounting, merged stats); the client renders it. */
@@ -72,28 +75,6 @@ struct MsgHeader
     std::uint32_t type = 0;
     std::uint32_t length = 0;
 };
-
-/** What the producer does when the event ring is full (backpressure). */
-enum class SlowConsumerPolicy : std::uint32_t
-{
-    /** Wait (yield/sleep) until the consumer frees a slot. */
-    Block = 0,
-    /** Discard the event and count it in the ring's drop counter. */
-    Drop = 1,
-    /**
-     * Divert to an append-only trace file. Once the first event
-     * spills, *all* subsequent events spill too, so the daemon can
-     * replay the file after the ring drains and still observe every
-     * event in program order.
-     */
-    Spill = 2,
-};
-
-const char *toString(SlowConsumerPolicy policy);
-
-/** Parse a policy name (block|drop|spill). */
-bool parseSlowConsumerPolicy(const std::string &name,
-                             SlowConsumerPolicy *out);
 
 /** Append-only little serializer for variable-length payloads. */
 class WireWriter
@@ -202,13 +183,10 @@ struct HelloBody
 {
     std::uint32_t version = serviceProtocolVersion;
     PersistencyModel model = PersistencyModel::Epoch;
-    SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
     /** Order-spec text (OrderSpec::fromText grammar); may be empty. */
     std::string orderSpecText;
     /** Path of the client-created shared-memory ring file. */
     std::string ringPath;
-    /** Path of the spill trace (empty unless policy == Spill). */
-    std::string spillPath;
     /**
      * Path of the multi-writer shared pool this session maps (empty for
      * ordinary single-writer sessions). Sessions announcing the same
@@ -225,19 +203,6 @@ struct HelloBody
                             HelloBody *out);
 };
 
-/** Bye payload: producer-side stream accounting. */
-struct ByeBody
-{
-    /** Events pushed into the ring. */
-    std::uint64_t ringEvents = 0;
-    /** Events diverted to the spill file (Spill policy only). */
-    std::uint64_t spillEvents = 0;
-
-    std::vector<std::uint8_t> serialize() const;
-    static bool deserialize(const std::vector<std::uint8_t> &payload,
-                            ByeBody *out);
-};
-
 /**
  * Final report payload: the session's verdict. The client
  * renders it (pmdb_run --connect --json feeds `bugs` to a
@@ -249,10 +214,8 @@ struct ReportBody
     /** Unique sites in seq order; at equal seq, the detector's before
      *  the client-reported ones. */
     std::vector<BugReport> bugs;
-    /** Events the daemon consumed (ring + spill replay). */
+    /** Events the daemon drained from the ring. */
     std::uint64_t eventsProcessed = 0;
-    /** Events lost to the Drop policy. */
-    std::uint64_t eventsDropped = 0;
     /**
      * Merged bookkeeping statistics. Only the fields reportToJson
      * prints travel, as raw integers (stores, flushes, fences, epochs,
@@ -270,8 +233,7 @@ struct ReportBody
      *  in place instead of copying it into a ReportBody first. */
     static std::vector<std::uint8_t>
     encode(const std::vector<BugReport> &bugs,
-           std::uint64_t eventsProcessed, std::uint64_t eventsDropped,
-           const DebuggerStats &stats);
+           std::uint64_t eventsProcessed, const DebuggerStats &stats);
 };
 
 /** Smallest putBugReport encoding: two enum bytes, three u64s and two

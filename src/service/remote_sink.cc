@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include <unistd.h>
@@ -47,19 +46,8 @@ RemoteSink::connect(const Options &options, std::string *error)
 {
     disconnect();
     options_ = options;
-    if (options_.policy == SlowConsumerPolicy::Spill &&
-        options_.spillPath.empty()) {
-        return fail(error, "spill policy needs a spill path");
-    }
     if (!ring_.create(options_.ringPath, options_.ringSlots, error))
         return false;
-    if (options_.policy == SlowConsumerPolicy::Spill) {
-        if (!spill_.open(options_.spillPath, error)) {
-            ring_.close();
-            return false;
-        }
-        ownsSpill_ = true;
-    }
 
     fd_ = connectUnix(options_.socketPath, options_.connectTimeoutMs,
                       error);
@@ -70,10 +58,8 @@ RemoteSink::connect(const Options &options, std::string *error)
 
     HelloBody hello;
     hello.model = options_.model;
-    hello.policy = options_.policy;
     hello.orderSpecText = options_.orderSpecText;
     hello.ringPath = options_.ringPath;
-    hello.spillPath = options_.spillPath;
     hello.sharedPoolPath = options_.sharedPoolPath;
     hello.sharedWriterId = options_.sharedWriterId;
     MsgType type;
@@ -87,8 +73,7 @@ RemoteSink::connect(const Options &options, std::string *error)
     WireReader in(payload);
     session_ = in.get<std::uint32_t>();
     namesSent_ = 0;
-    pushed_ = spilled_ = dropped_ = 0;
-    spilling_ = false;
+    pushed_ = 0;
     dead_ = false;
     batch_.setCapacity(std::min<std::uint32_t>(
         std::max<std::uint32_t>(options_.batchEvents, 1),
@@ -122,97 +107,53 @@ RemoteSink::ensureNamesSent(std::uint32_t name_id)
     return true;
 }
 
-/** Append @p count events to the spill trace, preceded by every name
- *  already sent to the daemon that the file lacks: batched events only
- *  reference those, so the spill file loads on its own. */
-void
-RemoteSink::spill(const Event *events, std::size_t count)
-{
-    for (std::uint32_t id = spill_.namesWritten(); id < namesSent_; ++id) {
-        if (!spill_.appendName(id, names_->name(id)))
-            break;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        if (spill_.append(events[i]))
-            ++spilled_;
-    }
-}
-
-/** Publish the accumulated batch as ring frames, applying the
- *  slow-consumer policy to whatever does not fit. */
+/** Publish the accumulated batch as ring frames, waiting for credits
+ *  whenever the ring is full. */
 void
 RemoteSink::flushBatch()
 {
     const Event *events = batch_.data();
     std::size_t remaining = batch_.size();
-    if (!remaining)
-        return;
     const bool telemetryOn = telemetry::enabled();
-    if (spilling_) {
-        spill(events, remaining);
-        batch_.clear();
-        return;
-    }
-
-    std::size_t accepted = ring_.tryPushBatch(events, remaining);
-    if (accepted && telemetryOn)
-        ring_.stampPublish(telemetry::nowNs());
-    pushed_ += accepted;
-    events += accepted;
-    remaining -= accepted;
-
-    if (remaining) {
-        switch (options_.policy) {
-          case SlowConsumerPolicy::Block: {
-            // Out of credits: yield until the consumer frees slots.
-            // The sleep matters on a single-CPU box, where pure
-            // spinning would starve the very consumer being waited
-            // on. A full ring that never drains means the daemon is
-            // gone, so probe the control socket every ~10ms and cut
-            // the stream rather than hang the instrumented
-            // application forever.
-            const std::uint64_t stallStart =
-                telemetryOn ? telemetry::nowNs() : 0;
-            int sleeps = 0;
-            while (remaining) {
-                accepted = ring_.tryPushBatch(events, remaining);
-                if (accepted) {
-                    if (telemetryOn)
-                        ring_.stampPublish(telemetry::nowNs());
-                    pushed_ += accepted;
-                    events += accepted;
-                    remaining -= accepted;
-                    sleeps = 0;
-                    continue;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
-                if (++sleeps >= 200) {
-                    sleeps = 0;
-                    if (peerClosed(fd_)) {
-                        dead_ = true;
-                        warn("client/sink", "daemon vanished while "
-                             "blocked on a full ring; stream cut");
-                        batch_.clear();
-                        return;
-                    }
-                }
-            }
+    // Out of credits: sleep until the consumer frees slots. The sleep
+    // matters on a single-CPU box, where pure spinning would starve
+    // the very consumer being waited on. A full ring that never drains
+    // means the daemon is gone, so probe the control socket every
+    // ~10ms and cut the stream rather than hang the instrumented
+    // application forever.
+    std::uint64_t stallStart = 0;
+    int sleeps = 0;
+    while (remaining) {
+        const std::size_t accepted = ring_.tryPushBatch(events, remaining);
+        if (accepted) {
             if (telemetryOn)
-                blockStallNs().record(telemetry::nowNs() - stallStart);
+                ring_.stampPublish(telemetry::nowNs());
+            pushed_ += accepted;
+            events += accepted;
+            remaining -= accepted;
+        }
+        if (!remaining)
             break;
-          }
-          case SlowConsumerPolicy::Drop:
-            ring_.countDrop(remaining);
-            dropped_ += remaining;
-            break;
-          case SlowConsumerPolicy::Spill:
-            spilling_ = true;
-            spill_.flush();
-            spill(events, remaining);
-            break;
+        if (telemetryOn && !stallStart)
+            stallStart = telemetry::nowNs();
+        if (accepted) {
+            sleeps = 0;
+            continue;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        if (++sleeps >= 200) {
+            sleeps = 0;
+            if (peerClosed(fd_)) {
+                dead_ = true;
+                warn("client/sink", "daemon vanished while blocked on "
+                     "a full ring; stream cut");
+                batch_.clear();
+                return;
+            }
         }
     }
+    if (stallStart)
+        blockStallNs().record(telemetry::nowNs() - stallStart);
     batch_.clear();
 }
 
@@ -278,16 +219,11 @@ RemoteSink::finish(ReportBody *out, std::string *error)
         disconnect();
         return fail(error, "session died mid-stream");
     }
-    if (spill_.isOpen())
-        spill_.close(); // make the tail durable before announcing it
     ring_.markProducerDone();
 
-    ByeBody bye;
-    bye.ringEvents = pushed_;
-    bye.spillEvents = spilled_;
     MsgType type;
     std::vector<std::uint8_t> payload;
-    bool ok = sendMessage(fd_, MsgType::Bye, bye.serialize()) &&
+    bool ok = sendMessage(fd_, MsgType::Bye, {}) &&
               recvMessage(fd_, &type, &payload) &&
               type == MsgType::Report &&
               ReportBody::deserialize(payload, out);
@@ -304,15 +240,7 @@ RemoteSink::disconnect()
         ::close(fd_);
         fd_ = -1;
     }
-    if (spill_.isOpen())
-        spill_.close();
     ring_.close();
-    // The spill file has served its purpose once the session is over.
-    // Only one this sink created is removed: under another policy the
-    // path may name a file the caller owns.
-    if (ownsSpill_)
-        std::remove(options_.spillPath.c_str());
-    ownsSpill_ = false;
 }
 
 } // namespace pmdb

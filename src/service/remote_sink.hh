@@ -7,10 +7,10 @@
  * Attach a RemoteSink to a PmRuntime like any detector; events
  * accumulate in a client-side EventBatch (the PR-1 batch machinery)
  * and cross the shared-memory ring (spsc_ring.hh) as whole batch
- * frames with the configured slow-consumer policy. Names and
- * externally detected bugs go over the control socket, and finish()
- * flushes the pending batch, completes the session and returns the
- * daemon's merged report.
+ * frames; when the ring is full the client waits for credits. Names
+ * and externally detected bugs go over the control socket, and
+ * finish() flushes the pending batch, completes the session and
+ * returns the daemon's merged report.
  */
 
 #ifndef PMDB_SERVICE_REMOTE_SINK_HH
@@ -25,7 +25,6 @@
 #include "service/spsc_ring.hh"
 #include "trace/batch.hh"
 #include "trace/sink.hh"
-#include "trace/trace_file.hh"
 
 namespace pmdb
 {
@@ -49,9 +48,6 @@ class RemoteSink : public TraceSink
          * event. Clamped to the ring capacity.
          */
         std::uint32_t batchEvents = defaultBatchCapacity;
-        SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
-        /** Spill trace path (required for the Spill policy). */
-        std::string spillPath;
         /** Mirrors the in-process DebuggerConfig the daemon builds. */
         PersistencyModel model = PersistencyModel::Epoch;
         std::string orderSpecText;
@@ -109,31 +105,21 @@ class RemoteSink : public TraceSink
     bool finish(ReportBody *out, std::string *error = nullptr);
 
     std::uint64_t ringEvents() const { return pushed_; }
-    std::uint64_t spillEvents() const { return spilled_; }
-    std::uint64_t droppedEvents() const { return dropped_; }
 
   private:
     bool ensureNamesSent(std::uint32_t name_id);
     void append(const Event &event);
-    void spill(const Event *events, std::size_t count);
     void flushBatch();
     void disconnect();
 
     EventRing ring_;
     EventBatch batch_{defaultBatchCapacity};
-    TraceStreamWriter spill_;
     Options options_;
     const NameTable *names_ = nullptr;
     int fd_ = -1;
     SessionId session_ = 0;
     std::uint32_t namesSent_ = 0;
     std::uint64_t pushed_ = 0;
-    std::uint64_t spilled_ = 0;
-    std::uint64_t dropped_ = 0;
-    /** Once spilling starts, everything spills (order preservation). */
-    bool spilling_ = false;
-    /** This sink created the spill file, so disconnect removes it. */
-    bool ownsSpill_ = false;
     bool dead_ = false;
     std::mutex mutex_;
 };

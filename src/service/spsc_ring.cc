@@ -68,7 +68,6 @@ EventRing::create(const std::string &path, std::uint32_t slots,
     header_->slots = slots;
     header_->head.store(0, std::memory_order_relaxed);
     header_->tail.store(0, std::memory_order_relaxed);
-    header_->dropped.store(0, std::memory_order_relaxed);
     header_->lastPublishNs.store(0, std::memory_order_relaxed);
     header_->producerDone.store(0, std::memory_order_release);
     slotsBase_ = reinterpret_cast<Event *>(
@@ -222,18 +221,6 @@ bool
 EventRing::producerDone() const
 {
     return header_->producerDone.load(std::memory_order_acquire) != 0;
-}
-
-void
-EventRing::countDrop(std::uint64_t events)
-{
-    header_->dropped.fetch_add(events, std::memory_order_relaxed);
-}
-
-std::uint64_t
-EventRing::droppedCount() const
-{
-    return header_->dropped.load(std::memory_order_relaxed);
 }
 
 void

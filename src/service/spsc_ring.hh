@@ -37,9 +37,8 @@
  * Backpressure is credit-based: the `slots` free entries are the
  * producer's credits. tryPushBatch publishes the largest prefix that
  * fits (whole batch in the common case) and reports how many events
- * it accepted; the producer applies its SlowConsumerPolicy (block,
- * drop + count, or spill to a trace file) to the remainder —
- * the ring itself never blocks.
+ * it accepted; the producer waits for credits to publish the
+ * remainder — the ring itself never blocks.
  *
  * Memory ordering: the producer's release store of head publishes the
  * slot contents; the consumer's acquire load of head observes them
@@ -59,8 +58,9 @@
 namespace pmdb
 {
 
-/** Magic identifying a mapped ring file (v3: publish timestamp). */
-constexpr char ringMagic[8] = {'P', 'M', 'D', 'B', 'R', 'N', 'G', '3'};
+/** Magic identifying a mapped ring file (v3: publish timestamp; v4:
+ *  no drop counter). */
+constexpr char ringMagic[8] = {'P', 'M', 'D', 'B', 'R', 'N', 'G', '4'};
 
 /** Shared ring control block, at offset 0 of the mapping. */
 struct RingHeader
@@ -70,14 +70,12 @@ struct RingHeader
     std::uint32_t reserved = 0;
     /**
      * Producer-owned cache line: head is stored by the producer on
-     * every published frame; producerDone and dropped are low-rate
-     * producer-side state that can share its line without adding
-     * coherence traffic on the consumer's hot path.
+     * every published frame; the publish stamp (written with it) and
+     * producerDone are producer-side state that can share its line
+     * without adding coherence traffic on the consumer's hot path.
      */
     /** Next sequence the producer will write (monotonic). */
     alignas(64) std::atomic<std::uint64_t> head;
-    /** Events discarded under SlowConsumerPolicy::Drop. */
-    std::atomic<std::uint64_t> dropped;
     /**
      * CLOCK_MONOTONIC ns of the most recent published frame (same-host
      * clocks are comparable across processes). The consumer subtracts
@@ -151,11 +149,6 @@ class EventRing
     void markProducerDone();
 
     bool producerDone() const;
-
-    /** Producer: count @p events discarded under the Drop policy. */
-    void countDrop(std::uint64_t events);
-
-    std::uint64_t droppedCount() const;
 
     /** Producer: stamp the publish time of the frame just pushed. */
     void stampPublish(std::uint64_t ns);

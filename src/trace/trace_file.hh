@@ -13,8 +13,8 @@
  *   'E'  packed event (48 bytes)
  * Name ids run 0, 1, 2, ... and a name record precedes every event
  * that references it. There is no count to write up front, so one
- * writer serves whole recordings and the live spill of the detection
- * service alike, and a file is complete at any record boundary. A
+ * writer serves whole recordings and record-as-you-go tracing alike,
+ * and a file is complete at any record boundary. A
  * crash can cut the file mid-record (a torn tail); readTraceFile
  * recovers the longest valid prefix when its caller accepts that.
  */
@@ -53,9 +53,8 @@ bool writeTraceFile(const std::string &path,
  * Incremental trace writer: events (and the names they reference) are
  * appended one record at a time, and flush() makes everything written
  * so far durable enough for a concurrent or post-crash reader to
- * recover it. This is the degradation path of the detection service (a
- * slow consumer spills the live stream to disk), record-as-you-go
- * tracing, and the body of writeTraceFile.
+ * recover it. This is the body of writeTraceFile and serves any
+ * record-as-you-go tracing.
  */
 class TraceStreamWriter
 {

@@ -65,7 +65,7 @@ contracts()
     static const std::vector<ToolContract> all = {
         {"pmdb_run",
          {"--threads", "--fault", "--set-ratio", "--seed", "--trace-out",
-          "--json", "--connect", "--policy", "--ring-slots",
+          "--json", "--connect", "--ring-slots",
           "--shared-pool", "--writer", "--list"},
          "pmdebugger 10 b_tree", "--threads"},
         {"pmdbd",

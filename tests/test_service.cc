@@ -3,8 +3,8 @@
  * Tests for the out-of-process detection service: the shared-memory
  * event ring, the wire protocol, and — the core guarantee — report
  * identity: every bug-suite case detected through a pmdbd daemon
- * (any worker count, any non-lossy backpressure policy) must produce
- * exactly the bug report an in-process PmDebugger produces.
+ * (any worker count, any ring size) must produce exactly the bug
+ * report an in-process PmDebugger produces.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@
 #include "service/remote_sink.hh"
 #include "service/spsc_ring.hh"
 #include "service/transport.hh"
-#include "trace/trace_file.hh"
 #include "workloads/bug_suite.hh"
 #include "workloads/workload.hh"
 
@@ -114,7 +113,6 @@ runLocal(const BugCase &bug_case)
 /** Run one suite case through a daemon via RemoteSink. */
 std::vector<BugReport>
 runRemote(const BugCase &bug_case, const std::string &socket_path,
-          SlowConsumerPolicy policy = SlowConsumerPolicy::Block,
           std::uint32_t ring_slots = 1024)
 {
     PmRuntime runtime;
@@ -123,9 +121,6 @@ runRemote(const BugCase &bug_case, const std::string &socket_path,
     options.socketPath = socket_path;
     options.ringPath = scratchPath("ring");
     options.ringSlots = ring_slots;
-    options.policy = policy;
-    if (policy == SlowConsumerPolicy::Spill)
-        options.spillPath = scratchPath("spill");
     options.model = bug_case.model;
     options.orderSpecText = bug_case.orderSpec;
     std::string error;
@@ -185,9 +180,6 @@ TEST(EventRingTest, FullRingRejectsUntilDrained)
     EXPECT_EQ(ring.popBatch(out, 2), 2u);
     EXPECT_EQ(ring.tryPushBatch(&event, 1), 1u);
     EXPECT_EQ(ring.size(), 3u);
-    ring.countDrop(2);
-    ring.countDrop(3);
-    EXPECT_EQ(ring.droppedCount(), 5u);
 }
 
 TEST(EventRingTest, BatchPushPopInWholeFramesAcrossWraparound)
@@ -286,17 +278,17 @@ TEST(ProtocolTest, HelloRoundTrip)
 {
     HelloBody hello;
     hello.model = PersistencyModel::Strand;
-    hello.policy = SlowConsumerPolicy::Spill;
     hello.orderSpecText = "a < b";
     hello.ringPath = "/tmp/ring";
-    hello.spillPath = "/tmp/spill";
+    hello.sharedPoolPath = "/tmp/pool";
+    hello.sharedWriterId = 2;
     HelloBody parsed;
     ASSERT_TRUE(HelloBody::deserialize(hello.serialize(), &parsed));
     EXPECT_EQ(parsed.model, PersistencyModel::Strand);
-    EXPECT_EQ(parsed.policy, SlowConsumerPolicy::Spill);
     EXPECT_EQ(parsed.orderSpecText, "a < b");
     EXPECT_EQ(parsed.ringPath, "/tmp/ring");
-    EXPECT_EQ(parsed.spillPath, "/tmp/spill");
+    EXPECT_EQ(parsed.sharedPoolPath, "/tmp/pool");
+    EXPECT_EQ(parsed.sharedWriterId, 2u);
 }
 
 TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
@@ -310,7 +302,6 @@ TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
     bug.detail = "line flushed twice";
     report.bugs.push_back(bug);
     report.eventsProcessed = 1000;
-    report.eventsDropped = 3;
     // Every stats field reportToJson prints; distinct values catch a
     // swapped pair.
     DebuggerStats &stats = report.stats;
@@ -333,7 +324,6 @@ TEST(ProtocolTest, ReportRoundTripAndTruncationFails)
     EXPECT_EQ(parsed.bugs[0].seq, 42u);
     EXPECT_EQ(parsed.bugs[0].detail, "line flushed twice");
     EXPECT_EQ(parsed.eventsProcessed, 1000u);
-    EXPECT_EQ(parsed.eventsDropped, 3u);
     EXPECT_EQ(parsed.stats.stores, 11u);
     EXPECT_EQ(parsed.stats.flushes, 12u);
     EXPECT_EQ(parsed.stats.fences, 13u);
@@ -362,17 +352,14 @@ TEST(ProtocolTest, HelloRejectsOutOfRangeEnums)
     HelloBody parsed;
     ASSERT_TRUE(HelloBody::deserialize(wire, &parsed));
 
-    // Layout: u32 version, u32 model, u32 policy, then strings.
+    // Layout: u32 version, u32 model, then strings.
     constexpr std::size_t modelAt = 4;
-    constexpr std::size_t policyAt = 8;
-    for (const std::size_t at : {modelAt, policyAt}) {
-        std::vector<std::uint8_t> bad = wire;
-        bad[at] = 3; // one past Strand / Spill
-        EXPECT_FALSE(HelloBody::deserialize(bad, &parsed)) << at;
-        bad[at] = 0;
-        bad[at + 3] = 0x80; // high byte set: huge value
-        EXPECT_FALSE(HelloBody::deserialize(bad, &parsed)) << at;
-    }
+    std::vector<std::uint8_t> bad = wire;
+    bad[modelAt] = 3; // one past Strand
+    EXPECT_FALSE(HelloBody::deserialize(bad, &parsed));
+    bad[modelAt] = 0;
+    bad[modelAt + 3] = 0x80; // high byte set: huge value
+    EXPECT_FALSE(HelloBody::deserialize(bad, &parsed));
 }
 
 TEST(ProtocolTest, ReportRejectsOutOfRangeEnums)
@@ -408,33 +395,16 @@ TEST(ProtocolTest, ReportRejectsOutOfRangeEnums)
     EXPECT_FALSE(in.ok());
 }
 
-TEST(ProtocolTest, PolicyNames)
-{
-    SlowConsumerPolicy policy;
-    EXPECT_TRUE(parseSlowConsumerPolicy("block", &policy));
-    EXPECT_EQ(policy, SlowConsumerPolicy::Block);
-    EXPECT_TRUE(parseSlowConsumerPolicy("spill", &policy));
-    EXPECT_EQ(policy, SlowConsumerPolicy::Spill);
-    EXPECT_FALSE(parseSlowConsumerPolicy("lossy", &policy));
-    EXPECT_STREQ(toString(SlowConsumerPolicy::Drop), "drop");
-}
-
 /** A valid payload of each client-sent frame plus the Report. */
 std::vector<std::pair<const char *, std::vector<std::uint8_t>>>
 wireSeeds()
 {
     HelloBody hello;
     hello.model = PersistencyModel::Strand;
-    hello.policy = SlowConsumerPolicy::Spill;
     hello.orderSpecText = "a < b";
     hello.ringPath = "/tmp/ring";
-    hello.spillPath = "/tmp/spill";
     hello.sharedPoolPath = "/tmp/pool";
     hello.sharedWriterId = 2;
-
-    ByeBody bye;
-    bye.ringEvents = 123456;
-    bye.spillEvents = 789;
 
     BugReport bug;
     bug.type = BugType::NoOrderGuarantee;
@@ -457,7 +427,6 @@ wireSeeds()
     report.stats.treeNodeSamples = 9;
 
     return {{"Hello", hello.serialize()},
-            {"Bye", bye.serialize()},
             {"ReportBug", single.bytes()},
             {"Report", report.serialize()}};
 }
@@ -476,12 +445,7 @@ parseWire(const std::string &kind,
         if (!HelloBody::deserialize(payload, &hello))
             return false;
         EXPECT_LE(hello.model, PersistencyModel::Strand);
-        EXPECT_LE(hello.policy, SlowConsumerPolicy::Spill);
         return true;
-    }
-    if (kind == "Bye") {
-        ByeBody bye;
-        return ByeBody::deserialize(payload, &bye);
     }
     if (kind == "ReportBug") {
         WireReader in(payload);
@@ -682,15 +646,12 @@ TEST(ServiceIdentityTest, FourConcurrentClientsFullSuiteFourShards)
     concurrentSuiteIdentity(4, 4);
 }
 
-TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
+TEST(ServiceIdentityTest, TinyRingStaysExact)
 {
     // A workload-backed case generates thousands of events; a 16-slot
-    // ring forces nearly the whole stream through the spill file under
-    // Spill, and under Block makes the ring's credits throttle the
-    // client to the pace of the daemon's one worker.
-    const std::pair<SlowConsumerPolicy, std::size_t> inputs[] = {
-        {SlowConsumerPolicy::Spill, 2}, {SlowConsumerPolicy::Block, 1}};
-    for (const auto &[policy, workers] : inputs) {
+    // ring runs out of credits on nearly every batch, so the client
+    // waits on the daemon's workers throughout the stream.
+    for (const std::size_t workers : {1, 2}) {
         ServiceConfig config;
         config.socketPath = scratchPath("sock");
         config.pool.shards = workers;
@@ -704,10 +665,10 @@ TEST(ServiceIdentityTest, SpillPolicyWithTinyRingStaysExact)
                 continue; // a sample is plenty: the ring is case-agnostic
             const std::vector<BugReport> local = runLocal(bug_case);
             const std::vector<BugReport> remote =
-                runRemote(bug_case, config.socketPath, policy, 16);
+                runRemote(bug_case, config.socketPath, 16);
             EXPECT_TRUE(sameBugs(local, remote))
                 << "case " << bug_case.id << " (" << bug_case.name
-                << "), " << toString(policy) << " policy at " << workers
+                << ") through a 16-slot ring at " << workers
                 << " worker(s)";
             ++checked;
         }
@@ -770,86 +731,6 @@ TEST(ServiceTest, BugHeavyReportRoundTrips)
     }
 }
 
-TEST(ServiceTest, SpillFileLoadsOnItsOwnWithItsNames)
-{
-    ServiceConfig config;
-    config.socketPath = scratchPath("sock");
-    ServiceDaemon daemon(config);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
-    // hashmap_atomic labels its events with program sites, so spilled
-    // events reference names the daemon learnt over the control
-    // socket; the spill file must carry those names too.
-    PmRuntime runtime;
-    RemoteSink sink;
-    RemoteSink::Options options;
-    options.socketPath = config.socketPath;
-    options.ringPath = scratchPath("ring");
-    options.ringSlots = 16;
-    options.policy = SlowConsumerPolicy::Spill;
-    options.spillPath = scratchPath("spill");
-    ASSERT_TRUE(sink.connect(options, &error)) << error;
-    runtime.attach(&sink);
-    WorkloadOptions workload;
-    workload.operations = 2000;
-    makeWorkload("hashmap_atomic")->run(runtime, workload);
-    ASSERT_GT(sink.spillEvents(), 0u);
-
-    // The writer is still live: load what it has flushed so far, a
-    // prefix that may end mid-record.
-    LoadedTrace spilled;
-    bool truncated = false;
-    ASSERT_TRUE(readTraceFile(options.spillPath, &spilled, &truncated,
-                              &error))
-        << error;
-    std::size_t named = 0;
-    for (const Event &event : spilled.events)
-        named += event.nameId != noName;
-    EXPECT_GT(named, 0u);
-    EXPECT_GT(spilled.names.size(), 0u);
-
-    runtime.programEnd();
-    ReportBody report;
-    ASSERT_TRUE(sink.finish(&report, &error)) << error;
-    // The daemon replayed the whole spill file after the ring.
-    EXPECT_EQ(report.eventsProcessed,
-              sink.ringEvents() + sink.spillEvents());
-    daemon.stop();
-}
-
-TEST(ServiceTest, DropPolicyCountsWhatItLoses)
-{
-    ServiceConfig config;
-    config.socketPath = scratchPath("sock");
-    ServiceDaemon daemon(config);
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-
-    // Flood a 16-slot ring faster than the consumer's idle backoff
-    // can drain it; the Drop policy must account for every loss.
-    PmRuntime runtime;
-    RemoteSink sink;
-    RemoteSink::Options options;
-    options.socketPath = config.socketPath;
-    options.ringPath = scratchPath("ring");
-    options.ringSlots = 16;
-    options.policy = SlowConsumerPolicy::Drop;
-    ASSERT_TRUE(sink.connect(options, &error)) << error;
-    runtime.attach(&sink);
-    constexpr int stores = 20000;
-    for (int i = 0; i < stores; ++i)
-        runtime.store(0x1000 + 8u * (i % 64), 8);
-    runtime.programEnd();
-    ReportBody report;
-    ASSERT_TRUE(sink.finish(&report, &error)) << error;
-
-    EXPECT_EQ(report.eventsProcessed + report.eventsDropped,
-              static_cast<std::uint64_t>(stores) + 1); // + ProgramEnd
-    EXPECT_EQ(report.eventsDropped, sink.droppedEvents());
-    daemon.stop();
-}
-
 TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
 {
     ServiceConfig config;
@@ -892,27 +773,15 @@ TEST(ServiceTest, TwoConcurrentClientsGetTheirOwnReports)
 
 TEST(ServiceTest, ClientSurvivesMissingDaemon)
 {
-    // The spill path names a file the caller owns: under the Block
-    // policy the sink never opens it, so it must not delete it either.
-    const std::string spill = scratchPath("callers_spill");
-    std::FILE *file = std::fopen(spill.c_str(), "w");
-    ASSERT_NE(file, nullptr);
-    std::fclose(file);
-    {
-        RemoteSink sink;
-        RemoteSink::Options options;
-        options.socketPath = scratchPath("nonexistent.sock");
-        options.ringPath = scratchPath("ring");
-        options.spillPath = spill;
-        options.connectTimeoutMs = 50;
-        std::string error;
-        EXPECT_FALSE(sink.connect(options, &error));
-        EXPECT_FALSE(error.empty());
-        EXPECT_FALSE(sink.connected());
-    }
-    EXPECT_EQ(::access(spill.c_str(), F_OK), 0)
-        << "the sink deleted a spill file it never created";
-    std::remove(spill.c_str());
+    RemoteSink sink;
+    RemoteSink::Options options;
+    options.socketPath = scratchPath("nonexistent.sock");
+    options.ringPath = scratchPath("ring");
+    options.connectTimeoutMs = 50;
+    std::string error;
+    EXPECT_FALSE(sink.connect(options, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(sink.connected());
 }
 
 TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
@@ -957,14 +826,15 @@ TEST(ServiceTest, IngestCountersSurfaceInSummariesAndJson)
     // key), and nowhere else.
     const std::string json = daemon.aggregatedJson();
     for (const char *key :
-         {"\"schema\": 5", "\"workers\": 2", "\"batches_drained\"",
+         {"\"schema\": 6", "\"workers\": 2", "\"batches_drained\"",
           "\"events_per_sec\"", "\"bugs\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
     for (const char *key :
          {"\"idle_poll_ratio\"", "\"shard_stats\"", "\"report\"",
           "\"shards\"", "\"stripe_bytes\"", "\"pollers\"",
-          "\"queue_full_stalls\""}) {
+          "\"queue_full_stalls\"", "\"dropped\"",
+          "\"spill_replayed\""}) {
         EXPECT_EQ(json.find(key), std::string::npos) << key;
     }
     const std::size_t at = json.find("\"metrics\": ");
@@ -1075,7 +945,9 @@ enum class Misbehaviour
 {
     CorruptRingHead,
     OutOfRangeHelloEnum,
+    StaleProtocolVersion,
     OversizedControlFrame,
+    ByeWithPayload,
     VanishWithoutBye,
     UninternedNameId,
     OutOfOrderInternName,
@@ -1089,8 +961,12 @@ toString(Misbehaviour how)
         return "CorruptRingHead";
       case Misbehaviour::OutOfRangeHelloEnum:
         return "OutOfRangeHelloEnum";
+      case Misbehaviour::StaleProtocolVersion:
+        return "StaleProtocolVersion";
       case Misbehaviour::OversizedControlFrame:
         return "OversizedControlFrame";
+      case Misbehaviour::ByeWithPayload:
+        return "ByeWithPayload";
       case Misbehaviour::VanishWithoutBye:
         return "VanishWithoutBye";
       case Misbehaviour::UninternedNameId:
@@ -1099,6 +975,14 @@ toString(Misbehaviour how)
         return "OutOfOrderInternName";
     }
     return "Unknown";
+}
+
+/** False for a Hello the daemon refuses before opening a session. */
+bool
+opensSession(Misbehaviour how)
+{
+    return how != Misbehaviour::OutOfRangeHelloEnum &&
+           how != Misbehaviour::StaleProtocolVersion;
 }
 
 /** Names the parameter in gtest and ctest output. */
@@ -1117,11 +1001,15 @@ misbehave(Misbehaviour how, const std::string &socket_path)
     ASSERT_GE(fd, 0) << error;
     HelloBody hello;
     hello.ringPath = scratchPath("badring");
+    if (how == Misbehaviour::StaleProtocolVersion)
+        hello.version = 3; // the version before Bye lost its payload
     std::vector<std::uint8_t> wire = hello.serialize();
     MsgType type;
     std::vector<std::uint8_t> payload;
-    if (how == Misbehaviour::OutOfRangeHelloEnum) {
-        wire[4] = 3; // the model, one past Strand
+    if (!opensSession(how)) {
+        if (how == Misbehaviour::OutOfRangeHelloEnum)
+            wire[4] = 3; // the model, one past Strand
+        // The daemon hangs up without a Welcome.
         ASSERT_TRUE(sendMessage(fd, MsgType::Hello, wire));
         EXPECT_TRUE(readable(fd, 10000));
         EXPECT_FALSE(recvMessage(fd, &type, &payload));
@@ -1155,7 +1043,7 @@ misbehave(Misbehaviour how, const std::string &socket_path)
     switch (how) {
       case Misbehaviour::CorruptRingHead:
         shiftRingHead(hello.ringPath, 1ull << 20);
-        ASSERT_TRUE(sendMessage(fd, MsgType::Bye, ByeBody{}.serialize()));
+        ASSERT_TRUE(sendMessage(fd, MsgType::Bye, {}));
         break;
       case Misbehaviour::OversizedControlFrame: {
         MsgHeader header;
@@ -1165,12 +1053,17 @@ misbehave(Misbehaviour how, const std::string &socket_path)
                   static_cast<ssize_t>(sizeof(header)));
         break;
       }
+      case Misbehaviour::ByeWithPayload:
+        // The two u64 counts an older client sent with its Bye.
+        ASSERT_TRUE(sendMessage(fd, MsgType::Bye,
+                                std::vector<std::uint8_t>(16, 0)));
+        break;
       case Misbehaviour::VanishWithoutBye:
         ::close(fd);
         return;
       case Misbehaviour::UninternedNameId:
         // The drain may abort the session before the Bye arrives.
-        sendMessage(fd, MsgType::Bye, ByeBody{}.serialize());
+        sendMessage(fd, MsgType::Bye, {});
         break;
       case Misbehaviour::OutOfOrderInternName: {
         WireWriter out;
@@ -1180,6 +1073,7 @@ misbehave(Misbehaviour how, const std::string &socket_path)
         break;
       }
       case Misbehaviour::OutOfRangeHelloEnum:
+      case Misbehaviour::StaleProtocolVersion:
         break;
     }
     // The daemon aborts the session: it hangs up without a Report.
@@ -1274,7 +1168,7 @@ TEST_P(AdversarialClientTest, OtherSessionsStayExactAndDaemonServesOn)
     EXPECT_TRUE(faultyHashmapRemote(config.socketPath) == local);
 
     // A rejected Hello opens no session; the others end aborted.
-    const bool opened = GetParam() != Misbehaviour::OutOfRangeHelloEnum;
+    const bool opened = opensSession(GetParam());
     EXPECT_TRUE(daemon.waitForSessions(opened ? 3 : 2, 10000));
     std::size_t aborted = 0;
     for (const SessionSummary &session : daemon.summaries())
@@ -1287,7 +1181,9 @@ INSTANTIATE_TEST_SUITE_P(
     Misbehaviours, AdversarialClientTest,
     ::testing::Values(Misbehaviour::CorruptRingHead,
                       Misbehaviour::OutOfRangeHelloEnum,
+                      Misbehaviour::StaleProtocolVersion,
                       Misbehaviour::OversizedControlFrame,
+                      Misbehaviour::ByeWithPayload,
                       Misbehaviour::VanishWithoutBye,
                       Misbehaviour::UninternedNameId,
                       Misbehaviour::OutOfOrderInternName),

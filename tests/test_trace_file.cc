@@ -271,7 +271,7 @@ TEST(TraceStreamTest, RoundTripWithInterleavedNames)
     std::string error;
     ASSERT_TRUE(writer.open(path.str(), &error)) << error;
     // Names are appended as soon as they appear, interleaved with the
-    // events that reference them — the live-spill write pattern.
+    // events that reference them — the record-as-you-go pattern.
     for (const Event &event : recorder.events()) {
         ASSERT_TRUE(writer.syncNames(runtime.names()));
         ASSERT_TRUE(writer.append(event));

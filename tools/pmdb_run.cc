@@ -67,7 +67,6 @@ main(int argc, char **argv)
     WorkloadOptions options;
     std::string trace_out;
     std::string connect_socket;
-    SlowConsumerPolicy policy = SlowConsumerPolicy::Block;
     std::uint32_t ring_slots = 4096;
     bool json = false;
     bool list = false;
@@ -90,11 +89,6 @@ main(int argc, char **argv)
             cli::flag("--json", &json, "print the report as JSON"),
             cli::flag("--connect", "SOCKET", &connect_socket,
                       "detect out-of-process in the pmdbd at SOCKET"),
-            cli::flag("--policy", "P",
-                      [&](const std::string &text) {
-                          return parseSlowConsumerPolicy(text, &policy);
-                      },
-                      "slow-consumer policy: block|drop|spill"),
             // An unchecked value would turn "-1" into 4 billion slots
             // and a multi-hundred-GB ring mapping.
             cli::flag("--ring-slots", "N", &ring_slots,
@@ -137,15 +131,11 @@ main(int argc, char **argv)
                          "pass 'pmdebugger' as the checker\n");
             return exitUsage;
         }
-        const std::string base =
-            "/tmp/pmdb_client." + std::to_string(::getpid());
         RemoteSink::Options ropts;
         ropts.socketPath = connect_socket;
-        ropts.ringPath = base + ".ring";
+        ropts.ringPath =
+            "/tmp/pmdb_client." + std::to_string(::getpid()) + ".ring";
         ropts.ringSlots = ring_slots;
-        ropts.policy = policy;
-        if (policy == SlowConsumerPolicy::Spill)
-            ropts.spillPath = base + ".spill";
         ropts.model = workload->model();
         ropts.orderSpecText = workload->orderSpecText();
         ropts.sharedPoolPath = options.sharedPoolPath;
@@ -180,11 +170,9 @@ main(int argc, char **argv)
             std::printf("%s via pmdbd: %zu ops in %.4fs\n",
                         workload_name.c_str(), options.operations,
                         seconds);
-            std::printf("events: %llu processed, %llu dropped\n",
+            std::printf("events: %llu processed\n",
                         static_cast<unsigned long long>(
-                            report.eventsProcessed),
-                        static_cast<unsigned long long>(
-                            report.eventsDropped));
+                            report.eventsProcessed));
             std::printf("%s", bugs.summary().c_str());
         }
         return 0;
