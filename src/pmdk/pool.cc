@@ -33,12 +33,13 @@ sizeClassBytes(std::size_t cls)
 
 PmemPool::PmemPool(PmRuntime &runtime, std::size_t size,
                    const std::string &name, bool track_persistence)
-    : runtime_(runtime), device_(std::make_unique<PmemDevice>(size)),
-      name_(name), deviceAttached_(track_persistence), freeLists_(25)
+    : runtime_(runtime),
+      device_(std::make_unique<PmemDevice>(size, track_persistence)),
+      name_(name), freeLists_(25)
 {
     if (size < rootOffset_ + 64 * 1024)
         fatal("PmemPool: pool size too small (min 64KiB past the root)");
-    if (deviceAttached_)
+    if (track_persistence)
         runtime_.attach(device_.get());
     runtime_.registerPmem(name_, 0, static_cast<std::uint32_t>(size));
 
@@ -52,13 +53,14 @@ PmemPool::PmemPool(PmRuntime &runtime, std::vector<std::uint8_t> image,
                    std::vector<std::uint8_t> volatile_storage)
     : runtime_(runtime),
       device_(std::make_unique<PmemDevice>(std::move(image),
+                                           track_persistence,
                                            std::move(volatile_storage))),
-      name_(name), deviceAttached_(track_persistence), freeLists_(25)
+      name_(name), freeLists_(25)
 {
     const std::size_t size = device_->size();
     if (size < rootOffset_ + 64 * 1024)
         fatal("PmemPool: reopened image too small");
-    if (deviceAttached_)
+    if (track_persistence)
         runtime_.attach(device_.get());
     runtime_.registerPmem(name_, 0, static_cast<std::uint32_t>(size));
 
@@ -70,7 +72,7 @@ PmemPool::PmemPool(PmRuntime &runtime, std::vector<std::uint8_t> image,
 
 PmemPool::~PmemPool()
 {
-    if (deviceAttached_)
+    if (device_->tracksPersistence())
         runtime_.detach(device_.get());
 }
 

@@ -45,12 +45,15 @@ class PmemPool
      * Create a pool of @p size bytes named @p name; the name is used to
      * register the PM region with the debugger (Register_pmem).
      *
-     * @param track_persistence attach the device's persistence-domain
-     *        model (dirty lines, pending writebacks, crash images) to
-     *        the event stream. On for correctness and crash testing;
-     *        performance benchmarks turn it off because real PM does
-     *        this tracking in hardware at zero software cost, and it
-     *        would otherwise inflate the "native" baseline.
+     * @param track_persistence give the device a durable image and
+     *        attach its persistence-domain model (dirty lines, pending
+     *        writebacks, crash images) to the event stream. On for
+     *        correctness and crash testing. Detection runs and
+     *        performance benchmarks turn it off, because real PM does
+     *        this tracking in hardware at zero software cost: the
+     *        device then holds only the volatile image, costs neither
+     *        time in the "native" baseline nor a second pool-sized
+     *        buffer, and panics if asked for durable state.
      */
     PmemPool(PmRuntime &runtime, std::size_t size,
              const std::string &name = "pool",
@@ -61,8 +64,8 @@ class PmemPool
      * @p image as both its volatile and durable content, modelling a
      * real PM file mapped back after a failure. Call root() (with the
      * original root size) and then recoverHeap() before allocating.
-     * The device builds its volatile image in @p volatile_storage
-     * (PmemDevice's reopen constructor).
+     * A tracked device builds its volatile image in
+     * @p volatile_storage (PmemDevice's reopen constructor).
      */
     PmemPool(PmRuntime &runtime, std::vector<std::uint8_t> image,
              const std::string &name = "pool",
@@ -197,7 +200,6 @@ class PmemPool
     PmRuntime &runtime_;
     std::unique_ptr<PmemDevice> device_;
     std::string name_;
-    bool deviceAttached_ = true;
     Addr rootSizeReserved_ = 0;
     Addr heapBase_ = 0;
     Addr bump_ = 0;

@@ -9,16 +9,24 @@
 namespace pmdb
 {
 
-PmemDevice::PmemDevice(std::size_t size)
-    : volatileImage_(size, 0), persistedImage_(size, 0)
+PmemDevice::PmemDevice(std::size_t size, bool track_persistence)
+    : volatileImage_(size, 0),
+      persistedImage_(track_persistence ? size : 0, 0),
+      tracked_(track_persistence)
 {
 }
 
 PmemDevice::PmemDevice(std::vector<std::uint8_t> image,
+                       bool track_persistence,
                        std::vector<std::uint8_t> volatile_storage)
-    : volatileImage_(std::move(volatile_storage)),
-      persistedImage_(std::move(image))
+    : tracked_(track_persistence)
 {
+    if (!tracked_) {
+        volatileImage_ = std::move(image);
+        return;
+    }
+    persistedImage_ = std::move(image);
+    volatileImage_ = std::move(volatile_storage);
     volatileImage_.assign(persistedImage_.begin(), persistedImage_.end());
 }
 
@@ -26,6 +34,16 @@ PmemDevice::~PmemDevice()
 {
     if (observer_)
         observer_->onDeviceDestroyed();
+}
+
+void
+PmemDevice::requireTracked(const char *what) const
+{
+    if (!tracked_) {
+        panic(std::string("PmemDevice: ") + what +
+              " on a device whose pool does not track persistence: it "
+              "keeps no durable image and sees no flush or fence");
+    }
 }
 
 void
@@ -82,6 +100,7 @@ PmemDevice::rawVolatile(Addr addr) const
 void
 PmemDevice::readPersisted(Addr addr, void *out, std::size_t size) const
 {
+    requireTracked("readPersisted()");
     checkBounds(addr, size, "persisted read");
     std::memcpy(out, persistedImage_.data() + addr, size);
 }
@@ -89,6 +108,7 @@ PmemDevice::readPersisted(Addr addr, void *out, std::size_t size) const
 bool
 PmemDevice::hasDirty(const AddrRange &range) const
 {
+    requireTracked("hasDirty()");
     if (range.empty())
         return false;
     const std::uint64_t first = cacheLineIndex(range.start);
@@ -103,6 +123,7 @@ PmemDevice::hasDirty(const AddrRange &range) const
 bool
 PmemDevice::hasPendingFlush(const AddrRange &range) const
 {
+    requireTracked("hasPendingFlush()");
     if (range.empty())
         return false;
     const std::uint64_t first = cacheLineIndex(range.start);
@@ -166,12 +187,14 @@ PmemDevice::handle(const Event &event)
         markDirty(event.range());
         break;
       case EventKind::Flush:
+        requireTracked("a Flush event");
         flushRange(event.range(), event.seq);
         break;
       case EventKind::EpochBegin:
         ++epochDepth_;
         break;
       case EventKind::EpochEnd:
+        requireTracked("a boundary event");
         if (epochDepth_ > 0)
             --epochDepth_;
         if (observer_)
@@ -181,6 +204,7 @@ PmemDevice::handle(const Event &event)
       case EventKind::Fence:
       case EventKind::JoinStrand:
         // All of these act as durability barriers for queued writebacks.
+        requireTracked("a boundary event");
         if (observer_)
             observer_->onBoundary(event, epochDepth_);
         drainPending();
@@ -193,6 +217,7 @@ PmemDevice::handle(const Event &event)
 void
 PmemDevice::reset()
 {
+    requireTracked("reset()");
     std::fill(volatileImage_.begin(), volatileImage_.end(), 0);
     std::fill(persistedImage_.begin(), persistedImage_.end(), 0);
     dirtyLines_.clear();
@@ -203,6 +228,7 @@ PmemDevice::reset()
 std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>
 PmemDevice::releaseImages()
 {
+    requireTracked("releaseImages()");
     return {std::exchange(persistedImage_, {}),
             std::exchange(volatileImage_, {})};
 }

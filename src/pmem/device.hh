@@ -76,32 +76,48 @@ class PersistenceObserver
 /**
  * Byte-addressable simulated PM device.
  *
- * Maintains two images: the volatile image (what the running program
- * reads and writes, i.e. memory + caches) and the persisted image (what
- * has provably reached the persistence domain). As a TraceSink it
- * consumes Flush and Fence events to move line snapshots from the
- * pending writeback queue into the persisted image.
+ * A tracked device maintains two images: the volatile image (what the
+ * running program reads and writes, i.e. memory + caches) and the
+ * persisted image (what has provably reached the persistence domain).
+ * As a TraceSink it consumes Flush and Fence events to move line
+ * snapshots from the pending writeback queue into the persisted image.
+ *
+ * An untracked device (a pool built with track_persistence = false,
+ * where real hardware would keep the durable state) holds only the
+ * volatile image, and its pool does not attach it to the event
+ * stream. Every persistence-domain entry point (the durable image,
+ * dirty and pending queries, Flush and boundary events, the observer,
+ * crash images) panics on it rather than answer from state no event
+ * maintains.
  */
 class PmemDevice : public TraceSink
 {
   public:
-    /** Create a device of @p size bytes, zero-initialized. */
-    explicit PmemDevice(std::size_t size);
+    /**
+     * Create a device of @p size bytes, zero-initialized. The durable
+     * image is allocated only if @p track_persistence is set.
+     */
+    explicit PmemDevice(std::size_t size, bool track_persistence = true);
 
     /**
      * Create a device whose volatile and durable images both start as
      * @p image — reopening a pool from a crash image, the way a real
      * PM file is mapped back after a failure. The device starts clean
-     * (no dirty lines, no pending writebacks, epoch depth 0). The
-     * volatile image is built in @p volatile_storage, whose capacity
-     * is reused.
+     * (no dirty lines, no pending writebacks, epoch depth 0). A
+     * tracked device builds its volatile image in @p volatile_storage,
+     * whose capacity is reused; an untracked one takes @p image as its
+     * volatile image and drops @p volatile_storage.
      */
     explicit PmemDevice(std::vector<std::uint8_t> image,
+                        bool track_persistence = true,
                         std::vector<std::uint8_t> volatile_storage = {});
 
     ~PmemDevice() override;
 
     std::size_t size() const { return volatileImage_.size(); }
+
+    /** True if the device keeps a durable image. */
+    bool tracksPersistence() const { return tracked_; }
 
     /** @name Program-visible data path. */
     /** @{ */
@@ -142,6 +158,7 @@ class PmemDevice : public TraceSink
     /** The full durable image (what a DropPending crash would leave). */
     const std::vector<std::uint8_t> &persistedBytes() const
     {
+        requireTracked("persistedBytes()");
         return persistedImage_;
     }
 
@@ -164,6 +181,7 @@ class PmemDevice : public TraceSink
      */
     void setPersistenceObserver(PersistenceObserver *observer) const
     {
+        requireTracked("setPersistenceObserver()");
         observer_ = observer;
     }
 
@@ -195,13 +213,17 @@ class PmemDevice : public TraceSink
   private:
     friend class CrashSimulator;
 
+    /** Panic, naming @p what, unless the device tracks persistence. */
+    void requireTracked(const char *what) const;
     void checkBounds(Addr addr, std::size_t size, const char *what) const;
     void markDirty(const AddrRange &range);
     void flushRange(const AddrRange &range, SeqNum seq);
     void drainPending();
 
     std::vector<std::uint8_t> volatileImage_;
+    /** Empty on an untracked device. */
     std::vector<std::uint8_t> persistedImage_;
+    bool tracked_;
     /** Lines with volatile content newer than any queued writeback. */
     std::unordered_map<std::uint64_t, bool> dirtyLines_;
     /** Writebacks initiated by a CLF but not yet fenced. */
@@ -229,7 +251,10 @@ enum class CrashPolicy
 class CrashSimulator
 {
   public:
-    explicit CrashSimulator(const PmemDevice &device) : device_(device) {}
+    explicit CrashSimulator(const PmemDevice &device) : device_(device)
+    {
+        device.requireTracked("CrashSimulator");
+    }
 
     /**
      * Produce the byte image a recovery program would observe after a

@@ -245,6 +245,9 @@ runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,
 
     PmRuntime runtime;
     CrashsimSession session(options);
+    // Capture reads the device's persistence domain, so the pool must
+    // track it whatever the caller's options say.
+    wl_options.trackPersistence = true;
     wl_options.crashsim = &session;
     workload->run(runtime, wl_options);
     runtime.drain();

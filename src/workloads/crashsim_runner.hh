@@ -81,7 +81,8 @@ const std::vector<BugCase> &crashsimOnlyCases();
 /**
  * Run workload @p name with a crashsim session adopted (the workload
  * must support WorkloadOptions::crashsim) and explore the capture.
- * Findings are reported through @p debugger when given.
+ * The pool tracks persistence whatever @p wl_options says. Findings
+ * are reported through @p debugger when given.
  */
 CrashsimResult
 runCrashsimWorkload(const std::string &name, WorkloadOptions wl_options,

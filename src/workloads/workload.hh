@@ -90,9 +90,12 @@ struct WorkloadOptions
     std::size_t cacheCapacity = 0;
 
     /**
-     * Attach the simulated device's persistence-domain tracking.
-     * Performance benchmarks disable it (real PM hardware does this
-     * for free); correctness and crash tests keep it on.
+     * Give the pool's device a durable image and attach its
+     * persistence-domain tracking. Detection runs and performance
+     * benchmarks disable it (real PM hardware does this for free, and
+     * the device then holds one pool-sized image instead of two);
+     * correctness and crash tests keep it on. Crash capture
+     * (runCrashsimWorkload) always turns it on.
      */
     bool trackPersistence = true;
 

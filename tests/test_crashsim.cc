@@ -167,6 +167,18 @@ TEST(ImageCursorDeathTest, DeltaLinePastTheEndPanics)
                  "delta line past the end");
 }
 
+TEST(CrashsimCaptureTest, AdoptingAnUntrackedPoolDies)
+{
+    // Such a device never sees a flush or fence, so a capture would
+    // silently record nothing.
+    PmRuntime runtime;
+    PmemPool pool(runtime, 1 << 20, "cs.pool",
+                  /*track_persistence=*/false);
+    CrashsimSession session(kAllOptions());
+    EXPECT_DEATH(session.adopt(pool.device()),
+                 "does not track persistence");
+}
+
 TEST(CrashsimCaptureTest, AdoptionKeepsLinesAlreadyPending)
 {
     PmRuntime runtime;
@@ -351,6 +363,23 @@ TEST(CrashsimWorkloadTest, FlushPointCaptureIsPinned)
     EXPECT_EQ(first.witnessLines, std::vector<std::uint64_t>{168});
     EXPECT_EQ(first.detail, "hashmap_atomic recovery: reachable entry "
                             "for key 0 is torn or never persisted");
+}
+
+TEST(CrashsimWorkloadTest, UntrackedOptionsStillCapture)
+{
+    // pmdb_crashsim run hashmap_atomic --ops 64 --seed 1 --fault
+    // hmatomic_bucket_before_entry, with options a detection run would
+    // pass: capture must track persistence regardless.
+    WorkloadOptions wl;
+    wl.operations = 64;
+    wl.faults.enable("hmatomic_bucket_before_entry");
+    wl.trackPersistence = false;
+    CrashsimOptions options;
+    options.seed = 1;
+    const CrashsimResult result =
+        runCrashsimWorkload("hashmap_atomic", wl, options);
+    EXPECT_EQ(result.stats.points, 256u);
+    EXPECT_EQ(result.findings.size(), 64u);
 }
 
 TEST(CrashsimDeterminismTest, IdenticalRunsAreBitIdentical)

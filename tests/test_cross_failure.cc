@@ -138,6 +138,22 @@ TEST(CrossFailureTest, BTreeRecoversConsistentlyFromMidTxCrash)
     tx.abort();
 }
 
+TEST(CrossFailureTest, UntrackedPoolDies)
+{
+    PmRuntime runtime;
+    PmDebugger debugger;
+    runtime.attach(&debugger);
+    PmemPool pool(runtime, 1 << 20, "xf.pool",
+                  /*track_persistence=*/false);
+    EXPECT_DEATH(CrossFailureChecker::check(
+                     debugger, pool.device(),
+                     [](const std::vector<std::uint8_t> &) {
+                         return std::string();
+                     },
+                     {}),
+                 "does not track persistence");
+}
+
 TEST(CrashPolicyTest, PoliciesOrderedByOptimism)
 {
     PmRuntime runtime;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pmdk/pool.hh"
 #include "trace/recorder.hh"
 
@@ -163,6 +165,60 @@ TEST(PoolStandaloneTest, TrackPersistenceOffSkipsDeviceSink)
     EXPECT_EQ(pool.load<std::uint64_t>(a), 1u);
     EXPECT_EQ(pool.device().dirtyLineCount(), 0u);
     EXPECT_EQ(pool.device().pendingLineCount(), 0u);
+    EXPECT_FALSE(pool.device().tracksPersistence());
+}
+
+TEST(PoolStandaloneTest, OnlyATrackedPoolKeepsADurableImage)
+{
+    PmRuntime runtime;
+    PmemPool tracked(runtime, 1 << 20, "tracked.pool");
+    EXPECT_TRUE(tracked.device().tracksPersistence());
+    EXPECT_EQ(tracked.device().persistedBytes().size(), 1u << 20);
+
+    // Reopening an image untracked hands that very buffer to the
+    // volatile image: nothing is copied and no durable image exists.
+    std::vector<std::uint8_t> image(1 << 20, 0x5a);
+    const std::uint8_t *bytes = image.data();
+    PmemPool reopened(runtime, std::move(image), "reopened.pool",
+                      /*track_persistence=*/false);
+    EXPECT_FALSE(reopened.device().tracksPersistence());
+    EXPECT_EQ(reopened.device().size(), 1u << 20);
+    EXPECT_EQ(reopened.device().rawVolatile(0), bytes);
+    EXPECT_EQ(reopened.load<std::uint8_t>(4096), 0x5a);
+}
+
+TEST(PoolStandaloneTest, UntrackedDeviceRefusesEveryDurableEntryPoint)
+{
+    PmRuntime runtime;
+    PmemPool pool(runtime, 1 << 20, "perf.pool",
+                  /*track_persistence=*/false);
+    PmemDevice &device = pool.device();
+    const char *cause = "does not track persistence";
+
+    Event store;
+    store.kind = EventKind::Store;
+    store.addr = 4096;
+    store.size = 8;
+    device.handle(store); // no durable image involved
+    Event begin = store;
+    begin.kind = EventKind::EpochBegin;
+    device.handle(begin);
+
+    for (EventKind kind : {EventKind::Flush, EventKind::Fence,
+                           EventKind::EpochEnd, EventKind::JoinStrand}) {
+        SCOPED_TRACE(toString(kind));
+        Event event = store;
+        event.kind = kind;
+        EXPECT_DEATH(device.handle(event), cause);
+    }
+    std::uint64_t value = 0;
+    EXPECT_DEATH(device.persistedBytes(), cause);
+    EXPECT_DEATH(device.readPersisted(4096, &value, 8), cause);
+    EXPECT_DEATH(device.isDurable(AddrRange::fromSize(4096, 8)), cause);
+    EXPECT_DEATH(device.setPersistenceObserver(nullptr), cause);
+    EXPECT_DEATH(CrashSimulator{device}, cause);
+    EXPECT_DEATH(device.reset(), cause);
+    EXPECT_DEATH(device.releaseImages(), cause);
 }
 
 TEST(PoolStandaloneTest, TooSmallPoolIsFatal)

@@ -114,6 +114,9 @@ main(int argc, char **argv)
     if (!cli::parseUnsigned(cli.args()[1].c_str(), 0, UINT64_MAX, &ops))
         cli.fail("bad <inputsize> '" + cli.args()[1] + "'");
     options.operations = ops;
+    // No checker here reads the simulated device, so the pool keeps
+    // only its volatile image and no device tracking is timed.
+    options.trackPersistence = false;
 
     auto workload = makeWorkload(workload_name);
     if (!workload) {
