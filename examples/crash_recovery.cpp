@@ -2,9 +2,9 @@
  * @file
  * Crash simulation and recovery: the cross-failure workflow.
  *
- * Builds a tiny persistent key-value log, simulates a crash at the
- * worst possible moment (a committed key pointing at an unpersisted
- * value), runs the recovery program over the crash image, and shows
+ * Builds a tiny persistent key-value log, explores every crash point
+ * of a buggy publish (a committed key pointing at an unpersisted
+ * value), runs the recovery program over each crash image, and shows
  * how the cross-failure semantic check catches the inconsistency —
  * plus the undo-log recovery path restoring a torn transaction.
  *
@@ -14,7 +14,8 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/cross_failure.hh"
+#include "core/debugger.hh"
+#include "crashsim/capture.hh"
 #include "pmdk/pool.hh"
 #include "pmdk/tx.hh"
 #include "trace/runtime.hh"
@@ -34,26 +35,33 @@ main()
     const Addr key = pool.alloc(64);
     const std::uint64_t payload = 0xfeedface;
 
-    // Buggy publish: the key commits before the value persists.
-    pool.store<std::uint64_t>(value, payload); // never flushed!
-    pool.store<std::uint64_t>(key, 1);
-    pool.persist(key, 8);
+    // "Manually call the recovery program" (Section 7.3) at every
+    // crash point of the publish: the session captures them from here
+    // on, and exploration runs the verifier over each image a crash
+    // there can leave.
+    bool found = false;
+    {
+        CrashsimSession session;
+        session.adopt(
+            pool.device(),
+            [=](const std::vector<std::uint8_t> &image) -> std::string {
+                std::uint64_t k = 0, v = 0;
+                std::memcpy(&k, image.data() + key, 8);
+                std::memcpy(&v, image.data() + value, 8);
+                if (k == 1 && v != payload) {
+                    return "recovery reads key=1 but the value bytes "
+                           "never reached the persistence domain";
+                }
+                return "";
+            });
 
-    // "Manually call the recovery program" (Section 7.3): materialize
-    // the crash image and verify what recovery would read.
-    const bool found = CrossFailureChecker::check(
-        debugger, pool.device(),
-        [&](const std::vector<std::uint8_t> &image) -> std::string {
-            std::uint64_t k = 0, v = 0;
-            std::memcpy(&k, image.data() + key, 8);
-            std::memcpy(&v, image.data() + value, 8);
-            if (k == 1 && v != payload) {
-                return "recovery reads key=1 but the value bytes never "
-                       "reached the persistence domain";
-            }
-            return "";
-        },
-        {.seq = runtime.eventCount(), .policy = CrashPolicy::DropPending});
+        // Buggy publish: the key commits before the value persists.
+        pool.store<std::uint64_t>(value, payload); // never flushed!
+        pool.store<std::uint64_t>(key, 1);
+        pool.persist(key, 8);
+
+        found = !session.explore(&debugger).findings.empty();
+    }
     std::printf("Cross-failure check: %s\n",
                 found ? "INCONSISTENT (bug reported)" : "consistent");
 
@@ -69,10 +77,12 @@ main()
     tx.addRange(pair + 64, 8);
     pool.store<std::uint64_t>(pair, 8);
     pool.store<std::uint64_t>(pair + 64, 8);
-    // CRASH here: no commit. Materialize the image with the log's
-    // writebacks landed (the pessimal torn state).
-    CrashSimulator sim(pool.device());
-    auto image = sim.crashImage(CrashPolicy::CommitPending);
+    // CRASH here: no commit. Fence first so the log's writebacks land
+    // (the pessimal torn state), then take the durable image. PMDebugger
+    // reports this fence as a redundant epoch fence: it stands in for
+    // the writebacks landing at the crash, not for program code.
+    pool.fence();
+    auto image = pool.device().persistedBytes();
 
     const auto rolled_back = TxRecovery::rollback(pool, image);
     std::uint64_t a = 0, b = 0;

@@ -100,8 +100,8 @@ class PmDebugger : public TraceSink, public DebugContext
 
     /**
      * Funnel an externally detected bug (e.g. a cross-failure semantic
-     * inconsistency found by CrossFailureChecker) into this debugger's
-     * report.
+     * inconsistency a recovery verifier found in a crash image) into
+     * this debugger's report.
      */
     void reportBug(const BugReport &report) { bugs_.report(report); }
 

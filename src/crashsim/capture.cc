@@ -18,8 +18,7 @@ CrashsimSession::adopt(const PmemDevice &device)
 }
 
 void
-CrashsimSession::adopt(const PmemDevice &device,
-                       CrossFailureChecker::Verifier verify)
+CrashsimSession::adopt(const PmemDevice &device, RecoveryVerifier verify)
 {
     adopt(device);
     setVerifier(std::move(verify));

@@ -23,7 +23,6 @@
 
 #include <utility>
 
-#include "core/cross_failure.hh"
 #include "crashsim/crash_points.hh"
 #include "crashsim/explore.hh"
 #include "pmem/device.hh"
@@ -73,20 +72,19 @@ class CrashsimSession : public PersistenceObserver
     void adopt(const PmemDevice &device);
 
     /** adopt() and register the recovery verifier in one call. */
-    void adopt(const PmemDevice &device,
-               CrossFailureChecker::Verifier verify);
+    void adopt(const PmemDevice &device, RecoveryVerifier verify);
 
     /** Stop observing the device (idempotent). */
     void release();
 
-    void setVerifier(CrossFailureChecker::Verifier verify)
+    void setVerifier(RecoveryVerifier verify)
     {
         verify_ = std::move(verify);
     }
 
     bool hasVerifier() const { return static_cast<bool>(verify_); }
 
-    const CrossFailureChecker::Verifier &verifier() const
+    const RecoveryVerifier &verifier() const
     {
         return verify_;
     }
@@ -119,7 +117,7 @@ class CrashsimSession : public PersistenceObserver
 
     CrashsimOptions options_;
     const PmemDevice *device_ = nullptr;
-    CrossFailureChecker::Verifier verify_;
+    RecoveryVerifier verify_;
     CrashPointLog log_;
 };
 

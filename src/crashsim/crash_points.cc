@@ -227,12 +227,16 @@ scanCrashPoints(const std::vector<Event> &events,
                      [&](std::uint64_t line) { dirty.insert(line); });
             break;
           case EventKind::Flush:
+            // As in a live capture, a CLF queues each covered line that
+            // is dirty or already pending, and each queued line is its
+            // own crash point (a clean line queues nothing).
             lines_of(event.range(), [&](std::uint64_t line) {
-                if (dirty.erase(line) || pending.count(line))
-                    pending.insert(line);
+                if (!dirty.erase(line) && !pending.count(line))
+                    return;
+                pending.insert(line);
+                if (options.captureAtFlush)
+                    record_point(EventKind::Flush, epoch_depth > 0);
             });
-            if (options.captureAtFlush)
-                record_point(EventKind::Flush, epoch_depth > 0);
             break;
           case EventKind::EpochBegin:
             ++epoch_depth;

@@ -25,6 +25,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -71,7 +73,10 @@ struct CrashsimOptions
      */
     bool epochAtomic = true;
 
-    /** Also capture a crash point at every CLF, not just boundaries. */
+    /**
+     * Also capture a crash point at every line a CLF queues for
+     * writeback, not just at boundaries.
+     */
     bool captureAtFlush = false;
 
     /** Cap on reported findings (applied after the deterministic merge). */
@@ -132,6 +137,16 @@ struct CrashPointLog
         return point.pendingEnd - point.pendingBegin;
     }
 };
+
+/**
+ * A recovery verifier (Section 7.3): inspects a crash image (a full
+ * copy of the pool as a crash would leave it) and returns an empty
+ * string if the recovered state is consistent, or a description of the
+ * semantic inconsistency otherwise. Verifiers outlive the pool they
+ * check, so they capture everything they need by value.
+ */
+using RecoveryVerifier =
+    std::function<std::string(const std::vector<std::uint8_t> &image)>;
 
 /** One cache line of an image that differs from a reference image. */
 struct DeltaLine
@@ -244,8 +259,9 @@ struct CrashScanSummary
     std::uint64_t imagesEnumerable = 0;
     /**
      * Ordering-boundary histogram: which event kind each crash point
-     * hangs off (Fence / EpochEnd / JoinStrand, plus Flush when
-     * captureAtFlush). Sums to crashPoints.
+     * hangs off (Fence / EpochEnd / JoinStrand, plus, when
+     * captureAtFlush, one Flush point per line a CLF queues). Sums to
+     * crashPoints.
      */
     std::uint64_t pointsAtFence = 0;
     std::uint64_t pointsAtEpochEnd = 0;

@@ -140,7 +140,7 @@ namespace
  */
 std::vector<std::size_t>
 minimizeWitness(ImageCursor &cursor,
-                const CrossFailureChecker::Verifier &verify,
+                const RecoveryVerifier &verify,
                 std::vector<std::size_t> landed, std::string &detail,
                 std::uint64_t &verifies)
 {
@@ -169,7 +169,7 @@ minimizeWitness(ImageCursor &cursor,
 
 CrashsimResult
 exploreCrashPoints(const CrashPointLog &log,
-                   const CrossFailureChecker::Verifier &verify,
+                   const RecoveryVerifier &verify,
                    const CrashsimOptions &options, PmDebugger *debugger)
 {
     Stopwatch watch;

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cross_failure.hh"
 #include "crashsim/crash_points.hh"
 
 namespace pmdb
@@ -104,7 +103,7 @@ struct CrashsimResult
  */
 CrashsimResult
 exploreCrashPoints(const CrashPointLog &log,
-                   const CrossFailureChecker::Verifier &verify,
+                   const RecoveryVerifier &verify,
                    const CrashsimOptions &options = {},
                    PmDebugger *debugger = nullptr);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace pmdb
 {
@@ -231,41 +230,6 @@ PmemDevice::releaseImages()
     requireTracked("releaseImages()");
     return {std::exchange(persistedImage_, {}),
             std::exchange(volatileImage_, {})};
-}
-
-std::vector<std::uint8_t>
-CrashSimulator::crashImage(CrashPolicy policy, std::uint64_t seed) const
-{
-    std::vector<std::uint8_t> image = device_.persistedImage_;
-    if (policy == CrashPolicy::DropPending)
-        return image;
-
-    Rng rng(seed);
-    for (const auto &[line, snapshot] : device_.pendingLines_) {
-        const bool lands =
-            policy == CrashPolicy::CommitPending || rng.nextBool(0.5);
-        if (lands) {
-            const Addr base = line * cacheLineSize;
-            std::memcpy(image.data() + base, snapshot.data.data(),
-                        cacheLineSize);
-        }
-    }
-    return image;
-}
-
-std::vector<std::uint8_t>
-CrashSimulator::partialImage(
-    const std::vector<std::uint64_t> &landed_lines) const
-{
-    std::vector<std::uint8_t> image = device_.persistedImage_;
-    for (std::uint64_t line : landed_lines) {
-        auto it = device_.pendingLines_.find(line);
-        if (it == device_.pendingLines_.end())
-            continue;
-        std::memcpy(image.data() + line * cacheLineSize,
-                    it->second.data.data(), cacheLineSize);
-    }
-    return image;
 }
 
 } // namespace pmdb

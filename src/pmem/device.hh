@@ -13,9 +13,9 @@
  *  - an SFENCE *completes* pending writebacks: queued line images
  *    become part of the durable (persisted) image.
  *
- * CrashSimulator materializes the memory image a real crash would leave
- * behind, which drives cross-failure-semantic bug checking (Section 7.3)
- * and the crash-recovery example.
+ * The persisted image is what a crash would leave behind if no pending
+ * writeback landed; crashsim's ImageCursor (src/crashsim) builds the
+ * images where some of them do.
  */
 
 #ifndef PMDB_PMEM_DEVICE_HH
@@ -86,9 +86,8 @@ class PersistenceObserver
  * where real hardware would keep the durable state) holds only the
  * volatile image, and its pool does not attach it to the event
  * stream. Every persistence-domain entry point (the durable image,
- * dirty and pending queries, Flush and boundary events, the observer,
- * crash images) panics on it rather than answer from state no event
- * maintains.
+ * dirty and pending queries, Flush and boundary events, the observer)
+ * panics on it rather than answer from state no event maintains.
  */
 class PmemDevice : public TraceSink
 {
@@ -155,7 +154,10 @@ class PmemDevice : public TraceSink
     std::size_t dirtyLineCount() const { return dirtyLines_.size(); }
     std::size_t pendingLineCount() const { return pendingLines_.size(); }
 
-    /** The full durable image (what a DropPending crash would leave). */
+    /**
+     * The full durable image: what a crash at this instant leaves when
+     * no pending writeback lands.
+     */
     const std::vector<std::uint8_t> &persistedBytes() const
     {
         requireTracked("persistedBytes()");
@@ -211,8 +213,6 @@ class PmemDevice : public TraceSink
     releaseImages();
 
   private:
-    friend class CrashSimulator;
-
     /** Panic, naming @p what, unless the device tracks persistence. */
     void requireTracked(const char *what) const;
     void checkBounds(Addr addr, std::size_t size, const char *what) const;
@@ -230,53 +230,6 @@ class PmemDevice : public TraceSink
     std::unordered_map<std::uint64_t, PendingLine> pendingLines_;
     int epochDepth_ = 0;
     mutable PersistenceObserver *observer_ = nullptr;
-};
-
-/** What happens to flushed-but-unfenced lines at a simulated crash. */
-enum class CrashPolicy
-{
-    /** No pending writeback survives: only fenced data is durable. */
-    DropPending,
-    /** Every pending writeback happens to land before the crash. */
-    CommitPending,
-    /** Each pending line independently survives with probability 1/2. */
-    RandomPending,
-};
-
-/**
- * Materializes post-crash memory images from a PmemDevice. Dirty,
- * never-flushed lines never survive; pending lines survive according
- * to the chosen policy.
- */
-class CrashSimulator
-{
-  public:
-    explicit CrashSimulator(const PmemDevice &device) : device_(device)
-    {
-        device.requireTracked("CrashSimulator");
-    }
-
-    /**
-     * Produce the byte image a recovery program would observe after a
-     * crash at this instant.
-     */
-    std::vector<std::uint8_t> crashImage(CrashPolicy policy,
-                                         std::uint64_t seed = 1) const;
-
-    /**
-     * Partial-persistence image: exactly the pending lines listed in
-     * @p landed_lines (cache-line indices) reach durability; every
-     * other pending line is lost. Non-pending entries are ignored —
-     * already-durable lines are durable regardless, and dirty,
-     * never-flushed lines can never land. This is the leaf operation
-     * of crash-state enumeration (x86 lets each flushed-but-unfenced
-     * line independently reach the persistence domain).
-     */
-    std::vector<std::uint8_t>
-    partialImage(const std::vector<std::uint64_t> &landed_lines) const;
-
-  private:
-    const PmemDevice &device_;
 };
 
 } // namespace pmdb

@@ -638,10 +638,6 @@ repairTrace(const LoadedTrace &trace, const BugFingerprint &target,
                                   target.toString() + "]");
         for (const TraceEdit &edit : result.patch.edits)
             result.advisory.push_back(edit.note);
-        if (options.crashsimCheck &&
-            isCorrectnessRule(target.type)) {
-            result.crashScan = scanCrashPoints(result.patchedEvents);
-        }
     }
     result.replays = oracle.replays();
     return result;

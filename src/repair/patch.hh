@@ -9,8 +9,9 @@
  * performance rule flagged — and verifies each candidate by replaying
  * the fully patched trace through a fresh detector. A patch is
  * *verified* when the target bug is gone, no bug absent from the
- * original run appears, and (for correctness rules) the target range is
- * structurally durable at trace end under the crashsim line-state scan.
+ * original run appears, and (for correctness rules) no cache line of
+ * the target range is still dirty or pending when the patched trace
+ * ends (a line-state scan limited to that range).
  * The cheapest verified candidate (fewest edits) wins.
  */
 
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "crashsim/crash_points.hh"
 #include "repair/oracle.hh"
 #include "trace/trace_file.hh"
 
@@ -93,8 +93,6 @@ struct RepairOptions
     std::size_t maxInsertRounds = 256;
     /** Cap on iterations of the deletion loop (perf rules). */
     std::size_t maxDeleteIterations = 4096;
-    /** Run the structural crashsim scan on the patched trace. */
-    bool crashsimCheck = true;
 };
 
 /** Outcome of one repair attempt. */
@@ -111,8 +109,6 @@ struct RepairResult
     std::vector<std::string> advisory;
     std::size_t candidatesTried = 0;
     std::uint64_t replays = 0;
-    /** Structural crash-point scan of the patched trace (if run). */
-    CrashScanSummary crashScan;
 };
 
 /**

@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -28,6 +29,24 @@ namespace
 
 /** Events drained from a ring per poll (>= one batch frame). */
 constexpr std::size_t eventsPerDrain = 4096;
+
+/**
+ * Hand every block of 128 KiB or more back to the system when it is
+ * freed. glibc otherwise raises this threshold to the size of each large
+ * block freed, so after the first multi-megabyte verdict or Report
+ * payload, later ones come from the freeing worker's arena and stay
+ * resident there, where no other worker can reuse them: the resident
+ * set then depends on which worker happened to close which session.
+ * Setting the threshold stops the raising. The setting is process-wide,
+ * so it also covers an embedding process's own large allocations.
+ */
+void
+fixMmapThreshold()
+{
+#ifdef M_MMAP_THRESHOLD
+    ::mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+}
 
 /** Drain-path metrics, resolved once; touched per drain. */
 struct DrainMetrics
@@ -187,6 +206,7 @@ ServiceDaemon::start(std::string *error)
 {
     if (running_)
         return true;
+    fixMmapThreshold();
     listenFd_ = listenUnix(config_.socketPath, error);
     if (listenFd_ < 0)
         return false;

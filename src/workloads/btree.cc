@@ -283,7 +283,7 @@ verifyBTree(const Memory &memory, Addr meta_addr)
 
 } // namespace
 
-CrossFailureChecker::Verifier
+RecoveryVerifier
 btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region)
 {
     return [meta_addr,

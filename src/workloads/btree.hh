@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/cross_failure.hh"
+#include "crashsim/crash_points.hh"
 #include "pmdk/pool.hh"
 #include "pmdk/tx.hh"
 #include "workloads/workload.hh"
@@ -102,7 +102,7 @@ class BTreeWorkload : public Workload
  * matches the durable metadata count. Captures everything by value, so
  * it stays valid after the pool is destroyed.
  */
-CrossFailureChecker::Verifier
+RecoveryVerifier
 btreeRecoveryVerifier(Addr meta_addr, TxRecovery::TxLogRegion log_region);
 
 /**

@@ -56,8 +56,7 @@ ycsbMixSetRatio(char mix)
 }
 
 void
-CaseEnv::armCrossFailure(const PmemDevice &device,
-                         CrossFailureChecker::Verifier verify)
+CaseEnv::armCrossFailure(const PmemDevice &device, RecoveryVerifier verify)
 {
     // Crash-state exploration captures from the moment the verifier is
     // armed: initialization persists before this point are part of the
@@ -69,28 +68,31 @@ CaseEnv::armCrossFailure(const PmemDevice &device,
     const PmemDevice *dev = &device;
     xfdetector->setCrossFailureVerifier(
         [dev, verify = std::move(verify)]() -> std::string {
-            CrashSimulator sim(*dev);
-            const std::vector<std::uint8_t> image =
-                sim.crashImage(CrashPolicy::DropPending);
-            return verify(image);
+            return verify(dev->persistedBytes());
         });
 }
 
 void
 CaseEnv::checkCrossFailure(const PmemDevice &device,
-                           const CrossFailureChecker::Verifier &verify)
+                           const RecoveryVerifier &verify)
 {
     // The crash image must reflect every event issued so far; the
     // detector may still have events buffered, so force delivery
-    // before simulating the crash.
+    // before reading it.
     runtime.drain();
-    if (pmdebugger) {
-        CrossFailureChecker::check(*pmdebugger, device, verify,
-                                   {.seq = runtime.eventCount()});
-    } else if (externalBugSink) {
-        CrossFailureChecker::check(externalBugSink, device, verify,
-                                   {.seq = runtime.eventCount()});
-    }
+    if (!pmdebugger && !externalBugSink)
+        return;
+    std::string inconsistency = verify(device.persistedBytes());
+    if (inconsistency.empty())
+        return;
+    BugReport report;
+    report.type = BugType::CrossFailureSemantic;
+    report.seq = runtime.eventCount();
+    report.detail = std::move(inconsistency);
+    if (pmdebugger)
+        pmdebugger->reportBug(report);
+    else
+        externalBugSink(report);
 }
 
 namespace

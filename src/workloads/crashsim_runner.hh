@@ -36,9 +36,9 @@ namespace pmdb
 struct CrashsimCaseOutcome
 {
     /**
-     * The existing single-image checker (CrossFailureChecker at the
-     * scenario's own check points) reported the bug on the buggy
-     * variant.
+     * The single-image checker (CaseEnv::checkCrossFailure over the
+     * durable image at the scenario's own check points) reported the
+     * bug on the buggy variant.
      */
     bool singleImageFound = false;
     /** The exploration engine found it on the buggy variant. */

@@ -59,7 +59,7 @@ verifyHashmapAtomic(const Memory &memory, Addr meta_addr)
 
 } // namespace
 
-CrossFailureChecker::Verifier
+RecoveryVerifier
 hashmapAtomicRecoveryVerifier(Addr meta_addr)
 {
     return [meta_addr](const std::vector<std::uint8_t> &image) {

@@ -34,7 +34,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/cross_failure.hh"
+#include "crashsim/crash_points.hh"
 #include "pmdk/pool.hh"
 #include "pmdk/tx.hh"
 #include "workloads/workload.hh"
@@ -127,7 +127,7 @@ std::uint64_t hashmapAtomicTaggedValue(std::uint64_t key);
  * own durable step after publication, so recovery tolerates a stale
  * count but never a dangling or torn entry.
  */
-CrossFailureChecker::Verifier
+RecoveryVerifier
 hashmapAtomicRecoveryVerifier(Addr meta_addr);
 
 /**

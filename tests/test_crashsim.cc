@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
+#include "common/rng.hh"
 #include "crashsim/capture.hh"
 #include "crashsim/crash_points.hh"
 #include "crashsim/explore.hh"
@@ -556,6 +559,110 @@ TEST(CrashsimScanTest, StructuralScanCountsCrashPoints)
     const CrashScanSummary flush_summary =
         scanCrashPoints(events, with_flush);
     EXPECT_EQ(flush_summary.crashPoints, 5u);
+
+    // A CLF of a clean line queues nothing, so it is no crash point.
+    events.clear();
+    emit(EventKind::Store, 0, 8);
+    emit(EventKind::Flush, 256, 64);
+    emit(EventKind::Flush, 0, 64);
+    emit(EventKind::Fence, 0, 0);
+    const CrashScanSummary clean = scanCrashPoints(events, with_flush);
+    EXPECT_EQ(clean.crashPoints, 2u);
+    EXPECT_EQ(clean.imagesEnumerable, 4u);
+
+    // A two-line CLF is a crash point per queued line.
+    events.clear();
+    emit(EventKind::Store, 0, 8);
+    emit(EventKind::Store, 64, 8);
+    emit(EventKind::Flush, 0, 128);
+    emit(EventKind::Flush, 256, 64);
+    emit(EventKind::Fence, 0, 0);
+    const CrashScanSummary multi = scanCrashPoints(events, with_flush);
+    EXPECT_EQ(multi.crashPoints, 3u);
+    EXPECT_EQ(multi.pendingLinesTotal, 5u);
+    EXPECT_EQ(multi.imagesEnumerable, 10u);
+}
+
+/** A seeded random event stream over a @p lines -line pool. */
+std::vector<Event>
+randomPersistStream(Rng &rng, std::size_t lines, std::size_t length)
+{
+    const std::uint64_t pool_bytes = lines * cacheLineSize;
+    std::vector<Event> events;
+    for (std::size_t i = 0; i < length; ++i) {
+        Event event;
+        event.seq = events.size() + 1;
+        const std::uint64_t roll = rng.nextBounded(100);
+        if (roll < 35) {
+            // Stores of up to three lines, often straddling a boundary.
+            event.kind = EventKind::Store;
+            event.addr = rng.nextBounded(pool_bytes - 8);
+            event.size = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                1 + rng.nextBounded(3 * cacheLineSize),
+                pool_bytes - event.addr));
+        } else if (roll < 70) {
+            // Flushes of one to four lines: some lines dirty, some
+            // pending, some clean.
+            event.kind = EventKind::Flush;
+            const std::uint64_t first = rng.nextBounded(lines);
+            const std::uint64_t count =
+                std::min<std::uint64_t>(1 + rng.nextBounded(4),
+                                        lines - first);
+            event.addr = first * cacheLineSize;
+            event.size =
+                static_cast<std::uint32_t>(count * cacheLineSize);
+        } else if (roll < 80) {
+            event.kind = EventKind::Fence;
+        } else if (roll < 88) {
+            event.kind = EventKind::EpochBegin;
+        } else if (roll < 96) {
+            event.kind = EventKind::EpochEnd;
+        } else {
+            event.kind = EventKind::JoinStrand;
+        }
+        events.push_back(event);
+    }
+    return events;
+}
+
+TEST(CrashsimScanTest, ScanAgreesWithLiveCaptureOnRandomStreams)
+{
+    // The structural scan of a trace must count what a live capture of
+    // the same events explores: one Flush point per line a CLF queues
+    // (none for a clean line), the same pending sets, the same
+    // epoch-coalesced points and the same candidate images.
+    constexpr std::size_t lines = 24;
+    Rng rng(20240611);
+    for (int stream = 0; stream < 200; ++stream) {
+        const std::vector<Event> events =
+            randomPersistStream(rng, lines, 20 + rng.nextBounded(80));
+        for (int variant = 0; variant < 8; ++variant) {
+            CrashsimOptions options;
+            options.captureAtFlush = variant & 1;
+            options.epochAtomic = variant & 2;
+            if (variant & 4) {
+                // Tight bounds: truncated and random-topped points.
+                options.maxPendingLines = 4;
+                options.maxImagesPerPoint = 12;
+            }
+            SCOPED_TRACE("stream " + std::to_string(stream) +
+                         ", variant " + std::to_string(variant));
+
+            PmemDevice device(lines * cacheLineSize);
+            CrashsimSession session(options);
+            session.adopt(device);
+            for (const Event &event : events)
+                device.handle(event);
+            const CrashsimStats live =
+                exploreCrashPoints(session.log(), nullptr, options).stats;
+
+            const CrashScanSummary scan = scanCrashPoints(events, options);
+            ASSERT_EQ(scan.crashPoints, live.points);
+            ASSERT_EQ(scan.pendingLinesTotal, live.pendingLines);
+            ASSERT_EQ(scan.epochCoalescedPoints, live.epochCoalescedPoints);
+            ASSERT_EQ(scan.imagesEnumerable, live.imagesEnumerated);
+        }
+    }
 }
 
 } // namespace

@@ -1,23 +1,36 @@
 /**
  * @file
- * Tests for cross-failure semantic checking: crash-image verifiers,
- * the manual recovery path PMDebugger uses, and end-to-end recovery
- * consistency of the transactional workloads via TxRecovery.
+ * Tests for cross-failure semantic checking: the manual recovery path
+ * PMDebugger uses (CaseEnv::checkCrossFailure over the device's durable
+ * image) and end-to-end recovery consistency of the transactional
+ * workloads via TxRecovery.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "core/cross_failure.hh"
 #include "pmdk/pool.hh"
 #include "pmdk/tx.hh"
 #include "workloads/btree.hh"
+#include "workloads/bug_suite.hh"
 
 namespace pmdb
 {
 namespace
 {
+
+/** A verifier that requires the 8-byte @p value at @p addr. */
+RecoveryVerifier
+requireValue(Addr addr, std::uint64_t value)
+{
+    return [addr, value](const std::vector<std::uint8_t> &image)
+               -> std::string {
+        std::uint64_t v = 0;
+        std::memcpy(&v, image.data() + addr, 8);
+        return v == value ? "" : "value lost";
+    };
+}
 
 TEST(CrossFailureTest, ConsistentStateReportsNothing)
 {
@@ -30,16 +43,18 @@ TEST(CrossFailureTest, ConsistentStateReportsNothing)
     pool.store<std::uint64_t>(a, 5);
     pool.persist(a, 8);
 
-    const bool found = CrossFailureChecker::check(
-        debugger, pool.device(),
-        [a](const std::vector<std::uint8_t> &image) -> std::string {
-            std::uint64_t v = 0;
-            std::memcpy(&v, image.data() + a, 8);
-            return v == 5 ? "" : "value lost";
-        },
-        {.seq = runtime.eventCount()});
-    EXPECT_FALSE(found);
+    CaseEnv env{runtime};
+    env.pmdebugger = &debugger;
+    env.checkCrossFailure(pool.device(), requireValue(a, 5));
     EXPECT_EQ(debugger.bugs().total(), 0u);
+
+    std::size_t external = 0;
+    CaseEnv remote{runtime};
+    remote.externalBugSink = [&external](const BugReport &) {
+        ++external;
+    };
+    remote.checkCrossFailure(pool.device(), requireValue(a, 5));
+    EXPECT_EQ(external, 0u);
 }
 
 TEST(CrossFailureTest, InconsistencyIsReportedThroughDebugger)
@@ -55,8 +70,13 @@ TEST(CrossFailureTest, InconsistencyIsReportedThroughDebugger)
     pool.store<std::uint64_t>(flag, 1);
     pool.persist(flag, 8);
 
-    const bool found = CrossFailureChecker::check(
-        debugger, pool.device(),
+    // With both sinks set, the in-process debugger takes the report.
+    std::size_t external = 0;
+    CaseEnv env{runtime};
+    env.pmdebugger = &debugger;
+    env.externalBugSink = [&external](const BugReport &) { ++external; };
+    env.checkCrossFailure(
+        pool.device(),
         [value, flag](const std::vector<std::uint8_t> &image)
             -> std::string {
             std::uint64_t f = 0, v = 0;
@@ -65,44 +85,35 @@ TEST(CrossFailureTest, InconsistencyIsReportedThroughDebugger)
             if (f == 1 && v != 77)
                 return "flag committed but value unpersisted";
             return "";
-        },
-        {.seq = runtime.eventCount()});
-    EXPECT_TRUE(found);
+        });
     EXPECT_EQ(debugger.bugs().countOf(BugType::CrossFailureSemantic), 1u);
-    EXPECT_EQ(debugger.bugs().bugs().front().seq, runtime.eventCount());
+    const BugReport &report = debugger.bugs().bugs().front();
+    EXPECT_EQ(report.seq, runtime.eventCount());
+    EXPECT_EQ(report.detail, "flag committed but value unpersisted");
+    EXPECT_EQ(external, 0u);
 }
 
-TEST(CrossFailureTest, ExplicitLandedSubsetSelectsPendingLines)
+TEST(CrossFailureTest, InconsistencyIsReportedThroughExternalSink)
 {
-    // Two lines flushed under the same fence window: an explicit
-    // landed-line subset must persist exactly the chosen one.
+    // No in-process debugger (the detection-service client): the
+    // report goes to the external sink, stamped the same way.
     PmRuntime runtime;
-    PmDebugger debugger;
-    runtime.attach(&debugger);
     PmemPool pool(runtime, 1 << 20, "xf.pool");
 
     const Addr a = pool.alloc(64);
-    const Addr b = pool.alloc(64);
-    pool.store<std::uint64_t>(a, 11);
-    pool.store<std::uint64_t>(b, 22);
-    pool.flush(a, 8); // both pending, unfenced
-    pool.flush(b, 8);
+    pool.store<std::uint64_t>(a, 9);
+    pool.flush(a, 8); // pending, unfenced: not in the durable image
 
-    const bool found = CrossFailureChecker::check(
-        debugger, pool.device(),
-        [a, b](const std::vector<std::uint8_t> &image) -> std::string {
-            std::uint64_t va = 0, vb = 0;
-            std::memcpy(&va, image.data() + a, 8);
-            std::memcpy(&vb, image.data() + b, 8);
-            if (vb == 22 && va != 11)
-                return "b landed without a";
-            return "";
-        },
-        {.seq = runtime.eventCount(),
-         .landedLines = std::vector<std::uint64_t>{cacheLineIndex(b)}});
-    EXPECT_TRUE(found);
-    EXPECT_EQ(debugger.bugs().countOf(BugType::CrossFailureSemantic), 1u);
-    EXPECT_EQ(debugger.bugs().bugs().front().seq, runtime.eventCount());
+    std::vector<BugReport> reports;
+    CaseEnv env{runtime};
+    env.externalBugSink = [&reports](const BugReport &report) {
+        reports.push_back(report);
+    };
+    env.checkCrossFailure(pool.device(), requireValue(a, 9));
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports.front().type, BugType::CrossFailureSemantic);
+    EXPECT_EQ(reports.front().seq, runtime.eventCount());
+    EXPECT_EQ(reports.front().detail, "value lost");
 }
 
 TEST(CrossFailureTest, BTreeRecoversConsistentlyFromMidTxCrash)
@@ -127,8 +138,9 @@ TEST(CrossFailureTest, BTreeRecoversConsistentlyFromMidTxCrash)
     meta_val.count = 9999; // torn update
     pool.store(meta, meta_val);
 
-    CrashSimulator sim(pool.device());
-    auto image = sim.crashImage(CrashPolicy::CommitPending);
+    // Fence so the log's writebacks land, then crash.
+    pool.fence();
+    std::vector<std::uint8_t> image = pool.device().persistedBytes();
     TxRecovery::rollback(pool, image);
 
     // After rollback, the metadata must show the pre-crash count.
@@ -145,35 +157,14 @@ TEST(CrossFailureTest, UntrackedPoolDies)
     runtime.attach(&debugger);
     PmemPool pool(runtime, 1 << 20, "xf.pool",
                   /*track_persistence=*/false);
-    EXPECT_DEATH(CrossFailureChecker::check(
-                     debugger, pool.device(),
+    CaseEnv env{runtime};
+    env.pmdebugger = &debugger;
+    EXPECT_DEATH(env.checkCrossFailure(
+                     pool.device(),
                      [](const std::vector<std::uint8_t> &) {
                          return std::string();
-                     },
-                     {}),
+                     }),
                  "does not track persistence");
-}
-
-TEST(CrashPolicyTest, PoliciesOrderedByOptimism)
-{
-    PmRuntime runtime;
-    PmemPool pool(runtime, 1 << 20, "xf.pool");
-    const Addr a = pool.alloc(64);
-    pool.store<std::uint64_t>(a, 9);
-    pool.flush(a, 8); // pending, unfenced
-
-    CrashSimulator sim(pool.device());
-    std::uint64_t dropped = 0, committed = 0;
-    {
-        auto image = sim.crashImage(CrashPolicy::DropPending);
-        std::memcpy(&dropped, image.data() + a, 8);
-    }
-    {
-        auto image = sim.crashImage(CrashPolicy::CommitPending);
-        std::memcpy(&committed, image.data() + a, 8);
-    }
-    EXPECT_EQ(dropped, 0u);
-    EXPECT_EQ(committed, 9u);
 }
 
 } // namespace

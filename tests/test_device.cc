@@ -123,35 +123,10 @@ TEST_F(DeviceTest, CrashImageDropPendingExcludesUnfencedData)
 
     write64(0x300, 0x33); // dirty, never flushed
 
-    CrashSimulator sim(device);
-    const auto image = sim.crashImage(CrashPolicy::DropPending);
+    const auto &image = device.persistedBytes();
     EXPECT_EQ(readPersistedFrom(image, 0x100), 0x11u);
     EXPECT_EQ(readPersistedFrom(image, 0x200), 0u);
     EXPECT_EQ(readPersistedFrom(image, 0x300), 0u);
-}
-
-TEST_F(DeviceTest, CrashImageCommitPendingIncludesFlushedData)
-{
-    write64(0x200, 0x22);
-    runtime.flush(0x200, 64);
-    write64(0x300, 0x33); // never flushed
-
-    CrashSimulator sim(device);
-    const auto image = sim.crashImage(CrashPolicy::CommitPending);
-    EXPECT_EQ(readPersistedFrom(image, 0x200), 0x22u);
-    EXPECT_EQ(readPersistedFrom(image, 0x300), 0u);
-}
-
-TEST_F(DeviceTest, RandomPendingIsDeterministicPerSeed)
-{
-    for (int i = 0; i < 16; ++i) {
-        write64(0x1000 + i * 64, i + 1);
-        runtime.flush(0x1000 + i * 64, 64);
-    }
-    CrashSimulator sim(device);
-    const auto a = sim.crashImage(CrashPolicy::RandomPending, 7);
-    const auto b = sim.crashImage(CrashPolicy::RandomPending, 7);
-    EXPECT_EQ(a, b);
 }
 
 TEST_F(DeviceTest, JoinStrandDrainsPending)

@@ -195,17 +195,18 @@ TEST_F(TxTest, RecoveryRollsBackTornTransaction)
 
     // Mid-transaction crash: the log entries are flushed (addRange
     // flushes them), so force them into the persistence domain with a
-    // CommitPending crash — then verify recovery restores old values.
+    // fence before the crash — then verify recovery restores old
+    // values.
     Transaction tx(pool);
     tx.begin();
     tx.addRange(a, 8);
     tx.addRange(b, 8);
     pool.store<std::uint64_t>(a, 20);
     pool.store<std::uint64_t>(b, 20);
+    pool.fence();
     // no commit: crash here
 
-    CrashSimulator sim(pool.device());
-    auto image = sim.crashImage(CrashPolicy::CommitPending);
+    std::vector<std::uint8_t> image = pool.device().persistedBytes();
     const auto recovered = TxRecovery::rollback(pool, image);
     ASSERT_EQ(recovered.size(), 2u);
     EXPECT_TRUE(recovered[0].checksumOk);
@@ -228,8 +229,7 @@ TEST_F(TxTest, RecoveryAfterCommitFindsEmptyLog)
     pool.store<std::uint64_t>(a, 42);
     tx.commit();
 
-    CrashSimulator sim(pool.device());
-    auto image = sim.crashImage(CrashPolicy::DropPending);
+    std::vector<std::uint8_t> image = pool.device().persistedBytes();
     const auto recovered = TxRecovery::rollback(pool, image);
     EXPECT_TRUE(recovered.empty());
     std::uint64_t v = 0;

@@ -149,7 +149,7 @@ main(int argc, char **argv)
             cli::flag("--seed", "S", &options.seed,
                       "exploration schedule seed (default 1)"),
             cli::flag("--flush-points", &options.captureAtFlush,
-                      "also capture a crash point at every CLF"),
+                      "also capture a crash point per line a CLF queues"),
             cli::flag("--no-epoch-atomic", &options.epochAtomic,
                       "Jaaru-style sweep inside transactions too", false),
             cli::flag("--ops", "N", &wl_options.operations,

@@ -192,7 +192,7 @@ main(int argc, char **argv)
                       &options.run.sim.maxImagesPerPoint,
                       "candidate-image cap per crash point"),
             cli::flag("--flush-points", &options.run.sim.captureAtFlush,
-                      "also capture a crash point at every CLF"),
+                      "also capture a crash point per line a CLF queues"),
             cli::flag("--no-epoch-atomic", &options.run.sim.epochAtomic,
                       "sweep inside transactions too", false),
             cli::flag("--max-findings", "N", &options.maxFindings,

@@ -527,7 +527,7 @@ main(int argc, char **argv)
         "crashsim", "<file.trc> [options]",
         {
             cli::flag("--flush-points", &opt.crash.captureAtFlush,
-                      "also capture a crash point at every CLF"),
+                      "also capture a crash point per line a CLF queues"),
             cli::flag("--max-pending", "K", &opt.crash.maxPendingLines,
                       "pending-line cap per crash point"),
             cli::flag("--max-images", "N", &opt.crash.maxImagesPerPoint,
