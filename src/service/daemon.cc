@@ -153,19 +153,11 @@ mergeVerdict(SessionId session, std::vector<BugReport> bugs,
  */
 struct ServiceDaemon::ActiveSession
 {
-    enum class Phase
-    {
-        Handshake, ///< Accepted; waiting for the Hello.
-        Streaming, ///< Ring + control plane live.
-        Closing    ///< Close under way; the session is leaving.
-    };
-
     /** Held by the one worker serving this session, for one step. */
     std::mutex lease;
     int fd = -1;
-    /** Written by the lease holder; the metrics scrape reads it,
-     *  then id and started, which are set before Streaming. */
-    std::atomic<Phase> phase{Phase::Handshake};
+    /** Set once the Hello is accepted: ring and control plane live. */
+    bool streaming = false;
     SessionId id = 0;
     HelloBody hello;
     EventRing ring;
@@ -179,10 +171,7 @@ struct ServiceDaemon::ActiveSession
     /** Drain buffer; sized once at handshake. Events are validated and
      *  evaluated here, never in the ring the client can still write. */
     std::vector<Event> scratch;
-    /** Live ingest counters the metrics scrape reads; folded into
-     *  summary at close. */
-    std::atomic<std::uint64_t> eventsProcessed{0};
-    std::atomic<std::uint64_t> batchesDrained{0};
+    /** Counts ingest as the session streams; published at close. */
     SessionSummary summary;
     std::chrono::steady_clock::time_point started{};
     /** Set when the session is fully finished (workers prune it). */
@@ -214,14 +203,6 @@ ServiceDaemon::start(std::string *error)
     for (std::size_t i = 0; i < config_.pool.shards; ++i)
         workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
-    if (!config_.metricsSocketPath.empty()) {
-        metricsFd_ = listenUnix(config_.metricsSocketPath, error);
-        if (metricsFd_ < 0) {
-            stop();
-            return false;
-        }
-        metricsThread_ = std::thread([this] { metricsLoop(); });
-    }
     if (!config_.traceOutPath.empty())
         telemetry::setSpansEnabled(true);
     running_ = true;
@@ -248,20 +229,13 @@ ServiceDaemon::stop()
     for (const auto &session : leftover) {
         if (session->done.load())
             continue;
-        if (session->phase == ActiveSession::Phase::Handshake) {
+        if (!session->streaming) {
             ::close(session->fd);
             session->fd = -1;
             session->done.store(true);
         } else {
             closeSession(*session, /*aborted=*/true);
         }
-    }
-    if (metricsThread_.joinable())
-        metricsThread_.join();
-    if (metricsFd_ >= 0) {
-        ::close(metricsFd_);
-        metricsFd_ = -1;
-        std::remove(config_.metricsSocketPath.c_str());
     }
     if (listenFd_ >= 0) {
         ::close(listenFd_);
@@ -325,81 +299,24 @@ ServiceDaemon::metricsSnapshot() const
     const IngestStats ingest = ingestStats();
     snap.addCounter("pmdbd.polls", ingest.polls);
     snap.addCounter("pmdbd.idle_polls", ingest.idlePolls);
-    // Per-session ingest: completed sessions from their summaries,
-    // live ones from the atomics their lease holder keeps current.
-    const auto addSession = [&](SessionId id, std::uint64_t events,
-                                std::uint64_t batches, double seconds,
-                                bool live) {
+    const std::vector<SessionSummary> sessions = summaries();
+    for (const SessionSummary &session : sessions) {
         const std::string label =
-            "{session=\"" + std::to_string(id) + "\"}";
-        snap.addCounter("pmdbd.session.events" + label, events);
-        snap.addCounter("pmdbd.session.batches" + label, batches);
+            "{session=\"" + std::to_string(session.id) + "\"}";
+        snap.addCounter("pmdbd.session.events" + label,
+                        session.eventsProcessed);
+        snap.addCounter("pmdbd.session.batches" + label,
+                        session.batchesDrained);
         snap.addGauge("pmdbd.session.millis" + label,
-                      static_cast<std::int64_t>(seconds * 1000.0));
-        snap.addGauge("pmdbd.session.live" + label, live ? 1 : 0);
-    };
-    std::size_t completed = 0;
-    {
-        std::lock_guard<std::mutex> lock(summariesMutex_);
-        for (const SessionSummary &session : summaries_) {
-            addSession(session.id, session.eventsProcessed,
-                       session.batchesDrained, session.seconds, false);
-        }
-        completed = summaries_.size();
-    }
-    const auto now = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (const auto &session : sessions_) {
-            if (session->phase != ActiveSession::Phase::Streaming)
-                continue;
-            addSession(session->id, session->eventsProcessed,
-                       session->batchesDrained,
-                       std::chrono::duration<double>(
-                           now - session->started)
-                           .count(),
-                       true);
-        }
+                      static_cast<std::int64_t>(session.seconds * 1000.0));
     }
     snap.addGauge("pmdbd.sessions_completed",
-                  static_cast<std::int64_t>(completed));
+                  static_cast<std::int64_t>(sessions.size()));
     snap.addGauge(
         "pmdbd.crossproc.groups_completed",
         static_cast<std::int64_t>(crossproc_.results().size()));
     snap.sortByName();
     return snap;
-}
-
-void
-ServiceDaemon::metricsLoop()
-{
-    while (!stopping_.load()) {
-        if (!readable(metricsFd_, 200))
-            continue;
-        const int fd = ::accept(metricsFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        // One request line per connection: "prom" for Prometheus
-        // text, anything else (including EOF) serves JSON.
-        char buf[16] = {};
-        ssize_t got = 0;
-        if (readable(fd, 1000))
-            got = ::read(fd, buf, sizeof(buf) - 1);
-        const bool prom =
-            got >= 4 && std::string(buf, 4) == "prom";
-        const telemetry::MetricsSnapshot snap = metricsSnapshot();
-        const std::string reply =
-            prom ? snap.toPrometheus() : snap.toJson() + "\n";
-        std::size_t sent = 0;
-        while (sent < reply.size()) {
-            const ssize_t n = ::write(fd, reply.data() + sent,
-                                      reply.size() - sent);
-            if (n <= 0)
-                break;
-            sent += static_cast<std::size_t>(n);
-        }
-        ::close(fd);
-    }
 }
 
 std::string
@@ -428,8 +345,8 @@ ServiceDaemon::aggregatedJson() const
             .field("bugs", session.bugs)
             .endObject();
     }
-    // The same snapshot the metrics endpoint serves, embedded whole:
-    // every counter is rendered there and nowhere else.
+    // The metrics snapshot, embedded whole: every counter is rendered
+    // there and nowhere else.
     json.endArray()
         .key("crossproc")
         .raw(crossproc_.resultsJson())
@@ -534,7 +451,6 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
 
     DebuggerConfig config;
     config.model = session.hello.model;
-    config.arrayCapacity = config_.pool.arrayCapacity;
     if (!session.hello.orderSpecText.empty())
         config.orderSpec =
             OrderSpec::fromText(session.hello.orderSpecText);
@@ -555,7 +471,7 @@ ServiceDaemon::finishHandshake(ActiveSession &session)
 
     session.scratch.resize(eventsPerDrain);
     session.started = std::chrono::steady_clock::now();
-    session.phase = ActiveSession::Phase::Streaming;
+    session.streaming = true;
     return true;
 }
 
@@ -575,7 +491,7 @@ ServiceDaemon::evaluate(ActiveSession &session, const Event *events,
 bool
 ServiceDaemon::pollSession(ActiveSession &session)
 {
-    if (session.phase == ActiveSession::Phase::Handshake)
+    if (!session.streaming)
         return finishHandshake(session);
 
     bool progressed = false;
@@ -645,8 +561,8 @@ ServiceDaemon::pollSession(ActiveSession &session)
                             field);
     if (popped) {
         progressed = true;
-        ++session.batchesDrained;
-        session.eventsProcessed += popped;
+        ++session.summary.batchesDrained;
+        session.summary.eventsProcessed += popped;
         if (telemetry::enabled()) {
             DrainMetrics &metrics = DrainMetrics::get();
             const std::uint64_t now = telemetry::nowNs();
@@ -693,9 +609,6 @@ ServiceDaemon::pollSession(ActiveSession &session)
 void
 ServiceDaemon::closeSession(ActiveSession &session, bool aborted)
 {
-    session.phase = ActiveSession::Phase::Closing;
-    session.summary.eventsProcessed = session.eventsProcessed;
-    session.summary.batchesDrained = session.batchesDrained;
     session.summary.aborted = aborted;
     // Every event of this session has been fed by now (feeds and this
     // close run under its lease); when this is the group's last

@@ -44,14 +44,13 @@
 namespace pmdb
 {
 
-/** Worker-pool shape and the per-session detector settings. */
+/** Worker-pool shape. Each session's detector takes DebuggerConfig's
+ *  defaults, as every in-process caller's does. */
 struct WorkerPoolConfig
 {
     /** Worker threads serving the sessions. (Named `shards` until the
      *  benchmark harness that sets it is renamed.) */
     std::size_t shards = 1;
-    /** Per-session debugger array capacity (Section 4.1). */
-    std::size_t arrayCapacity = 100000;
 };
 
 /** Daemon configuration. */
@@ -64,13 +63,6 @@ struct ServiceConfig
     /** Inert: only the benchmark harness reads it (ROADMAP item 1
      *  deletes it). */
     std::size_t pollers = 1;
-    /**
-     * When non-empty, serve live metric snapshots on this Unix socket
-     * (`pmdbd --metrics-sock`): a connection sends one request line —
-     * "json" or "prom" — and receives the snapshot in that format.
-     * pmdb_stat is the bundled client.
-     */
-    std::string metricsSocketPath;
     /** Enable span tracing and write Chrome trace JSON here at stop. */
     std::string traceOutPath;
 };
@@ -112,7 +104,8 @@ class ServiceDaemon
     ServiceDaemon(const ServiceDaemon &) = delete;
     ServiceDaemon &operator=(const ServiceDaemon &) = delete;
 
-    /** Bind the socket and start the worker pool. */
+    /** Bind the socket and start the worker pool and the accept
+     *  thread. */
     bool start(std::string *error = nullptr);
 
     /** Stop accepting, join the workers, abort live sessions. */
@@ -143,10 +136,10 @@ class ServiceDaemon
     /**
      * The one render of every daemon counter: the global telemetry
      * registry plus this instance's sweep counters ("pmdbd.polls") and
-     * per-session ingest
-     * ("pmdbd.session.events{session=\"1\"}", completed and live).
-     * Instance-owned, since daemons may share a process whose registry
-     * is reset under them. The endpoint and aggregatedJson() render it.
+     * the ingest of each completed session
+     * ("pmdbd.session.events{session=\"1\"}"). Instance-owned, since
+     * daemons may share a process whose registry is reset under them.
+     * aggregatedJson() embeds it whole.
      */
     telemetry::MetricsSnapshot metricsSnapshot() const;
 
@@ -166,7 +159,6 @@ class ServiceDaemon
     struct ActiveSession;
 
     void acceptLoop();
-    void metricsLoop();
     void workerLoop();
     /** One poll step for one leased session; true on progress. */
     bool pollSession(ActiveSession &session);
@@ -182,9 +174,7 @@ class ServiceDaemon
     /** Cross-session rule engine for shared-pool session groups. */
     CrossprocEngine crossproc_;
     int listenFd_ = -1;
-    int metricsFd_ = -1;
     std::thread acceptThread_;
-    std::thread metricsThread_;
     std::vector<std::thread> workers_;
 
     /** Guards sessions_ (the accept thread appends, workers prune). */

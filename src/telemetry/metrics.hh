@@ -1,9 +1,8 @@
 /**
  * @file
  * Always-on, low-overhead metrics substrate for the whole pipeline:
- * counters, gauges, and fixed-bucket latency histograms collected in a
- * process-global registry, snapshotted on demand as JSON or Prometheus
- * text.
+ * counters and fixed-bucket latency histograms collected in a
+ * process-global registry, snapshotted on demand and rendered as JSON.
  *
  * Design constraints (DESIGN.md §14):
  *
@@ -23,15 +22,13 @@
  *    of merge order (tests/test_telemetry.cc asserts this, mirroring
  *    the 1-vs-4-worker report-identity pattern).
  *
- *  - **Snapshot identity.** A MetricsSnapshot serializes to JSON and
- *    parses back to an equal snapshot (round-trip asserted in tests),
- *    so pmdb_stat and pmdbd --json can never drift from the registry:
- *    both render the same snapshot structure.
+ *  - **One render.** MetricsSnapshot::toJson() is the only output
+ *    format. pmdbd reports at exit: its --json aggregate embeds the
+ *    daemon's snapshot whole, and --trace-out writes the span trace
+ *    (span.hh). In-process embedders read the snapshot directly.
  *
- * Metric names are dotted paths with optional Prometheus-style labels
- * embedded in the name ("pmdbd.session.events{session=\"1\"}"); the
- * Prometheus renderer translates dots to underscores and keeps the
- * label set.
+ * Metric names are dotted paths with optional labels embedded in the
+ * name ("pmdbd.session.events{session=\"1\"}").
  */
 
 #ifndef PMDB_TELEMETRY_METRICS_HH
@@ -125,18 +122,6 @@ class Counter
     static std::size_t nextStripe();
 
     std::array<Cell, counterStripes> cells_;
-};
-
-/** Point-in-time signed value (queue depth, active sessions). */
-class Gauge
-{
-  public:
-    void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-    std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::int64_t> v_{0};
 };
 
 /** Fixed bucket count shared by every histogram (merge compatibility). */
@@ -273,24 +258,15 @@ struct MetricSample
 
     std::string name;
     Kind kind = Kind::Counter;
-    /** Counter/Gauge value (counters are non-negative). */
+    /** Counter or gauge value (counters are non-negative). */
     std::int64_t value = 0;
     /** Histogram contents (Kind::Histogram only). */
     HistogramSnapshot hist;
-
-    bool
-    operator==(const MetricSample &other) const
-    {
-        return name == other.name && kind == other.kind &&
-               value == other.value && hist == other.hist;
-    }
 };
 
 /**
- * A point-in-time copy of a metric set, sorted by name. This is the
- * single structure every output renders: the metrics endpoint, pmdbd
- * --json, and pmdb_stat all consume the same snapshot, so their views
- * cannot drift.
+ * A point-in-time copy of a metric set, sorted by name: the single
+ * structure pmdbd --json embeds and in-process embedders read.
  */
 struct MetricsSnapshot
 {
@@ -303,33 +279,12 @@ struct MetricsSnapshot
     void addGauge(std::string name, std::int64_t value);
     void addHistogram(std::string name, HistogramSnapshot hist);
 
-    /** Samples must be name-sorted before rendering or comparing. */
+    /** Samples must be name-sorted before rendering. */
     void sortByName();
-
-    /** Merge @p other's samples (same-name histograms merge bucket-
-     *  wise, counters/gauges add); used to fold dynamic daemon state
-     *  into the registry snapshot. */
-    void merge(const MetricsSnapshot &other);
 
     const MetricSample *find(const std::string &name) const;
 
     std::string toJson() const;
-    std::string toPrometheus() const;
-
-    /**
-     * Parse the toJson() format back into a snapshot. Strict about the
-     * shape this file writes; returns false with @p error filled on
-     * malformed input. Round-trip identity (parse(toJson()) == *this)
-     * is asserted in tests.
-     */
-    static bool fromJson(const std::string &text, MetricsSnapshot *out,
-                         std::string *error = nullptr);
-
-    bool
-    operator==(const MetricsSnapshot &other) const
-    {
-        return samples == other.samples;
-    }
 };
 
 /**
@@ -344,7 +299,6 @@ class Registry
     static Registry &global();
 
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     /** Name-sorted copy of every registered metric. */
@@ -359,7 +313,6 @@ class Registry
 
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -69,12 +69,8 @@ contracts()
           "--shared-pool", "--writer", "--list"},
          "pmdebugger 10 b_tree", "--threads"},
         {"pmdbd",
-         {"--socket", "--workers", "--array-capacity", "--once", "--json",
-          "--metrics-sock", "--trace-out"},
+         {"--socket", "--workers", "--once", "--json", "--trace-out"},
          "--socket /nonexistent/pmdbd.sock", "--workers"},
-        {"pmdb_stat",
-         {"--socket", "--once", "--interval", "--json", "--prom"},
-         "--socket /nonexistent/pmdb.metrics --once", "--interval"},
         {"pmdb_crashsim",
          {"--workers", "--max-pending", "--max-images", "--seed",
           "--flush-points", "--no-epoch-atomic", "--ops", "--fault",

@@ -2,8 +2,8 @@
  * @file
  * Telemetry substrate tests: histogram bucket math and merge
  * determinism (any merge order yields identical buckets and
- * quantiles), snapshot JSON round-tripping, Prometheus rendering, and
- * the registry's stable-reference contract.
+ * quantiles), striped counters, the registry's stable-reference
+ * contract, and the span buffer.
  */
 
 #include <algorithm>
@@ -130,125 +130,6 @@ TEST(TelemetryCounter, StripedAddsSum)
         thread.join();
     EXPECT_EQ(counter.value(),
               static_cast<std::uint64_t>(threads) * perThread);
-}
-
-MetricsSnapshot
-buildSnapshot()
-{
-    Histogram hist;
-    for (int i = 0; i < 1000; ++i)
-        hist.record(static_cast<std::uint64_t>(i * i));
-    MetricsSnapshot snap;
-    snap.addCounter("pmdbd.events_drained", 123456);
-    snap.addCounter("pmdbd.session.events{session=\"1\"}", 777);
-    snap.addGauge("pmdbd.session.millis{session=\"1\"}", -3);
-    snap.addHistogram("detector.eval_ns{class=\"store\"}",
-                      hist.snapshot());
-    snap.sortByName();
-    return snap;
-}
-
-TEST(TelemetrySnapshot, JsonRoundTripIsIdentity)
-{
-    const MetricsSnapshot snap = buildSnapshot();
-    const std::string json = snap.toJson();
-
-    MetricsSnapshot parsed;
-    std::string error;
-    ASSERT_TRUE(MetricsSnapshot::fromJson(json, &parsed, &error))
-        << error;
-    EXPECT_EQ(parsed, snap);
-    // Serialize -> parse -> serialize is a fixed point.
-    EXPECT_EQ(parsed.toJson(), json);
-}
-
-/** Names go through the shared escaper; the reader must undo it. */
-TEST(TelemetrySnapshot, JsonRoundTripsEscapedNames)
-{
-    std::string name = "odd{label=\"a\\b\"}";
-    for (char c = 1; c < 0x20; ++c)
-        name += c;
-    MetricsSnapshot snap;
-    snap.addCounter(name, 5);
-    const std::string json = snap.toJson();
-    for (const char c : json)
-        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
-
-    MetricsSnapshot parsed;
-    std::string error;
-    ASSERT_TRUE(MetricsSnapshot::fromJson(json, &parsed, &error))
-        << error;
-    EXPECT_EQ(parsed, snap);
-    EXPECT_FALSE(MetricsSnapshot::fromJson(
-        "{\"schema\": 1, \"metrics\": [{\"name\": \"\\u00zz\", "
-        "\"type\": \"counter\", \"value\": 1}]}",
-        &parsed, &error));
-}
-
-TEST(TelemetrySnapshot, JsonRejectsGarbage)
-{
-    MetricsSnapshot parsed;
-    std::string error;
-    EXPECT_FALSE(MetricsSnapshot::fromJson("", &parsed, &error));
-    EXPECT_FALSE(MetricsSnapshot::fromJson("{", &parsed, &error));
-    EXPECT_FALSE(
-        MetricsSnapshot::fromJson("{\"schema\": 1}", &parsed, &error));
-}
-
-TEST(TelemetrySnapshot, PrometheusShape)
-{
-    const MetricsSnapshot snap = buildSnapshot();
-    const std::string prom = snap.toPrometheus();
-
-    EXPECT_NE(prom.find("# TYPE pmdb_pmdbd_events_drained counter"),
-              std::string::npos);
-    EXPECT_NE(prom.find("pmdb_pmdbd_events_drained 123456"),
-              std::string::npos);
-    // Labels survive as Prometheus label sets.
-    EXPECT_NE(prom.find("pmdb_pmdbd_session_events{session=\"1\"} 777"),
-              std::string::npos);
-    // Histograms render cumulative buckets ending at +Inf, plus _sum
-    // and _count.
-    EXPECT_NE(prom.find("pmdb_detector_eval_ns_bucket{class=\"store\","
-                        "le=\"+Inf\"} 1000"),
-              std::string::npos);
-    EXPECT_NE(prom.find("pmdb_detector_eval_ns_count{class=\"store\"} "
-                        "1000"),
-              std::string::npos);
-    // Every line is either a comment or name<space>value.
-    std::size_t start = 0;
-    while (start < prom.size()) {
-        std::size_t end = prom.find('\n', start);
-        if (end == std::string::npos)
-            end = prom.size();
-        const std::string line = prom.substr(start, end - start);
-        if (!line.empty() && line[0] != '#') {
-            EXPECT_NE(line.find(' '), std::string::npos) << line;
-        }
-        start = end + 1;
-    }
-}
-
-TEST(TelemetrySnapshot, MergeAddsAndFoldsHistograms)
-{
-    Histogram hist;
-    hist.record(5);
-    MetricsSnapshot a;
-    a.addCounter("x", 1);
-    a.addHistogram("h", hist.snapshot());
-    a.sortByName();
-    MetricsSnapshot b;
-    b.addCounter("x", 2);
-    b.addHistogram("h", hist.snapshot());
-    b.sortByName();
-
-    a.merge(b);
-    const MetricSample *x = a.find("x");
-    ASSERT_NE(x, nullptr);
-    EXPECT_EQ(x->value, 3);
-    const MetricSample *h = a.find("h");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->hist.count, 2u);
 }
 
 TEST(TelemetryRegistry, ReferencesAreStable)

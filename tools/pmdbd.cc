@@ -7,11 +7,11 @@
  * on a pool of worker threads, and replies to every client with its
  * bug report.
  *
- * `--help` lists the flags. The --json aggregate carries per-session
- * attribution (batches drained, events/s, bug sites) and the metrics
- * snapshot, which holds every daemon counter;
- * --metrics-sock clients send "json" or "prom" and get that snapshot
- * back (see tools/pmdb_stat).
+ * `--help` lists the flags. The daemon reports at exit, in two
+ * outputs: the --json aggregate carries per-session attribution
+ * (batches drained, events/s, bug sites) and embeds the metrics
+ * snapshot, which holds every daemon counter; --trace-out writes the
+ * span trace.
  */
 
 #include <atomic>
@@ -52,16 +52,11 @@ main(int argc, char **argv)
                       "listen on this Unix-domain socket (required)"),
             cli::flag("--workers", "N", &config.pool.shards,
                       "detector worker threads (default 1)"),
-            cli::flag("--array-capacity", "N",
-                      &config.pool.arrayCapacity,
-                      "per-session store-array capacity"),
             cli::flag("--once", "N", &once,
                       "exit after N sessions complete (default: run "
                       "until SIGINT/SIGTERM)"),
             cli::flag("--json", &json,
                       "print the aggregated per-session report on exit"),
-            cli::flag("--metrics-sock", "PATH", &config.metricsSocketPath,
-                      "serve live metrics snapshots on PATH"),
             cli::flag("--trace-out", "FILE", &config.traceOutPath,
                       "write a Chrome/Perfetto span trace on exit"),
         });
